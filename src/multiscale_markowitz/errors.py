@@ -106,10 +106,9 @@ class MaxIterationsError(NumericalError):
     Carries the best iterate seen so the caller can inspect it.
     """
 
-    def __init__(self, message, weights=None, residual=None):
+    def __init__(self, message, weights=None):
         super().__init__(message)
         self.weights = weights
-        self.residual = residual
 
 
 class UniverseMismatchError(DataError):

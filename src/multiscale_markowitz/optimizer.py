@@ -6,6 +6,14 @@ on expected return. The unconstrained problem has the closed form
 ``w = Sigma^{-1} 1 / (1' Sigma^{-1} 1)``; inequality-constrained variants
 run a primal active-set iteration whose KKT conditions are verified and
 reported on every result.
+
+The long-only iteration starts from the clipped closed-form support:
+the equality-constrained solution on the free assets, with every asset
+it does not hold long fixed at zero, repeated until all remaining
+weights are positive. That point is feasible and usually on the optimal
+support, so the iteration only certifies it or frees the last few
+bounds. The return-floor problem starts from a floor-feasible mix of
+equal weights and the best asset instead.
 """
 from __future__ import annotations
 
@@ -156,6 +164,35 @@ def _eqp_step(m, a, b, floor_vec, floor_rhs, free, floor_active):
     return w_free, -nu
 
 
+def _support_start(m, a):
+    """Feasible start for ``min w' m w`` over ``a' w = 1, w >= 0``.
+
+    Solves the problem without bounds on the free set, fixes every
+    coordinate it does not hold positive at zero and repeats; each pass
+    fixes at least one more coordinate, so this ends within ``n`` solves.
+    When no coordinate stays positive, the start is the single asset
+    with the largest ``a``.
+    """
+    n = m.shape[0]
+    free = np.ones(n, dtype=bool)
+    while free.any():
+        x = np.linalg.solve(m[np.ix_(free, free)], a[free])
+        total = float(a[free] @ x)
+        if total <= 0.0:
+            break
+        x /= total
+        keep = x > 0.0
+        if keep.all():
+            w = np.zeros(n)
+            w[free] = x
+            return w
+        free[free] = keep
+    k = int(np.argmax(a))
+    w = np.zeros(n)
+    w[k] = 1.0 / a[k]
+    return w
+
+
 def _active_set_qp(m, a, b, floor_vec=None, floor_rhs=None, start=None):
     n = m.shape[0]
     w = np.array(start, dtype=float)
@@ -261,8 +298,9 @@ def min_variance_long_only(sigma, mu=None, mu_target=None, asset_ids=None,
     ones = np.ones(n)
     floor_vec = None
     floor_rhs = None
-    start = np.full(n, 1.0 / n)
-    if mu_target is not None:
+    if mu_target is None:
+        start = _support_start(m, ones)
+    else:
         if mu is None:
             raise ValueError("mu_target needs mu")
         mu = np.asarray(mu, dtype=float)
@@ -276,6 +314,7 @@ def min_variance_long_only(sigma, mu=None, mu_target=None, asset_ids=None,
             )
         floor_vec = mu
         floor_rhs = mu_target
+        start = np.full(n, 1.0 / n)
         have = float(mu @ start)
         if have < mu_target:
             k = int(np.argmax(mu))
@@ -325,9 +364,7 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
         return PortfolioWeights(ids, w, "max_sharpe", long_only=False,
                                 kkt_residual=residual,
                                 provenance=dict(provenance or {}))
-    k = int(np.argmax(excess))
-    start = np.zeros(n)
-    start[k] = 1.0 / excess[k]
+    start = _support_start(m, excess)
     y, lam, eta, bound_active, _ = _active_set_qp(m, excess, 1.0, None, None, start)
     residual = _kkt_residual(m, excess, y, lam, 0.0, None, bound_active)
     total = y.sum()

@@ -153,9 +153,10 @@ def fit_scaling_exponent(points) -> PowerLawFit:
     ssr = float(resid @ resid)
     sst = float((y - y.mean()) @ (y - y.mean()))
     stderr = math.sqrt(ssr / (len(x) - 2) / sxx)
-    # constant to machine precision counts as an exact fit
+    # residuals at rounding level count as an exact fit, the constant
+    # case included; testing sst instead misses near-constant log-moments
     tiny = (16.0 * np.finfo(float).eps * max(1.0, float(np.abs(y).max()))) ** 2 * len(y)
-    r2 = 1.0 if sst <= tiny else 1.0 - ssr / sst
+    r2 = 1.0 if ssr <= tiny else 1.0 - ssr / sst
     return PowerLawFit(slope, stderr, r2)
 
 
@@ -324,8 +325,8 @@ def mfdfa(series, asset=None, q_grid=DEFAULT_Q_GRID, scales=None,
         segments = np.vstack([fwd, bwd])
         t = np.arange(s, dtype=float)
         design = np.vander(t, detrend_order + 1)
-        proj = design @ np.linalg.pinv(design)
-        resid = segments - segments @ proj.T
+        coef = segments @ np.linalg.pinv(design).T
+        resid = segments - coef @ design.T
         f2 = np.mean(resid ** 2, axis=1)
         if not np.any(f2 > 0.0):
             raise DegenerateSegmentsError(

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from conftest import brute_force_min_variance, random_pd_matrix
 
@@ -24,6 +25,7 @@ from multiscale_markowitz.optimizer import (
     sensitivity_to_hurst,
     sensitivity_to_variance,
 )
+from multiscale_markowitz.synth import constant_correlation_cov
 
 
 def _set_for(matrices, scales, ids):
@@ -161,6 +163,64 @@ def test_long_only_scale_invariant():
     assert np.allclose(w1, w2, atol=1e-9)
 
 
+def _qp_cases():
+    rng = np.random.default_rng(31)
+    cases = [(f"random{n}_{k}", random_pd_matrix(rng, n), rng.normal(0.02, 0.05, size=n))
+             for n in (20, 60) for k in range(2)]
+    vol = np.geomspace(0.5, 3.0, 200)
+    m = constant_correlation_cov(200, 0.3, sigma_daily=1.0) * np.outer(vol, vol)
+    cases.append(("constcorr200", m, 0.02 * np.sqrt(np.diag(m)) + rng.normal(0.0, 0.02, 200)))
+    return cases
+
+
+QP_CASES = _qp_cases()
+
+
+def _assert_long_only_kkt(m, w, a):
+    """``m w = c a`` on the support and ``m w >= c a`` off it, for one ``c``.
+
+    This certifies a minimizer of ``w' m w`` over ``a' w = 1, w >= 0``
+    (and, rescaled, of the budget form) to 1e-9 relative.
+    """
+    g = m @ w
+    c = float(w @ g) / float(a @ w)
+    tol = 1e-9 * np.abs(g).max()
+    support = w > 0.0
+    assert np.all(w >= 0.0)
+    assert np.abs(g[support] - c * a[support]).max() <= tol
+    assert np.all(g[~support] - c * a[~support] >= -tol)
+
+
+def _slsqp_min_quadratic(m, a):
+    """Scipy's SLSQP on ``min x' m x, a' x = 1, x >= 0``, made exactly feasible."""
+    n = m.shape[0]
+    x0 = np.clip(a, 0.0, None) + 1e-3
+    res = minimize(lambda x: x @ m @ x, x0 / (a @ x0), jac=lambda x: 2.0 * m @ x,
+                   method="SLSQP", bounds=[(0.0, None)] * n,
+                   constraints=[{"type": "eq", "fun": lambda x: a @ x - 1.0, "jac": lambda x: a}],
+                   options={"ftol": 1e-14, "maxiter": 1000})
+    x = np.clip(res.x, 0.0, None)
+    return x / (a @ x)
+
+
+@pytest.mark.parametrize("name,m,mu", QP_CASES, ids=[c[0] for c in QP_CASES])
+def test_long_only_kkt_and_slsqp_at_size(name, m, mu):
+    w = min_variance_long_only(m).weights
+    ones = np.ones(len(w))
+    _assert_long_only_kkt(m, w, ones)
+    oracle = _slsqp_min_quadratic(m, ones)
+    assert w @ m @ w <= oracle @ m @ oracle * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("name,m,mu", QP_CASES, ids=[c[0] for c in QP_CASES])
+def test_max_sharpe_kkt_and_slsqp_at_size(name, m, mu):
+    w = max_sharpe(m, mu).weights
+    _assert_long_only_kkt(m, w, mu)
+    oracle = _slsqp_min_quadratic(m, mu)
+    sharpe = (w @ mu) / np.sqrt(w @ m @ w)
+    assert sharpe >= (oracle @ mu) / np.sqrt(oracle @ m @ oracle) * (1.0 - 1e-9)
+
+
 # ---------------------------------------------------------------------------
 # tangency portfolio
 
@@ -191,6 +251,14 @@ def test_max_sharpe_beats_random_feasible(rng):
         c = rng.dirichlet(np.ones(4))
         sharpe = (c @ mu) / np.sqrt(c @ m @ c)
         assert sharpe <= best + 1e-9
+
+
+def test_max_sharpe_when_unconstrained_tangency_holds_nothing_long():
+    # Sigma^{-1} mu has no positive entry, so the clipped closed-form
+    # support is empty; the answer is the one asset with positive excess
+    m = np.array([[1.0, -0.9], [-0.9, 1.0]])
+    w = max_sharpe(m, np.array([-0.91, 0.8]))
+    assert np.array_equal(w.weights, [0.0, 1.0])
 
 
 def test_max_sharpe_risk_free_shift():

@@ -1,8 +1,10 @@
 """Structure functions, power-law fitting, fluctuation analysis."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiscale_markowitz import errors
@@ -99,6 +101,7 @@ def test_fit_rejects_nonpositive_moment():
 @settings(max_examples=60, deadline=None)
 @given(prefactor=st.floats(1e-6, 1e6), exponent=st.floats(-3.0, 3.0),
        n_points=st.integers(3, 8))
+@example(prefactor=1.0, exponent=1e-12, n_points=3)
 def test_fit_recovers_any_exact_power_law(prefactor, exponent, n_points):
     x = 2.0 ** np.arange(n_points)
     fit = fit_scaling_exponent(list(zip(x, prefactor * x**exponent)))
@@ -183,6 +186,17 @@ def test_mfdfa_cascade_spectrum_widens():
 def test_mfdfa_zeta_definition():
     spec = mfdfa(gen_gaussian_iid(1 << 12, seed=6), q_grid=(1.0, 2.0, 4.0))
     assert np.allclose(spec.zeta, np.asarray(spec.q_grid) * spec.h_of_q)
+
+
+def test_mfdfa_memory_is_linear_in_length():
+    x = gen_fgn(1 << 14, hurst=0.7, seed=7)
+    tracemalloc.start()
+    try:
+        mfdfa(x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_mfdfa_series_too_short():
