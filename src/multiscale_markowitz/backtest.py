@@ -23,7 +23,6 @@ from .covariance import (
 from .errors import MultiscaleError, PanelTooShortError, ZeroVolatilityError
 from .optimizer import PortfolioWeights, max_sharpe, min_variance_long_only
 from .timeseries import (
-    MODE_BASE,
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
     ReturnPanel,
@@ -170,8 +169,6 @@ def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:
     failure keeps the previous weights (equal weights before the first
     success) and is recorded in ``fallbacks`` instead of aborting.
     """
-    if panel.mode != MODE_BASE:
-        raise ValueError("backtests run on base panels")
     t_total = panel.n_periods
     if t_total < cfg.lookback + cfg.rebalance_every:
         raise PanelTooShortError(

@@ -1,7 +1,8 @@
 """Per-scale covariance estimation and the scale-averaged blend.
 
-Covariances are estimated on aggregated panels at each scale, divided by
-their scale to bring them to a common per-period footing, and averaged.
+Covariances are estimated on block sums of the returns at each scale,
+divided by their scale to bring them to a common per-period footing, and
+averaged.
 A robust variant replaces the usual variance scale with mean absolute
 deviation about the median, keeping the correlation structure.
 """
@@ -14,12 +15,10 @@ import numpy as np
 
 from .errors import DegenerateAssetWarning, DimensionMismatchError, ScaleTooLargeError
 from .timeseries import (
-    MODE_BASE,
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
     ReturnPanel,
-    aggregate,
-    all_phase_aggregates,
+    block_sums,
     min_phase_rows,
 )
 
@@ -31,10 +30,6 @@ MIN_OBS_PER_PHASE = 4
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
-
-
-def _zero_variance_columns(x: np.ndarray) -> np.ndarray:
-    return np.ptp(x, axis=0) == 0.0
 
 
 def _cov_product(x: np.ndarray) -> np.ndarray:
@@ -72,16 +67,14 @@ def cov_at_scale(panel: ReturnPanel, dt: int, method: str = METHOD_PRODUCT,
 
     Non-overlapping aggregation estimates one covariance per phase offset
     and averages the ``dt`` estimates; overlapping aggregation uses the
-    single sliding-window panel. Returns ``(matrix, n_obs)`` where
+    block sums at every start index. Returns ``(matrix, n_obs)`` where
     ``n_obs`` is the smallest number of observations behind any estimate.
 
-    Assets with zero variance in some window get their rows and columns
-    zeroed and raise ``DegenerateAssetWarning``. A scale leaving fewer
-    than four observations in the worst phase raises
+    Assets whose one-period returns are constant over the panel get their
+    rows and columns zeroed and raise ``DegenerateAssetWarning``. A scale
+    leaving fewer than four observations in the worst phase raises
     ``ScaleTooLargeError``.
     """
-    if panel.mode != MODE_BASE:
-        raise ValueError("cov_at_scale starts from a base panel")
     if method not in (METHOD_PRODUCT, METHOD_L1):
         raise ValueError(f"unknown method {method!r}")
     if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
@@ -96,32 +89,26 @@ def cov_at_scale(panel: ReturnPanel, dt: int, method: str = METHOD_PRODUCT,
                 f"scale {dt} leaves {rows} observations in the worst phase, "
                 f"need >= {MIN_OBS_PER_PHASE}"
             )
-        panels = all_phase_aggregates(panel, dt)
-    else:
-        agg = aggregate(panel, dt, MODE_OVERLAPPING)
-        if agg.n_periods < MIN_OBS_PER_PHASE:
-            raise ScaleTooLargeError(
-                f"scale {dt} leaves {agg.n_periods} overlapping observations, "
-                f"need >= {MIN_OBS_PER_PHASE}"
-            )
-        panels = [agg]
+    elif panel.n_periods - dt + 1 < MIN_OBS_PER_PHASE:
+        raise ScaleTooLargeError(
+            f"scale {dt} leaves {panel.n_periods - dt + 1} overlapping observations, "
+            f"need >= {MIN_OBS_PER_PHASE}"
+        )
 
+    # decided on the one-period returns: block sums of a constant column
+    # carry cumsum rounding and would not test as exactly constant
+    dead = np.ptp(panel.returns, axis=0) == 0.0
+    for idx in np.flatnonzero(dead):
+        warnings.warn(
+            f"asset {panel.asset_ids[idx]!r} has zero variance at scale {dt}; "
+            "its covariance entries are zero",
+            DegenerateAssetWarning,
+            stacklevel=2,
+        )
+    s = block_sums(panel.returns, dt)
+    blocks = [s[p::dt] for p in range(dt)] if aggregation == MODE_NONOVERLAPPING else [s]
     acc = np.zeros((panel.n_assets, panel.n_assets))
-    n_obs = None
-    warned: set[str] = set()
-    for p in panels:
-        x = p.returns
-        dead = _zero_variance_columns(x)
-        for idx in np.flatnonzero(dead):
-            aid = panel.asset_ids[idx]
-            if aid not in warned:
-                warned.add(aid)
-                warnings.warn(
-                    f"asset {aid!r} has zero variance at scale {dt}; "
-                    "its covariance entries are zero",
-                    DegenerateAssetWarning,
-                    stacklevel=2,
-                )
+    for x in blocks:
         if method == METHOD_PRODUCT:
             c = _cov_product(x)
             c[dead, :] = 0.0
@@ -129,8 +116,7 @@ def cov_at_scale(panel: ReturnPanel, dt: int, method: str = METHOD_PRODUCT,
         else:
             c = _cov_l1(x, dead, l1_joint)
         acc += c
-        n_obs = x.shape[0] if n_obs is None else min(n_obs, x.shape[0])
-    return _sym(acc / len(panels)), int(n_obs)
+    return _sym(acc / len(blocks)), min(len(x) for x in blocks)
 
 
 @dataclass(frozen=True, eq=False)

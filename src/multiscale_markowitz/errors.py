@@ -47,10 +47,6 @@ class ScaleTooLargeError(DataError):
     """Aggregation scale leaves too few observations."""
 
 
-class BadPhaseError(DataError):
-    """Aggregation phase outside [0, scale)."""
-
-
 # ---------------------------------------------------------------------------
 # scaling estimation
 

@@ -378,31 +378,6 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
                             provenance=dict(provenance or {}))
 
 
-def average_weights_across_scales(portfolios) -> PortfolioWeights:
-    """Equal-weight average of per-scale portfolios, renormalized."""
-    ps = list(portfolios)
-    if not ps:
-        raise ValueError("need at least one portfolio")
-    ids = ps[0].asset_ids
-    for p in ps[1:]:
-        if p.asset_ids != ids:
-            raise UniverseMismatchError(
-                f"universe {p.asset_ids} differs from {ids}"
-            )
-    stack = np.vstack([p.weights for p in ps])
-    w = stack.mean(axis=0)
-    total = w.sum()
-    if abs(total) < 1e-12:
-        raise NumericalError("averaged weights sum to zero")
-    w = w / total
-    long_only = all(p.long_only for p in ps)
-    if long_only:
-        w = np.clip(w, 0.0, None)
-        w = w / w.sum()
-    return PortfolioWeights(ids, w, "averaged", long_only=long_only,
-                            provenance={"combined": [p.method for p in ps]})
-
-
 # ---------------------------------------------------------------------------
 # closed-form sensitivities
 

@@ -23,7 +23,7 @@ from .errors import (
     TooFewPointsError,
     ZeroMomentError,
 )
-from .timeseries import MODE_BASE, ReturnPanel, min_phase_rows
+from .timeseries import ReturnPanel, block_sums, min_phase_rows
 
 DEFAULT_SCALES = (1, 2, 5, 10, 21)
 DEFAULT_Q_GRID = (-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0)
@@ -49,8 +49,6 @@ class HurstEstimate(NamedTuple):
 def _series_and_name(obj, asset):
     """Accept a 1-D array or a panel plus asset id; return (values, name)."""
     if isinstance(obj, ReturnPanel):
-        if obj.mode != MODE_BASE:
-            raise ValueError("scaling estimators read base panels, not aggregates")
         if asset is None:
             if obj.n_assets != 1:
                 raise ValueError("asset id required for a multi-asset panel")
@@ -72,12 +70,6 @@ def _check_scales(scales):
     if len(set(out)) != len(out):
         raise ValueError("scales must be distinct")
     return tuple(out)
-
-
-def _phase_block_sums(cumsum, n, dt, phase):
-    k = (n - phase) // dt
-    starts = phase + dt * np.arange(k)
-    return cumsum[starts + dt] - cumsum[starts]
 
 
 def structure_function(series, asset=None, q: float = 2.0,
@@ -106,7 +98,6 @@ def structure_function(series, asset=None, q: float = 2.0,
         raise ZeroMomentError("all base returns are zero")
     scales = _check_scales(scales)
     n = len(x)
-    c = np.concatenate([[0.0], np.cumsum(x)])
     out = []
     for dt in scales:
         if min_phase_rows(n, dt) < min_obs:
@@ -114,15 +105,9 @@ def structure_function(series, asset=None, q: float = 2.0,
                 f"scale {dt} leaves {min_phase_rows(n, dt)} blocks in the worst phase, "
                 f"need >= {min_obs}"
             )
-        if dt == 1:
-            moment = float(np.mean(np.abs(x) ** q))
-        else:
-            per_phase = [
-                np.mean(np.abs(_phase_block_sums(c, n, dt, p)) ** q)
-                for p in range(dt)
-            ]
-            moment = float(np.mean(per_phase))
-        out.append((float(dt), moment))
+        b = block_sums(x, dt)
+        per_phase = [np.mean(np.abs(b[p::dt]) ** q) for p in range(dt)]
+        out.append((float(dt), float(np.mean(per_phase))))
     return out
 
 
@@ -195,11 +180,7 @@ class ScalingSpectrum:
     nonmonotone: bool = False
 
     def __post_init__(self):
-        q = tuple(float(v) for v in self.q_grid)
-        if any(v == 0 for v in q):
-            raise ValueError("q grid must not contain zero")
-        if any(b <= a for a, b in zip(q, q[1:])):
-            raise ValueError("q grid must be strictly increasing")
+        q = _check_q_grid(self.q_grid)
         k = len(q)
         for name in ("zeta", "h_of_q", "stderr", "fit_r2"):
             arr = np.asarray(getattr(self, name), dtype=float)
@@ -402,8 +383,6 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
     xj = panel.column(asset_j)
     scales = _check_scales(scales)
     n = len(xi)
-    ci = np.concatenate([[0.0], np.cumsum(xi)])
-    cj = np.concatenate([[0.0], np.cumsum(xj)])
     rho = np.empty(len(scales))
     cross = np.empty(len(scales))
     for si, dt in enumerate(scales):
@@ -411,11 +390,13 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
             raise ScaleTooLargeError(
                 f"scale {dt} leaves under {MIN_OBS_FOR_FIT} blocks per phase"
             )
+        bs_i = block_sums(xi, dt)
+        bs_j = block_sums(xj, dt)
         rho_p = []
         cross_p = []
         for p in range(dt):
-            bi = _phase_block_sums(ci, n, dt, p)
-            bj = _phase_block_sums(cj, n, dt, p)
+            bi = bs_i[p::dt]
+            bj = bs_j[p::dt]
             si_std = bi.std()
             sj_std = bj.std()
             if si_std == 0.0 or sj_std == 0.0:

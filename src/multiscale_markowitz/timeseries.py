@@ -1,10 +1,11 @@
-"""Price and return panels, CSV ingestion, and time-scale aggregation.
+"""Price and return panels, CSV ingestion, and block sums over time scales.
 
-A base panel holds one-period log returns, one column per asset. Coarser
-panels are built by summing log returns over blocks of ``dt`` consecutive
-periods, either overlapping (every start index) or non-overlapping at a
-given phase offset. Log returns make aggregation exact: the block sum is
-the log return over the block.
+A panel holds one-period log returns, one column per asset. The return
+over ``dt`` periods is the sum of ``dt`` consecutive rows; ``block_sums``
+gives that sum at every start index, so its rows ``phase::dt`` are the
+non-overlapping blocks at one phase offset and all rows together are the
+overlapping ones. Log returns make the sum exact: the block sum is the
+log return over the block.
 """
 from __future__ import annotations
 
@@ -15,16 +16,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    BadPhaseError,
     DuplicateDateError,
     MissingValueError,
     NonPositivePriceError,
     ParseError,
-    ScaleTooLargeError,
     TooShortError,
 )
 
-MODE_BASE = "base"
 MODE_OVERLAPPING = "overlapping"
 MODE_NONOVERLAPPING = "nonoverlapping"
 
@@ -103,21 +101,14 @@ class PriceSeries:
 
 @dataclass(frozen=True, eq=False)
 class ReturnPanel:
-    """Log returns at a fixed observation scale.
+    """One-period log returns, one column per asset.
 
-    ``scale`` counts base periods per observation. ``mode`` records how the
-    panel was produced: ``base`` for one-period returns, ``overlapping`` or
-    ``nonoverlapping`` for block sums; ``phase`` is the start offset of the
-    first non-overlapping block. Each timestamp is the date on which that
-    row's return completes.
+    Each timestamp is the date on which that row's return completes.
     """
 
     asset_ids: tuple[str, ...]
     timestamps: np.ndarray
     returns: np.ndarray
-    scale: int = 1
-    mode: str = MODE_BASE
-    phase: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "asset_ids", tuple(str(a) for a in self.asset_ids))
@@ -132,17 +123,6 @@ class ReturnPanel:
         _check_dates(ts)
         if not np.all(np.isfinite(r)):
             raise MissingValueError("returns contain NaN or infinite entries")
-        if self.mode not in (MODE_BASE, MODE_OVERLAPPING, MODE_NONOVERLAPPING):
-            raise ValueError(f"unknown mode {self.mode!r}")
-        if self.scale < 1:
-            raise ValueError("scale must be >= 1")
-        if self.mode == MODE_BASE and self.scale != 1:
-            raise ValueError("base panels have scale 1")
-        if self.mode == MODE_NONOVERLAPPING:
-            if not 0 <= self.phase < self.scale:
-                raise BadPhaseError(f"phase {self.phase} outside [0, {self.scale})")
-        elif self.phase != 0:
-            raise ValueError(f"phase is only meaningful for {MODE_NONOVERLAPPING!r}")
         object.__setattr__(self, "timestamps", _readonly(ts))
         object.__setattr__(self, "returns", _readonly(r))
 
@@ -154,12 +134,6 @@ class ReturnPanel:
     def n_assets(self) -> int:
         return self.returns.shape[1]
 
-    @property
-    def aggregation_mode(self) -> str:
-        if self.mode == MODE_NONOVERLAPPING:
-            return f"{MODE_NONOVERLAPPING}({self.phase})"
-        return self.mode
-
     def column(self, asset_id: str) -> np.ndarray:
         """Return one asset's series as a 1-D array."""
         try:
@@ -169,16 +143,13 @@ class ReturnPanel:
         return self.returns[:, j]
 
     def window(self, start: int, stop: int) -> "ReturnPanel":
-        """Row slice [start, stop) as a panel of the same scale and mode."""
+        """Row slice [start, stop) as a panel."""
         if not 0 <= start < stop <= self.n_periods:
             raise ValueError(f"window [{start}, {stop}) outside panel of length {self.n_periods}")
         return ReturnPanel(
             self.asset_ids,
             self.timestamps[start:stop],
             self.returns[start:stop],
-            scale=self.scale,
-            mode=self.mode,
-            phase=self.phase,
         )
 
 
@@ -188,7 +159,7 @@ def trading_dates(n: int, start: np.datetime64 = _EPOCH) -> np.ndarray:
 
 
 def panel_from_returns(returns: np.ndarray, asset_ids=None) -> ReturnPanel:
-    """Wrap a plain array of one-period log returns as a base panel."""
+    """Wrap a plain array of one-period log returns as a panel."""
     r = np.asarray(returns, dtype=float)
     if r.ndim == 1:
         r = r[:, None]
@@ -273,7 +244,7 @@ def prices_to_csv(series: PriceSeries) -> str:
 
 
 def to_price_series(panel: ReturnPanel, initial: float = 100.0) -> PriceSeries:
-    """Compound a base return panel into prices starting at ``initial``.
+    """Compound a return panel into prices starting at ``initial``.
 
     The price on the day before the first return is ``initial``; each later
     price multiplies by exp of that day's log return.
@@ -287,7 +258,7 @@ def to_price_series(panel: ReturnPanel, initial: float = 100.0) -> PriceSeries:
 
 
 # ---------------------------------------------------------------------------
-# returns and aggregation
+# returns and block sums
 
 def to_log_returns(series: PriceSeries) -> ReturnPanel:
     """One-period log returns of a price panel.
@@ -301,61 +272,21 @@ def to_log_returns(series: PriceSeries) -> ReturnPanel:
     return ReturnPanel(series.asset_ids, series.timestamps[1:], r)
 
 
-def aggregate(panel: ReturnPanel, dt: int, mode: str = MODE_NONOVERLAPPING,
-              phase: int = 0) -> ReturnPanel:
-    """Sum log returns over blocks of ``dt`` base periods.
+def block_sums(x: np.ndarray, dt: int) -> np.ndarray:
+    """Sums of ``dt`` consecutive rows: row ``t`` is ``x[t:t+dt].sum(0)``.
 
-    ``overlapping`` uses every start index and yields ``T - dt + 1`` rows.
-    ``nonoverlapping`` starts at ``phase`` and steps by ``dt``, yielding
-    ``floor((T - phase) / dt)`` rows. ``dt = 1`` is the identity and
-    returns the panel unchanged.
-
-    Raises ``ScaleTooLargeError`` when no complete block fits and
-    ``BadPhaseError`` for a phase outside ``[0, dt)``.
-    """
-    if panel.mode != MODE_BASE:
-        raise ValueError("aggregation starts from a base panel")
-    if dt < 1:
-        raise ValueError("dt must be >= 1")
-    if dt == 1:
-        return panel
-    if mode not in (MODE_OVERLAPPING, MODE_NONOVERLAPPING):
-        raise ValueError(f"unknown aggregation mode {mode!r}")
-    T = panel.n_periods
-    if mode == MODE_OVERLAPPING:
-        if phase != 0:
-            raise BadPhaseError("overlapping aggregation has no phase")
-        if dt > T:
-            raise ScaleTooLargeError(f"dt={dt} exceeds panel length {T}")
-        c = np.vstack([np.zeros(panel.n_assets), np.cumsum(panel.returns, axis=0)])
-        r = c[dt:] - c[:-dt]
-        ts = panel.timestamps[dt - 1:]
-        return ReturnPanel(panel.asset_ids, ts, r, scale=dt, mode=mode)
-    if not 0 <= phase < dt:
-        raise BadPhaseError(f"phase {phase} outside [0, {dt})")
-    k = (T - phase) // dt
-    if k < 1:
-        raise ScaleTooLargeError(f"dt={dt}, phase={phase} leaves no complete block in {T} rows")
-    blocks = panel.returns[phase:phase + k * dt].reshape(k, dt, panel.n_assets)
-    r = blocks.sum(axis=1)
-    ts = panel.timestamps[phase + dt - 1::dt][:k]
-    return ReturnPanel(panel.asset_ids, ts, r, scale=dt, mode=mode, phase=phase)
-
-
-def all_phase_aggregates(panel: ReturnPanel, dt: int) -> list[ReturnPanel]:
-    """Non-overlapping aggregates at every phase ``0 .. dt-1``.
-
-    Every base row is covered by at most ``dt`` of the returned panels, and
-    rows away from the edges by exactly ``dt``. ``dt = 1`` returns the base
-    panel itself as the only element.
+    Works along axis 0 of a 1-D or 2-D array and yields ``len(x) - dt + 1``
+    rows, all start indices (overlapping blocks); rows ``phase::dt`` are the
+    non-overlapping blocks at that phase. ``dt = 1`` returns ``x`` itself.
     """
     if dt == 1:
-        return [panel]
-    return [aggregate(panel, dt, MODE_NONOVERLAPPING, p) for p in range(dt)]
+        return x
+    c = np.concatenate([np.zeros((1,) + x.shape[1:]), np.cumsum(x, axis=0)])
+    return c[dt:] - c[:-dt]
 
 
 def min_phase_rows(n_rows: int, dt: int) -> int:
-    """Rows in the shortest phase panel at scale ``dt``: worst case over phases."""
+    """Rows of ``block_sums(x, dt)[phase::dt]`` in the shortest phase."""
     if dt == 1:
         return n_rows
     return (n_rows - dt + 1) // dt

@@ -16,6 +16,7 @@ from multiscale_markowitz.covariance import (
 )
 from multiscale_markowitz.synth import constant_correlation_cov, gen_correlated
 from multiscale_markowitz.timeseries import (
+    MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
     panel_from_returns,
 )
@@ -83,10 +84,59 @@ def test_cov_degenerate_asset_warns_and_zeroes():
     assert m[0, 0] > 0.0
 
 
+@pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
+@pytest.mark.parametrize("dt", [1, 5])
+def test_cov_constant_asset_is_degenerate(aggregation, dt):
+    # a constant column must come out as exact zeros in both modes; block
+    # sums built from a cumsum carry rounding, so the test is on the
+    # one-period returns
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((500, 2)) * 0.01
+    p = panel_from_returns(np.column_stack([x[:, 0], np.full(500, 0.001), x[:, 1]]),
+                           asset_ids=("x", "flat", "y"))
+    with pytest.warns(errors.DegenerateAssetWarning, match="flat"):
+        m, _ = cov_at_scale(p, dt, aggregation=aggregation)
+    assert np.all(m[1, :] == 0.0)
+    assert np.all(m[:, 1] == 0.0)
+    assert m[0, 0] > 0.0 and m[2, 2] > 0.0
+
+
 def test_cov_scale_too_large():
     p = panel_from_returns(np.arange(20.0))
     with pytest.raises(errors.ScaleTooLargeError):
         cov_at_scale(p, 7)
+    # 20 rows hold four overlapping blocks of 17 but only three of 18
+    assert cov_at_scale(p, 17, aggregation=MODE_OVERLAPPING)[1] == 4
+    with pytest.raises(errors.ScaleTooLargeError):
+        cov_at_scale(p, 18, aggregation=MODE_OVERLAPPING)
+    with pytest.raises(errors.ScaleTooLargeError):
+        cov_at_scale(p, 25, aggregation=MODE_OVERLAPPING)
+
+
+def _reference_cov(x, dt, aggregation):
+    # block sums by reshape and sliding windows, covariance by np.cov
+    t, n = x.shape
+    if aggregation == MODE_OVERLAPPING:
+        sums = np.lib.stride_tricks.sliding_window_view(x, dt, axis=0).sum(axis=-1)
+        return np.cov(sums, rowvar=False), len(sums)
+    covs, rows = [], []
+    for p in range(dt):
+        k = (t - p) // dt
+        sums = x[p:p + k * dt].reshape(k, dt, n).sum(axis=1)
+        covs.append(np.cov(sums, rowvar=False))
+        rows.append(k)
+    return np.mean(covs, axis=0), min(rows)
+
+
+@pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
+@pytest.mark.parametrize("dt", [2, 5, 21])
+def test_cov_matches_reshape_sum_reference(aggregation, dt):
+    rng = np.random.default_rng(9)
+    x = rng.standard_normal((500, 4)) * 0.01 + 0.002
+    m, n_obs = cov_at_scale(panel_from_returns(x), dt, aggregation=aggregation)
+    ref, ref_obs = _reference_cov(x, dt, aggregation)
+    assert n_obs == ref_obs
+    assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_cov_overlapping_close_to_nonoverlapping():

@@ -14,7 +14,6 @@ from multiscale_markowitz.covariance import (
     multiscale_cov,
 )
 from multiscale_markowitz.optimizer import (
-    average_weights_across_scales,
     check_target_curve,
     correlation_hurst_sensitivity,
     correlation_sensitivity,
@@ -269,25 +268,6 @@ def test_max_sharpe_risk_free_shift():
 
 
 # ---------------------------------------------------------------------------
-# weight averaging
-
-
-def test_average_weights_requires_common_universe():
-    a = min_variance_closed_form(np.eye(2), asset_ids=("x", "y"))
-    b = min_variance_closed_form(np.eye(2), asset_ids=("x", "z"))
-    with pytest.raises(errors.UniverseMismatchError):
-        average_weights_across_scales([a, b])
-
-
-def test_average_weights_mean_then_renormalize():
-    a = min_variance_closed_form(np.diag([1.0, 2.0]))
-    b = min_variance_closed_form(np.diag([2.0, 1.0]))
-    avg = average_weights_across_scales([a, b])
-    assert np.allclose(avg.weights, 0.5, atol=1e-12)
-    assert avg.method == "averaged"
-
-
-# ---------------------------------------------------------------------------
 # sensitivities
 
 
@@ -402,3 +382,7 @@ def test_target_curve_ratio_definition():
     assert row.portfolio_variance == pytest.approx(0.5e-4)
     assert row.target_variance == pytest.approx(1e-4)
     assert row.ratio == pytest.approx(0.5)
+    # weights over another universe are rejected, not matched by position
+    other = min_variance_closed_form(np.eye(2), asset_ids=("x", "z"))
+    with pytest.raises(errors.UniverseMismatchError):
+        check_target_curve(other, cs, sigma_target_daily=0.01, hurst_target=0.5)

@@ -1,4 +1,4 @@
-"""Panel containers, CSV ingestion, and block aggregation."""
+"""Panel containers, CSV ingestion, and block sums."""
 
 import numpy as np
 import pytest
@@ -7,12 +7,9 @@ from hypothesis import strategies as st
 
 from multiscale_markowitz import errors
 from multiscale_markowitz.timeseries import (
-    MODE_NONOVERLAPPING,
-    MODE_OVERLAPPING,
     PriceSeries,
     ReturnPanel,
-    aggregate,
-    all_phase_aggregates,
+    block_sums,
     load_prices,
     min_phase_rows,
     panel_from_returns,
@@ -32,8 +29,6 @@ def test_panel_from_returns_defaults():
     assert p.asset_ids == ("a1",)
     assert p.n_periods == 3
     assert p.n_assets == 1
-    assert p.scale == 1
-    assert p.aggregation_mode == "base"
 
 
 def test_panel_arrays_are_readonly():
@@ -173,99 +168,58 @@ def test_to_log_returns_needs_two_rows():
 
 
 # ---------------------------------------------------------------------------
-# aggregation
+# block sums
 
 
 def test_aggregate_blocks_phase_zero():
-    p = panel_from_returns(np.array([1.0, 2.0, 3.0, 4.0]))
-    a = aggregate(p, 2, MODE_NONOVERLAPPING, phase=0)
-    assert np.array_equal(a.returns[:, 0], [3.0, 7.0])
-    assert a.scale == 2
-    assert a.aggregation_mode == "nonoverlapping(0)"
+    b = block_sums(np.array([1.0, 2.0, 3.0, 4.0]), 2)
+    assert np.array_equal(b[0::2], [3.0, 7.0])
 
 
 def test_aggregate_blocks_phase_one():
-    p = panel_from_returns(np.array([1.0, 2.0, 3.0, 4.0]))
-    a = aggregate(p, 2, MODE_NONOVERLAPPING, phase=1)
-    assert np.array_equal(a.returns[:, 0], [5.0])
-    assert a.aggregation_mode == "nonoverlapping(1)"
+    b = block_sums(np.array([1.0, 2.0, 3.0, 4.0]), 2)
+    assert np.array_equal(b[1::2], [5.0])
 
 
 def test_aggregate_overlapping():
-    p = panel_from_returns(np.array([1.0, 2.0, 3.0, 4.0]))
-    a = aggregate(p, 2, MODE_OVERLAPPING)
-    assert np.array_equal(a.returns[:, 0], [3.0, 5.0, 7.0])
-    assert a.aggregation_mode == "overlapping"
+    b = block_sums(np.array([1.0, 2.0, 3.0, 4.0]), 2)
+    assert np.array_equal(b, [3.0, 5.0, 7.0])
 
 
 def test_aggregate_dt_one_is_identity():
-    p = panel_from_returns(np.arange(5.0))
-    assert aggregate(p, 1) is p
-
-
-def test_aggregate_timestamps_mark_block_end():
-    p = panel_from_returns(np.arange(6.0))
-    a = aggregate(p, 3, MODE_NONOVERLAPPING, phase=0)
-    assert np.array_equal(a.timestamps, p.timestamps[[2, 5]])
+    x = np.arange(5.0)
+    assert block_sums(x, 1) is x
 
 
 def test_aggregate_sums_equal_total_when_blocks_tile():
     # log returns are additive, so tiling blocks preserve the total
     rng = np.random.default_rng(3)
-    p = panel_from_returns(rng.standard_normal(30))
+    x = rng.standard_normal(30)
     for dt in (2, 3, 5):
-        a = aggregate(p, dt, MODE_NONOVERLAPPING, phase=0)
-        assert a.returns.sum() == pytest.approx(p.returns[: a.n_periods * dt].sum())
-
-
-def test_aggregate_bad_phase():
-    p = panel_from_returns(np.arange(6.0))
-    with pytest.raises(errors.BadPhaseError):
-        aggregate(p, 2, MODE_NONOVERLAPPING, phase=2)
-    with pytest.raises(errors.BadPhaseError):
-        aggregate(p, 2, MODE_OVERLAPPING, phase=1)
-
-
-def test_aggregate_scale_too_large():
-    p = panel_from_returns(np.arange(4.0))
-    with pytest.raises(errors.ScaleTooLargeError):
-        aggregate(p, 5)
-    with pytest.raises(errors.ScaleTooLargeError):
-        aggregate(p, 4, MODE_NONOVERLAPPING, phase=1)
-
-
-def test_aggregate_requires_base_panel():
-    p = panel_from_returns(np.arange(8.0))
-    a = aggregate(p, 2)
-    with pytest.raises(ValueError):
-        aggregate(a, 2)
+        b = block_sums(x, dt)[0::dt]
+        assert b.sum() == pytest.approx(x[: len(b) * dt].sum())
 
 
 def test_all_phase_lengths():
-    p5 = panel_from_returns(np.arange(5.0))
-    assert [a.n_periods for a in all_phase_aggregates(p5, 2)] == [2, 2]
-    p10 = panel_from_returns(np.arange(10.0))
-    assert [a.n_periods for a in all_phase_aggregates(p10, 3)] == [3, 3, 2]
+    b5 = block_sums(np.arange(5.0), 2)
+    assert [len(b5[p::2]) for p in range(2)] == [2, 2]
+    b10 = block_sums(np.arange(10.0), 3)
+    assert [len(b10[p::3]) for p in range(3)] == [3, 3, 2]
 
 
 def test_all_phase_dt_one():
-    p = panel_from_returns(np.arange(4.0))
-    phases = all_phase_aggregates(p, 1)
-    assert len(phases) == 1 and phases[0] is p
+    # at dt = 1 the single phase is the whole two-column input
+    x = np.arange(8.0).reshape(4, 2)
+    assert np.array_equal(block_sums(x, 1)[0::1], x)
+    assert min_phase_rows(4, 1) == 4
 
 
 def test_min_phase_rows_matches_actual_minimum():
     for n in range(6, 40):
-        p = panel_from_returns(np.arange(float(n)))
+        x = np.arange(float(n))
         for dt in (1, 2, 3, 5):
-            predicted = min_phase_rows(n, dt)
-            if predicted == 0:
-                # some phase has no complete block
-                with pytest.raises(errors.ScaleTooLargeError):
-                    all_phase_aggregates(p, dt)
-            else:
-                got = min(a.n_periods for a in all_phase_aggregates(p, dt))
-                assert predicted == got
+            b = block_sums(x, dt)
+            assert min_phase_rows(n, dt) == min(len(b[p::dt]) for p in range(dt))
 
 
 @settings(max_examples=60, deadline=None)
@@ -273,30 +227,29 @@ def test_min_phase_rows_matches_actual_minimum():
 def test_aggregate_rows_are_exact_block_sums(n, dt, data):
     phase = data.draw(st.integers(0, dt - 1))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    p = panel_from_returns(rng.standard_normal((n, 2)))
-    if (n - phase) // dt < 1:
-        with pytest.raises(errors.ScaleTooLargeError):
-            aggregate(p, dt, MODE_NONOVERLAPPING, phase)
-        return
-    a = aggregate(p, dt, MODE_NONOVERLAPPING, phase)
-    for b in range(a.n_periods):
-        lo = phase + b * dt
-        assert np.allclose(a.returns[b], p.returns[lo : lo + dt].sum(axis=0),
-                           atol=1e-12)
+    x = rng.standard_normal((n, 2))
+    b = block_sums(x, dt)
+    assert b.shape == (n - dt + 1, 2)
+    blocks = b[phase::dt]
+    assert len(blocks) == (n - phase) // dt
+    for k in range(len(blocks)):
+        lo = phase + k * dt
+        assert np.allclose(blocks[k], x[lo : lo + dt].sum(axis=0), atol=1e-12)
 
 
 def test_phase_panels_partition_interior_rows():
-    # every base row index appears in exactly one block of each phase panel,
+    # every base row index appears in exactly one block of each phase,
     # and across phases each interior row is covered dt times
-    p = panel_from_returns(np.arange(12.0))
+    x = np.arange(12.0)
     dt = 3
-    total = sum(a.returns.sum() for a in all_phase_aggregates(p, dt))
+    b = block_sums(x, dt)
+    total = sum(b[p::dt].sum() for p in range(dt))
     # edge rows are covered fewer times; check coverage counts directly
     counts = np.zeros(12)
     for phase in range(dt):
         k = (12 - phase) // dt
-        for b in range(k):
-            counts[phase + b * dt : phase + (b + 1) * dt] += 1
+        for j in range(k):
+            counts[phase + j * dt : phase + (j + 1) * dt] += 1
     assert counts.max() == dt
     expected = (counts * np.arange(12.0)).sum()
     assert total == pytest.approx(expected)
