@@ -20,7 +20,7 @@ from .covariance import (
     build_covariance_set,
     multiscale_cov,
 )
-from .errors import MultiscaleError, PanelTooShortError, ZeroVolatilityError
+from .errors import DataError, MultiscaleError, NumericalError
 from .optimizer import PortfolioWeights, max_sharpe, min_variance_long_only
 from .timeseries import (
     MODE_NONOVERLAPPING,
@@ -110,7 +110,7 @@ def metrics(equity, periods_per_year: int = 252) -> PerformanceMetrics:
     r = np.diff(np.log(arr))
     sd = r.std(ddof=1)
     if sd == 0.0:
-        raise ZeroVolatilityError("equity returns have zero variance")
+        raise NumericalError("equity returns have zero variance")
     ann = math.sqrt(periods_per_year)
     sharpe = float(r.mean() / sd * ann)
     downside = math.sqrt(float(np.mean(np.minimum(r, 0.0) ** 2)))
@@ -171,7 +171,7 @@ def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:
     """
     t_total = panel.n_periods
     if t_total < cfg.lookback + cfg.rebalance_every:
-        raise PanelTooShortError(
+        raise DataError(
             f"panel has {t_total} rows; need lookback {cfg.lookback} plus one "
             f"holding period of {cfg.rebalance_every}"
         )

@@ -141,6 +141,18 @@ _SIMULATE_OPTS = [
     Opt("--out", _cast_str, None, "output CSV path (default derived from kind/n/seed)"),
 ] + _COMMON
 
+# generator keyword -> option dest, per kind
+_SIMULATE_PARAMS = {
+    "gaussian_iid": {"sigma_daily": "sigma"},
+    "fgn": {"hurst": "hurst", "sigma_daily": "sigma"},
+    "correlated": {"n_assets": "assets", "rho": "rho", "sigma_daily": "sigma"},
+    "epps": {"rho_inf": "rho_inf", "h_rho": "h_rho", "sigma_daily": "sigma"},
+    "regime_switch": {"sigma_low": "sigma_low", "sigma_high": "sigma_high",
+                      "switch_points": "switch_points", "n_assets": "assets"},
+    "cascade": {"intermittency": "intermittency", "hurst_base": "hurst",
+                "sigma_daily": "sigma"},
+}
+
 _ESTIMATE_OPTS = [
     Opt("--method", _choice(("structure", "dfa")), "structure",
         "exponent estimator"),
@@ -324,27 +336,7 @@ def _require(merged, *keys):
 def cmd_simulate(merged) -> int:
     _require(merged, "kind", "n")
     kind = merged["kind"]
-    params = {}
-    if kind == "gaussian_iid":
-        params = {"sigma_daily": merged["sigma"]}
-    elif kind == "fgn":
-        params = {"hurst": merged["hurst"], "sigma_daily": merged["sigma"]}
-    elif kind == "correlated":
-        params = {"n_assets": merged["assets"], "rho": merged["rho"],
-                  "sigma_daily": merged["sigma"]}
-    elif kind == "epps":
-        params = {"rho_inf": merged["rho_inf"], "h_rho": merged["h_rho"],
-                  "sigma_daily": merged["sigma"]}
-    elif kind == "regime_switch":
-        lo = merged["sigma_low"]
-        hi = merged["sigma_high"]
-        params = {"sigma_low": lo if len(lo) > 1 else lo[0],
-                  "sigma_high": hi if len(hi) > 1 else hi[0],
-                  "switch_points": merged["switch_points"],
-                  "n_assets": merged["assets"]}
-    elif kind == "cascade":
-        params = {"intermittency": merged["intermittency"],
-                  "hurst_base": merged["hurst"], "sigma_daily": merged["sigma"]}
+    params = {param: merged[dest] for param, dest in _SIMULATE_PARAMS[kind].items()}
     spec = synth.GeneratorSpec(kind=kind, n=merged["n"], seed=merged["seed"],
                                params=params)
     panel = synth.generate(spec)
@@ -651,6 +643,9 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"msmark: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except ValueError as exc:  # an option value the library rejects
+        print(f"msmark: error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateAssetWarning, DimensionMismatchError, ScaleTooLargeError
+from .errors import DataError, DegenerateAssetWarning
 from .timeseries import (
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
@@ -30,6 +30,23 @@ MIN_OBS_PER_PHASE = 4
 
 def _sym(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
+
+
+def check_symmetric(matrix, name: str = "matrix") -> np.ndarray:
+    """Symmetric part of a square, finite, symmetric matrix.
+
+    Raises ``ValueError`` unless ``matrix`` is square, has only finite
+    entries and differs from its transpose by at most 1e-8 of its largest
+    entry. An exactly symmetric input comes back bit-identical.
+    """
+    m = np.asarray(matrix, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} has non-finite entries")
+    if np.abs(m - m.T).max() > 1e-8 * max(np.abs(m).max(), 1e-300):
+        raise ValueError(f"{name} is not symmetric")
+    return _sym(m)
 
 
 def _cov_product(x: np.ndarray) -> np.ndarray:
@@ -73,7 +90,7 @@ def cov_at_scale(panel: ReturnPanel, dt: int, method: str = METHOD_PRODUCT,
     Assets whose one-period returns are constant over the panel get their
     rows and columns zeroed and raise ``DegenerateAssetWarning``. A scale
     leaving fewer than four observations in the worst phase raises
-    ``ScaleTooLargeError``.
+    ``DataError``.
     """
     if method not in (METHOD_PRODUCT, METHOD_L1):
         raise ValueError(f"unknown method {method!r}")
@@ -85,12 +102,12 @@ def cov_at_scale(panel: ReturnPanel, dt: int, method: str = METHOD_PRODUCT,
     if aggregation == MODE_NONOVERLAPPING:
         rows = min_phase_rows(panel.n_periods, dt)
         if rows < MIN_OBS_PER_PHASE:
-            raise ScaleTooLargeError(
+            raise DataError(
                 f"scale {dt} leaves {rows} observations in the worst phase, "
                 f"need >= {MIN_OBS_PER_PHASE}"
             )
     elif panel.n_periods - dt + 1 < MIN_OBS_PER_PHASE:
-        raise ScaleTooLargeError(
+        raise DataError(
             f"scale {dt} leaves {panel.n_periods - dt + 1} overlapping observations, "
             f"need >= {MIN_OBS_PER_PHASE}"
         )
@@ -138,20 +155,16 @@ class ScaledCovarianceSet:
         if len(set(scales)) != len(scales):
             raise ValueError("scales must be distinct")
         if len(self.matrices) != len(scales) or len(self.sample_counts) != len(scales):
-            raise DimensionMismatchError("one matrix and count per scale required")
+            raise DataError("one matrix and count per scale required")
         n = len(ids)
         mats = []
         for s, m in zip(scales, self.matrices):
             a = np.asarray(m, dtype=float)
             if a.shape != (n, n):
-                raise DimensionMismatchError(
+                raise DataError(
                     f"matrix at scale {s} has shape {a.shape}, expected ({n}, {n})"
                 )
-            if not np.all(np.isfinite(a)):
-                raise ValueError(f"matrix at scale {s} has non-finite entries")
-            if np.abs(a - a.T).max() > 1e-10 * max(np.abs(a).max(), 1e-300):
-                raise ValueError(f"matrix at scale {s} is not symmetric")
-            a = a.copy()
+            a = check_symmetric(a, f"matrix at scale {s}")
             a.setflags(write=False)
             mats.append(a)
         if any(c < 1 for c in self.sample_counts):
@@ -191,16 +204,11 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
 def psd_repair(matrix: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues to zero; identity on PSD input.
 
-    Requires a symmetric matrix. Matrices whose smallest eigenvalue is
-    within a relative 1e-12 of zero are returned unchanged, which makes
-    the operation idempotent.
+    Requires a finite symmetric matrix (``check_symmetric``). Matrices
+    whose smallest eigenvalue is within a relative 1e-12 of zero are
+    returned unchanged, which makes the operation idempotent.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if np.abs(m - m.T).max() > 1e-8 * max(np.abs(m).max(), 1e-300):
-        raise ValueError("psd_repair needs a symmetric matrix")
-    vals, vecs = np.linalg.eigh(_sym(m))
+    vals, vecs = np.linalg.eigh(check_symmetric(matrix))
     tol = 1e-12 * max(np.abs(vals).max(), 1e-300)
     if vals.min() >= -tol:
         return matrix
@@ -232,7 +240,7 @@ class MultiscaleCovariance:
         m = np.asarray(self.matrix, dtype=float)
         n = len(self.asset_ids)
         if m.shape != (n, n):
-            raise DimensionMismatchError(
+            raise DataError(
                 f"matrix shape {m.shape} does not match {n} assets"
             )
         if not np.all(np.isfinite(m)):
@@ -265,7 +273,7 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
     else:
         wts = np.asarray(scale_weights, dtype=float)
         if wts.shape != (k,):
-            raise DimensionMismatchError(
+            raise DataError(
                 f"need {k} scale weights, got shape {wts.shape}"
             )
         if np.any(wts < 0) or wts.sum() <= 0:
@@ -304,17 +312,3 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
         aggregation=cov_set.aggregation,
         normalized_by_scale=normalize_by_scale,
     )
-
-
-def matrix_to_csv(matrix: np.ndarray, asset_ids) -> str:
-    """Render a square matrix with asset labels on both axes."""
-    ids = [str(a) for a in asset_ids]
-    m = np.asarray(matrix, dtype=float)
-    if m.shape != (len(ids), len(ids)):
-        raise DimensionMismatchError(
-            f"matrix shape {m.shape} does not match {len(ids)} assets"
-        )
-    lines = ["asset," + ",".join(ids)]
-    for i, aid in enumerate(ids):
-        lines.append(aid + "," + ",".join(repr(float(v)) for v in m[i]))
-    return "\n".join(lines) + "\n"

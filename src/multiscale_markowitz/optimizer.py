@@ -23,17 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import MultiscaleCovariance, ScaledCovarianceSet
-from .errors import (
-    InfeasibleError,
-    MaxIterationsError,
-    NoPositiveExcessReturnError,
-    NumericalError,
-    ScaleOneWarning,
-    SensitivitySignWarning,
-    SingularCovarianceError,
-    UniverseMismatchError,
-)
+from .covariance import MultiscaleCovariance, ScaledCovarianceSet, check_symmetric
+from .errors import DataError, MaxIterationsError, NumericalError, ScaleOneWarning, SensitivitySignWarning
 
 MAX_CONDITION = 1e12
 
@@ -82,25 +73,19 @@ def _as_cov(sigma, asset_ids=None):
         return np.asarray(sigma.matrix, dtype=float), (
             tuple(asset_ids) if asset_ids is not None else sigma.asset_ids
         )
-    m = np.asarray(sigma, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"covariance must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("covariance has non-finite entries")
-    if np.abs(m - m.T).max() > 1e-8 * max(np.abs(m).max(), 1e-300):
-        raise ValueError("covariance must be symmetric")
+    m = check_symmetric(sigma, "covariance")
     if asset_ids is None:
         asset_ids = tuple(f"a{j + 1}" for j in range(m.shape[0]))
     elif len(asset_ids) != m.shape[0]:
         raise ValueError("asset_ids length does not match the matrix")
-    return (m + m.T) / 2.0, tuple(asset_ids)
+    return m, tuple(asset_ids)
 
 
 def _require_invertible(m: np.ndarray) -> None:
     vals = np.linalg.eigvalsh(m)
     if vals[0] <= 0.0 or vals[-1] / vals[0] > MAX_CONDITION:
         cond = math.inf if vals[0] <= 0 else vals[-1] / vals[0]
-        raise SingularCovarianceError(
+        raise NumericalError(
             f"covariance condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}"
         )
 
@@ -309,7 +294,7 @@ def min_variance_long_only(sigma, mu=None, mu_target=None, asset_ids=None,
         mu_target = float(mu_target)
         mu_max = float(mu.max())
         if mu_target > mu_max:
-            raise InfeasibleError(
+            raise NumericalError(
                 f"return floor {mu_target} exceeds best asset mean {mu_max}"
             )
         floor_vec = mu
@@ -348,7 +333,7 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
         raise ValueError(f"mu shape {mu.shape} does not match {n} assets")
     excess = mu - float(risk_free)
     if excess.max() <= 0.0:
-        raise NoPositiveExcessReturnError(
+        raise NumericalError(
             f"best excess return is {excess.max():.3e}; Sharpe has no maximum"
         )
     if not long_only:
@@ -488,50 +473,6 @@ def correlation_sensitivity_analytic(sigma, i: int, j: int) -> np.ndarray:
     return (ds * s_total - s * d_total) / s_total ** 2
 
 
-def correlation_sensitivity(sigma, i: int, j: int, eps: float = 1e-6) -> float:
-    """Central-difference derivative of ``w_i + w_j`` in their correlation.
-
-    Bumps ``Sigma_ij`` by ``+-eps * sqrt(Sigma_ii Sigma_jj)`` and re-solves
-    the closed form. Negative whenever raising the correlation makes the
-    pair jointly less attractive, which holds for every positive-definite
-    matrix with the pair held long.
-    """
-    m, _ = _as_cov(sigma)
-    n = m.shape[0]
-    if i == j or not (0 <= i < n and 0 <= j < n):
-        raise ValueError(f"need two distinct indices in [0, {n})")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    c = math.sqrt(m[i, i] * m[j, j])
-    out = []
-    for sign in (+1.0, -1.0):
-        mm = m.copy()
-        mm[i, j] += sign * eps * c
-        mm[j, i] += sign * eps * c
-        w = min_variance_closed_form(mm).weights
-        out.append(float(w[i] + w[j]))
-    return (out[0] - out[1]) / (2.0 * eps)
-
-
-def correlation_hurst_sensitivity(sigma, i: int, j: int, dt: int,
-                                  h_pair: float) -> float:
-    """Combined pair-weight derivative in the pair's correlation exponent.
-
-    At scale ``dt`` the correlation responds to its scaling exponent as
-    ``d rho / d H = dt^H ln(dt)``, a positive factor for ``dt > 1``; the
-    sign therefore matches the correlation sensitivity itself.
-    """
-    dt = int(dt)
-    if dt < 1:
-        raise ValueError("dt must be >= 1")
-    if dt == 1:
-        warnings.warn("scale 1 carries no exponent information (ln 1 = 0)",
-                      ScaleOneWarning, stacklevel=2)
-        return 0.0
-    grad = correlation_sensitivity_analytic(sigma, i, j)
-    return float((grad[i] + grad[j]) * dt ** h_pair * math.log(dt))
-
-
 # ---------------------------------------------------------------------------
 # risk-target verification
 
@@ -570,7 +511,7 @@ def check_target_curve(weights, cov_set: ScaledCovarianceSet,
     """
     if isinstance(weights, PortfolioWeights):
         if weights.asset_ids != cov_set.asset_ids:
-            raise UniverseMismatchError(
+            raise DataError(
                 f"weights universe {weights.asset_ids} does not match "
                 f"covariances {cov_set.asset_ids}"
             )

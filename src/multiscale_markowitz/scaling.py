@@ -15,14 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    DegenerateSegmentsError,
-    NonPositiveMomentError,
-    ScaleTooLargeError,
-    SeriesTooShortError,
-    TooFewPointsError,
-    ZeroMomentError,
-)
+from .errors import DataError
 from .timeseries import ReturnPanel, block_sums, min_phase_rows
 
 DEFAULT_SCALES = (1, 2, 5, 10, 21)
@@ -89,19 +82,19 @@ def structure_function(series, asset=None, q: float = 2.0,
         Moment order, nonzero. Negative orders emphasize quiet blocks.
     min_obs : int
         Fewest blocks tolerated in any phase; scales leaving fewer raise
-        ``ScaleTooLargeError``. Exponent fits use ``MIN_OBS_FOR_FIT``.
+        ``DataError``. Exponent fits use ``MIN_OBS_FOR_FIT``.
     """
     x, _ = _series_and_name(series, asset)
     if q == 0:
         raise ValueError("q must be nonzero")
     if not np.any(x != 0.0):
-        raise ZeroMomentError("all base returns are zero")
+        raise DataError("all base returns are zero")
     scales = _check_scales(scales)
     n = len(x)
     out = []
     for dt in scales:
         if min_phase_rows(n, dt) < min_obs:
-            raise ScaleTooLargeError(
+            raise DataError(
                 f"scale {dt} leaves {min_phase_rows(n, dt)} blocks in the worst phase, "
                 f"need >= {min_obs}"
             )
@@ -119,13 +112,13 @@ def fit_scaling_exponent(points) -> PowerLawFit:
     """
     pts = list(points)
     if len(pts) < 3:
-        raise TooFewPointsError(f"need >= 3 scales to fit, got {len(pts)}")
+        raise DataError(f"need >= 3 scales to fit, got {len(pts)}")
     s = np.array([float(p[0]) for p in pts])
     m = np.array([float(p[1]) for p in pts])
     if np.any(s <= 0):
         raise ValueError("scales must be positive")
     if np.any(~np.isfinite(m)) or np.any(m <= 0):
-        raise NonPositiveMomentError(
+        raise DataError(
             "moments must be positive and finite for a log-log fit"
         )
     x, y = np.log(s), np.log(m)
@@ -244,7 +237,7 @@ def default_dfa_scales(n: int, n_scales: int = 12,
     """Log-spaced segment sizes from ``smallest`` up to ``n // 8``."""
     largest = n // 8
     if largest < smallest:
-        raise SeriesTooShortError(
+        raise DataError(
             f"series of length {n} supports no segment grid "
             f"({smallest}..{largest})"
         )
@@ -274,10 +267,9 @@ def mfdfa(series, asset=None, q_grid=DEFAULT_Q_GRID, scales=None,
 
     Raises
     ------
-    SeriesTooShortError
-        When the series cannot hold four segments of the largest size.
-    DegenerateSegmentsError
-        When every segment at some size has zero residual variance.
+    DataError
+        When the series cannot hold four segments of the largest size, or
+        when every segment at some size has zero residual variance.
     """
     x, name = _series_and_name(series, asset)
     q_grid = _check_q_grid(q_grid)
@@ -288,7 +280,7 @@ def mfdfa(series, asset=None, q_grid=DEFAULT_Q_GRID, scales=None,
         scales = default_dfa_scales(n)
     scales = _check_scales(scales)
     if max(scales) * 4 > n:
-        raise SeriesTooShortError(
+        raise DataError(
             f"series of length {n} cannot hold 4 segments of size {max(scales)}"
         )
     if min(scales) < detrend_order + 2:
@@ -310,7 +302,7 @@ def mfdfa(series, asset=None, q_grid=DEFAULT_Q_GRID, scales=None,
         resid = segments - coef @ design.T
         f2 = np.mean(resid ** 2, axis=1)
         if not np.any(f2 > 0.0):
-            raise DegenerateSegmentsError(
+            raise DataError(
                 f"all {2 * ns} segments of size {s} have zero residual variance"
             )
         with np.errstate(divide="ignore"):
@@ -387,7 +379,7 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
     cross = np.empty(len(scales))
     for si, dt in enumerate(scales):
         if min_phase_rows(n, dt) < MIN_OBS_FOR_FIT:
-            raise ScaleTooLargeError(
+            raise DataError(
                 f"scale {dt} leaves under {MIN_OBS_FOR_FIT} blocks per phase"
             )
         bs_i = block_sums(xi, dt)
@@ -400,7 +392,7 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
             si_std = bi.std()
             sj_std = bj.std()
             if si_std == 0.0 or sj_std == 0.0:
-                raise NonPositiveMomentError(
+                raise DataError(
                     f"zero variance at scale {dt}, phase {p}; correlation undefined"
                 )
             rho_p.append(np.mean((bi - bi.mean()) * (bj - bj.mean())) / (si_std * sj_std))

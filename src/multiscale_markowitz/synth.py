@@ -13,14 +13,7 @@ import numpy as np
 from scipy.signal import lfilter
 from scipy.linalg import toeplitz
 
-from .errors import (
-    BadDepthError,
-    BadLengthError,
-    BadScheduleError,
-    CalibrationFailure,
-    EmbeddingFailure,
-    NotPSDError,
-)
+from .errors import CalibrationFailure, DataError, NumericalError
 from .timeseries import ReturnPanel, panel_from_returns
 
 _MASK64 = (1 << 64) - 1
@@ -89,7 +82,7 @@ def generate(spec: GeneratorSpec) -> ReturnPanel:
 def gen_gaussian_iid(n: int, sigma_daily: float = 0.01, seed: int = 0) -> ReturnPanel:
     """Independent Gaussian one-period returns, one asset."""
     if n < 16:
-        raise BadLengthError(f"n={n} too short, need >= 16")
+        raise DataError(f"n={n} too short, need >= 16")
     if sigma_daily <= 0:
         raise ValueError("sigma_daily must be positive")
     rng = np.random.default_rng(seed)
@@ -149,7 +142,7 @@ def gen_fgn(n: int, hurst: float = 0.5, sigma_daily: float = 0.01, seed: int = 0
         Self-similarity exponent, in (0, 1). 0.5 gives white noise.
     """
     if n < 16 or n & (n - 1):
-        raise BadLengthError(f"n={n} must be a power of two >= 16")
+        raise DataError(f"n={n} must be a power of two >= 16")
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst={hurst} outside (0, 1)")
     if sigma_daily <= 0:
@@ -158,7 +151,7 @@ def gen_fgn(n: int, hurst: float = 0.5, sigma_daily: float = 0.01, seed: int = 0
     r = _fgn_davies_harte(n, hurst, sigma_daily, rng)
     if r is None:
         if n > _CHOLESKY_MAX:
-            raise EmbeddingFailure(
+            raise NumericalError(
                 f"circulant embedding for hurst={hurst} has negative eigenvalues "
                 f"and n={n} exceeds the dense fallback limit {_CHOLESKY_MAX}"
             )
@@ -180,15 +173,15 @@ def constant_correlation_cov(n_assets: int, rho: float, sigma_daily: float = 0.0
 def gen_correlated(n: int, cov: np.ndarray, seed: int = 0) -> ReturnPanel:
     """Gaussian panel with the given daily covariance matrix."""
     if n < 16:
-        raise BadLengthError(f"n={n} too short, need >= 16")
+        raise DataError(f"n={n} too short, need >= 16")
     c = np.asarray(cov, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError(f"cov must be square, got shape {c.shape}")
     if np.abs(c - c.T).max() > 1e-10 * max(np.abs(c).max(), 1.0):
-        raise NotPSDError("cov must be symmetric")
+        raise DataError("cov must be symmetric")
     vals, vecs = np.linalg.eigh((c + c.T) / 2)
     if vals.min() < -1e-8 * max(vals.max(), 1e-300):
-        raise NotPSDError(f"cov has negative eigenvalue {vals.min():.3e}")
+        raise DataError(f"cov has negative eigenvalue {vals.min():.3e}")
     root = vecs * np.sqrt(np.clip(vals, 0.0, None))
     rng = np.random.default_rng(seed)
     r = rng.standard_normal((n, c.shape[0])) @ root.T
@@ -268,7 +261,7 @@ def gen_epps(n: int, rho_inf: float = 0.6, h_rho: float = 0.3, seed: int = 0,
     the lag structure, so their own scaling stays diffusive.
     """
     if n < 16:
-        raise BadLengthError(f"n={n} too short, need >= 16")
+        raise DataError(f"n={n} too short, need >= 16")
     if not 0.0 < rho_inf <= 1.0:
         raise ValueError(f"rho_inf={rho_inf} outside (0, 1]")
     if not 0.0 < h_rho < 1.0:
@@ -302,7 +295,7 @@ def gen_regime_switch(n: int, sigma_low=0.008, sigma_high=0.02, switch_points=()
     sequences.
     """
     if n < 16:
-        raise BadLengthError(f"n={n} too short, need >= 16")
+        raise DataError(f"n={n} too short, need >= 16")
     lo = np.atleast_1d(np.asarray(sigma_low, dtype=float))
     hi = np.atleast_1d(np.asarray(sigma_high, dtype=float))
     if n_assets is None:
@@ -317,7 +310,7 @@ def gen_regime_switch(n: int, sigma_low=0.008, sigma_high=0.02, switch_points=()
         raise ValueError("need 0 < sigma_low < sigma_high per asset")
     pts = [int(p) for p in switch_points]
     if any(not 0 <= p < n for p in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
-        raise BadScheduleError(f"switch points {pts} must be strictly increasing in [0, {n})")
+        raise DataError(f"switch points {pts} must be strictly increasing in [0, {n})")
     toggles = np.zeros(n)
     for p in pts:
         toggles[p] = 1.0
@@ -341,7 +334,7 @@ def gen_multifractal(n: int, intermittency: float = 0.2, hurst_base: float = 0.5
     """
     depth = int(round(math.log2(n))) if n > 0 else 0
     if n < 16 or 2 ** depth != n or depth < 4:
-        raise BadDepthError(f"n={n} must be a power of two with at least 4 dyadic levels")
+        raise DataError(f"n={n} must be a power of two with at least 4 dyadic levels")
     if not 0.0 < intermittency <= 0.5:
         raise ValueError(f"intermittency={intermittency} outside (0, 0.5]")
     if not 0.0 < hurst_base < 1.0:
@@ -372,7 +365,7 @@ def gen_stable_iid(n: int, alpha: float = 1.5, scale: float = 1.0, seed: int = 0
     the first moment to exist.
     """
     if n < 16:
-        raise BadLengthError(f"n={n} too short, need >= 16")
+        raise DataError(f"n={n} too short, need >= 16")
     if not 1.0 < alpha <= 2.0:
         raise ValueError(f"alpha={alpha} outside (1, 2]")
     if scale <= 0:

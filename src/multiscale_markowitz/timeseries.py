@@ -15,13 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DuplicateDateError,
-    MissingValueError,
-    NonPositivePriceError,
-    ParseError,
-    TooShortError,
-)
+from .errors import DataError
 
 MODE_OVERLAPPING = "overlapping"
 MODE_NONOVERLAPPING = "nonoverlapping"
@@ -51,7 +45,7 @@ def _check_dates(timestamps: np.ndarray) -> None:
         diffs = np.diff(timestamps).astype("timedelta64[D]").astype(int)
         if np.any(diffs == 0):
             dup = timestamps[1:][diffs == 0][0]
-            raise DuplicateDateError(f"duplicate date {dup}")
+            raise DataError(f"duplicate date {dup}")
         if np.any(diffs < 0):
             raise ValueError("timestamps must be strictly increasing")
 
@@ -84,9 +78,9 @@ class PriceSeries:
             )
         _check_dates(ts)
         if not np.all(np.isfinite(px)):
-            raise MissingValueError("prices contain NaN or infinite entries")
+            raise DataError("prices contain NaN or infinite entries")
         if np.any(px <= 0.0):
-            raise NonPositivePriceError("prices must be strictly positive")
+            raise DataError("prices must be strictly positive")
         object.__setattr__(self, "timestamps", _readonly(ts))
         object.__setattr__(self, "prices", _readonly(px))
 
@@ -122,7 +116,7 @@ class ReturnPanel:
             )
         _check_dates(ts)
         if not np.all(np.isfinite(r)):
-            raise MissingValueError("returns contain NaN or infinite entries")
+            raise DataError("returns contain NaN or infinite entries")
         object.__setattr__(self, "timestamps", _readonly(ts))
         object.__setattr__(self, "returns", _readonly(r))
 
@@ -182,44 +176,44 @@ def load_prices(path) -> PriceSeries:
     with open(path, "r", newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
-        raise ParseError(f"{path}: empty file")
+        raise DataError(f"{path}: empty file")
     header = [c.strip() for c in rows[0]]
     if len(header) < 2 or header[0].lower() != "date":
-        raise ParseError(f"{path}: header must be 'date,<asset>,...', got {rows[0]!r}")
+        raise DataError(f"{path}: header must be 'date,<asset>,...', got {rows[0]!r}")
     asset_ids = tuple(header[1:])
     try:
         _check_ids(asset_ids)
     except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+        raise DataError(f"{path}: {exc}") from None
 
     dates: list[_dt.date] = []
     seen: dict[_dt.date, int] = {}
     values = np.empty((len(rows) - 1, len(asset_ids)))
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != len(header):
-            raise ParseError(f"{path} line {r}: expected {len(header)} cells, got {len(row)}")
+            raise DataError(f"{path} line {r}: expected {len(header)} cells, got {len(row)}")
         raw_date = row[0].strip()
         try:
             d = _dt.date.fromisoformat(raw_date)
         except ValueError:
-            raise ParseError(f"{path} line {r}: bad date {raw_date!r}") from None
+            raise DataError(f"{path} line {r}: bad date {raw_date!r}") from None
         if d in seen:
-            raise DuplicateDateError(f"{path} line {r}: date {d} already on line {seen[d]}")
+            raise DataError(f"{path} line {r}: date {d} already on line {seen[d]}")
         seen[d] = r
         for j, cell in enumerate(row[1:]):
             cell = cell.strip()
             if not cell:
-                raise MissingValueError(f"{path} line {r}, column {asset_ids[j]!r}: empty cell")
+                raise DataError(f"{path} line {r}, column {asset_ids[j]!r}: empty cell")
             try:
                 v = float(cell)
             except ValueError:
-                raise ParseError(
+                raise DataError(
                     f"{path} line {r}, column {asset_ids[j]!r}: bad number {cell!r}"
                 ) from None
             if np.isnan(v):
-                raise MissingValueError(f"{path} line {r}, column {asset_ids[j]!r}: NaN")
+                raise DataError(f"{path} line {r}, column {asset_ids[j]!r}: NaN")
             if not np.isfinite(v) or v <= 0.0:
-                raise NonPositivePriceError(
+                raise DataError(
                     f"{path} line {r}, column {asset_ids[j]!r}: price {cell} not positive"
                 )
             values[r - 2, j] = v
@@ -267,7 +261,7 @@ def to_log_returns(series: PriceSeries) -> ReturnPanel:
     on which the return realizes. Needs at least two price rows.
     """
     if series.n_periods < 2:
-        raise TooShortError(f"need >= 2 price rows, got {series.n_periods}")
+        raise DataError(f"need >= 2 price rows, got {series.n_periods}")
     r = np.diff(np.log(series.prices), axis=0)
     return ReturnPanel(series.asset_ids, series.timestamps[1:], r)
 

@@ -1,7 +1,11 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
+import math
+
 import numpy as np
 import pytest
+
+from multiscale_markowitz.optimizer import min_variance_closed_form
 
 
 def random_pd_matrix(rng, n, scale=1.0, diag_boost=0.0):
@@ -35,6 +39,25 @@ def brute_force_min_variance(sigma, floor_vec=None, floor_rhs=None, n_steps=1000
     obj = np.einsum("ij,jk,ik->i", w, sigma, w)
     k = int(np.argmin(obj))
     return w[k], float(obj[k])
+
+
+def correlation_sensitivity(sigma, i, j, eps=1e-6):
+    """Central-difference derivative of ``w_i + w_j`` in their correlation.
+
+    Finite-difference oracle for ``correlation_sensitivity_analytic``:
+    bumps ``Sigma_ij`` by ``+-eps * sqrt(Sigma_ii Sigma_jj)`` and re-solves
+    the closed form.
+    """
+    m = np.asarray(sigma, dtype=float)
+    c = math.sqrt(m[i, i] * m[j, j])
+    out = []
+    for sign in (+1.0, -1.0):
+        mm = m.copy()
+        mm[i, j] += sign * eps * c
+        mm[j, i] += sign * eps * c
+        w = min_variance_closed_form(mm).weights
+        out.append(float(w[i] + w[j]))
+    return (out[0] - out[1]) / (2.0 * eps)
 
 
 @pytest.fixture

@@ -110,6 +110,21 @@ def test_simulate_bad_generator_params_exit_data(capsys, workdir):
     assert "power of two" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--kind", "fgn", "--n", "64", "--hurst", "1.5"], "hurst=1.5 outside"),
+    (["backtest", "{csv}", "--rebalance", "0"], "rebalance_every must be >= 1"),
+    (["optimize", "{csv}", "--ridge", "-1"], "ridge must be non-negative"),
+    (["estimate", "{csv}", "--q-grid", "0,1"], "q grid must not contain zero"),
+])
+def test_out_of_range_option_is_usage_error(capsys, workdir, argv, message):
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",
+                                       "--assets", "2", "--seed", "1"])
+    code, _, err = _run(capsys, [a.format(csv=path) for a in argv])
+    assert code == EXIT_USAGE
+    assert f"msmark: error: {message}" in err
+    assert "Traceback" not in err
+
+
 def test_simulate_out_dir_env(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     target = tmp_path / "outputs"

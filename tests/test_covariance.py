@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from multiscale_markowitz import errors
+from multiscale_markowitz.errors import DataError, DegenerateAssetWarning
 from multiscale_markowitz.covariance import (
     METHOD_L1,
     METHOD_PRODUCT,
     ScaledCovarianceSet,
     build_covariance_set,
     cov_at_scale,
-    matrix_to_csv,
     multiscale_cov,
     psd_repair,
 )
@@ -77,7 +76,7 @@ def test_cov_degenerate_asset_warns_and_zeroes():
     rng = np.random.default_rng(5)
     x = rng.standard_normal(100)
     p = panel_from_returns(np.column_stack([x, np.zeros(100)]), asset_ids=("x", "flat"))
-    with pytest.warns(errors.DegenerateAssetWarning):
+    with pytest.warns(DegenerateAssetWarning):
         m, _ = cov_at_scale(p, 1)
     assert m[1, 1] == 0.0
     assert m[0, 1] == 0.0
@@ -94,7 +93,7 @@ def test_cov_constant_asset_is_degenerate(aggregation, dt):
     x = rng.standard_normal((500, 2)) * 0.01
     p = panel_from_returns(np.column_stack([x[:, 0], np.full(500, 0.001), x[:, 1]]),
                            asset_ids=("x", "flat", "y"))
-    with pytest.warns(errors.DegenerateAssetWarning, match="flat"):
+    with pytest.warns(DegenerateAssetWarning, match="flat"):
         m, _ = cov_at_scale(p, dt, aggregation=aggregation)
     assert np.all(m[1, :] == 0.0)
     assert np.all(m[:, 1] == 0.0)
@@ -103,13 +102,13 @@ def test_cov_constant_asset_is_degenerate(aggregation, dt):
 
 def test_cov_scale_too_large():
     p = panel_from_returns(np.arange(20.0))
-    with pytest.raises(errors.ScaleTooLargeError):
+    with pytest.raises(DataError, match="worst phase"):
         cov_at_scale(p, 7)
     # 20 rows hold four overlapping blocks of 17 but only three of 18
     assert cov_at_scale(p, 17, aggregation=MODE_OVERLAPPING)[1] == 4
-    with pytest.raises(errors.ScaleTooLargeError):
+    with pytest.raises(DataError, match="3 overlapping observations"):
         cov_at_scale(p, 18, aggregation=MODE_OVERLAPPING)
-    with pytest.raises(errors.ScaleTooLargeError):
+    with pytest.raises(DataError, match="overlapping observations"):
         cov_at_scale(p, 25, aggregation=MODE_OVERLAPPING)
 
 
@@ -164,7 +163,7 @@ def test_build_covariance_set_shapes():
 
 
 def test_covariance_set_validates_shapes():
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(DataError, match=r"expected \(2, 2\)"):
         ScaledCovarianceSet(("a", "b"), (1,), (np.eye(3),), (10,),
                             METHOD_PRODUCT, "nonoverlapping")
 
@@ -198,6 +197,12 @@ def test_psd_repair_idempotent():
 def test_psd_repair_rejects_asymmetric():
     with pytest.raises(ValueError):
         psd_repair(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_psd_repair_rejects_non_finite(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        psd_repair(np.array([[1.0, bad], [bad, 1.0]]))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +243,7 @@ def test_multiscale_cov_custom_weights():
     cs = _manual_set((1, 2), (np.eye(2), 4.0 * np.eye(2)))
     ms = multiscale_cov(cs, scale_weights=(1.0, 0.0))
     assert np.allclose(ms.matrix, np.eye(2), atol=1e-15)
-    with pytest.raises(errors.DimensionMismatchError):
+    with pytest.raises(DataError, match="need 2 scale weights"):
         multiscale_cov(cs, scale_weights=(1.0,))
     with pytest.raises(ValueError):
         multiscale_cov(cs, scale_weights=(-1.0, 2.0))
@@ -258,10 +263,3 @@ def test_multiscale_cov_repairs_indefinite_input():
     assert ms.psd_repaired
     assert np.linalg.eigvalsh(ms.matrix).min() >= -1e-16
 
-
-def test_matrix_to_csv_layout():
-    text = matrix_to_csv(np.array([[1.0, 0.5], [0.5, 2.0]]), ("x", "y"))
-    lines = text.strip().splitlines()
-    assert lines[0].split(",")[1:] == ["x", "y"]
-    assert lines[1].startswith("x,")
-    assert float(lines[2].split(",")[2]) == 2.0

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from conftest import brute_force_min_variance, random_pd_matrix
+from conftest import brute_force_min_variance, correlation_sensitivity, random_pd_matrix
 
-from multiscale_markowitz import errors
+from multiscale_markowitz.errors import (
+    DataError, NumericalError, ScaleOneWarning, SensitivitySignWarning,
+)
 from multiscale_markowitz.covariance import (
     METHOD_PRODUCT,
     MultiscaleCovariance,
@@ -15,8 +17,6 @@ from multiscale_markowitz.covariance import (
 )
 from multiscale_markowitz.optimizer import (
     check_target_curve,
-    correlation_hurst_sensitivity,
-    correlation_sensitivity,
     correlation_sensitivity_analytic,
     max_sharpe,
     min_variance_closed_form,
@@ -74,12 +74,12 @@ def test_closed_form_accepts_blended_matrix():
 
 
 def test_closed_form_singular_matrix():
-    with pytest.raises(errors.SingularCovarianceError):
+    with pytest.raises(NumericalError, match="condition number inf"):
         min_variance_closed_form(np.ones((3, 3)))
 
 
 def test_closed_form_ill_conditioned():
-    with pytest.raises(errors.SingularCovarianceError):
+    with pytest.raises(NumericalError, match="condition number 1.000e\\+15"):
         min_variance_closed_form(np.diag([1.0, 1e-15]))
 
 
@@ -139,7 +139,7 @@ def test_long_only_return_floor_slack_when_easy():
 
 
 def test_long_only_infeasible_target():
-    with pytest.raises(errors.InfeasibleError):
+    with pytest.raises(NumericalError, match="exceeds best asset mean"):
         min_variance_long_only(np.eye(2), mu=np.array([0.01, 0.02]), mu_target=0.5)
 
 
@@ -237,7 +237,7 @@ def test_max_sharpe_short_path():
 
 
 def test_max_sharpe_needs_positive_excess():
-    with pytest.raises(errors.NoPositiveExcessReturnError):
+    with pytest.raises(NumericalError, match="Sharpe has no maximum"):
         max_sharpe(np.eye(2), np.array([0.01, 0.02]), risk_free=0.05)
 
 
@@ -301,14 +301,14 @@ def test_variance_sensitivity_matches_finite_difference(rng):
 
 def test_variance_sensitivity_warns_on_shorted_asset():
     m = np.array([[1.0, 0.9], [0.9, 1.0]]) * np.outer([1.0, 3.0], [1.0, 3.0])
-    with pytest.warns(errors.SensitivitySignWarning):
+    with pytest.warns(SensitivitySignWarning):
         rep = sensitivity_to_variance(m, 1)
     assert rep.dweight_dvar >= 0.0
 
 
 def test_hurst_sensitivity_scale_one_is_zero():
     cs = _set_for((np.eye(2) * 1e-4,), (1,), ("x", "y"))
-    with pytest.warns(errors.ScaleOneWarning):
+    with pytest.warns(ScaleOneWarning):
         assert sensitivity_to_hurst(cs, 0, 1) == 0.0
 
 
@@ -347,14 +347,6 @@ def test_correlation_sensitivity_negative_for_diagonal_dominant():
     assert correlation_sensitivity(m, 0, 1) < 0.0
 
 
-def test_correlation_hurst_sensitivity_sign_and_scale_one():
-    m = np.diag([1.0, 1.2, 0.8])
-    with pytest.warns(errors.ScaleOneWarning):
-        assert correlation_hurst_sensitivity(m, 0, 1, 1, 0.3) == 0.0
-    val = correlation_hurst_sensitivity(m, 0, 1, 21, 0.3)
-    assert val < 0.0
-
-
 # ---------------------------------------------------------------------------
 # risk-target verification
 
@@ -384,5 +376,5 @@ def test_target_curve_ratio_definition():
     assert row.ratio == pytest.approx(0.5)
     # weights over another universe are rejected, not matched by position
     other = min_variance_closed_form(np.eye(2), asset_ids=("x", "z"))
-    with pytest.raises(errors.UniverseMismatchError):
+    with pytest.raises(DataError, match="universe"):
         check_target_curve(other, cs, sigma_target_daily=0.01, hurst_target=0.5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from multiscale_markowitz import errors
+from multiscale_markowitz.errors import CalibrationFailure, DataError
 from multiscale_markowitz.synth import (
     GeneratorSpec,
     calibrate_epps,
@@ -65,7 +65,7 @@ def test_gaussian_iid_std():
 
 
 def test_gaussian_iid_too_short():
-    with pytest.raises(errors.BadLengthError):
+    with pytest.raises(DataError, match="too short"):
         gen_gaussian_iid(8)
 
 
@@ -74,7 +74,7 @@ def test_gaussian_iid_too_short():
 
 
 def test_fgn_requires_power_of_two():
-    with pytest.raises(errors.BadLengthError):
+    with pytest.raises(DataError, match="power of two"):
         gen_fgn(1000)
 
 
@@ -133,7 +133,7 @@ def test_gen_correlated_recovers_cov():
 
 def test_gen_correlated_rejects_non_psd():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-    with pytest.raises(errors.NotPSDError):
+    with pytest.raises(DataError, match="negative eigenvalue"):
         gen_correlated(64, bad)
 
 
@@ -162,7 +162,7 @@ def test_calibrate_epps_hits_targets():
 
 
 def test_calibrate_epps_failure_reports_nearest():
-    with pytest.raises(errors.CalibrationFailure) as exc:
+    with pytest.raises(CalibrationFailure, match="unreachable") as exc:
         calibrate_epps(0.95, 0.9)
     assert exc.value.nearest is not None
     rho_near, slope_near = exc.value.nearest
@@ -214,9 +214,9 @@ def test_regime_switch_per_asset_vols():
 
 
 def test_regime_switch_bad_schedule():
-    with pytest.raises(errors.BadScheduleError):
+    with pytest.raises(DataError, match="strictly increasing"):
         gen_regime_switch(100, switch_points=(50, 20))
-    with pytest.raises(errors.BadScheduleError):
+    with pytest.raises(DataError, match=r"strictly increasing in \[0, 100\)"):
         gen_regime_switch(100, switch_points=(200,))
 
 
@@ -225,9 +225,9 @@ def test_regime_switch_bad_schedule():
 
 
 def test_multifractal_requires_dyadic_length():
-    with pytest.raises(errors.BadDepthError):
+    with pytest.raises(DataError, match="dyadic levels"):
         gen_multifractal(1000)
-    with pytest.raises(errors.BadDepthError):
+    with pytest.raises(DataError, match="dyadic levels"):
         gen_multifractal(8)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiscale_markowitz import errors
+from multiscale_markowitz.errors import DataError
 from multiscale_markowitz.timeseries import (
     PriceSeries,
     ReturnPanel,
@@ -54,7 +54,7 @@ def test_panel_window_slices_rows():
 
 
 def test_panel_rejects_nan():
-    with pytest.raises(errors.MissingValueError):
+    with pytest.raises(DataError, match="NaN or infinite"):
         panel_from_returns(np.array([0.1, np.nan]))
 
 
@@ -67,12 +67,12 @@ def test_panel_rejects_unordered_dates():
 def test_panel_rejects_duplicate_dates():
     ts = trading_dates(3).copy()
     ts[2] = ts[1]
-    with pytest.raises(errors.DuplicateDateError):
+    with pytest.raises(DataError, match="duplicate date"):
         ReturnPanel(("a1",), ts, np.zeros((3, 1)))
 
 
 def test_price_series_rejects_nonpositive():
-    with pytest.raises(errors.NonPositivePriceError):
+    with pytest.raises(DataError, match="strictly positive"):
         PriceSeries(("a1",), trading_dates(2), np.array([[1.0], [0.0]]))
 
 
@@ -101,42 +101,42 @@ def test_load_prices_sorts_rows(tmp_path):
 def test_load_prices_bad_header(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("time,a1\n2020-01-01,1\n")
-    with pytest.raises(errors.ParseError):
+    with pytest.raises(DataError, match="header must be"):
         load_prices(path)
 
 
 def test_load_prices_error_names_line_and_column(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("date,a1,a2\n2020-01-01,1.0,2.0\n2020-01-02,1.0,oops\n")
-    with pytest.raises(errors.ParseError, match=r"line 3.*'a2'"):
+    with pytest.raises(DataError, match=r"line 3.*'a2': bad number"):
         load_prices(path)
 
 
 def test_load_prices_empty_cell(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("date,a1\n2020-01-01,\n")
-    with pytest.raises(errors.MissingValueError, match="line 2"):
+    with pytest.raises(DataError, match="line 2.*empty cell"):
         load_prices(path)
 
 
 def test_load_prices_nonpositive_price(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("date,a1\n2020-01-01,-3.0\n")
-    with pytest.raises(errors.NonPositivePriceError):
+    with pytest.raises(DataError, match="not positive"):
         load_prices(path)
 
 
 def test_load_prices_duplicate_date(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("date,a1\n2020-01-01,1\n2020-01-01,2\n")
-    with pytest.raises(errors.DuplicateDateError):
+    with pytest.raises(DataError, match="already on line 2"):
         load_prices(path)
 
 
 def test_load_prices_bad_date(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("date,a1\n01/02/2020,1\n")
-    with pytest.raises(errors.ParseError, match="bad date"):
+    with pytest.raises(DataError, match="bad date"):
         load_prices(path)
 
 
@@ -163,7 +163,7 @@ def test_to_price_series_prepends_initial():
 
 def test_to_log_returns_needs_two_rows():
     s = PriceSeries(("a1",), trading_dates(1), np.array([[1.0]]))
-    with pytest.raises(errors.TooShortError):
+    with pytest.raises(DataError, match="need >= 2 price rows"):
         to_log_returns(s)
 
 
