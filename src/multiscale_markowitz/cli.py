@@ -471,20 +471,6 @@ def cmd_optimize(merged) -> int:
     return EXIT_OK
 
 
-def _config_payload(cfg: bt.BacktestConfig) -> dict:
-    return {
-        "strategy": cfg.strategy,
-        "lookback": cfg.lookback,
-        "rebalance_every": cfg.rebalance_every,
-        "scales": list(cfg.scales),
-        "covariance_method": cfg.covariance_method,
-        "aggregation": cfg.aggregation,
-        "risk_free": cfg.risk_free,
-        "ridge": cfg.ridge,
-        "periods_per_year": cfg.periods_per_year,
-    }
-
-
 def cmd_backtest(merged) -> int:
     panel = _load_panel(merged["input"])
     base = bt.BacktestConfig(
@@ -521,7 +507,7 @@ def cmd_backtest(merged) -> int:
                 "sortino": row.sortino,
                 "max_drawdown": row.max_drawdown,
                 "error": row.error,
-                "config": _config_payload(cfg),
+                "config": dataclasses.asdict(cfg),
                 "fallbacks": list(rep.fallbacks) if rep is not None else None,
                 "final_equity": float(rep.equity[-1]) if rep is not None else None,
             }

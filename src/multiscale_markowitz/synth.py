@@ -354,25 +354,3 @@ def gen_multifractal(n: int, intermittency: float = 0.2, hurst_base: float = 0.5
         if noise is None:
             noise = _fgn_cholesky(n, hurst_base, 1.0, rng)
     return panel_from_returns(sigma_daily * vol * noise)
-
-
-def gen_stable_iid(n: int, alpha: float = 1.5, scale: float = 1.0, seed: int = 0) -> ReturnPanel:
-    """Symmetric alpha-stable iid draws (Chambers-Mallows-Stuck).
-
-    Minimal heavy-tail fixture: block sums of ``m`` terms scale like
-    ``m^{1/alpha}``, so the first-moment scaling exponent is ``1/alpha``.
-    Only the symmetric case is generated; ``alpha`` must lie in (1, 2] for
-    the first moment to exist.
-    """
-    if n < 16:
-        raise DataError(f"n={n} too short, need >= 16")
-    if not 1.0 < alpha <= 2.0:
-        raise ValueError(f"alpha={alpha} outside (1, 2]")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
-    rng = np.random.default_rng(seed)
-    u = rng.uniform(-math.pi / 2.0, math.pi / 2.0, n)
-    w = rng.exponential(1.0, n)
-    num = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
-    tail = (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
-    return panel_from_returns(scale * num * tail)

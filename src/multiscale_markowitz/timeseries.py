@@ -21,6 +21,7 @@ MODE_OVERLAPPING = "overlapping"
 MODE_NONOVERLAPPING = "nonoverlapping"
 
 _EPOCH = np.datetime64("2000-01-03", "D")
+_FIRST_DATE = np.datetime64("0001-01-01", "D")  # datetime.date.min
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -168,30 +169,98 @@ def panel_from_returns(returns: np.ndarray, asset_ids=None) -> ReturnPanel:
 def load_prices(path) -> PriceSeries:
     """Load a price panel from CSV.
 
-    Expected layout: header ``date,<id>,<id>,...`` then one row per day with
-    ISO-8601 dates and strictly positive prices. Rows may arrive out of
-    order and are sorted by date; a repeated date is an error. Error
-    messages name the offending line and column.
+    Expected layout: UTF-8 text, a header ``date,<id>,<id>,...``, then one
+    row per day with ISO-8601 dates and strictly positive prices. Rows may
+    arrive out of order and are sorted by date; a repeated date is an
+    error. Error messages name the offending line and column.
+
+    A canonical file is parsed in one vectorized ``np.loadtxt`` pass. It
+    has ``\\n`` or ``\\r\\n`` line ends and no blank line, and every data
+    line is a ``YYYY-MM-DD`` date followed by one finite positive number
+    per asset, separated by bare commas, with no date repeated.
+    ``prices_to_csv`` writes such files. Every other file goes through the
+    line-precise row-by-row parse, which also reads non-canonical input
+    such as quoted cells or ``20200101`` dates. The fast pass accepts only
+    files on which the row parse returns the same arrays bit for bit.
     """
-    with open(path, "r", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            first = next(csv.reader(fh), None)
+            body = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    if first is None:
         raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    header = [c.strip() for c in first]
     if len(header) < 2 or header[0].lower() != "date":
-        raise DataError(f"{path}: header must be 'date,<asset>,...', got {rows[0]!r}")
+        raise DataError(f"{path}: header must be 'date,<asset>,...', got {first!r}")
     asset_ids = tuple(header[1:])
     try:
         _check_ids(asset_ids)
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
+    parsed = _parse_canonical(body, len(asset_ids))
+    if parsed is None:
+        return _parse_rows(path, asset_ids)
+    return PriceSeries(asset_ids, *parsed)
+
+
+def _parse_canonical(body: str, n_assets: int):
+    """Dates and prices of canonical data lines, sorted by date, else None.
+
+    Every check below rejects a file that ``np.loadtxt`` reads but the row
+    parse rejects or reads differently.
+    """
+    body = body.replace("\r\n", "\n")
+    # csv ends a row at a lone \r; numpy drops trailing NULs from a date
+    if "\r" in body or "\0" in body:
+        return None
+    lines = body.split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    # a header-only file, or a blank line, which loadtxt would skip
+    if not lines or "" in lines:
+        return None
+    try:
+        table = np.loadtxt(lines, dtype=[("date", "U11"), ("p", float, (n_assets,))],
+                           delimiter=",", comments=None, ndmin=1)
+        raw = table["date"]
+        ts = raw.astype("datetime64[D]")
+    except ValueError:
+        return None
+    prices = table["p"]
+    canonical = (
+        len(table) == len(lines)
+        # the field is U11, so a longer cell keeps an 11th character and
+        # fails here, as do 20200101, 2020-01 and years past 9999
+        and np.all(np.char.str_len(raw) == 10)
+        # datetime64 also reads +020-01-01, as year 20
+        and np.all(ts.astype(str) == raw)
+        # NaT and years <= 0 round-trip, but datetime.date rejects them
+        and np.all(ts >= _FIRST_DATE)
+        and np.all(np.isfinite(prices) & (prices > 0.0))
+    )
+    if not canonical:
+        return None
+    order = np.argsort(ts, kind="stable")
+    ts = ts[order]
+    if np.any(ts[1:] == ts[:-1]):
+        return None
+    return ts, prices[order]
+
+
+def _parse_rows(path, asset_ids: tuple[str, ...]) -> PriceSeries:
+    """Parse the file's data rows cell by cell; errors name the line and column."""
+    with open(path, "r", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    n_cells = len(asset_ids) + 1
     dates: list[_dt.date] = []
     seen: dict[_dt.date, int] = {}
-    values = np.empty((len(rows) - 1, len(asset_ids)))
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path} line {r}: expected {len(header)} cells, got {len(row)}")
+    values = np.empty((len(rows), len(asset_ids)))
+    for r, row in enumerate(rows, start=2):
+        if len(row) != n_cells:
+            raise DataError(f"{path} line {r}: expected {n_cells} cells, got {len(row)}")
         raw_date = row[0].strip()
         try:
             d = _dt.date.fromisoformat(raw_date)

@@ -185,6 +185,14 @@ def test_estimate_missing_file_exit_data(capsys, workdir):
     assert code == EXIT_DATA
 
 
+def test_estimate_non_utf8_file_exit_data(capsys, workdir):
+    path = workdir / "bad.csv"
+    path.write_bytes(b"date,a1\n2020-01-01,1\xff\n2020-01-02,2\n")
+    code, _, err = _run(capsys, ["estimate", str(path)])
+    assert code == EXIT_DATA
+    assert "bad.csv: not UTF-8 text" in err
+
+
 # ---------------------------------------------------------------------------
 # optimize
 

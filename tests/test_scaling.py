@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import gen_stable_iid
 from multiscale_markowitz.errors import DataError
 from multiscale_markowitz.scaling import (
     MIN_OBS_FOR_FIT,
@@ -23,7 +24,6 @@ from multiscale_markowitz.synth import (
     gen_fgn,
     gen_gaussian_iid,
     gen_multifractal,
-    gen_stable_iid,
 )
 from multiscale_markowitz.timeseries import panel_from_returns
 

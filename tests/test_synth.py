@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import gen_stable_iid
 from multiscale_markowitz.errors import CalibrationFailure, DataError
 from multiscale_markowitz.synth import (
     GeneratorSpec,
@@ -15,7 +16,6 @@ from multiscale_markowitz.synth import (
     gen_gaussian_iid,
     gen_multifractal,
     gen_regime_switch,
-    gen_stable_iid,
     generate,
     split_seed,
 )

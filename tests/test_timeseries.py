@@ -1,10 +1,13 @@
 """Panel containers, CSV ingestion, and block sums."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from multiscale_markowitz import timeseries
 from multiscale_markowitz.errors import DataError
 from multiscale_markowitz.timeseries import (
     PriceSeries,
@@ -82,6 +85,8 @@ def test_price_series_rejects_nonpositive():
 
 def test_csv_round_trip_is_lossless(tmp_path, rng):
     prices = np.exp(rng.standard_normal((30, 3)) * 0.02).cumprod(axis=0) * 50.0
+    prices[0] = [5e-324, 1.7976931348623157e308, 1e16]
+    prices[1, 0] = 1e-05
     s = PriceSeries(("aaa", "bbb", "ccc"), trading_dates(30), prices)
     path = tmp_path / "p.csv"
     path.write_text(prices_to_csv(s))
@@ -89,6 +94,76 @@ def test_csv_round_trip_is_lossless(tmp_path, rng):
     assert back.asset_ids == s.asset_ids
     assert np.array_equal(back.timestamps, s.timestamps)
     assert np.array_equal(back.prices, s.prices)
+
+
+def test_load_prices_canonical_file_skips_row_parse(tmp_path, monkeypatch, rng):
+    # prices_to_csv output must take the vectorized pass, rows out of order too
+    n = 1 << 12
+    prices = np.exp(rng.standard_normal((n, 3)) * 0.02).cumprod(axis=0) * 50.0
+    s = PriceSeries(("a", "b", "c"), trading_dates(n), prices)
+    header, *rows = prices_to_csv(s).splitlines()
+    order = rng.permutation(n)
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join([header] + [rows[i] for i in order]) + "\n")
+
+    def row_parse(*args):
+        raise AssertionError("canonical file fell back to the row parse")
+
+    monkeypatch.setattr(timeseries, "_parse_rows", row_parse)
+    back = load_prices(path)
+    assert np.array_equal(back.timestamps, s.timestamps)
+    assert np.array_equal(back.prices, s.prices)
+
+
+@pytest.mark.parametrize("text, dates, prices", [
+    ("date,a1\n20200101,1.5\n", ["2020-01-01"], [1.5]),
+    ('date,a1\n2020-01-01,"1.5"\n', ["2020-01-01"], [1.5]),
+    ("date,a1\n2020-01-01, 1.5 \n", ["2020-01-01"], [1.5]),
+    ("date,a1\r\n2020-01-02,2.5\r\n2020-01-01,1.5\r\n", ["2020-01-01", "2020-01-02"], [1.5, 2.5]),
+    ("date,a1\n2020-01-01,1.5", ["2020-01-01"], [1.5]),
+    ("date,a1\n2020-01-01,1_0\n", ["2020-01-01"], [10.0]),
+    ("date,a1\n", [], []),
+])
+def test_load_prices_accepts_non_canonical(tmp_path, text, dates, prices):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    s = load_prices(path)
+    assert np.array_equal(s.timestamps, np.array(dates, dtype="datetime64[D]"))
+    assert np.array_equal(s.prices, np.reshape(prices, (-1, 1)))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("date,a1\n2020-01-01,1\n\n", "line 3: expected 2 cells, got 0"),
+    ("date,a1\n\n", "line 2: expected 2 cells, got 0"),
+    ("date,a1\r\n2020-01-01,1\r\r\n", "line 3: expected 2 cells, got 0"),
+    ("date,a1\n2020-01-01,1,2\n", "line 2: expected 2 cells, got 3"),
+    ("date,a1,a2\n2020-01-01,1\n", "line 2: expected 3 cells, got 2"),
+    ("date,a1\n2020-01,1\n", "line 2: bad date '2020-01'"),
+    ("date,a1\nNaT,1\n", "line 2: bad date 'NaT'"),
+    ("date,a1\n2020-01-01T00:00,1\n", "line 2: bad date '2020-01-01T00:00'"),
+    ("date,a1\n#x,1\n", "line 2: bad date '#x'"),
+    ("date,a1\n0000-01-01,1\n", "line 2: bad date '0000-01-01'"),
+    ("date,a1\n-999-01-01,1\n", "line 2: bad date '-999-01-01'"),
+    ("date,a1\n10000-01-01,1\n", "line 2: bad date '10000-01-01'"),
+    ("date,a1\n+020-01-01,1\n", "line 2: bad date '+020-01-01'"),
+    ("date,a1\n2020-01-01\0,1\n", "line 2: bad date '2020-01-01\\x00'"),
+    ("date,a1\n2020-01-01,1#x\n", "line 2, column 'a1': bad number '1#x'"),
+    ("date,a1\n2020-01-01,nan\n", "line 2, column 'a1': NaN"),
+    ("date,a1\n2020-01-01,inf\n", "line 2, column 'a1': price inf not positive"),
+])
+@pytest.mark.filterwarnings("error")
+def test_load_prices_rejects_unusual_file(tmp_path, text, match):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DataError, match=re.escape(f"{path} {match}")):
+        load_prices(path)
+
+
+def test_load_prices_not_utf8(tmp_path):
+    path = tmp_path / "p.csv"
+    path.write_bytes(b"date,a1\n2020-01-01,1\xff\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: not UTF-8 text")):
+        load_prices(path)
 
 
 def test_load_prices_sorts_rows(tmp_path):
