@@ -148,17 +148,10 @@ def fit_weights(window: ReturnPanel, cfg: BacktestConfig) -> PortfolioWeights:
                                 method=cfg.covariance_method,
                                 aggregation=cfg.aggregation)
     blended = multiscale_cov(cset, ridge=cfg.ridge)
-    prov = {
-        "scales": cfg.effective_scales,
-        "covariance": cfg.covariance_method,
-        "aggregation": cfg.aggregation,
-        "ridge": blended.ridge,
-    }
     if cfg.strategy in (STRATEGY_MARKOWITZ_DAILY, STRATEGY_MARKOWITZ_MULTISCALE):
-        return min_variance_long_only(blended, provenance=prov)
+        return min_variance_long_only(blended)
     mu = window.returns.mean(axis=0)
-    return max_sharpe(blended, mu, risk_free=cfg.risk_free, long_only=True,
-                      provenance=prov)
+    return max_sharpe(blended, mu, risk_free=cfg.risk_free)
 
 
 def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:

@@ -426,24 +426,18 @@ def cmd_optimize(merged) -> int:
                                     aggregation=merged["aggregation"],
                                     l1_joint=merged["l1_joint"])
     blended = cov.multiscale_cov(cset, ridge=merged["ridge"])
-    prov = {"scales": list(merged["scales"]), "covariance": merged["cov"],
-            "aggregation": merged["aggregation"], "ridge": blended.ridge,
-            "psd_repaired": blended.psd_repaired}
     long_only = not merged["allow_short"]
     if merged["mu_target"] is not None and not long_only:
         raise _UsageError("--mu-target requires the long-only constraint")
     mu = panel.returns.mean(axis=0)
     if merged["objective"] == "max_sharpe":
         weights = opt.max_sharpe(blended, mu, risk_free=merged["risk_free"],
-                                 long_only=long_only, provenance=prov)
-    elif merged["mu_target"] is not None:
-        weights = opt.min_variance_long_only(blended, mu=mu,
-                                             mu_target=merged["mu_target"],
-                                             provenance=prov)
+                                 long_only=long_only)
     elif long_only:
-        weights = opt.min_variance_long_only(blended, provenance=prov)
+        weights = opt.min_variance_long_only(blended, mu=mu,
+                                             mu_target=merged["mu_target"])
     else:
-        weights = opt.min_variance_closed_form(blended, provenance=prov)
+        weights = opt.min_variance_closed_form(blended)
     for aid, val in weights.as_dict().items():
         print(f"{aid}: {val:.6f}")
     _note(f"kkt residual {weights.kkt_residual:.3e}")
@@ -546,9 +540,7 @@ def cmd_repro(merged) -> int:
     cs = scaling.estimate_correlation_scaling(pair_panel, "a1", "a2")
 
     # stage 3: weights from the blended covariance
-    cset = cov.build_covariance_set(panel, bt.DEFAULT_SCALES)
-    blended = cov.multiscale_cov(cset, ridge="auto")
-    weights = opt.min_variance_long_only(blended)
+    weights = bt.fit_weights(panel, bt.BacktestConfig())
 
     # stage 4: the standard strategy comparison
     table = bt.compare(panel, bt.standard_comparison_configs())
@@ -581,7 +573,7 @@ def cmd_repro(merged) -> int:
         "weights": {
             "values": weights.as_dict(),
             "kkt_residual": weights.kkt_residual,
-            "ridge": blended.ridge,
+            "ridge": weights.provenance["ridge"],
         },
         "strategies": [
             {"name": row.name, "sharpe": row.sharpe, "sortino": row.sortino,

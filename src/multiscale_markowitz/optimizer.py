@@ -37,8 +37,11 @@ class PortfolioWeights:
     """A fully-invested weight vector with solver diagnostics.
 
     ``kkt_residual`` is the max-norm of the stationarity condition at the
-    solution; ``provenance`` records how the covariance behind it was
-    built.
+    solution. ``provenance`` records how the covariance behind it was
+    built, read from a ``MultiscaleCovariance`` input: its ``scales``,
+    ``covariance`` method, ``aggregation``, ``ridge`` and
+    ``psd_repaired``. It is ``{}`` for a plain matrix, and the closed
+    form adds its ``lagrange_multiplier`` either way.
     """
 
     asset_ids: tuple[str, ...]
@@ -69,16 +72,19 @@ class PortfolioWeights:
 
 
 def _as_cov(sigma, asset_ids=None):
+    """The matrix, the asset ids and the provenance record of ``sigma``."""
     if isinstance(sigma, MultiscaleCovariance):
-        return np.asarray(sigma.matrix, dtype=float), (
-            tuple(asset_ids) if asset_ids is not None else sigma.asset_ids
-        )
+        ids = tuple(asset_ids) if asset_ids is not None else sigma.asset_ids
+        record = {"scales": sigma.scales, "covariance": sigma.method,
+                  "aggregation": sigma.aggregation, "ridge": sigma.ridge,
+                  "psd_repaired": sigma.psd_repaired}
+        return np.asarray(sigma.matrix, dtype=float), ids, record
     m = check_symmetric(sigma, "covariance")
     if asset_ids is None:
         asset_ids = tuple(f"a{j + 1}" for j in range(m.shape[0]))
     elif len(asset_ids) != m.shape[0]:
         raise ValueError("asset_ids length does not match the matrix")
-    return m, tuple(asset_ids)
+    return m, tuple(asset_ids), {}
 
 
 def _require_invertible(m: np.ndarray) -> None:
@@ -90,15 +96,14 @@ def _require_invertible(m: np.ndarray) -> None:
         )
 
 
-def min_variance_closed_form(sigma, asset_ids=None,
-                             provenance=None) -> PortfolioWeights:
+def min_variance_closed_form(sigma, asset_ids=None) -> PortfolioWeights:
     """Unconstrained minimum-variance weights on the budget hyperplane.
 
     ``w = Sigma^{-1} 1 / (1' Sigma^{-1} 1)``; weights may be negative.
     The reported residual checks ``2 Sigma w = lambda 1`` with
     ``lambda = 2 / (1' Sigma^{-1} 1)``.
     """
-    m, ids = _as_cov(sigma, asset_ids)
+    m, ids, record = _as_cov(sigma, asset_ids)
     _require_invertible(m)
     ones = np.ones(m.shape[0])
     s = np.linalg.solve(m, ones)
@@ -108,21 +113,19 @@ def min_variance_closed_form(sigma, asset_ids=None,
     w = s / s_total
     lam = 2.0 / s_total
     residual = float(np.abs(2.0 * m @ w - lam).max())
-    prov = dict(provenance or {})
-    prov.setdefault("lagrange_multiplier", lam)
+    record["lagrange_multiplier"] = lam
     return PortfolioWeights(ids, w, "min_var", long_only=False,
-                            kkt_residual=residual,
-                            provenance=prov)
+                            kkt_residual=residual, provenance=record)
 
 
 # ---------------------------------------------------------------------------
 # primal active-set solver for:  min w' Sigma w
-#                                s.t. a' w = b,  w >= 0,  [f' w >= g]
+#                                s.t. a' w = 1,  w >= 0,  [f' w >= g]
 
-def _eqp_step(m, a, b, floor_vec, floor_rhs, free, floor_active):
+def _eqp_step(m, a, floor_vec, floor_rhs, free, floor_active):
     nf = int(free.sum())
     rows = [a[free]]
-    rhs = [b]
+    rhs = [1.0]
     if floor_active:
         rows.append(floor_vec[free])
         rhs.append(floor_rhs)
@@ -178,7 +181,7 @@ def _support_start(m, a):
     return w
 
 
-def _active_set_qp(m, a, b, floor_vec=None, floor_rhs=None, start=None):
+def _active_set_qp(m, a, floor_vec=None, floor_rhs=None, start=None):
     n = m.shape[0]
     w = np.array(start, dtype=float)
     bound_active = w <= 0.0
@@ -192,7 +195,7 @@ def _active_set_qp(m, a, b, floor_vec=None, floor_rhs=None, start=None):
     max_iter = 50 * (n + 2)
     for _ in range(max_iter):
         free = ~bound_active
-        step = _eqp_step(m, a, b, floor_vec, floor_rhs, free, floor_active)
+        step = _eqp_step(m, a, floor_vec, floor_rhs, free, floor_active)
         if step is None:
             # inconsistent working set: the floor is linearly dependent on
             # the budget over the free coordinates; release it
@@ -267,8 +270,8 @@ def _kkt_residual(m, a, w, lam, eta, floor_vec, bound_active):
     return float(np.abs(resid - mu).max())
 
 
-def min_variance_long_only(sigma, mu=None, mu_target=None, asset_ids=None,
-                           provenance=None) -> PortfolioWeights:
+def min_variance_long_only(sigma, mu=None, mu_target=None,
+                           asset_ids=None) -> PortfolioWeights:
     """Minimum variance with non-negative weights, optional return floor.
 
     With ``mu`` and ``mu_target`` given, adds ``mu' w >= mu_target``.
@@ -277,7 +280,7 @@ def min_variance_long_only(sigma, mu=None, mu_target=None, asset_ids=None,
     active bounds as exact zeros, and the stationarity residual is
     reported on the result.
     """
-    m, ids = _as_cov(sigma, asset_ids)
+    m, ids, record = _as_cov(sigma, asset_ids)
     _require_invertible(m)
     n = m.shape[0]
     ones = np.ones(n)
@@ -307,17 +310,16 @@ def min_variance_long_only(sigma, mu=None, mu_target=None, asset_ids=None,
             start = (1.0 - t) * start
             start[k] += t
     w, lam, eta, bound_active, floor_active = _active_set_qp(
-        m, ones, 1.0, floor_vec, floor_rhs, start)
+        m, ones, floor_vec, floor_rhs, start)
     residual = _kkt_residual(m, ones, w, lam, eta if floor_active else 0.0,
                              floor_vec if floor_active else None, bound_active)
     w = w / w.sum()
     return PortfolioWeights(ids, w, "min_var", long_only=True,
-                            kkt_residual=residual,
-                            provenance=dict(provenance or {}))
+                            kkt_residual=residual, provenance=record)
 
 
 def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
-               asset_ids=None, provenance=None) -> PortfolioWeights:
+               asset_ids=None) -> PortfolioWeights:
     """Maximize ``(mu - r_f)' w / sqrt(w' Sigma w)`` on the budget.
 
     Requires at least one asset with positive excess return. The
@@ -325,7 +327,7 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
     ratio: minimize ``y' Sigma y`` over ``(mu - r_f)' y = 1, y >= 0`` and
     renormalize ``y`` to the budget.
     """
-    m, ids = _as_cov(sigma, asset_ids)
+    m, ids, record = _as_cov(sigma, asset_ids)
     _require_invertible(m)
     n = m.shape[0]
     mu = np.asarray(mu, dtype=float)
@@ -347,10 +349,9 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
         lam = 2.0 * float(y @ m @ y)
         residual = float(np.abs(2.0 * m @ y - lam * excess).max())
         return PortfolioWeights(ids, w, "max_sharpe", long_only=False,
-                                kkt_residual=residual,
-                                provenance=dict(provenance or {}))
+                                kkt_residual=residual, provenance=record)
     start = _support_start(m, excess)
-    y, lam, eta, bound_active, _ = _active_set_qp(m, excess, 1.0, None, None, start)
+    y, lam, eta, bound_active, _ = _active_set_qp(m, excess, None, None, start)
     residual = _kkt_residual(m, excess, y, lam, 0.0, None, bound_active)
     total = y.sum()
     if total <= 0.0:
@@ -359,8 +360,7 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
     w = np.clip(w, 0.0, None)
     w = w / w.sum()
     return PortfolioWeights(ids, w, "max_sharpe", long_only=True,
-                            kkt_residual=residual,
-                            provenance=dict(provenance or {}))
+                            kkt_residual=residual, provenance=record)
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +397,7 @@ def sensitivity_to_variance(sigma, k: int, asset_ids=None) -> SensitivityReport:
     reported with ``SensitivitySignWarning`` since it means the
     unconstrained solution shorts asset ``k``.
     """
-    m, ids = _as_cov(sigma, asset_ids)
+    m, ids, _ = _as_cov(sigma, asset_ids)
     n = m.shape[0]
     if not 0 <= k < n:
         raise ValueError(f"asset index {k} outside [0, {n})")
@@ -459,7 +459,7 @@ def correlation_sensitivity_analytic(sigma, i: int, j: int) -> np.ndarray:
     Sigma_jj)``; the chain rule through ``s = Sigma^{-1} 1`` gives the
     full vector ``d w / d rho_ij``.
     """
-    m, _ = _as_cov(sigma)
+    m, _, _ = _as_cov(sigma)
     n = m.shape[0]
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"need two distinct indices in [0, {n})")

@@ -158,8 +158,9 @@ class ScalingSpectrum:
     ``zeta[i]`` is the scaling exponent of the ``q_grid[i]``-th moment and
     ``h_of_q[i] = zeta[i] / q_grid[i]``. A flat ``h_of_q`` means one
     exponent describes all moments; a decreasing profile is the signature
-    of multifractality. ``nonmonotone`` flags any increase of ``h_of_q``
-    beyond numerical tolerance.
+    of multifractality. ``stderr[i]`` is the standard error of
+    ``h_of_q[i]`` under either method. ``nonmonotone`` flags any increase
+    of ``h_of_q`` beyond numerical tolerance.
     """
 
     asset_id: str
@@ -221,7 +222,7 @@ def structure_spectrum(series, asset=None, q_grid=DEFAULT_Q_GRID,
         pts = structure_function(x, q=q, scales=scales, min_obs=MIN_OBS_FOR_FIT)
         fit = fit_scaling_exponent(pts)
         zeta[i] = fit.exponent
-        stderr[i] = fit.stderr
+        stderr[i] = fit.stderr / abs(q)
         r2[i] = fit.r2
     h = zeta / np.array(q_grid)
     return ScalingSpectrum(name, q_grid, zeta, h, stderr, r2,

@@ -189,6 +189,8 @@ def load_prices(path) -> PriceSeries:
             body = fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+    except csv.Error as exc:
+        raise DataError(f"{path} line 1: {exc}") from None
     if first is None:
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in first]
@@ -253,7 +255,11 @@ def _parse_canonical(body: str, n_assets: int):
 def _parse_rows(path, asset_ids: tuple[str, ...]) -> PriceSeries:
     """Parse the file's data rows cell by cell; errors name the line and column."""
     with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))[1:]
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)[1:]
+        except csv.Error as exc:
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
     n_cells = len(asset_ids) + 1
     dates: list[_dt.date] = []
     seen: dict[_dt.date, int] = {}

@@ -12,6 +12,7 @@ from multiscale_markowitz.backtest import (
     STRATEGY_MAX_SHARPE_DAILY,
     compare,
     display_name,
+    fit_weights,
     metrics,
     run_backtest,
     standard_comparison_configs,
@@ -169,6 +170,18 @@ def test_backtest_deterministic():
     b = run_backtest(p, cfg)
     assert np.array_equal(a.equity, b.equity)
     assert a.performance == b.performance
+
+
+@pytest.mark.parametrize("strategy", [STRATEGY_MARKOWITZ_MULTISCALE,
+                                      STRATEGY_MAX_SHARPE_DAILY])
+def test_fit_weights_records_the_blend(strategy):
+    cfg = BacktestConfig(strategy=strategy)
+    w = fit_weights(_panel(n=125, drift=1e-3), cfg)
+    assert set(w.provenance) == {"scales", "covariance", "aggregation",
+                                 "ridge", "psd_repaired"}
+    assert w.provenance["scales"] == cfg.effective_scales
+    assert w.provenance["psd_repaired"] is False
+    assert w.provenance["ridge"] > 0.0
 
 
 def test_backtest_fallback_on_fit_failure():

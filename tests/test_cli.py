@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from multiscale_markowitz.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from multiscale_markowitz.covariance import build_covariance_set, multiscale_cov
+from multiscale_markowitz.timeseries import load_prices, to_log_returns
 
 
 def _run(capsys, argv):
@@ -193,6 +195,15 @@ def test_estimate_non_utf8_file_exit_data(capsys, workdir):
     assert "bad.csv: not UTF-8 text" in err
 
 
+def test_estimate_cell_over_csv_field_limit_exit_data(capsys, workdir):
+    path = workdir / "big.csv"
+    path.write_text("date,a1\n2020-01-01,1\n2020-01-02," + "1" * 200_000 + "\n")
+    code, _, err = _run(capsys, ["estimate", str(path)])
+    assert code == EXIT_DATA
+    assert "Traceback" not in err
+    assert "big.csv line 3: field larger than field limit" in err
+
+
 # ---------------------------------------------------------------------------
 # optimize
 
@@ -255,6 +266,37 @@ def test_optimize_allow_short_reports_method(capsys, workdir):
     assert code == EXIT_OK
     rep = json.loads((workdir / "w.json").read_text())
     assert rep["long_only"] is False
+
+
+@pytest.mark.parametrize("flags, closed_form", [
+    (["--objective", "min_variance"], False),
+    (["--objective", "min_variance", "--allow-short", "true"], True),
+    (["--objective", "max_sharpe"], False),
+    (["--objective", "max_sharpe", "--allow-short", "true"], False),
+    (["--mu-target", "0.0005"], False),
+    (["--cov", "l1", "--l1-joint", "true"], False),
+], ids=["min_variance", "closed_form", "max_sharpe", "max_sharpe_short",
+        "mu_target", "l1_joint"])
+def test_optimize_json_provenance(capsys, workdir, flags, closed_form):
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",
+                                       "--assets", "3", "--rho", "0.2",
+                                       "--seed", "8"])
+    code, _, _ = _run(capsys, ["optimize", str(path), *flags, "--out-prefix", "w"])
+    assert code == EXIT_OK
+    rep = json.loads((workdir / "w.json").read_text())
+    method = "l1" if "l1" in flags else "product"
+    cset = build_covariance_set(to_log_returns(load_prices(path)), (1, 2, 5, 10, 21),
+                                method=method, l1_joint="l1" in flags)
+    expected = {"scales": [1, 2, 5, 10, 21], "covariance": method,
+                "aggregation": "nonoverlapping",
+                "ridge": multiscale_cov(cset, ridge="auto").ridge,
+                "psd_repaired": False}
+    prov = rep["provenance"]
+    if closed_form:
+        sigma = np.array(rep["covariance_matrix"])
+        lam = 2.0 / np.linalg.solve(sigma, np.ones(3)).sum()
+        assert prov.pop("lagrange_multiplier") == pytest.approx(lam, rel=1e-9)
+    assert prov == expected
 
 
 # ---------------------------------------------------------------------------

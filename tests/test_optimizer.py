@@ -73,6 +73,21 @@ def test_closed_form_accepts_blended_matrix():
     assert np.allclose(w.weights, 0.5)
 
 
+def test_solvers_carry_the_blend_record():
+    cs = _set_for((np.diag([1e-4, 2e-4]), np.diag([6e-4, 9e-4])), (1, 5), ("x", "y"))
+    ms = multiscale_cov(cs, ridge="auto")
+    record = {"scales": (1, 5), "covariance": METHOD_PRODUCT,
+              "aggregation": "nonoverlapping", "ridge": ms.ridge,
+              "psd_repaired": False}
+    lam = 2.0 / np.linalg.solve(ms.matrix, np.ones(2)).sum()
+    assert min_variance_closed_form(ms).provenance == {
+        **record, "lagrange_multiplier": pytest.approx(lam, rel=1e-12)}
+    assert min_variance_long_only(ms).provenance == record
+    assert max_sharpe(ms, np.array([0.01, 0.02])).provenance == record
+    assert max_sharpe(ms, np.array([0.01, 0.02]), long_only=False).provenance == record
+    assert min_variance_long_only(ms.matrix).provenance == {}
+
+
 def test_closed_form_singular_matrix():
     with pytest.raises(NumericalError, match="condition number inf"):
         min_variance_closed_form(np.ones((3, 3)))

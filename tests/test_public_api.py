@@ -5,10 +5,11 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import multiscale_markowitz
-from multiscale_markowitz import cli, errors
+from multiscale_markowitz import backtest, cli, errors, scaling, synth, timeseries
 
 _PACKAGE = Path(multiscale_markowitz.__file__).parent
 _README = Path(__file__).resolve().parents[1] / "README.md"
@@ -51,3 +52,50 @@ def test_readme_has_commands():
 def test_readme_command_parses(command):
     args = cli.build_parser().parse_args(shlex.split(command))
     cli._merge_options(args)
+
+
+# The bench (msmark_bench/spans.py and worker.py) traces the program by
+# replacing these names where the program looks them up.
+_BENCH_PATCHED = {
+    cli: ("main",),
+    timeseries: ("load_prices", "to_log_returns", "prices_to_csv"),
+    timeseries.ReturnPanel: ("window",),
+    backtest: ("compare", "run_backtest", "fit_weights", "metrics",
+               "build_covariance_set", "multiscale_cov",
+               "min_variance_long_only", "max_sharpe"),
+    scaling: ("structure_spectrum", "estimate_hurst", "mfdfa",
+              "estimate_correlation_scaling"),
+    synth: ("gen_correlated", "gen_regime_switch", "gen_fgn",
+            "gen_multifractal", "gen_epps"),
+}
+
+
+def test_bench_patched_names_exist():
+    missing = [f"{owner.__name__}.{name}" for owner, names in _BENCH_PATCHED.items()
+               for name in names if not callable(getattr(owner, name, None))]
+    assert missing == []
+
+
+@pytest.mark.parametrize("strategy", [backtest.STRATEGY_MARKOWITZ_MULTISCALE,
+                                      backtest.STRATEGY_MAX_SHARPE_MULTISCALE])
+def test_fit_weights_calls_the_names_bound_in_backtest(monkeypatch, strategy):
+    calls = []
+
+    def spy(name):
+        original = getattr(backtest, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(backtest, name, wrapper)
+
+    for name in ("build_covariance_set", "multiscale_cov",
+                 "min_variance_long_only", "max_sharpe"):
+        spy(name)
+    cfg = backtest.BacktestConfig(strategy=strategy)
+    window = synth.gen_correlated(cfg.lookback, np.eye(3) * 1e-4, seed=3)
+    window = timeseries.panel_from_returns(window.returns + 1e-3, window.asset_ids)
+    backtest.fit_weights(window, cfg)
+    solver = ("min_variance_long_only" if strategy == backtest.STRATEGY_MARKOWITZ_MULTISCALE
+              else "max_sharpe")
+    assert calls == ["build_covariance_set", "multiscale_cov", solver]

@@ -152,6 +152,15 @@ def test_structure_spectrum_api():
         spec.h_at(2.5)
 
 
+def test_structure_spectrum_stderr_is_that_of_h():
+    x = gen_fgn(4096, hurst=0.7, seed=11)
+    spec = structure_spectrum(x, q_grid=(-2.0, 2.0))
+    assert spec.stderr[1] == estimate_hurst(x).stderr
+    # a fit of zeta(q) over the same points has q times this error
+    assert spec.stderr[0] * 2.0 == fit_scaling_exponent(
+        structure_function(x, q=-2.0)).stderr
+
+
 def test_structure_spectrum_stable_first_moment():
     # block sums of alpha-stable terms grow like m^(1/alpha)
     alpha = 1.5

@@ -166,6 +166,18 @@ def test_load_prices_not_utf8(tmp_path):
         load_prices(path)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("date,a1\n2020-01-01,1\n2020-01-02," + "1" * 200_000 + "\n", 3),
+    ("date," + "a" * 200_000 + "\n2020-01-01,1\n", 1),
+], ids=["price", "asset_id"])
+def test_load_prices_cell_over_csv_field_limit(tmp_path, text, line):
+    path = tmp_path / "p.csv"
+    path.write_text(text)
+    with pytest.raises(DataError) as info:
+        load_prices(path)
+    assert str(info.value) == f"{path} line {line}: field larger than field limit (131072)"
+
+
 def test_load_prices_sorts_rows(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text("date,a1\n2020-01-03,3\n2020-01-01,1\n2020-01-02,2\n")
