@@ -421,14 +421,16 @@ def cmd_estimate(merged) -> int:
 
 
 def cmd_optimize(merged) -> int:
+    long_only = not merged["allow_short"]
+    if merged["mu_target"] is not None and merged["objective"] != "min_variance":
+        raise _UsageError("--mu-target applies only to --objective min_variance")
+    if merged["mu_target"] is not None and not long_only:
+        raise _UsageError("--mu-target requires the long-only constraint")
     panel = _load_panel(merged["input"])
     cset = cov.build_covariance_set(panel, merged["scales"], method=merged["cov"],
                                     aggregation=merged["aggregation"],
                                     l1_joint=merged["l1_joint"])
     blended = cov.multiscale_cov(cset, ridge=merged["ridge"])
-    long_only = not merged["allow_short"]
-    if merged["mu_target"] is not None and not long_only:
-        raise _UsageError("--mu-target requires the long-only constraint")
     mu = panel.returns.mean(axis=0)
     if merged["objective"] == "max_sharpe":
         weights = opt.max_sharpe(blended, mu, risk_free=merged["risk_free"],

@@ -3,6 +3,9 @@
 Covariances are estimated on block sums of the returns at each scale,
 divided by their scale to bring them to a common per-period footing, and
 averaged.
+The product estimator averages the per-phase covariances of a scale in one
+weighted Gram product ``y'y``: each block sum is centred by its phase mean
+and scaled by ``1/sqrt(dt (n_p - 1))``, where its phase holds ``n_p`` sums.
 A robust variant replaces the usual variance scale with mean absolute
 deviation about the median, keeping the correlation structure.
 """
@@ -49,13 +52,29 @@ def check_symmetric(matrix, name: str = "matrix") -> np.ndarray:
     return _sym(m)
 
 
-def _cov_product(x: np.ndarray) -> np.ndarray:
-    xc = x - x.mean(axis=0)
-    return xc.T @ xc / (x.shape[0] - 1)
+def _phase_cov(s: np.ndarray, k: int) -> np.ndarray:
+    """Mean over the phases ``i mod k`` of the rows' sample covariances.
+
+    One weighted Gram product, as the module docstring says; ``y.T @ y``
+    runs as BLAS ``syrk``, so the result is exactly symmetric.
+    """
+    if k == 1:
+        xc = s - s.mean(axis=0)
+        return xc.T @ xc / (s.shape[0] - 1)
+    rows, n = s.shape
+    m = -(-rows // k)
+    y = np.zeros((m * k, n))
+    y[:rows] = s
+    phased = y.reshape(m, k, n)
+    counts = (rows - 1 - np.arange(k)) // k + 1
+    phased -= phased.sum(axis=0) / counts[:, None]
+    phased *= (1.0 / np.sqrt(k * (counts - 1.0)))[:, None]
+    y[rows:] = 0.0
+    return y.T @ y
 
 
 def _corr_with_guard(x: np.ndarray, dead: np.ndarray) -> np.ndarray:
-    c = _cov_product(x)
+    c = _phase_cov(x, 1)
     sd = np.sqrt(np.diag(c))
     sd_safe = np.where(sd > 0.0, sd, 1.0)
     rho = c / np.outer(sd_safe, sd_safe)
@@ -77,63 +96,78 @@ def _cov_l1(x: np.ndarray, dead: np.ndarray, joint: bool) -> np.ndarray:
     return rho * scale
 
 
+def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
+                 aggregation: str, l1_joint: bool) -> list[tuple[np.ndarray, int]]:
+    # ``(matrix, n_obs)`` per scale, for ``cov_at_scale`` and
+    # ``build_covariance_set``; every scale is checked before any is built
+    if method not in (METHOD_PRODUCT, METHOD_L1):
+        raise ValueError(f"unknown method {method!r}")
+    if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
+        raise ValueError(f"unknown aggregation {aggregation!r}")
+    for dt in scales:
+        if dt < 1:
+            raise ValueError("dt must be >= 1")
+        if aggregation == MODE_NONOVERLAPPING:
+            rows = min_phase_rows(panel.n_periods, dt)
+            if rows < MIN_OBS_PER_PHASE:
+                raise DataError(
+                    f"scale {dt} leaves {rows} observations in the worst phase, "
+                    f"need >= {MIN_OBS_PER_PHASE}"
+                )
+        elif panel.n_periods - dt + 1 < MIN_OBS_PER_PHASE:
+            raise DataError(
+                f"scale {dt} leaves {panel.n_periods - dt + 1} overlapping observations, "
+                f"need >= {MIN_OBS_PER_PHASE}"
+            )
+
+    # decided on the one-period returns: block sums of a constant column
+    # carry cumsum rounding and would not test as exactly constant
+    dead = np.ptp(panel.returns, axis=0) == 0.0
+    dead_ids = [panel.asset_ids[i] for i in np.flatnonzero(dead)]
+    out = []
+    for dt in scales:
+        for aid in dead_ids:
+            warnings.warn(
+                f"asset {aid!r} has zero variance at scale {dt}; "
+                "its covariance entries are zero",
+                DegenerateAssetWarning,
+                stacklevel=3,
+            )
+        s = block_sums(panel.returns, dt)
+        k = dt if aggregation == MODE_NONOVERLAPPING else 1
+        if method == METHOD_PRODUCT:
+            c = _phase_cov(s, k)
+            c[dead, :] = 0.0
+            c[:, dead] = 0.0
+        else:
+            acc = np.zeros((panel.n_assets, panel.n_assets))
+            for p in range(k):
+                acc += _cov_l1(s[p::k], dead, l1_joint)
+            c = _sym(acc / k)
+        out.append((c, len(s) // k))
+    return out
+
+
 def cov_at_scale(panel: ReturnPanel, dt: int, method: str = METHOD_PRODUCT,
                  aggregation: str = MODE_NONOVERLAPPING,
                  l1_joint: bool = False) -> tuple[np.ndarray, int]:
     """Covariance of ``dt``-period returns, phase-averaged.
 
-    Non-overlapping aggregation estimates one covariance per phase offset
-    and averages the ``dt`` estimates; overlapping aggregation uses the
-    block sums at every start index. Returns ``(matrix, n_obs)`` where
-    ``n_obs`` is the smallest number of observations behind any estimate.
+    Non-overlapping aggregation averages the covariances of the ``dt``
+    phases (block sums starting at ``p, p + dt, ...``); the product
+    estimator gets that average from one Gram product of the block sums,
+    each centred by its phase mean and weighted by its phase's
+    ``1/(dt (n_p - 1))``, and the L1 estimator averages phase by phase.
+    Overlapping aggregation uses the block sums at every start index.
+    Returns ``(matrix, n_obs)`` where ``n_obs`` is the smallest number of
+    observations behind any phase. Product matrices are exactly symmetric.
 
     Assets whose one-period returns are constant over the panel get their
     rows and columns zeroed and raise ``DegenerateAssetWarning``. A scale
     leaving fewer than four observations in the worst phase raises
     ``DataError``.
     """
-    if method not in (METHOD_PRODUCT, METHOD_L1):
-        raise ValueError(f"unknown method {method!r}")
-    if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    dt = int(dt)
-    if dt < 1:
-        raise ValueError("dt must be >= 1")
-    if aggregation == MODE_NONOVERLAPPING:
-        rows = min_phase_rows(panel.n_periods, dt)
-        if rows < MIN_OBS_PER_PHASE:
-            raise DataError(
-                f"scale {dt} leaves {rows} observations in the worst phase, "
-                f"need >= {MIN_OBS_PER_PHASE}"
-            )
-    elif panel.n_periods - dt + 1 < MIN_OBS_PER_PHASE:
-        raise DataError(
-            f"scale {dt} leaves {panel.n_periods - dt + 1} overlapping observations, "
-            f"need >= {MIN_OBS_PER_PHASE}"
-        )
-
-    # decided on the one-period returns: block sums of a constant column
-    # carry cumsum rounding and would not test as exactly constant
-    dead = np.ptp(panel.returns, axis=0) == 0.0
-    for idx in np.flatnonzero(dead):
-        warnings.warn(
-            f"asset {panel.asset_ids[idx]!r} has zero variance at scale {dt}; "
-            "its covariance entries are zero",
-            DegenerateAssetWarning,
-            stacklevel=2,
-        )
-    s = block_sums(panel.returns, dt)
-    blocks = [s[p::dt] for p in range(dt)] if aggregation == MODE_NONOVERLAPPING else [s]
-    acc = np.zeros((panel.n_assets, panel.n_assets))
-    for x in blocks:
-        if method == METHOD_PRODUCT:
-            c = _cov_product(x)
-            c[dead, :] = 0.0
-            c[:, dead] = 0.0
-        else:
-            c = _cov_l1(x, dead, l1_joint)
-        acc += c
-    return _sym(acc / len(blocks)), min(len(x) for x in blocks)
+    return _covariances(panel, (int(dt),), method, aggregation, l1_joint)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,17 +222,14 @@ class ScaledCovarianceSet:
 def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUCT,
                          aggregation: str = MODE_NONOVERLAPPING,
                          l1_joint: bool = False) -> ScaledCovarianceSet:
-    """Estimate ``cov_at_scale`` for each requested scale."""
+    """Estimate ``cov_at_scale`` for each requested scale.
+
+    Every scale is checked, and the constant assets found, once for the set.
+    """
     scales = tuple(int(s) for s in scales)
-    mats = []
-    counts = []
-    for dt in scales:
-        m, c = cov_at_scale(panel, dt, method=method, aggregation=aggregation,
-                            l1_joint=l1_joint)
-        mats.append(m)
-        counts.append(c)
-    return ScaledCovarianceSet(panel.asset_ids, scales, tuple(mats), tuple(counts),
-                               method, aggregation)
+    built = _covariances(panel, scales, method, aggregation, l1_joint)
+    return ScaledCovarianceSet(panel.asset_ids, scales, tuple(m for m, _ in built),
+                               tuple(c for _, c in built), method, aggregation)
 
 
 def psd_repair(matrix: np.ndarray) -> np.ndarray:
@@ -276,6 +307,8 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
             raise DataError(
                 f"need {k} scale weights, got shape {wts.shape}"
             )
+        if not np.all(np.isfinite(wts)):
+            raise ValueError(f"scale weights must be finite, got {wts.tolist()}")
         if np.any(wts < 0) or wts.sum() <= 0:
             raise ValueError("scale weights must be non-negative with positive sum")
 

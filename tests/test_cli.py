@@ -244,6 +244,17 @@ def test_optimize_mu_target_with_shorting_is_usage_error(capsys, workdir):
     assert "long-only" in err
 
 
+@pytest.mark.parametrize("short", ["false", "true"])
+def test_optimize_mu_target_with_max_sharpe_is_usage_error(capsys, workdir, short):
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",
+                                       "--assets", "2", "--seed", "1"])
+    code, out, err = _run(capsys, ["optimize", str(path), "--objective", "max_sharpe",
+                                   "--mu-target", "0.5", "--allow-short", short])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.strip() == "--mu-target applies only to --objective min_variance"
+
+
 def test_optimize_infeasible_target_exit_numeric(capsys, workdir):
     path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",
                                        "--assets", "2", "--seed", "1"])

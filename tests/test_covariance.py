@@ -17,6 +17,7 @@ from multiscale_markowitz.synth import constant_correlation_cov, gen_correlated
 from multiscale_markowitz.timeseries import (
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
+    block_sums,
     panel_from_returns,
 )
 
@@ -138,6 +139,85 @@ def test_cov_matches_reshape_sum_reference(aggregation, dt):
     assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def _per_phase_np_cov(x, dt, aggregation):
+    # block sums by an explicit loop, covariance by np.cov per phase
+    t = len(x)
+    sums = np.array([x[i:i + dt].sum(axis=0) for i in range(t - dt + 1)])
+    if aggregation == MODE_OVERLAPPING:
+        return np.cov(sums, rowvar=False)
+    return np.mean([np.cov(sums[p::dt], rowvar=False) for p in range(dt)], axis=0)
+
+
+@pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
+@pytest.mark.parametrize("dt", [2, 5, 21])
+@pytest.mark.parametrize("t", [419, 420])
+def test_cov_matches_per_phase_np_cov(aggregation, dt, t):
+    # t rows leave t - dt + 1 block sums, a multiple of dt when dt divides
+    # t + 1: at every dt for t = 419 and at none for t = 420
+    rng = np.random.default_rng(10)
+    x = rng.standard_normal((t, 5)) * 0.01 + 0.001
+    m, _ = cov_at_scale(panel_from_returns(x), dt, aggregation=aggregation)
+    ref = _per_phase_np_cov(x, dt, aggregation)
+    assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("aggregation,dt", [(MODE_NONOVERLAPPING, 1),
+                                            (MODE_OVERLAPPING, 1),
+                                            (MODE_OVERLAPPING, 5),
+                                            (MODE_OVERLAPPING, 21)])
+def test_cov_single_phase_is_plain_gram_product(aggregation, dt):
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((300, 4)) * 0.01
+    s = x if dt == 1 else block_sums(x, dt)
+    xc = s - s.mean(axis=0)
+    m, _ = cov_at_scale(panel_from_returns(x), dt, aggregation=aggregation)
+    assert np.array_equal(m, xc.T @ xc / (len(s) - 1))
+
+
+@pytest.mark.parametrize("method", [METHOD_PRODUCT, METHOD_L1])
+@pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
+def test_set_matches_cov_at_scale_bitwise(method, aggregation):
+    rng = np.random.default_rng(12)
+    p = panel_from_returns(rng.standard_normal((500, 6)) * 0.01)
+    scales = (1, 2, 5, 10, 21)
+    cs = build_covariance_set(p, scales, method=method, aggregation=aggregation)
+    for dt, m, n_obs in zip(scales, cs.matrices, cs.sample_counts):
+        ref, ref_obs = cov_at_scale(p, dt, method=method, aggregation=aggregation)
+        assert np.array_equal(m, ref)
+        assert n_obs == ref_obs
+
+
+@pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
+@pytest.mark.parametrize("t", [500, 503])
+def test_product_matrices_exactly_symmetric(aggregation, t):
+    rng = np.random.default_rng(13)
+    p = panel_from_returns(rng.standard_normal((t, 30)) * 0.01)
+    for dt in (1, 2, 3, 5, 10, 21):
+        m, _ = cov_at_scale(p, dt, aggregation=aggregation)
+        assert np.array_equal(m, m.T)
+
+
+@pytest.mark.parametrize("method", [METHOD_PRODUCT, METHOD_L1])
+@pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
+def test_set_warns_once_per_dead_asset_and_scale(method, aggregation):
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((400, 5)) * 0.01
+    x[:, 1] = 0.0
+    x[:, 3] = 0.002
+    p = panel_from_returns(x, asset_ids=("a", "flat", "b", "drift", "c"))
+    with pytest.warns(DegenerateAssetWarning) as record:
+        cs = build_covariance_set(p, (1, 5, 21), method=method, aggregation=aggregation)
+    messages = sorted(str(w.message) for w in record)
+    assert messages == sorted(
+        f"asset {a!r} has zero variance at scale {dt}; its covariance entries are zero"
+        for a in ("flat", "drift") for dt in (1, 5, 21)
+    )
+    for m in cs.matrices:
+        for i in (1, 3):
+            assert np.all(m[i, :] == 0.0) and np.all(m[:, i] == 0.0)
+        assert np.all(np.diag(m)[[0, 2, 4]] > 0.0)
+
+
 def test_cov_overlapping_close_to_nonoverlapping():
     rng = np.random.default_rng(6)
     p = panel_from_returns(rng.standard_normal((2000, 2)) * 0.01)
@@ -247,6 +327,13 @@ def test_multiscale_cov_custom_weights():
         multiscale_cov(cs, scale_weights=(1.0,))
     with pytest.raises(ValueError):
         multiscale_cov(cs, scale_weights=(-1.0, 2.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_multiscale_cov_rejects_non_finite_weights(bad):
+    cs = _manual_set((1, 2), (np.eye(2), 4.0 * np.eye(2)))
+    with pytest.raises(ValueError, match="scale weights must be finite"):
+        multiscale_cov(cs, scale_weights=(bad, 1.0))
 
 
 def test_multiscale_cov_auto_ridge():
