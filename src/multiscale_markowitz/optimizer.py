@@ -2,10 +2,12 @@
 
 Everything here minimizes ``w' Sigma w`` (or maximizes a Sharpe ratio)
 subject to the budget ``sum(w) = 1``, optionally ``w >= 0`` and a floor
-on expected return. The unconstrained problem has the closed form
-``w = Sigma^{-1} 1 / (1' Sigma^{-1} 1)``; inequality-constrained variants
-run a primal active-set iteration whose KKT conditions are verified and
-reported on every result.
+on expected return. One equality-constrained solve, ``min w_F' Sigma_FF
+w_F`` over ``R_F w_F = b`` on a free set ``F`` through the Schur
+complement ``R_F Sigma_FF^{-1} R_F'``, serves every solver: over all
+assets and the budget it is the closed form ``w = Sigma^{-1} 1 / (1'
+Sigma^{-1} 1)``, and the inequality-constrained variants run a primal
+active-set iteration over it. Every result reports its KKT residual.
 
 The long-only iteration starts from the clipped closed-form support:
 the equality-constrained solution on the free assets, with every asset
@@ -30,6 +32,10 @@ MAX_CONDITION = 1e12
 
 _BUDGET_TOL = 1e-10
 _BOUND_TOL = 1e-12
+# det(S) / prod(diag(S)) at or below which the Schur complement S of the
+# constraint rows counts as singular: 1 for orthogonal rows, 0 for dependent
+_DEPENDENT_ROWS = 1e-12
+_ONE = np.ones(1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,6 +102,28 @@ def _require_invertible(m: np.ndarray) -> None:
         )
 
 
+def _eqp(m, rows, rhs, free):
+    """Solve ``min w_F' M_FF w_F`` over ``R_F w_F = b`` on the free set ``F``.
+
+    With ``X = M_FF^{-1} R_F'`` and ``nu = (R_F X)^{-1} b`` the solution is
+    ``w_F = X nu``, and ``2 M_FF w_F = R_F' lambda`` holds with the
+    multipliers ``lambda = 2 nu``; both are returned. ``M_FF`` is a
+    principal submatrix of a matrix ``_require_invertible`` has passed, so
+    only the rows can make this fail: the result is ``None`` when ``F``
+    has fewer coordinates than there are rows or when ``R_F X`` is
+    numerically singular.
+    """
+    r_f = rows[:, free]
+    if r_f.shape[1] < len(rhs):
+        return None
+    x = np.linalg.solve(m[np.ix_(free, free)], r_f.T)
+    s = r_f @ x
+    if np.linalg.det(s) <= _DEPENDENT_ROWS * np.prod(np.diag(s)):
+        return None
+    nu = np.linalg.solve(s, rhs)
+    return x @ nu, 2.0 * nu
+
+
 def min_variance_closed_form(sigma, asset_ids=None) -> PortfolioWeights:
     """Unconstrained minimum-variance weights on the budget hyperplane.
 
@@ -105,15 +133,13 @@ def min_variance_closed_form(sigma, asset_ids=None) -> PortfolioWeights:
     """
     m, ids, record = _as_cov(sigma, asset_ids)
     _require_invertible(m)
-    ones = np.ones(m.shape[0])
-    s = np.linalg.solve(m, ones)
-    s_total = s.sum()
-    if s_total <= 0.0:
+    n = m.shape[0]
+    step = _eqp(m, np.ones((1, n)), _ONE, np.ones(n, dtype=bool))
+    if step is None:
         raise NumericalError("1' Sigma^{-1} 1 is not positive")
-    w = s / s_total
-    lam = 2.0 / s_total
+    w, lam = step
     residual = float(np.abs(2.0 * m @ w - lam).max())
-    record["lagrange_multiplier"] = lam
+    record["lagrange_multiplier"] = float(lam[0])
     return PortfolioWeights(ids, w, "min_var", long_only=False,
                             kkt_residual=residual, provenance=record)
 
@@ -121,36 +147,6 @@ def min_variance_closed_form(sigma, asset_ids=None) -> PortfolioWeights:
 # ---------------------------------------------------------------------------
 # primal active-set solver for:  min w' Sigma w
 #                                s.t. a' w = 1,  w >= 0,  [f' w >= g]
-
-def _eqp_step(m, a, floor_vec, floor_rhs, free, floor_active):
-    nf = int(free.sum())
-    rows = [a[free]]
-    rhs = [1.0]
-    if floor_active:
-        rows.append(floor_vec[free])
-        rhs.append(floor_rhs)
-    amat = np.vstack(rows)
-    k = np.zeros((nf + len(rhs), nf + len(rhs)))
-    k[:nf, :nf] = 2.0 * m[np.ix_(free, free)]
-    k[:nf, nf:] = amat.T
-    k[nf:, :nf] = amat
-    full_rhs = np.concatenate([np.zeros(nf), rhs])
-    try:
-        sol = np.linalg.solve(k, full_rhs)
-        ok = np.allclose(k @ sol, full_rhs, atol=1e-9 * max(1.0, np.abs(full_rhs).max()))
-    except np.linalg.LinAlgError:
-        ok = False
-    if not ok:
-        # rank-deficient working set; fall back to the least-squares step,
-        # which picks the minimum-norm solution among ties
-        sol, *_ = np.linalg.lstsq(k, full_rhs, rcond=None)
-        if not np.allclose(k @ sol, full_rhs,
-                           atol=1e-7 * max(1.0, np.abs(full_rhs).max())):
-            return None
-    w_free = sol[:nf]
-    nu = sol[nf:]
-    return w_free, -nu
-
 
 def _support_start(m, a):
     """Feasible start for ``min w' m w`` over ``a' w = 1, w >= 0``.
@@ -164,15 +160,13 @@ def _support_start(m, a):
     n = m.shape[0]
     free = np.ones(n, dtype=bool)
     while free.any():
-        x = np.linalg.solve(m[np.ix_(free, free)], a[free])
-        total = float(a[free] @ x)
-        if total <= 0.0:
+        step = _eqp(m, a[None], _ONE, free)
+        if step is None:
             break
-        x /= total
-        keep = x > 0.0
+        keep = step[0] > 0.0
         if keep.all():
             w = np.zeros(n)
-            w[free] = x
+            w[free] = step[0]
             return w
         free[free] = keep
     k = int(np.argmax(a))
@@ -181,53 +175,48 @@ def _support_start(m, a):
     return w
 
 
-def _active_set_qp(m, a, floor_vec=None, floor_rhs=None, start=None):
+def _active_set_qp(m, a, start, floor_vec=None, floor_rhs=None):
+    """Minimize ``w' m w`` over ``a' w = 1, w >= 0`` and an optional floor
+    ``floor_vec' w >= floor_rhs``, from the feasible point ``start``.
+
+    Returns ``w`` and its KKT residual: the max-norm of the stationarity
+    condition on the free coordinates, from the terminal test.
+    """
     n = m.shape[0]
     w = np.array(start, dtype=float)
     bound_active = w <= 0.0
     w[bound_active] = 0.0
     has_floor = floor_vec is not None
+    rows = np.vstack([a, floor_vec]) if has_floor else a[None]
+    rhs = np.array([1.0, floor_rhs]) if has_floor else _ONE
     floor_active = bool(has_floor and abs(floor_vec @ w - floor_rhs)
                         <= 1e-10 * max(1.0, abs(floor_rhs)))
-    lam = 0.0
-    eta = 0.0
-    best = w
     max_iter = 50 * (n + 2)
     for _ in range(max_iter):
         free = ~bound_active
-        step = _eqp_step(m, a, floor_vec, floor_rhs, free, floor_active)
+        r = 2 if floor_active else 1
+        step = _eqp(m, rows[:r], rhs[:r], free)
         if step is None:
-            # inconsistent working set: the floor is linearly dependent on
-            # the budget over the free coordinates; release it
+            # over F the floor row depends on the budget row: release it
             if floor_active:
                 floor_active = False
                 continue
             raise NumericalError("singular working set in active-set iteration")
-        w_free, nu = step
-        lam = float(nu[0])
-        eta = float(nu[1]) if floor_active else 0.0
-        target = np.zeros(n)
-        target[free] = w_free
-        p = target - w
+        w_free, lam = step
+        p = -w
+        p[free] += w_free
         if np.abs(p).max() <= _BOUND_TOL:
-            grad = 2.0 * m @ w
-            mu = grad - lam * a
-            if has_floor:
-                mu = mu - eta * floor_vec
-            worst_bound = None
-            worst_val = -_BOUND_TOL
-            for i in np.flatnonzero(bound_active):
-                if mu[i] < worst_val:
-                    worst_val = mu[i]
-                    worst_bound = i
-            if floor_active and eta < -_BOUND_TOL and (
-                    worst_bound is None or eta < worst_val):
+            resid = 2.0 * m @ w - rows[:r].T @ lam
+            bound_mult = np.where(bound_active, resid, np.inf)
+            worst_bound = int(np.argmin(bound_mult))
+            worst_val = bound_mult[worst_bound]
+            if floor_active and lam[1] < min(worst_val, -_BOUND_TOL):
                 floor_active = False
-                continue
-            if worst_bound is not None:
+            elif worst_val < -_BOUND_TOL:
                 bound_active[worst_bound] = False
-                continue
-            return w, lam, eta, bound_active, floor_active
+            else:
+                return w, float(np.abs(resid[free]).max())
+            continue
         alpha = 1.0
         blocking = None
         shrinking = (p < -_BOUND_TOL) & free & (w > 0.0)
@@ -235,39 +224,24 @@ def _active_set_qp(m, a, floor_vec=None, floor_rhs=None, start=None):
             cand = w[i] / -p[i]
             if cand < alpha:
                 alpha = cand
-                blocking = ("bound", i)
+                blocking = i
         if has_floor and not floor_active:
             df = float(floor_vec @ p)
             if df < -_BOUND_TOL:
-                slack = float(floor_vec @ w - floor_rhs)
-                cand = slack / -df
+                cand = float(floor_vec @ w - floor_rhs) / -df
                 if cand < alpha:
                     alpha = cand
-                    blocking = ("floor", None)
-        w = w + alpha * p
-        w[bound_active] = 0.0
-        np.clip(w, 0.0, None, out=w)
-        best = w
-        if blocking is not None:
-            kind, idx = blocking
-            if kind == "bound":
-                bound_active[idx] = True
-                w[idx] = 0.0
-            else:
-                floor_active = True
+                    blocking = "floor"
+        w = np.clip(w + alpha * p, 0.0, None)
+        if blocking == "floor":
+            floor_active = True
+        elif blocking is not None:
+            bound_active[blocking] = True
+            w[blocking] = 0.0
     raise MaxIterationsError(
         f"active-set solver did not converge in {max_iter} iterations",
-        weights=best,
+        weights=w,
     )
-
-
-def _kkt_residual(m, a, w, lam, eta, floor_vec, bound_active):
-    grad = 2.0 * m @ w
-    resid = grad - lam * a
-    if floor_vec is not None:
-        resid = resid - eta * floor_vec
-    mu = np.where(bound_active, resid, 0.0)
-    return float(np.abs(resid - mu).max())
 
 
 def min_variance_long_only(sigma, mu=None, mu_target=None,
@@ -275,7 +249,8 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
     """Minimum variance with non-negative weights, optional return floor.
 
     With ``mu`` and ``mu_target`` given, adds ``mu' w >= mu_target``.
-    A target above the best single-asset mean is infeasible. The active
+    A target above the best single-asset mean is infeasible, and one
+    equal to it admits only the assets at that mean. The active
     set is resolved exactly: inactive bounds hold as strict inequalities,
     active bounds as exact zeros, and the stationarity residual is
     reported on the result.
@@ -284,10 +259,8 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
     _require_invertible(m)
     n = m.shape[0]
     ones = np.ones(n)
-    floor_vec = None
-    floor_rhs = None
     if mu_target is None:
-        start = _support_start(m, ones)
+        w, residual = _active_set_qp(m, ones, _support_start(m, ones))
     else:
         if mu is None:
             raise ValueError("mu_target needs mu")
@@ -300,19 +273,23 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
             raise NumericalError(
                 f"return floor {mu_target} exceeds best asset mean {mu_max}"
             )
-        floor_vec = mu
-        floor_rhs = mu_target
-        start = np.full(n, 1.0 / n)
-        have = float(mu @ start)
-        if have < mu_target:
-            k = int(np.argmax(mu))
-            t = (mu_target - have) / (mu_max - have)
-            start = (1.0 - t) * start
-            start[k] += t
-    w, lam, eta, bound_active, floor_active = _active_set_qp(
-        m, ones, floor_vec, floor_rhs, start)
-    residual = _kkt_residual(m, ones, w, lam, eta if floor_active else 0.0,
-                             floor_vec if floor_active else None, bound_active)
+        if mu_target == mu_max:
+            # the floor admits only the assets at the best mean and binds on
+            # every mix of them: drop it and solve over those assets alone
+            best = mu == mu_max
+            sub = m[np.ix_(best, best)]
+            w_best, residual = _active_set_qp(sub, ones[best], _support_start(sub, ones[best]))
+            w = np.zeros(n)
+            w[best] = w_best
+        else:
+            start = np.full(n, 1.0 / n)
+            have = float(mu @ start)
+            if have < mu_target:
+                k = int(np.argmax(mu))
+                t = (mu_target - have) / (mu_max - have)
+                start = (1.0 - t) * start
+                start[k] += t
+            w, residual = _active_set_qp(m, ones, start, mu, mu_target)
     w = w / w.sum()
     return PortfolioWeights(ids, w, "min_var", long_only=True,
                             kkt_residual=residual, provenance=record)
@@ -322,10 +299,12 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
                asset_ids=None) -> PortfolioWeights:
     """Maximize ``(mu - r_f)' w / sqrt(w' Sigma w)`` on the budget.
 
-    Requires at least one asset with positive excess return. The
-    long-only problem is solved through the scale-invariance of the
-    ratio: minimize ``y' Sigma y`` over ``(mu - r_f)' y = 1, y >= 0`` and
-    renormalize ``y`` to the budget.
+    Requires at least one asset with positive excess return. Both forms
+    use the scale-invariance of the ratio: minimize ``y' Sigma y`` over
+    ``(mu - r_f)' y = 1`` (and ``y >= 0`` when long-only), report the
+    residual at ``y`` and renormalize ``y`` to the budget. Without bounds
+    ``y`` is proportional to ``Sigma^{-1} (mu - r_f)``, which must have a
+    positive sum.
     """
     m, ids, record = _as_cov(sigma, asset_ids)
     _require_invertible(m)
@@ -338,28 +317,19 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
         raise NumericalError(
             f"best excess return is {excess.max():.3e}; Sharpe has no maximum"
         )
-    if not long_only:
-        y = np.linalg.solve(m, excess)
-        total = y.sum()
-        if total <= 0.0:
-            raise NumericalError(
-                "tangency portfolio is not fully investable (1' Sigma^{-1} excess <= 0)"
-            )
-        w = y / total
-        lam = 2.0 * float(y @ m @ y)
+    if long_only:
+        y, residual = _active_set_qp(m, excess, _support_start(m, excess))
+    else:
+        # excess != 0 and Sigma is positive definite, so this solve exists
+        y, lam = _eqp(m, excess[None], _ONE, np.ones(n, dtype=bool))
         residual = float(np.abs(2.0 * m @ y - lam * excess).max())
-        return PortfolioWeights(ids, w, "max_sharpe", long_only=False,
-                                kkt_residual=residual, provenance=record)
-    start = _support_start(m, excess)
-    y, lam, eta, bound_active, _ = _active_set_qp(m, excess, None, None, start)
-    residual = _kkt_residual(m, excess, y, lam, 0.0, None, bound_active)
     total = y.sum()
     if total <= 0.0:
-        raise NumericalError("max-Sharpe solution does not renormalize to the budget")
-    w = y / total
-    w = np.clip(w, 0.0, None)
-    w = w / w.sum()
-    return PortfolioWeights(ids, w, "max_sharpe", long_only=True,
+        raise NumericalError(
+            "max-Sharpe solution does not renormalize to the budget" if long_only else
+            "tangency portfolio is not fully investable (1' Sigma^{-1} excess <= 0)"
+        )
+    return PortfolioWeights(ids, y / total, "max_sharpe", long_only=long_only,
                             kkt_residual=residual, provenance=record)
 
 

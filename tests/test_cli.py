@@ -262,6 +262,17 @@ def test_optimize_infeasible_target_exit_numeric(capsys, workdir):
     assert code == EXIT_NUMERIC
 
 
+def test_optimize_floor_at_best_mean_holds_the_best_asset(capsys, workdir):
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",
+                                       "--assets", "3", "--seed", "1"])
+    mu = to_log_returns(load_prices(path)).returns.mean(axis=0)
+    code, _, _ = _run(capsys, ["optimize", str(path), "--mu-target", repr(float(mu.max())),
+                               "--out-prefix", "w"])
+    assert code == EXIT_OK
+    weights = json.loads((workdir / "w.json").read_text())["weights"]
+    assert list(weights.values()) == [1.0 if j == mu.argmax() else 0.0 for j in range(3)]
+
+
 def test_optimize_short_panel_exit_data(capsys, workdir):
     path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "40",
                                        "--assets", "2", "--seed", "1"])

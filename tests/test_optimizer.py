@@ -158,6 +158,21 @@ def test_long_only_infeasible_target():
         min_variance_long_only(np.eye(2), mu=np.array([0.01, 0.02]), mu_target=0.5)
 
 
+def test_long_only_floor_at_best_mean_holds_the_best_asset():
+    w = min_variance_long_only(np.eye(3), mu=np.array([0.01, 0.02, 0.03]), mu_target=0.03)
+    assert np.array_equal(w.weights, [0.0, 0.0, 1.0])
+    assert w.kkt_residual == 0.0
+
+
+def test_long_only_floor_at_best_mean_mixes_tied_assets():
+    # only assets 0 and 2 meet the floor; among them the least variance
+    w = min_variance_long_only(np.diag([1.0, 1.0, 4.0]), mu=np.array([0.03, 0.01, 0.03]),
+                               mu_target=0.03)
+    assert np.allclose(w.weights, [0.8, 0.0, 0.2], atol=1e-15)
+    assert w.weights[1] == 0.0
+    assert w.kkt_residual < 1e-15
+
+
 def test_long_only_floor_matches_grid_search(rng):
     for _ in range(3):
         m = random_pd_matrix(rng, 3)
@@ -205,13 +220,19 @@ def _assert_long_only_kkt(m, w, a):
     assert np.all(g[~support] - c * a[~support] >= -tol)
 
 
-def _slsqp_min_quadratic(m, a):
-    """Scipy's SLSQP on ``min x' m x, a' x = 1, x >= 0``, made exactly feasible."""
+def _slsqp_min_quadratic(m, a, floor=None):
+    """Scipy's SLSQP on ``min x' m x, a' x = 1, x >= 0``, made exactly feasible.
+
+    ``floor = (f, g)`` adds ``f' x >= g``.
+    """
     n = m.shape[0]
     x0 = np.clip(a, 0.0, None) + 1e-3
+    constraints = [{"type": "eq", "fun": lambda x: a @ x - 1.0, "jac": lambda x: a}]
+    if floor is not None:
+        f, g = floor
+        constraints.append({"type": "ineq", "fun": lambda x: f @ x - g, "jac": lambda x: f})
     res = minimize(lambda x: x @ m @ x, x0 / (a @ x0), jac=lambda x: 2.0 * m @ x,
-                   method="SLSQP", bounds=[(0.0, None)] * n,
-                   constraints=[{"type": "eq", "fun": lambda x: a @ x - 1.0, "jac": lambda x: a}],
+                   method="SLSQP", bounds=[(0.0, None)] * n, constraints=constraints,
                    options={"ftol": 1e-14, "maxiter": 1000})
     x = np.clip(res.x, 0.0, None)
     return x / (a @ x)
@@ -233,6 +254,58 @@ def test_max_sharpe_kkt_and_slsqp_at_size(name, m, mu):
     oracle = _slsqp_min_quadratic(m, mu)
     sharpe = (w @ mu) / np.sqrt(w @ m @ w)
     assert sharpe >= (oracle @ mu) / np.sqrt(oracle @ m @ oracle) * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("name,m,mu", QP_CASES, ids=[c[0] for c in QP_CASES])
+def test_long_only_floor_kkt_and_slsqp_at_size(name, m, mu):
+    target = float(np.median(mu))
+    w = min_variance_long_only(m, mu=mu, mu_target=target).weights
+    ones = np.ones(len(w))
+    g = 2.0 * m @ w
+    tol = 1e-9 * np.abs(g).max()
+    support = w > 0.0
+    assert np.all(w >= 0.0)
+    assert w @ mu >= target - 1e-12 * np.abs(mu).max()
+    # 2 m w = lam 1 + eta mu + z with eta >= 0, z >= 0 and z = 0 on the support;
+    # eta may be nonzero only when the floor binds
+    binds = abs(w @ mu - target) <= 1e-12 * np.abs(mu).max()
+    rows = np.column_stack([ones, mu] if binds else [ones])
+    mult, *_ = np.linalg.lstsq(rows[support], g[support], rcond=None)
+    z = g - rows @ mult
+    assert np.abs(z[support]).max() <= tol
+    assert np.all(z[~support] >= -tol)
+    if binds:
+        assert mult[1] >= -tol
+    oracle = _slsqp_min_quadratic(m, ones, floor=(mu, target))
+    assert w @ m @ w <= oracle @ m @ oracle * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("name,m,mu", QP_CASES, ids=[c[0] for c in QP_CASES])
+def test_unconstrained_paths_at_size(name, m, mu):
+    s = np.linalg.solve(m, np.ones(len(mu)))
+    w = min_variance_closed_form(m).weights
+    assert np.abs(w * s.sum() - s).max() <= 1e-10 * np.abs(s).max()
+    y = np.linalg.solve(m, mu)
+    if y.sum() <= 0.0:
+        with pytest.raises(NumericalError, match="not fully investable"):
+            max_sharpe(m, mu, long_only=False)
+        return
+    w = max_sharpe(m, mu, long_only=False).weights
+    assert np.abs(w * y.sum() - y).max() <= 1e-10 * np.abs(y).max()
+
+
+@pytest.mark.parametrize("name,m,mu", QP_CASES, ids=[c[0] for c in QP_CASES])
+def test_every_solver_reports_a_small_kkt_residual_at_size(name, m, mu):
+    results = [min_variance_closed_form(m), min_variance_long_only(m),
+               min_variance_long_only(m, mu=mu, mu_target=float(np.median(mu))),
+               max_sharpe(m, mu)]
+    if np.linalg.solve(m, mu).sum() > 0.0:
+        results.append(max_sharpe(m, mu, long_only=False))
+    for res in results:
+        w = res.weights
+        # the max-Sharpe residual is on the scale of y = w / (mu' w), where mu' y = 1
+        scale = 1.0 if res.method == "min_var" else 1.0 / abs(w @ mu)
+        assert res.kkt_residual <= 1e-9 * np.abs(2.0 * m @ w).max() * scale
 
 
 # ---------------------------------------------------------------------------
