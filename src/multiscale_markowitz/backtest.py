@@ -12,7 +12,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from .covariance import (
     METHOD_L1,
@@ -120,7 +119,12 @@ def metrics(equity, periods_per_year: int = 252) -> PerformanceMetrics:
         sortino = float(r.mean() / downside * ann)
     peak = np.maximum.accumulate(arr)
     max_dd = float((arr / peak - 1.0).min())
-    kurt = float(stats.kurtosis(r, fisher=True, bias=True))
+    # population moments as scipy.stats.kurtosis(fisher=True, bias=True)
+    # takes them, NaN for a near-constant series by the same guard
+    d2 = (r - r.mean()) ** 2
+    m2, m4 = float(d2.mean()), float((d2 ** 2).mean())
+    near_constant = m2 <= (np.finfo(float).eps * r.mean()) ** 2
+    kurt = math.nan if near_constant else m4 / m2 ** 2 - 3
     return PerformanceMetrics(sharpe, sortino, max_dd, kurt)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 import tempfile
@@ -298,18 +299,28 @@ def _write_atomic(path: Path, text: str) -> None:
         raise
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+def _jsonable(obj):
+    """``obj`` with numpy values made plain and every non-finite float None.
+
+    RFC 8259 has no NaN or Infinity, so a report stays strict JSON.
+    """
+    if isinstance(obj, dict):
+        return {k: _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return _jsonable(obj.tolist())
     if isinstance(obj, np.datetime64):
         return str(obj)
-    raise TypeError(f"not JSON serializable: {type(obj)!r}")
+    if isinstance(obj, (np.floating, np.integer)):
+        obj = obj.item()
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True, default=_json_default) + "\n"
+    return json.dumps(_jsonable(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _note(message):

@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
-from scipy.linalg import toeplitz
 
 from .errors import CalibrationFailure, DataError, NumericalError
 from .timeseries import ReturnPanel, panel_from_returns
@@ -121,7 +119,14 @@ _CHOLESKY_MAX = 1 << 10
 
 
 def _fgn_cholesky(n, hurst, sigma_daily, rng):
-    cov = toeplitz(_fgn_autocov(n, hurst, sigma_daily ** 2))
+    if n > _CHOLESKY_MAX:
+        raise NumericalError(
+            f"circulant embedding for hurst={hurst} has negative eigenvalues "
+            f"and n={n} exceeds the dense fallback limit {_CHOLESKY_MAX}"
+        )
+    gamma = _fgn_autocov(n, hurst, sigma_daily ** 2)
+    k = np.arange(n)
+    cov = gamma[np.abs(k[:, None] - k)]
     chol = np.linalg.cholesky(cov)
     return chol @ rng.standard_normal(n)
 
@@ -150,11 +155,6 @@ def gen_fgn(n: int, hurst: float = 0.5, sigma_daily: float = 0.01, seed: int = 0
     rng = np.random.default_rng(seed)
     r = _fgn_davies_harte(n, hurst, sigma_daily, rng)
     if r is None:
-        if n > _CHOLESKY_MAX:
-            raise NumericalError(
-                f"circulant embedding for hurst={hurst} has negative eigenvalues "
-                f"and n={n} exceeds the dense fallback limit {_CHOLESKY_MAX}"
-            )
         r = _fgn_cholesky(n, hurst, sigma_daily, rng)
     return panel_from_returns(r)
 
@@ -273,8 +273,12 @@ def gen_epps(n: int, rho_inf: float = 0.6, h_rho: float = 0.3, seed: int = 0,
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(n + burn)
     x = f[burn:] + amp * rng.standard_normal(n)
-    lagged = lfilter([1.0 - theta], [1.0, -theta], f)[burn:]
-    y = lagged + amp * rng.standard_normal(n)
+    # the lag kernel as its recursion y[t] = (1-theta) f[t] + theta y[t-1], y[-1] = 0
+    lagged, acc = [], 0.0
+    for v in f.tolist():
+        acc = (1.0 - theta) * v + theta * acc
+        lagged.append(acc)
+    y = np.array(lagged[burn:]) + amp * rng.standard_normal(n)
     g0 = (1.0 - theta) / (1.0 + theta)
     r = np.column_stack([
         x / math.sqrt(1.0 + noise_var),
@@ -330,7 +334,8 @@ def gen_multifractal(n: int, intermittency: float = 0.2, hurst_base: float = 0.5
     ``intermittency * ln 2``, so the log-volatility variance over the whole
     series is ``intermittency * ln n``. Larger ``intermittency`` widens the
     spread of generalized scaling exponents; zero-adjacent values give an
-    essentially monofractal series.
+    essentially monofractal series. The noise is fGn with exponent
+    ``hurst_base``, drawn as ``gen_fgn`` draws it and refused where it is.
     """
     depth = int(round(math.log2(n))) if n > 0 else 0
     if n < 16 or 2 ** depth != n or depth < 4:

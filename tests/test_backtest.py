@@ -86,6 +86,21 @@ def test_metrics_kurtosis_convention():
         stats.kurtosis(np.diff(np.log(eq)), fisher=True, bias=True))
 
 
+@pytest.mark.filterwarnings("ignore:Precision loss:RuntimeWarning")
+def test_metrics_kurtosis_matches_scipy_exactly():
+    from scipy import stats
+
+    rng = np.random.default_rng(2)
+    r = rng.standard_normal(5000) * 0.01
+    eq = np.exp(np.concatenate([[0.0], np.cumsum(r)]))
+    want = stats.kurtosis(np.diff(np.log(eq)), fisher=True, bias=True)
+    assert metrics(eq).excess_kurtosis == want
+    # log returns all equal to ln 2: scipy's near-constant guard gives NaN
+    eq = 2.0 ** np.arange(4)
+    assert np.isnan(stats.kurtosis(np.diff(np.log(eq)), fisher=True, bias=True))
+    assert np.isnan(metrics(eq).excess_kurtosis)
+
+
 # ---------------------------------------------------------------------------
 # config validation
 

@@ -163,6 +163,21 @@ def test_estimate_dfa_method(capsys, workdir):
     assert rep["assets"]["a1"]["spectrum"]["method"] == "dfa"
 
 
+def test_estimate_report_is_strict_json(capsys, workdir):
+    path = _simulate(capsys, workdir, ["--kind", "gaussian_iid", "--n", "4096",
+                                       "--seed", "6"])
+    code, _, _ = _run(capsys, ["estimate", str(path), "--method", "dfa",
+                               "--q-grid", "1,3", "--json-out", "rep.json"])
+    assert code == EXIT_OK
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    rep = json.loads((workdir / "rep.json").read_text(), parse_constant=reject)
+    # H(2) is not estimated without q = 2 in the grid
+    assert rep["assets"]["a1"]["hurst"] is None
+
+
 def test_estimate_pairs(capsys, workdir):
     path = _simulate(capsys, workdir, ["--kind", "epps", "--n", "4096",
                                        "--seed", "7"])

@@ -3,6 +3,8 @@
 import inspect
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,15 @@ def test_every_export_resolves():
     missing = [name for name in multiscale_markowitz.__all__
                if not hasattr(multiscale_markowitz, name)]
     assert missing == []
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency; the package runs on numpy alone
+    code = ("import sys, multiscale_markowitz, multiscale_markowitz.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=_PACKAGE.parent)
+    assert out.stdout.strip() == "[]"
 
 
 def test_exports_are_unique():

@@ -1,10 +1,13 @@
 """Synthetic return generators: distributional checks against theory."""
 
+import math
+
 import numpy as np
 import pytest
 
 from conftest import gen_stable_iid
-from multiscale_markowitz.errors import CalibrationFailure, DataError
+from multiscale_markowitz import synth
+from multiscale_markowitz.errors import CalibrationFailure, DataError, NumericalError
 from multiscale_markowitz.synth import (
     GeneratorSpec,
     calibrate_epps,
@@ -112,6 +115,23 @@ def test_fgn_unit_scale_std():
     assert r.std() == pytest.approx(0.015, rel=0.05)
 
 
+def test_fgn_dense_fallback_matches_toeplitz_cholesky():
+    from scipy.linalg import toeplitz
+
+    # the circulant embedding fails at n 16, H 0.9, so this is the dense path
+    cov = toeplitz(synth._fgn_autocov(16, 0.9, 0.01 ** 2))
+    want = np.linalg.cholesky(cov) @ np.random.default_rng(5).standard_normal(16)
+    assert np.array_equal(gen_fgn(16, hurst=0.9, seed=5).returns[:, 0], want)
+
+
+def test_dense_fallback_refuses_large_n():
+    # both generators share the fallback and its size limit
+    with pytest.raises(NumericalError, match="dense fallback limit 1024"):
+        gen_fgn(2048, hurst=0.95)
+    with pytest.raises(NumericalError, match="dense fallback limit 1024"):
+        gen_multifractal(2048, hurst_base=0.95)
+
+
 # ---------------------------------------------------------------------------
 # correlated Gaussian panels
 
@@ -183,6 +203,24 @@ def test_gen_epps_deterministic():
     a = gen_epps(512, seed=3)
     b = gen_epps(512, seed=3)
     assert np.array_equal(a.returns, b.returns)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, 0.7, 0.994])
+def test_gen_epps_lag_filter_matches_lfilter(monkeypatch, theta):
+    from scipy.signal import lfilter
+
+    # rebuild the lagged asset from the same draws through scipy's filter
+    monkeypatch.setattr(synth, "calibrate_epps", lambda *args: theta)
+    n, noise_var = 4096, 1.0 / 0.6 - 1.0
+    burn = 0 if theta == 0.0 else min(20000, int(math.log(1e-12) / math.log(theta)) + 1)
+    rng = np.random.default_rng(9)
+    f = rng.standard_normal(n + burn)
+    rng.standard_normal(n)
+    lagged = lfilter([1.0 - theta], [1.0, -theta], f)[burn:]
+    y = lagged + math.sqrt(noise_var) * rng.standard_normal(n)
+    want = 0.01 * (y / math.sqrt((1.0 - theta) / (1.0 + theta) + noise_var))
+    got = gen_epps(n, rho_inf=0.6, seed=9).returns[:, 1]
+    assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
