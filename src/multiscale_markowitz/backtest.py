@@ -99,7 +99,8 @@ def metrics(equity, periods_per_year: int = 252) -> PerformanceMetrics:
     All statistics are computed on log returns of the equity curve; the
     Sortino denominator is the root mean square of the negative returns
     (zero target). Max drawdown is the most negative peak-to-trough
-    fraction, a value in [-1, 0].
+    fraction, a value in [-1, 0]. Constant returns raise; returns constant
+    up to rounding give NaN Sharpe, Sortino and kurtosis.
     """
     arr = np.asarray(equity, dtype=float)
     if arr.ndim != 1 or len(arr) < 3:
@@ -110,6 +111,14 @@ def metrics(equity, periods_per_year: int = 252) -> PerformanceMetrics:
     sd = r.std(ddof=1)
     if sd == 0.0:
         raise NumericalError("equity returns have zero variance")
+    peak = np.maximum.accumulate(arr)
+    max_dd = float((arr / peak - 1.0).min())
+    # population moments as scipy.stats.kurtosis(fisher=True, bias=True)
+    # takes them; its near-constant guard makes every ratio NaN
+    d2 = (r - r.mean()) ** 2
+    m2, m4 = float(d2.mean()), float((d2 ** 2).mean())
+    if m2 <= (np.finfo(float).eps * r.mean()) ** 2:
+        return PerformanceMetrics(math.nan, math.nan, max_dd, math.nan)
     ann = math.sqrt(periods_per_year)
     sharpe = float(r.mean() / sd * ann)
     downside = math.sqrt(float(np.mean(np.minimum(r, 0.0) ** 2)))
@@ -117,15 +126,7 @@ def metrics(equity, periods_per_year: int = 252) -> PerformanceMetrics:
         sortino = math.inf if r.mean() > 0 else 0.0
     else:
         sortino = float(r.mean() / downside * ann)
-    peak = np.maximum.accumulate(arr)
-    max_dd = float((arr / peak - 1.0).min())
-    # population moments as scipy.stats.kurtosis(fisher=True, bias=True)
-    # takes them, NaN for a near-constant series by the same guard
-    d2 = (r - r.mean()) ** 2
-    m2, m4 = float(d2.mean()), float((d2 ** 2).mean())
-    near_constant = m2 <= (np.finfo(float).eps * r.mean()) ** 2
-    kurt = math.nan if near_constant else m4 / m2 ** 2 - 3
-    return PerformanceMetrics(sharpe, sortino, max_dd, kurt)
+    return PerformanceMetrics(sharpe, sortino, max_dd, m4 / m2 ** 2 - 3)
 
 
 @dataclass(frozen=True, eq=False)

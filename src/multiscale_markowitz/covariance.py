@@ -12,7 +12,7 @@ deviation about the median, keeping the correlation structure.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -21,7 +21,8 @@ from .timeseries import (
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
     ReturnPanel,
-    block_sums,
+    _block_sums_each,
+    _trusted,
     min_phase_rows,
 )
 
@@ -125,7 +126,7 @@ def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
     dead = np.ptp(panel.returns, axis=0) == 0.0
     dead_ids = [panel.asset_ids[i] for i in np.flatnonzero(dead)]
     out = []
-    for dt in scales:
+    for dt, s in zip(scales, _block_sums_each(panel.returns, scales)):
         for aid in dead_ids:
             warnings.warn(
                 f"asset {aid!r} has zero variance at scale {dt}; "
@@ -133,7 +134,6 @@ def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
                 DegenerateAssetWarning,
                 stacklevel=3,
             )
-        s = block_sums(panel.returns, dt)
         k = dt if aggregation == MODE_NONOVERLAPPING else 1
         if method == METHOD_PRODUCT:
             c = _phase_cov(s, k)
@@ -184,10 +184,7 @@ class ScaledCovarianceSet:
     def __post_init__(self):
         ids = tuple(str(a) for a in self.asset_ids)
         scales = tuple(int(s) for s in self.scales)
-        if len(scales) == 0:
-            raise ValueError("need at least one scale")
-        if len(set(scales)) != len(scales):
-            raise ValueError("scales must be distinct")
+        _check_scales(scales)
         if len(self.matrices) != len(scales) or len(self.sample_counts) != len(scales):
             raise DataError("one matrix and count per scale required")
         n = len(ids)
@@ -219,17 +216,34 @@ class ScaledCovarianceSet:
             raise KeyError(f"scale {dt} not in {self.scales}") from None
 
 
+def _check_scales(scales: tuple[int, ...]) -> None:
+    if len(scales) == 0:
+        raise ValueError("need at least one scale")
+    if len(set(scales)) != len(scales):
+        raise ValueError("scales must be distinct")
+
+
 def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUCT,
                          aggregation: str = MODE_NONOVERLAPPING,
                          l1_joint: bool = False) -> ScaledCovarianceSet:
     """Estimate ``cov_at_scale`` for each requested scale.
 
-    Every scale is checked, and the constant assets found, once for the set.
+    Every scale is checked, and the constant assets found, once for the set;
+    the matrices, exactly symmetric by construction, are not re-checked.
     """
     scales = tuple(int(s) for s in scales)
     built = _covariances(panel, scales, method, aggregation, l1_joint)
-    return ScaledCovarianceSet(panel.asset_ids, scales, tuple(m for m, _ in built),
-                               tuple(c for _, c in built), method, aggregation)
+    _check_scales(scales)
+    for m, _ in built:
+        m.setflags(write=False)
+    return _trusted(ScaledCovarianceSet, asset_ids=panel.asset_ids, scales=scales,
+                    matrices=tuple(m for m, _ in built), sample_counts=tuple(c for _, c in built),
+                    method=method, aggregation=aggregation)
+
+
+def _condition(vals: np.ndarray) -> float:
+    """``vals[-1] / vals[0]`` of ascending eigenvalues; inf unless ``vals[0] > 0``."""
+    return np.inf if vals[0] <= 0 else vals[-1] / vals[0]
 
 
 def psd_repair(matrix: np.ndarray) -> np.ndarray:
@@ -254,7 +268,9 @@ class MultiscaleCovariance:
     ``scale_weights`` are the effective weights applied per scale; when
     ``normalized_by_scale`` each matrix was divided by its scale first.
     ``ridge`` is the diagonal loading actually added and ``psd_repaired``
-    records whether negative eigenvalues had to be clipped.
+    records whether negative eigenvalues had to be clipped. The constructor
+    checks the matrix and sets ``condition`` (inf unless positive definite)
+    from its ``eigvalsh``; ``multiscale_cov`` skips it and passes on the blend's.
     """
 
     matrix: np.ndarray
@@ -266,6 +282,7 @@ class MultiscaleCovariance:
     method: str
     aggregation: str
     normalized_by_scale: bool = True
+    condition: float = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -279,6 +296,7 @@ class MultiscaleCovariance:
         m = m.copy()
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "condition", _condition(np.linalg.eigvalsh(m)))
         object.__setattr__(self, "asset_ids", tuple(str(a) for a in self.asset_ids))
         object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
         object.__setattr__(self, "scale_weights", tuple(float(w) for w in self.scale_weights))
@@ -296,7 +314,8 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
     off) and combined with ``scale_weights``, equal by default. Weights
     are used exactly as given, so a single scale with weight one
     reproduces that scale's matrix unchanged. ``ridge`` adds diagonal
-    loading: a float, or ``"auto"`` for ``1e-8 * trace / n``.
+    loading: a float, or ``"auto"`` for ``1e-8 * trace / n``. The blend of
+    the checked set is not re-checked; its ``eigvalsh`` decides PSD repair.
     """
     k = len(cov_set.scales)
     if scale_weights is None:
@@ -316,7 +335,6 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
     acc = np.zeros((n, n))
     for w, dt, m in zip(wts, cov_set.scales, cov_set.matrices):
         acc += w * (m / dt if normalize_by_scale else m)
-    acc = _sym(acc)
 
     if isinstance(ridge, str):
         if ridge != "auto":
@@ -330,12 +348,13 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
         acc = acc + ridge_val * np.eye(n)
 
     vals = np.linalg.eigvalsh(acc)
-    repaired = False
-    if vals.min() < -1e-12 * max(np.abs(vals).max(), 1e-300):
+    repaired = bool(vals.min() < -1e-12 * max(np.abs(vals).max(), 1e-300))
+    if repaired:
         acc = psd_repair(acc)
-        repaired = True
-    return MultiscaleCovariance(
-        matrix=acc,
+        vals = np.linalg.eigvalsh(acc)
+    acc.setflags(write=False)
+    return _trusted(
+        MultiscaleCovariance, matrix=acc,
         asset_ids=cov_set.asset_ids,
         scales=cov_set.scales,
         scale_weights=tuple(float(w) for w in wts),
@@ -344,4 +363,5 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
         method=cov_set.method,
         aggregation=cov_set.aggregation,
         normalized_by_scale=normalize_by_scale,
+        condition=_condition(vals),
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import MultiscaleCovariance, ScaledCovarianceSet, check_symmetric
+from .covariance import MultiscaleCovariance, ScaledCovarianceSet, _condition, check_symmetric
 from .errors import DataError, MaxIterationsError, NumericalError, ScaleOneWarning, SensitivitySignWarning
 
 MAX_CONDITION = 1e12
@@ -78,25 +78,23 @@ class PortfolioWeights:
 
 
 def _as_cov(sigma, asset_ids=None):
-    """The matrix, the asset ids and the provenance record of ``sigma``."""
+    """The matrix, asset ids, provenance record and condition number of ``sigma``."""
     if isinstance(sigma, MultiscaleCovariance):
         ids = tuple(asset_ids) if asset_ids is not None else sigma.asset_ids
         record = {"scales": sigma.scales, "covariance": sigma.method,
                   "aggregation": sigma.aggregation, "ridge": sigma.ridge,
                   "psd_repaired": sigma.psd_repaired}
-        return np.asarray(sigma.matrix, dtype=float), ids, record
+        return np.asarray(sigma.matrix, dtype=float), ids, record, sigma.condition
     m = check_symmetric(sigma, "covariance")
     if asset_ids is None:
         asset_ids = tuple(f"a{j + 1}" for j in range(m.shape[0]))
     elif len(asset_ids) != m.shape[0]:
         raise ValueError("asset_ids length does not match the matrix")
-    return m, tuple(asset_ids), {}
+    return m, tuple(asset_ids), {}, _condition(np.linalg.eigvalsh(m))
 
 
-def _require_invertible(m: np.ndarray) -> None:
-    vals = np.linalg.eigvalsh(m)
-    if vals[0] <= 0.0 or vals[-1] / vals[0] > MAX_CONDITION:
-        cond = math.inf if vals[0] <= 0 else vals[-1] / vals[0]
+def _require_invertible(cond: float) -> None:
+    if cond > MAX_CONDITION:
         raise NumericalError(
             f"covariance condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}"
         )
@@ -131,8 +129,8 @@ def min_variance_closed_form(sigma, asset_ids=None) -> PortfolioWeights:
     The reported residual checks ``2 Sigma w = lambda 1`` with
     ``lambda = 2 / (1' Sigma^{-1} 1)``.
     """
-    m, ids, record = _as_cov(sigma, asset_ids)
-    _require_invertible(m)
+    m, ids, record, cond = _as_cov(sigma, asset_ids)
+    _require_invertible(cond)
     n = m.shape[0]
     step = _eqp(m, np.ones((1, n)), _ONE, np.ones(n, dtype=bool))
     if step is None:
@@ -255,8 +253,8 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
     active bounds as exact zeros, and the stationarity residual is
     reported on the result.
     """
-    m, ids, record = _as_cov(sigma, asset_ids)
-    _require_invertible(m)
+    m, ids, record, cond = _as_cov(sigma, asset_ids)
+    _require_invertible(cond)
     n = m.shape[0]
     ones = np.ones(n)
     if mu_target is None:
@@ -306,8 +304,8 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
     ``y`` is proportional to ``Sigma^{-1} (mu - r_f)``, which must have a
     positive sum.
     """
-    m, ids, record = _as_cov(sigma, asset_ids)
-    _require_invertible(m)
+    m, ids, record, cond = _as_cov(sigma, asset_ids)
+    _require_invertible(cond)
     n = m.shape[0]
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n,):
@@ -367,11 +365,11 @@ def sensitivity_to_variance(sigma, k: int, asset_ids=None) -> SensitivityReport:
     reported with ``SensitivitySignWarning`` since it means the
     unconstrained solution shorts asset ``k``.
     """
-    m, ids, _ = _as_cov(sigma, asset_ids)
+    m, ids, _, cond = _as_cov(sigma, asset_ids)
     n = m.shape[0]
     if not 0 <= k < n:
         raise ValueError(f"asset index {k} outside [0, {n})")
-    _require_invertible(m)
+    _require_invertible(cond)
     inv = np.linalg.inv(m)
     s = inv @ np.ones(n)
     s_total = float(s.sum())
@@ -429,11 +427,11 @@ def correlation_sensitivity_analytic(sigma, i: int, j: int) -> np.ndarray:
     Sigma_jj)``; the chain rule through ``s = Sigma^{-1} 1`` gives the
     full vector ``d w / d rho_ij``.
     """
-    m, _, _ = _as_cov(sigma)
+    m, _, _, cond = _as_cov(sigma)
     n = m.shape[0]
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"need two distinct indices in [0, {n})")
-    _require_invertible(m)
+    _require_invertible(cond)
     inv = np.linalg.inv(m)
     s = inv @ np.ones(n)
     s_total = float(s.sum())

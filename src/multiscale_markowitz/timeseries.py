@@ -24,10 +24,11 @@ _EPOCH = np.datetime64("2000-01-03", "D")
 _FIRST_DATE = np.datetime64("0001-01-01", "D")  # datetime.date.min
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, copy=True)
-    out.setflags(write=False)
-    return out
+def _trusted(cls, **fields):
+    """``cls`` holding ``fields`` unchecked: only for values derived from checked data."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 def _check_ids(asset_ids: tuple[str, ...]) -> None:
@@ -39,16 +40,30 @@ def _check_ids(asset_ids: tuple[str, ...]) -> None:
         raise ValueError("asset ids must be unique")
 
 
-def _check_dates(timestamps: np.ndarray) -> None:
-    if timestamps.ndim != 1:
+def _check_panel(obj, name: str) -> np.ndarray:
+    """Check a panel's ids, dates and ``name`` rows, store read-only copies, return the rows."""
+    object.__setattr__(obj, "asset_ids", tuple(str(a) for a in obj.asset_ids))
+    _check_ids(obj.asset_ids)
+    ts = np.asarray(obj.timestamps, dtype="datetime64[D]")
+    rows = np.asarray(getattr(obj, name), dtype=float)
+    if rows.ndim != 2 or rows.shape != (len(ts), len(obj.asset_ids)):
+        raise ValueError(f"{name} shape {rows.shape} does not match "
+                         f"{len(ts)} dates x {len(obj.asset_ids)} assets")
+    if ts.ndim != 1:
         raise ValueError("timestamps must be one-dimensional")
-    if len(timestamps) > 1:
-        diffs = np.diff(timestamps).astype("timedelta64[D]").astype(int)
+    if len(ts) > 1:
+        diffs = np.diff(ts).astype("timedelta64[D]").astype(int)
         if np.any(diffs == 0):
-            dup = timestamps[1:][diffs == 0][0]
-            raise DataError(f"duplicate date {dup}")
+            raise DataError(f"duplicate date {ts[1:][diffs == 0][0]}")
         if np.any(diffs < 0):
             raise ValueError("timestamps must be strictly increasing")
+    if not np.all(np.isfinite(rows)):
+        raise DataError(f"{name} contain NaN or infinite entries")
+    for key, a in (("timestamps", ts), (name, rows)):
+        a = np.array(a, copy=True)
+        a.setflags(write=False)
+        object.__setattr__(obj, key, a)
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -68,22 +83,8 @@ class PriceSeries:
     prices: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "asset_ids", tuple(str(a) for a in self.asset_ids))
-        _check_ids(self.asset_ids)
-        ts = np.asarray(self.timestamps, dtype="datetime64[D]")
-        px = np.asarray(self.prices, dtype=float)
-        if px.ndim != 2 or px.shape != (len(ts), len(self.asset_ids)):
-            raise ValueError(
-                f"prices shape {px.shape} does not match "
-                f"{len(ts)} dates x {len(self.asset_ids)} assets"
-            )
-        _check_dates(ts)
-        if not np.all(np.isfinite(px)):
-            raise DataError("prices contain NaN or infinite entries")
-        if np.any(px <= 0.0):
+        if np.any(_check_panel(self, "prices") <= 0.0):
             raise DataError("prices must be strictly positive")
-        object.__setattr__(self, "timestamps", _readonly(ts))
-        object.__setattr__(self, "prices", _readonly(px))
 
     @property
     def n_periods(self) -> int:
@@ -106,20 +107,7 @@ class ReturnPanel:
     returns: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "asset_ids", tuple(str(a) for a in self.asset_ids))
-        _check_ids(self.asset_ids)
-        ts = np.asarray(self.timestamps, dtype="datetime64[D]")
-        r = np.asarray(self.returns, dtype=float)
-        if r.ndim != 2 or r.shape != (len(ts), len(self.asset_ids)):
-            raise ValueError(
-                f"returns shape {r.shape} does not match "
-                f"{len(ts)} dates x {len(self.asset_ids)} assets"
-            )
-        _check_dates(ts)
-        if not np.all(np.isfinite(r)):
-            raise DataError("returns contain NaN or infinite entries")
-        object.__setattr__(self, "timestamps", _readonly(ts))
-        object.__setattr__(self, "returns", _readonly(r))
+        _check_panel(self, "returns")
 
     @property
     def n_periods(self) -> int:
@@ -138,14 +126,11 @@ class ReturnPanel:
         return self.returns[:, j]
 
     def window(self, start: int, stop: int) -> "ReturnPanel":
-        """Row slice [start, stop) as a panel."""
+        """Row slice [start, stop) as a panel of read-only views, unchecked but for the bounds."""
         if not 0 <= start < stop <= self.n_periods:
             raise ValueError(f"window [{start}, {stop}) outside panel of length {self.n_periods}")
-        return ReturnPanel(
-            self.asset_ids,
-            self.timestamps[start:stop],
-            self.returns[start:stop],
-        )
+        return _trusted(ReturnPanel, asset_ids=self.asset_ids,
+                        timestamps=self.timestamps[start:stop], returns=self.returns[start:stop])
 
 
 def trading_dates(n: int, start: np.datetime64 = _EPOCH) -> np.ndarray:
@@ -348,10 +333,16 @@ def block_sums(x: np.ndarray, dt: int) -> np.ndarray:
     rows, all start indices (overlapping blocks); rows ``phase::dt`` are the
     non-overlapping blocks at that phase. ``dt = 1`` returns ``x`` itself.
     """
-    if dt == 1:
-        return x
-    c = np.concatenate([np.zeros((1,) + x.shape[1:]), np.cumsum(x, axis=0)])
-    return c[dt:] - c[:-dt]
+    return next(_block_sums_each(x, (dt,)))
+
+
+def _block_sums_each(x: np.ndarray, scales):
+    """``block_sums(x, dt)`` for each ``dt`` in turn, from one prefix sum."""
+    c = None
+    for dt in scales:
+        if c is None and dt > 1:
+            c = np.concatenate([np.zeros((1,) + x.shape[1:]), np.cumsum(x, axis=0)])
+        yield x if dt == 1 else c[dt:] - c[:-dt]
 
 
 def min_phase_rows(n_rows: int, dt: int) -> int:

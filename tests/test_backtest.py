@@ -1,8 +1,11 @@
 """Walk-forward evaluation and the strategy comparison table."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from multiscale_markowitz import covariance, optimizer
 from multiscale_markowitz.errors import DataError, NumericalError
 from multiscale_markowitz.backtest import (
     BacktestConfig,
@@ -10,6 +13,7 @@ from multiscale_markowitz.backtest import (
     STRATEGY_MARKOWITZ_DAILY,
     STRATEGY_MARKOWITZ_MULTISCALE,
     STRATEGY_MAX_SHARPE_DAILY,
+    STRATEGY_MAX_SHARPE_MULTISCALE,
     compare,
     display_name,
     fit_weights,
@@ -57,6 +61,14 @@ def test_metrics_alternating_small_moves():
 def test_metrics_constant_equity_rejected():
     with pytest.raises(NumericalError, match="zero variance"):
         metrics([1.0, 1.0, 1.0])
+
+
+def test_metrics_near_constant_growth_has_no_ratios():
+    # the log returns are ln 2 up to the last ulp: their spread is rounding,
+    # so Sharpe and Sortino are NaN like the kurtosis, not 1e17 and inf
+    m = metrics(2.0 ** np.arange(4))
+    assert np.isnan(m.sharpe) and np.isnan(m.sortino) and np.isnan(m.excess_kurtosis)
+    assert m.max_drawdown == 0.0
 
 
 def test_metrics_needs_three_points():
@@ -265,3 +277,36 @@ def test_compare_table_format():
     header = csv_text.splitlines()[0].split(",")
     assert header[0] == "method"
     assert len(csv_text.splitlines()) == 5
+
+
+# ---------------------------------------------------------------------------
+# checks made once per refit
+
+
+@pytest.mark.parametrize("strategy, aggregation, cumsums", [
+    (STRATEGY_MARKOWITZ_DAILY, "nonoverlapping", 0),
+    (STRATEGY_MARKOWITZ_MULTISCALE, "nonoverlapping", 1),
+    (STRATEGY_MARKOWITZ_MULTISCALE, "overlapping", 1),
+    (STRATEGY_MAX_SHARPE_MULTISCALE, "nonoverlapping", 1),
+])
+def test_fit_weights_decomposes_once(monkeypatch, strategy, aggregation, cumsums):
+    # a refit on a package-built window takes one eigvalsh (the blend's),
+    # one prefix sum for all its scales and no symmetry re-check
+    window = _panel(n=400, n_assets=4, drift=0.001).window(100, 400)
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(np.linalg, "eigvalsh")
+    count(np, "cumsum")
+    count(covariance, "check_symmetric")
+    count(optimizer, "check_symmetric")
+    cfg = BacktestConfig(strategy=strategy, aggregation=aggregation, lookback=300)
+    fit_weights(window, cfg)
+    assert calls == Counter(eigvalsh=1, cumsum=cumsums)

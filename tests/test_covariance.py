@@ -7,6 +7,7 @@ from multiscale_markowitz.errors import DataError, DegenerateAssetWarning
 from multiscale_markowitz.covariance import (
     METHOD_L1,
     METHOD_PRODUCT,
+    MultiscaleCovariance,
     ScaledCovarianceSet,
     build_covariance_set,
     cov_at_scale,
@@ -246,6 +247,68 @@ def test_covariance_set_validates_shapes():
     with pytest.raises(DataError, match=r"expected \(2, 2\)"):
         ScaledCovarianceSet(("a", "b"), (1,), (np.eye(3),), (10,),
                             METHOD_PRODUCT, "nonoverlapping")
+
+
+@pytest.mark.parametrize("bad, message", [
+    (np.array([[1.0, 0.5], [0.0, 1.0]]), "matrix at scale 5 is not symmetric"),
+    (np.array([[1.0, np.nan], [np.nan, 1.0]]), "matrix at scale 5 has non-finite entries"),
+    (np.array([[np.inf, 0.0], [0.0, 1.0]]), "matrix at scale 5 has non-finite entries"),
+])
+def test_covariance_set_constructor_rejects_bad_matrices(bad, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ScaledCovarianceSet(("a", "b"), (1, 5), (np.eye(2), bad), (10, 10),
+                            METHOD_PRODUCT, "nonoverlapping")
+
+
+@pytest.mark.parametrize("scales, message", [
+    ((), "need at least one scale"),
+    ((2, 2), "scales must be distinct"),
+])
+def test_build_covariance_set_rejects_scales_as_constructor(scales, message):
+    p = panel_from_returns(np.random.default_rng(0).standard_normal((100, 2)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_covariance_set(p, scales)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ScaledCovarianceSet(("a1", "a2"), scales, (np.eye(2),) * len(scales),
+                            (10,) * len(scales), METHOD_PRODUCT, "nonoverlapping")
+
+
+@pytest.mark.parametrize("method", [METHOD_PRODUCT, METHOD_L1])
+@pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
+def test_built_set_and_blend_match_public_constructors(method, aggregation):
+    # the package's own objects skip the constructors' checks; what they
+    # hold must be what the constructors would have stored
+    rng = np.random.default_rng(4)
+    p = panel_from_returns(rng.standard_t(3, (260, 5)) * 0.01)
+    cs = build_covariance_set(p.window(10, 260), (1, 2, 5, 21), method=method,
+                              aggregation=aggregation)
+    public = ScaledCovarianceSet(cs.asset_ids, cs.scales, cs.matrices,
+                                 cs.sample_counts, cs.method, cs.aggregation)
+    assert (cs.asset_ids, cs.scales, cs.sample_counts) == (
+        public.asset_ids, public.scales, public.sample_counts)
+    for built, checked in zip(cs.matrices, public.matrices):
+        assert not built.flags.writeable
+        assert built.tobytes() == checked.tobytes()
+    blend = multiscale_cov(cs, ridge="auto")
+    by_hand = MultiscaleCovariance(blend.matrix, blend.asset_ids, blend.scales,
+                                   blend.scale_weights, blend.ridge,
+                                   blend.psd_repaired, blend.method,
+                                   blend.aggregation, blend.normalized_by_scale)
+    assert not blend.matrix.flags.writeable
+    assert blend.matrix.tobytes() == by_hand.matrix.tobytes()
+    assert blend.condition == by_hand.condition
+    assert blend.condition == pytest.approx(np.linalg.cond(blend.matrix), rel=1e-6)
+
+
+def test_multiscale_covariance_constructor_checks_matrix():
+    args = (("a", "b"), (1,), (1.0,), 0.0, False, METHOD_PRODUCT, "nonoverlapping")
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            MultiscaleCovariance(np.array([[1.0, bad], [bad, 1.0]]), *args)
+    with pytest.raises(DataError, match=r"^matrix shape \(3, 3\) does not match 2 assets$"):
+        MultiscaleCovariance(np.eye(3), *args)
+    assert MultiscaleCovariance(np.diag([4.0, 1.0]), *args).condition == 4.0
+    assert MultiscaleCovariance(np.diag([1.0, 0.0]), *args).condition == np.inf
 
 
 # ---------------------------------------------------------------------------

@@ -98,6 +98,31 @@ def test_closed_form_ill_conditioned():
         min_variance_closed_form(np.diag([1.0, 1e-15]))
 
 
+@pytest.mark.parametrize("matrix", [
+    np.diag([1.0, 1e-15]),                  # ill-conditioned
+    np.array([[1.0, 2.0], [2.0, 1.0]]),     # indefinite: repaired to singular
+])
+def test_blend_conditioning_refused_as_plain_matrix(matrix):
+    # the blend carries the condition number of its own eigvalsh; the
+    # solvers must refuse it with the text a plain matrix gets
+    blend = multiscale_cov(_set_for([matrix], [1], ("a", "b")))
+    assert blend.psd_repaired == (matrix[0, 1] == 2.0)
+    for solve in (min_variance_closed_form, min_variance_long_only,
+                  lambda s: max_sharpe(s, np.array([0.01, 0.02]))):
+        with pytest.raises(NumericalError) as plain:
+            solve(blend.matrix)
+        with pytest.raises(NumericalError, match="condition number") as blended:
+            solve(blend)
+        assert str(blended.value) == str(plain.value)
+
+
+def test_hand_built_blend_is_refused_when_ill_conditioned():
+    ms = MultiscaleCovariance(np.diag([1.0, 1e-15]), ("a", "b"), (1,), (1.0,), 0.0,
+                              False, "product", "nonoverlapping")
+    with pytest.raises(NumericalError, match="condition number 1.000e\\+15"):
+        min_variance_long_only(ms)
+
+
 def test_closed_form_can_short():
     # strong correlation pushes the high-variance asset negative
     m = np.array([[1.0, 0.9], [0.9, 1.0]]) * np.outer([1.0, 3.0], [1.0, 3.0])

@@ -54,6 +54,15 @@ def test_panel_window_slices_rows():
     assert w.n_periods == 5
     assert np.array_equal(w.returns[:, 0], np.arange(2.0, 7.0))
     assert np.array_equal(w.timestamps, p.timestamps[2:7])
+    assert w.asset_ids == p.asset_ids
+    # read-only views of the parent's checked arrays, not re-checked copies
+    for part, whole in ((w.returns, p.returns), (w.timestamps, p.timestamps)):
+        assert not part.flags.writeable
+        assert np.shares_memory(part, whole)
+    with pytest.raises(ValueError, match="outside panel"):
+        p.window(3, 3)
+    with pytest.raises(ValueError, match="outside panel"):
+        p.window(0, 11)
 
 
 def test_panel_rejects_nan():
