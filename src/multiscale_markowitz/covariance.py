@@ -144,6 +144,10 @@ def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
             for p in range(k):
                 acc += _cov_l1(s[p::k], dead, l1_joint)
             c = _sym(acc / k)
+        # finite returns can still overflow a product; a finite diagonal
+        # bounds every entry
+        if not np.all(np.isfinite(np.diagonal(c))):
+            raise DataError(f"variance at scale {dt} overflows: returns too large")
         out.append((c, len(s) // k))
     return out
 

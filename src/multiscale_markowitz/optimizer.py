@@ -152,8 +152,9 @@ def _support_start(m, a):
     Solves the problem without bounds on the free set, fixes every
     coordinate it does not hold positive at zero and repeats; each pass
     fixes at least one more coordinate, so this ends within ``n`` solves.
-    When no coordinate stays positive, the start is the single asset
-    with the largest ``a``.
+    Returns the start and the last ``_eqp`` step, which is the active-set
+    loop's first step from there. When no coordinate stays positive, the
+    start is the single asset with the largest ``a`` and the step ``None``.
     """
     n = m.shape[0]
     free = np.ones(n, dtype=bool)
@@ -165,17 +166,19 @@ def _support_start(m, a):
         if keep.all():
             w = np.zeros(n)
             w[free] = step[0]
-            return w
+            return w, step
         free[free] = keep
     k = int(np.argmax(a))
     w = np.zeros(n)
     w[k] = 1.0 / a[k]
-    return w
+    return w, None
 
 
-def _active_set_qp(m, a, start, floor_vec=None, floor_rhs=None):
+def _active_set_qp(m, a, start, step=None, floor_vec=None, floor_rhs=None):
     """Minimize ``w' m w`` over ``a' w = 1, w >= 0`` and an optional floor
     ``floor_vec' w >= floor_rhs``, from the feasible point ``start``.
+    ``step``, when given, is ``_eqp``'s solve on the free set of ``start``
+    and stands in for the first iteration's.
 
     Returns ``w`` and its KKT residual: the max-norm of the stationarity
     condition on the free coordinates, from the terminal test.
@@ -193,7 +196,8 @@ def _active_set_qp(m, a, start, floor_vec=None, floor_rhs=None):
     for _ in range(max_iter):
         free = ~bound_active
         r = 2 if floor_active else 1
-        step = _eqp(m, rows[:r], rhs[:r], free)
+        if step is None:
+            step = _eqp(m, rows[:r], rhs[:r], free)
         if step is None:
             # over F the floor row depends on the budget row: release it
             if floor_active:
@@ -201,6 +205,7 @@ def _active_set_qp(m, a, start, floor_vec=None, floor_rhs=None):
                 continue
             raise NumericalError("singular working set in active-set iteration")
         w_free, lam = step
+        step = None
         p = -w
         p[free] += w_free
         if np.abs(p).max() <= _BOUND_TOL:
@@ -258,7 +263,7 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
     n = m.shape[0]
     ones = np.ones(n)
     if mu_target is None:
-        w, residual = _active_set_qp(m, ones, _support_start(m, ones))
+        w, residual = _active_set_qp(m, ones, *_support_start(m, ones))
     else:
         if mu is None:
             raise ValueError("mu_target needs mu")
@@ -276,7 +281,7 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
             # every mix of them: drop it and solve over those assets alone
             best = mu == mu_max
             sub = m[np.ix_(best, best)]
-            w_best, residual = _active_set_qp(sub, ones[best], _support_start(sub, ones[best]))
+            w_best, residual = _active_set_qp(sub, ones[best], *_support_start(sub, ones[best]))
             w = np.zeros(n)
             w[best] = w_best
         else:
@@ -287,7 +292,7 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
                 t = (mu_target - have) / (mu_max - have)
                 start = (1.0 - t) * start
                 start[k] += t
-            w, residual = _active_set_qp(m, ones, start, mu, mu_target)
+            w, residual = _active_set_qp(m, ones, start, floor_vec=mu, floor_rhs=mu_target)
     w = w / w.sum()
     return PortfolioWeights(ids, w, "min_var", long_only=True,
                             kkt_residual=residual, provenance=record)
@@ -316,7 +321,7 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
             f"best excess return is {excess.max():.3e}; Sharpe has no maximum"
         )
     if long_only:
-        y, residual = _active_set_qp(m, excess, _support_start(m, excess))
+        y, residual = _active_set_qp(m, excess, *_support_start(m, excess))
     else:
         # excess != 0 and Sigma is positive definite, so this solve exists
         y, lam = _eqp(m, excess[None], _ONE, np.ones(n, dtype=bool))

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .timeseries import ReturnPanel, block_sums, min_phase_rows
+from .timeseries import ReturnPanel, _block_sums_each, min_phase_rows
 
 DEFAULT_SCALES = (1, 2, 5, 10, 21)
 DEFAULT_Q_GRID = (-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0)
@@ -87,21 +87,32 @@ def structure_function(series, asset=None, q: float = 2.0,
     x, _ = _series_and_name(series, asset)
     if q == 0:
         raise ValueError("q must be nonzero")
+    scales, moments = _abs_moments(x, (q,), scales, min_obs)
+    return [(float(dt), float(m)) for dt, m in zip(scales, moments[:, 0])]
+
+
+def _abs_moments(x, q_grid, scales, min_obs):
+    """Checked scales and ``structure_function``'s moments, one column per q.
+
+    Every scale's block sums come from one prefix sum, and each scale's
+    ``|block sum|`` is taken once for the whole q grid.
+    """
     if not np.any(x != 0.0):
         raise DataError("all base returns are zero")
     scales = _check_scales(scales)
     n = len(x)
-    out = []
     for dt in scales:
         if min_phase_rows(n, dt) < min_obs:
             raise DataError(
                 f"scale {dt} leaves {min_phase_rows(n, dt)} blocks in the worst phase, "
                 f"need >= {min_obs}"
             )
-        b = block_sums(x, dt)
-        per_phase = [np.mean(np.abs(b[p::dt]) ** q) for p in range(dt)]
-        out.append((float(dt), float(np.mean(per_phase))))
-    return out
+    moments = np.empty((len(scales), len(q_grid)))
+    for si, (dt, b) in enumerate(zip(scales, _block_sums_each(x, scales))):
+        a = np.abs(b)
+        for qi, q in enumerate(q_grid):
+            moments[si, qi] = np.mean([np.mean(a[p::dt] ** q) for p in range(dt)])
+    return scales, moments
 
 
 def fit_scaling_exponent(points) -> PowerLawFit:
@@ -215,18 +226,17 @@ def structure_spectrum(series, asset=None, q_grid=DEFAULT_Q_GRID,
     """Scaling exponents from structure functions over a grid of orders."""
     q_grid = _check_q_grid(q_grid)
     x, name = _series_and_name(series, asset)
+    scales, moments = _abs_moments(x, q_grid, scales, MIN_OBS_FOR_FIT)
     zeta = np.empty(len(q_grid))
     stderr = np.empty(len(q_grid))
     r2 = np.empty(len(q_grid))
     for i, q in enumerate(q_grid):
-        pts = structure_function(x, q=q, scales=scales, min_obs=MIN_OBS_FOR_FIT)
-        fit = fit_scaling_exponent(pts)
+        fit = fit_scaling_exponent(zip(scales, moments[:, i]))
         zeta[i] = fit.exponent
         stderr[i] = fit.stderr / abs(q)
         r2[i] = fit.r2
     h = zeta / np.array(q_grid)
-    return ScalingSpectrum(name, q_grid, zeta, h, stderr, r2,
-                           _check_scales(scales), "structure",
+    return ScalingSpectrum(name, q_grid, zeta, h, stderr, r2, scales, "structure",
                            nonmonotone=_spectrum_flags(h))
 
 
@@ -378,13 +388,15 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
     n = len(xi)
     rho = np.empty(len(scales))
     cross = np.empty(len(scales))
+    each_i = _block_sums_each(xi, scales)
+    each_j = _block_sums_each(xj, scales)
     for si, dt in enumerate(scales):
         if min_phase_rows(n, dt) < MIN_OBS_FOR_FIT:
             raise DataError(
                 f"scale {dt} leaves under {MIN_OBS_FOR_FIT} blocks per phase"
             )
-        bs_i = block_sums(xi, dt)
-        bs_j = block_sums(xj, dt)
+        bs_i = next(each_i)
+        bs_j = next(each_j)
         rho_p = []
         cross_p = []
         for p in range(dt):

@@ -21,7 +21,6 @@ MODE_OVERLAPPING = "overlapping"
 MODE_NONOVERLAPPING = "nonoverlapping"
 
 _EPOCH = np.datetime64("2000-01-03", "D")
-_FIRST_DATE = np.datetime64("0001-01-01", "D")  # datetime.date.min
 
 
 def _trusted(cls, **fields):
@@ -209,23 +208,31 @@ def _parse_canonical(body: str, n_assets: int):
     # a header-only file, or a blank line, which loadtxt would skip
     if not lines or "" in lines:
         return None
+    n_lines = len(lines)
     try:
         table = np.loadtxt(lines, dtype=[("date", "U11"), ("p", float, (n_assets,))],
                            delimiter=",", comments=None, ndmin=1)
-        raw = table["date"]
-        ts = raw.astype("datetime64[D]")
     except ValueError:
         return None
+    del lines
+    # the date cells' code points; the field is U11, so a cell longer than
+    # 10 keeps a nonzero 11th one
+    code = np.ascontiguousarray(table["date"]).view(np.uint32).reshape(-1, 11)
+    digits = code[:, [0, 1, 2, 3, 5, 6, 8, 9]].astype(np.int64) - ord("0")
+    year = digits[:, :4] @ [1000, 100, 10, 1]
+    month = digits[:, 4] * 10 + digits[:, 5]
+    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
+    ts = months.astype("datetime64[D]") + (digits[:, 6] * 10 + digits[:, 7] - 1)
     prices = table["p"]
     canonical = (
-        len(table) == len(lines)
-        # the field is U11, so a longer cell keeps an 11th character and
-        # fails here, as do 20200101, 2020-01 and years past 9999
-        and np.all(np.char.str_len(raw) == 10)
-        # datetime64 also reads +020-01-01, as year 20
-        and np.all(ts.astype(str) == raw)
-        # NaT and years <= 0 round-trip, but datetime.date rejects them
-        and np.all(ts >= _FIRST_DATE)
+        len(table) == n_lines
+        and np.all((code[:, 4] == ord("-")) & (code[:, 7] == ord("-")) & (code[:, 10] == 0))
+        and np.all((digits >= 0) & (digits <= 9))
+        # datetime.date takes years 1..9999
+        and np.all(year >= 1)
+        and np.all((month >= 1) & (month <= 12))
+        # day 0, or a day past the end of its month, lands in another month
+        and np.all(ts.astype("datetime64[M]") == months)
         and np.all(np.isfinite(prices) & (prices > 0.0))
     )
     if not canonical:

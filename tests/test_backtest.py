@@ -310,3 +310,40 @@ def test_fit_weights_decomposes_once(monkeypatch, strategy, aggregation, cumsums
     cfg = BacktestConfig(strategy=strategy, aggregation=aggregation, lookback=300)
     fit_weights(window, cfg)
     assert calls == Counter(eigvalsh=1, cumsum=cumsums)
+
+
+@pytest.mark.parametrize("strategy, solves, held", [
+    (STRATEGY_MARKOWITZ_DAILY, 1, 4),
+    (STRATEGY_MARKOWITZ_MULTISCALE, 1, 4),
+    (STRATEGY_MAX_SHARPE_MULTISCALE, 2, 3),
+])
+def test_fit_weights_reuses_the_support_solve(monkeypatch, strategy, solves, held):
+    # the active-set loop starts from the support start's last solve; here
+    # that start is optimal, so a fit takes one solve per support pass:
+    # one when every asset stays positive, two when max-Sharpe drops one
+    window = _panel(n=400, n_assets=4, drift=0.001).window(100, 400)
+    calls = Counter()
+    eqp = optimizer._eqp
+
+    def counted(*args):
+        calls["_eqp"] += 1
+        return eqp(*args)
+    monkeypatch.setattr(optimizer, "_eqp", counted)
+    w = fit_weights(window, BacktestConfig(strategy=strategy, lookback=300)).weights
+    assert calls["_eqp"] == solves
+    assert np.count_nonzero(w) == held
+
+
+@pytest.mark.parametrize("method", [covariance.METHOD_PRODUCT, covariance.METHOD_L1])
+@pytest.mark.parametrize("strategy", [
+    STRATEGY_MARKOWITZ_DAILY, STRATEGY_MARKOWITZ_MULTISCALE, STRATEGY_MAX_SHARPE_MULTISCALE,
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy flags the overflow itself
+def test_fit_weights_names_overflowing_scale(strategy, method):
+    # finite returns whose products overflow fail where the covariance is
+    # built, naming the scale, and not later in the blend's eigvalsh
+    rng = np.random.default_rng(0)
+    window = panel_from_returns(rng.standard_normal((200, 3)) * 1e155)
+    cfg = BacktestConfig(strategy=strategy, covariance_method=method)
+    with pytest.raises(DataError, match="variance at scale 1 overflows"):
+        fit_weights(window, cfg)

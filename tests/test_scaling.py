@@ -1,6 +1,7 @@
 """Structure functions, power-law fitting, fluctuation analysis."""
 
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -161,6 +162,18 @@ def test_structure_spectrum_stderr_is_that_of_h():
         structure_function(x, q=-2.0)).stderr
 
 
+def test_structure_spectrum_matches_per_q_fits():
+    # the spectrum reads every order from one pass over the block sums and
+    # must give the per-q fits bit for bit
+    x = gen_fgn(4096, hurst=0.7, seed=11)
+    spec = structure_spectrum(x)
+    for i, q in enumerate(spec.q_grid):
+        fit = fit_scaling_exponent(structure_function(x, q=q, min_obs=MIN_OBS_FOR_FIT))
+        assert spec.zeta[i] == fit.exponent
+        assert spec.stderr[i] == fit.stderr / abs(q)
+        assert spec.fit_r2[i] == fit.r2
+
+
 def test_structure_spectrum_stable_first_moment():
     # block sums of alpha-stable terms grow like m^(1/alpha)
     alpha = 1.5
@@ -260,3 +273,36 @@ def test_correlation_scaling_needs_distinct_assets():
     p = gen_epps(512, seed=1)
     with pytest.raises(ValueError):
         estimate_correlation_scaling(p, "a1", "a1")
+
+
+# ---------------------------------------------------------------------------
+# one prefix sum per series
+
+
+def test_scaling_estimates_take_one_prefix_sum_per_series(monkeypatch):
+    p = gen_epps(1 << 12, rho_inf=0.6, h_rho=0.3, seed=17)
+    calls = Counter()
+    cumsum = np.cumsum
+
+    def counted(*args, **kwargs):
+        calls["cumsum"] += 1
+        return cumsum(*args, **kwargs)
+    monkeypatch.setattr(np, "cumsum", counted)
+    structure_spectrum(p, asset="a1")
+    assert calls["cumsum"] == 1
+    estimate_hurst(p, asset="a1")
+    assert calls["cumsum"] == 2
+    # block sums of each series, then each one's first structure function
+    estimate_correlation_scaling(p, "a1", "a2")
+    assert calls["cumsum"] == 6
+
+
+def test_correlation_scaling_reports_errors_in_scale_order():
+    # a zero-variance phase at scale 2 comes before the too-short scale 21
+    x = np.tile([1.0, -1.0], 30)
+    y = np.random.default_rng(3).standard_normal(60)
+    p = panel_from_returns(np.column_stack([x, y]), asset_ids=("x", "y"))
+    with pytest.raises(DataError, match="zero variance at scale 2, phase 0"):
+        estimate_correlation_scaling(p, "x", "y", scales=(1, 2, 21))
+    with pytest.raises(DataError, match="scale 21 leaves under 4 blocks per phase"):
+        estimate_correlation_scaling(p, "x", "y", scales=(1, 21, 2))

@@ -1,6 +1,8 @@
 """Panel containers, CSV ingestion, and block sums."""
 
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -124,6 +126,52 @@ def test_load_prices_canonical_file_skips_row_parse(tmp_path, monkeypatch, rng):
     assert np.array_equal(back.prices, s.prices)
 
 
+def test_load_prices_edge_dates_skip_row_parse(tmp_path, monkeypatch):
+    # leap days and the first and last dates datetime.date can hold
+    dates = ["2024-02-29", "0001-01-01", "9999-12-31", "2000-02-29"]
+    path = tmp_path / "p.csv"
+    path.write_text("date,a1\n" + "".join(f"{d},{i + 1}\n" for i, d in enumerate(dates)))
+
+    def row_parse(*args):
+        raise AssertionError("canonical file fell back to the row parse")
+
+    monkeypatch.setattr(timeseries, "_parse_rows", row_parse)
+    back = load_prices(path)
+    assert np.array_equal(back.timestamps, np.array(sorted(dates), dtype="datetime64[D]"))
+    assert np.array_equal(back.prices[:, 0], [2.0, 4.0, 1.0, 3.0])
+
+
+# near misses of YYYY-MM-DD, and other text
+_padded_date = st.builds(
+    lambda y, m, d, widths: f"{y:0{widths[0]}d}-{m:0{widths[1]}d}-{d:0{widths[2]}d}",
+    st.integers(0, 10000), st.integers(0, 13), st.integers(0, 32),
+    st.sampled_from([(4, 2, 2), (3, 2, 2), (5, 2, 2), (4, 1, 2), (4, 2, 3)]),
+)
+_odd_cell = _padded_date | st.text("0123456789-+:TW ０２", max_size=12)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cells=st.lists(st.dates().map(str), min_size=1, max_size=3),
+       odd=st.none() | _odd_cell)
+def test_fast_date_read_agrees_with_row_parse(cells, odd):
+    # on any date cells the vectorized pass declines or returns exactly
+    # what the row parse returns
+    cells = cells + ([] if odd is None else [odd])
+    body = "".join(f"{c},{i + 1}\n" for i, c in enumerate(cells))
+    fast = timeseries._parse_canonical(body, 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_text("date,a1\n" + body, encoding="utf-8")
+        try:
+            rows = timeseries._parse_rows(path, ("a1",))
+        except DataError:
+            assert fast is None
+            return
+    if fast is not None:
+        assert np.array_equal(fast[0], rows.timestamps)
+        assert np.array_equal(fast[1], rows.prices)
+
+
 @pytest.mark.parametrize("text, dates, prices", [
     ("date,a1\n20200101,1.5\n", ["2020-01-01"], [1.5]),
     ('date,a1\n2020-01-01,"1.5"\n', ["2020-01-01"], [1.5]),
@@ -132,6 +180,8 @@ def test_load_prices_canonical_file_skips_row_parse(tmp_path, monkeypatch, rng):
     ("date,a1\n2020-01-01,1.5", ["2020-01-01"], [1.5]),
     ("date,a1\n2020-01-01,1_0\n", ["2020-01-01"], [10.0]),
     ("date,a1\n", [], []),
+    ("date,a1\n2020-W01-1,1.5\n", ["2019-12-30"], [1.5]),
+    ("date,a1\n 2020-01-01 ,1.5\n", ["2020-01-01"], [1.5]),
 ])
 def test_load_prices_accepts_non_canonical(tmp_path, text, dates, prices):
     path = tmp_path / "p.csv"
@@ -156,6 +206,15 @@ def test_load_prices_accepts_non_canonical(tmp_path, text, dates, prices):
     ("date,a1\n10000-01-01,1\n", "line 2: bad date '10000-01-01'"),
     ("date,a1\n+020-01-01,1\n", "line 2: bad date '+020-01-01'"),
     ("date,a1\n2020-01-01\0,1\n", "line 2: bad date '2020-01-01\\x00'"),
+    ("date,a1\n2023-02-29,1\n", "line 2: bad date '2023-02-29'"),
+    ("date,a1\n2020-02-30,1\n", "line 2: bad date '2020-02-30'"),
+    ("date,a1\n2020-04-31,1\n", "line 2: bad date '2020-04-31'"),
+    ("date,a1\n2020-13-01,1\n", "line 2: bad date '2020-13-01'"),
+    ("date,a1\n2020-00-01,1\n", "line 2: bad date '2020-00-01'"),
+    ("date,a1\n2020-01-00,1\n", "line 2: bad date '2020-01-00'"),
+    ("date,a1\n２０２０-01-01,1\n", "line 2: bad date '２０２０-01-01'"),
+    ("date,a1\n2020-1-01,1\n", "line 2: bad date '2020-1-01'"),
+    ("date,a1\n2020-01-011,1\n", "line 2: bad date '2020-01-011'"),
     ("date,a1\n2020-01-01,1#x\n", "line 2, column 'a1': bad number '1#x'"),
     ("date,a1\n2020-01-01,nan\n", "line 2, column 'a1': NaN"),
     ("date,a1\n2020-01-01,inf\n", "line 2, column 'a1': price inf not positive"),
