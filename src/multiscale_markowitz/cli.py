@@ -389,14 +389,18 @@ def cmd_estimate(merged) -> int:
             spect = scaling.structure_spectrum(panel, asset=a,
                                                q_grid=merged["q_grid"],
                                                scales=merged["scales"])
-            hurst = scaling.estimate_hurst(panel, asset=a, scales=merged["scales"])
-            est, err = hurst.value, hurst.stderr
         else:
             spect = scaling.mfdfa(panel, asset=a, q_grid=merged["q_grid"],
                                   scales=merged["dfa_scales"] or None,
                                   detrend_order=merged["detrend_order"])
-            est = spect.h_at(2.0) if 2.0 in spect.q_grid else float("nan")
-            err = spect.stderr[spect.q_grid.index(2.0)] if 2.0 in spect.q_grid else float("nan")
+        if 2.0 in spect.q_grid:
+            # the spectrum's q = 2 column is the second-moment fit
+            i = spect.q_grid.index(2.0)
+            est, err = float(spect.h_of_q[i]), float(spect.stderr[i])
+        elif spect.method == "structure":
+            est, err = scaling.estimate_hurst(panel, asset=a, scales=merged["scales"])
+        else:
+            est = err = float("nan")
         report["assets"][a] = {"hurst": est, "hurst_stderr": err,
                                "spectrum": _spectrum_payload(spect)}
         lines.append(f"{a}: H(2) = {est:.4f} +/- {err:.4f}  "

@@ -11,6 +11,7 @@ deviation about the median, keeping the correlation structure.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -53,23 +54,38 @@ def check_symmetric(matrix, name: str = "matrix") -> np.ndarray:
     return _sym(m)
 
 
+@functools.lru_cache(maxsize=128)
+def _phase_weights(rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``n_p`` of each of ``k`` phases of ``rows`` block sums, and ``1/sqrt(k (n_p - 1))``.
+
+    Both are ``(k, 1)`` columns that depend only on the window's shape;
+    they are read-only because every call with that shape shares them.
+    """
+    counts = ((rows - 1 - np.arange(k)) // k + 1)[:, None]
+    weights = 1.0 / np.sqrt(k * (counts - 1.0))
+    counts.setflags(write=False)
+    weights.setflags(write=False)
+    return counts, weights
+
+
 def _phase_cov(s: np.ndarray, k: int) -> np.ndarray:
     """Mean over the phases ``i mod k`` of the rows' sample covariances.
 
     One weighted Gram product, as the module docstring says; ``y.T @ y``
     runs as BLAS ``syrk``, so the result is exactly symmetric.
     """
-    if k == 1:
-        xc = s - s.mean(axis=0)
-        return xc.T @ xc / (s.shape[0] - 1)
     rows, n = s.shape
+    if k == 1:
+        # the sum over the count is what ``mean`` computes, without its dispatch
+        xc = s - s.sum(axis=0) / rows
+        return xc.T @ xc / (rows - 1)
     m = -(-rows // k)
     y = np.zeros((m * k, n))
     y[:rows] = s
     phased = y.reshape(m, k, n)
-    counts = (rows - 1 - np.arange(k)) // k + 1
-    phased -= phased.sum(axis=0) / counts[:, None]
-    phased *= (1.0 / np.sqrt(k * (counts - 1.0)))[:, None]
+    counts, weights = _phase_weights(rows, k)
+    phased -= phased.sum(axis=0) / counts
+    phased *= weights
     y[rows:] = 0.0
     return y.T @ y
 
@@ -95,6 +111,18 @@ def _cov_l1(x: np.ndarray, dead: np.ndarray, joint: bool) -> np.ndarray:
         d = dev.mean(axis=0)
         scale = np.outer(d, d)
     return rho * scale
+
+
+def _constant_columns(x: np.ndarray) -> np.ndarray:
+    """``np.ptp(x, axis=0) == 0.0`` for finite ``x``, as an exact ``max == min``.
+
+    On a narrow window, reducing the contiguous rows of one transposed
+    copy is about four times faster than ``ptp``'s reductions down short
+    rows; at 200 assets the copy makes it slower, by far less than one
+    per-scale Gram product costs.
+    """
+    cols = x.T.copy()
+    return cols.max(axis=1) == cols.min(axis=1)
 
 
 def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
@@ -123,7 +151,7 @@ def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
 
     # decided on the one-period returns: block sums of a constant column
     # carry cumsum rounding and would not test as exactly constant
-    dead = np.ptp(panel.returns, axis=0) == 0.0
+    dead = _constant_columns(panel.returns)
     dead_ids = [panel.asset_ids[i] for i in np.flatnonzero(dead)]
     out = []
     for dt, s in zip(scales, _block_sums_each(panel.returns, scales)):
@@ -137,8 +165,9 @@ def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
         k = dt if aggregation == MODE_NONOVERLAPPING else 1
         if method == METHOD_PRODUCT:
             c = _phase_cov(s, k)
-            c[dead, :] = 0.0
-            c[:, dead] = 0.0
+            if dead_ids:
+                c[dead, :] = 0.0
+                c[:, dead] = 0.0
         else:
             acc = np.zeros((panel.n_assets, panel.n_assets))
             for p in range(k):
@@ -146,7 +175,7 @@ def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
             c = _sym(acc / k)
         # finite returns can still overflow a product; a finite diagonal
         # bounds every entry
-        if not np.all(np.isfinite(np.diagonal(c))):
+        if not np.isfinite(c.diagonal()).all():
             raise DataError(f"variance at scale {dt} overflows: returns too large")
         out.append((c, len(s) // k))
     return out
@@ -349,10 +378,11 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
         if ridge_val < 0:
             raise ValueError("ridge must be non-negative")
     if ridge_val > 0:
-        acc = acc + ridge_val * np.eye(n)
+        acc.flat[:: n + 1] += ridge_val
 
     vals = np.linalg.eigvalsh(acc)
-    repaired = bool(vals.min() < -1e-12 * max(np.abs(vals).max(), 1e-300))
+    # ascending, so the ends hold the smallest value and the largest magnitude
+    repaired = bool(vals[0] < -1e-12 * max(-vals[0], vals[-1], 1e-300))
     if repaired:
         acc = psd_repair(acc)
         vals = np.linalg.eigvalsh(acc)

@@ -111,14 +111,22 @@ def _eqp(m, rows, rhs, free):
     has fewer coordinates than there are rows or when ``R_F X`` is
     numerically singular.
     """
-    r_f = rows[:, free]
+    every = free.all()
+    r_f = rows if every else rows[:, free]
     if r_f.shape[1] < len(rhs):
         return None
-    x = np.linalg.solve(m[np.ix_(free, free)], r_f.T)
+    x = np.linalg.solve(m if every else m[np.ix_(free, free)], r_f.T)
     s = r_f @ x
-    if np.linalg.det(s) <= _DEPENDENT_ROWS * np.prod(np.diag(s)):
-        return None
-    nu = np.linalg.solve(s, rhs)
+    if len(rhs) == 1:
+        # a 1x1 determinant is the entry itself, and it is at most
+        # _DEPENDENT_ROWS times itself exactly when it is not positive
+        if s[0, 0] <= 0.0:
+            return None
+        nu = rhs / s[0, 0]
+    else:
+        if np.linalg.det(s) <= _DEPENDENT_ROWS * np.prod(np.diag(s)):
+            return None
+        nu = np.linalg.solve(s, rhs)
     return x @ nu, 2.0 * nu
 
 

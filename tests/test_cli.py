@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from multiscale_markowitz import scaling
 from multiscale_markowitz.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from multiscale_markowitz.covariance import build_covariance_set, multiscale_cov
 from multiscale_markowitz.timeseries import load_prices, to_log_returns
@@ -161,6 +162,30 @@ def test_estimate_dfa_method(capsys, workdir):
     rep = json.loads((workdir / "rep.json").read_text())
     assert abs(rep["assets"]["a1"]["hurst"] - 0.5) < 0.08
     assert rep["assets"]["a1"]["spectrum"]["method"] == "dfa"
+
+
+@pytest.mark.parametrize("grid, fitted", [("1,2,3", []), ("1,3", ["a1", "a2"])])
+def test_estimate_structure_reads_hurst_off_the_q2_column(capsys, workdir, monkeypatch,
+                                                          grid, fitted):
+    # with q = 2 on the grid the spectrum already holds the Hurst fit;
+    # without it, each asset takes its own fit, and both give the same H
+    path = _simulate(capsys, workdir, ["--kind", "epps", "--n", "4096", "--seed", "7"])
+    fit = scaling.estimate_hurst
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("asset"))
+        return fit(*args, **kwargs)
+    monkeypatch.setattr(scaling, "estimate_hurst", counted)
+    code, _, _ = _run(capsys, ["estimate", str(path), "--q-grid", grid,
+                               "--json-out", "rep.json"])
+    assert code == EXIT_OK
+    assert calls == fitted
+    rep = json.loads((workdir / "rep.json").read_text())
+    panel = to_log_returns(load_prices(path))
+    assert sorted(rep["assets"]) == ["a1", "a2"]
+    for asset, entry in rep["assets"].items():
+        assert (entry["hurst"], entry["hurst_stderr"]) == tuple(fit(panel, asset=asset))
 
 
 def test_estimate_report_is_strict_json(capsys, workdir):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from multiscale_markowitz import covariance
 from multiscale_markowitz.errors import DataError, DegenerateAssetWarning
 from multiscale_markowitz.covariance import (
     METHOD_L1,
@@ -217,6 +220,63 @@ def test_set_warns_once_per_dead_asset_and_scale(method, aggregation):
         for i in (1, 3):
             assert np.all(m[i, :] == 0.0) and np.all(m[:, i] == 0.0)
         assert np.all(np.diag(m)[[0, 2, 4]] > 0.0)
+
+
+# every finite float, subnormals and both zeros included
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _column(draw, rows):
+    kind = draw(st.sampled_from(["constant", "signed_zero", "last_ulp", "any"]))
+    if kind == "constant":
+        return [draw(_finite)] * rows
+    if kind == "signed_zero":
+        return draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=rows, max_size=rows))
+    if kind == "last_ulp":
+        v = draw(_finite)
+        toward = draw(st.sampled_from([-np.inf, np.inf]))
+        u = float(np.nextafter(v, 0.0 if abs(v) == np.finfo(float).max else toward))
+        return draw(st.lists(st.sampled_from([v, u]), min_size=rows, max_size=rows))
+    return draw(st.lists(_finite, min_size=rows, max_size=rows))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_constant_columns_are_those_of_zero_ptp(data):
+    # the exact max == min test flags the same columns as ptp == 0, on
+    # constant columns, mixes of +0.0 and -0.0 and values one ulp apart
+    rows = data.draw(st.integers(1, 12), label="rows")
+    n = data.draw(st.integers(1, 5), label="columns")
+    x = np.array([data.draw(_column(rows)) for _ in range(n)]).T
+    with np.errstate(over="ignore"):
+        want = np.ptp(x, axis=0) == 0.0
+    assert np.array_equal(covariance._constant_columns(x), want)
+
+
+def test_cached_phase_weights_are_read_only():
+    counts, weights = covariance._phase_weights(500, 21)
+    assert covariance._phase_weights(500, 21)[1] is weights
+    for arr in (counts, weights):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    n_p = (500 - 1 - np.arange(21)) // 21 + 1
+    assert np.array_equal(counts[:, 0], n_p)
+    assert weights[:, 0].tobytes() == (1.0 / np.sqrt(21 * (n_p - 1.0))).tobytes()
+
+
+@pytest.mark.parametrize("t", [5, 500, 503])
+def test_scale_one_phase_cov_is_the_mean_centred_gram(t):
+    s = np.random.default_rng(t).standard_normal((t, 7)) * 0.01
+    xc = s - s.mean(axis=0)
+    assert np.array_equal(covariance._phase_cov(s, 1), xc.T @ xc / (t - 1))
+
+
+def test_ridge_loads_the_diagonal_only():
+    rng = np.random.default_rng(15)
+    cs = build_covariance_set(panel_from_returns(rng.standard_normal((300, 6)) * 0.01), (1, 5))
+    plain = multiscale_cov(cs).matrix
+    assert np.array_equal(multiscale_cov(cs, ridge=1e-3).matrix, plain + 1e-3 * np.eye(6))
 
 
 def test_cov_overlapping_close_to_nonoverlapping():

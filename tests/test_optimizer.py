@@ -6,8 +6,9 @@ from scipy.optimize import minimize
 
 from conftest import brute_force_min_variance, correlation_sensitivity, random_pd_matrix
 
+from multiscale_markowitz import optimizer
 from multiscale_markowitz.errors import (
-    DataError, NumericalError, ScaleOneWarning, SensitivitySignWarning,
+    DataError, MaxIterationsError, NumericalError, ScaleOneWarning, SensitivitySignWarning,
 )
 from multiscale_markowitz.covariance import (
     METHOD_PRODUCT,
@@ -215,6 +216,75 @@ def test_long_only_scale_invariant():
     w1 = min_variance_long_only(m).weights
     w2 = min_variance_long_only(250.0 * m).weights
     assert np.allclose(w1, w2, atol=1e-9)
+
+
+def _near_tied_floor_draws():
+    """200 random problems whose floor sits 1e-15 below the best mean."""
+    rng = np.random.default_rng(3)
+    draws = []
+    for _ in range(200):
+        n = int(rng.integers(2, 30))
+        a = rng.standard_normal((n, n))
+        m = a @ a.T + 0.1 * np.eye(n)
+        draws.append((m, rng.normal(0.02, 0.05, n)))
+    return draws
+
+
+@pytest.mark.xfail(strict=True, raises=MaxIterationsError,
+                   reason="ROADMAP Open item 2: the active-set iteration cycles when "
+                          "the floor sits a few ulps below a nearly tied best mean")
+@pytest.mark.parametrize("draw", [16, 60, 181])
+def test_long_only_floor_just_below_a_near_tie_converges(draw):
+    m, mu = _near_tied_floor_draws()[draw]
+    target = mu.max() - 1e-15
+    w = min_variance_long_only(m, mu=mu, mu_target=target).weights
+    assert mu @ w >= target - 1e-12
+    _assert_long_only_kkt(m, w, np.ones(len(mu)))
+
+
+# ---------------------------------------------------------------------------
+# the equality-constrained solve
+
+
+def _eqp_by_determinant(m, rows, rhs, free):
+    """``optimizer._eqp`` without its shortcuts: the principal submatrix
+    even when every coordinate is free, and the determinant test and
+    ``np.linalg.solve`` even for one row."""
+    r_f = rows[:, free]
+    if r_f.shape[1] < len(rhs):
+        return None
+    x = np.linalg.solve(m[np.ix_(free, free)], r_f.T)
+    s = r_f @ x
+    if np.linalg.det(s) <= optimizer._DEPENDENT_ROWS * np.prod(np.diag(s)):
+        return None
+    nu = np.linalg.solve(s, rhs)
+    return x @ nu, 2.0 * nu
+
+
+def test_eqp_shortcuts_return_the_same_bytes():
+    rng = np.random.default_rng(41)
+    for i in range(2000):
+        n = int(rng.integers(1, 12))
+        a = rng.standard_normal((n, n))
+        m = a @ a.T + 0.01 * np.eye(n)
+        free = np.ones(n, dtype=bool) if i % 3 == 0 else rng.random(n) < 0.7
+        n_rows = 2 if i % 5 == 0 else 1
+        rows = rng.standard_normal((n_rows, n))
+        rhs = np.ones(n_rows) if i % 2 else rng.standard_normal(n_rows)
+        got = optimizer._eqp(m, rows, rhs, free)
+        want = _eqp_by_determinant(m, rows, rhs, free)
+        if want is None:
+            assert got is None
+        else:
+            assert [v.tobytes() for v in got] == [v.tobytes() for v in want]
+
+
+@pytest.mark.parametrize("m, row", [(np.eye(3), np.zeros(3)), (-np.eye(3), np.ones(3))],
+                         ids=["zero", "negative"])
+def test_eqp_one_row_refuses_a_non_positive_schur_value(m, row):
+    free = np.ones(3, dtype=bool)
+    assert _eqp_by_determinant(m, row[None], np.ones(1), free) is None
+    assert optimizer._eqp(m, row[None], np.ones(1), free) is None
 
 
 def _qp_cases():

@@ -292,9 +292,21 @@ def test_scaling_estimates_take_one_prefix_sum_per_series(monkeypatch):
     assert calls["cumsum"] == 1
     estimate_hurst(p, asset="a1")
     assert calls["cumsum"] == 2
-    # block sums of each series, then each one's first structure function
+    # block sums of each series, which also give their first moments
     estimate_correlation_scaling(p, "a1", "a2")
-    assert calls["cumsum"] == 6
+    assert calls["cumsum"] == 4
+
+
+@pytest.mark.parametrize("scales", [(1, 2, 5, 10, 21), (3, 1, 7, 12)])
+def test_correlation_scaling_first_moments_are_structure_function_fits(scales):
+    # h_i_1 and h_j_1 come from the pair's block sums, exactly as the
+    # first structure function of each series would give them
+    p = gen_epps(1 << 12, rho_inf=0.6, h_rho=0.3, seed=17)
+    cs = estimate_correlation_scaling(p, "a1", "a2", scales=scales)
+    for asset, h, err in (("a1", cs.h_i_1, cs.h_i_1_stderr), ("a2", cs.h_j_1, cs.h_j_1_stderr)):
+        fit = fit_scaling_exponent(structure_function(p, asset=asset, q=1.0, scales=scales,
+                                                      min_obs=MIN_OBS_FOR_FIT))
+        assert (h, err) == (fit.exponent, fit.stderr)
 
 
 def test_correlation_scaling_reports_errors_in_scale_order():
