@@ -16,6 +16,7 @@ import numpy as np
 from .covariance import (
     METHOD_L1,
     METHOD_PRODUCT,
+    MIN_OBS_PER_PHASE,
     build_covariance_set,
     multiscale_cov,
 )
@@ -25,6 +26,7 @@ from .timeseries import (
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
     ReturnPanel,
+    _check_scales,
     min_phase_rows,
 )
 
@@ -68,10 +70,7 @@ class BacktestConfig:
             raise ValueError("lookback must be at least 8 periods")
         if self.rebalance_every < 1:
             raise ValueError("rebalance_every must be >= 1")
-        scales = tuple(int(s) for s in self.scales)
-        if len(scales) == 0 or len(set(scales)) != len(scales) or min(scales) < 1:
-            raise ValueError(f"scales must be distinct positive integers, got {self.scales}")
-        object.__setattr__(self, "scales", scales)
+        object.__setattr__(self, "scales", _check_scales(self.scales))
         if self.covariance_method not in (METHOD_PRODUCT, METHOD_L1):
             raise ValueError(f"unknown covariance method {self.covariance_method!r}")
         if self.aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
@@ -174,11 +173,12 @@ def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:
             f"holding period of {cfg.rebalance_every}"
         )
     if cfg.strategy != STRATEGY_EQUAL:
-        worst = min_phase_rows(cfg.lookback, max(cfg.effective_scales))
-        if worst < 4:
+        dt = max(cfg.effective_scales)
+        worst = min_phase_rows(cfg.lookback, dt, cfg.aggregation)
+        if worst < MIN_OBS_PER_PHASE:
             raise ValueError(
                 f"lookback {cfg.lookback} leaves {worst} observations at scale "
-                f"{max(cfg.effective_scales)}; shrink scales or grow the window"
+                f"{dt}; shrink scales or grow the window"
             )
 
     n = panel.n_assets

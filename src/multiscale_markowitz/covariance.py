@@ -23,6 +23,7 @@ from .timeseries import (
     MODE_OVERLAPPING,
     ReturnPanel,
     _block_sums_each,
+    _check_scales,
     _trusted,
     min_phase_rows,
 )
@@ -134,20 +135,11 @@ def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
     if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
         raise ValueError(f"unknown aggregation {aggregation!r}")
     for dt in scales:
-        if dt < 1:
-            raise ValueError("dt must be >= 1")
-        if aggregation == MODE_NONOVERLAPPING:
-            rows = min_phase_rows(panel.n_periods, dt)
-            if rows < MIN_OBS_PER_PHASE:
-                raise DataError(
-                    f"scale {dt} leaves {rows} observations in the worst phase, "
-                    f"need >= {MIN_OBS_PER_PHASE}"
-                )
-        elif panel.n_periods - dt + 1 < MIN_OBS_PER_PHASE:
-            raise DataError(
-                f"scale {dt} leaves {panel.n_periods - dt + 1} overlapping observations, "
-                f"need >= {MIN_OBS_PER_PHASE}"
-            )
+        rows = min_phase_rows(panel.n_periods, dt, aggregation)
+        if rows < MIN_OBS_PER_PHASE:
+            kind = ("observations in the worst phase" if aggregation == MODE_NONOVERLAPPING
+                    else "overlapping observations")
+            raise DataError(f"scale {dt} leaves {rows} {kind}, need >= {MIN_OBS_PER_PHASE}")
 
     # decided on the one-period returns: block sums of a constant column
     # carry cumsum rounding and would not test as exactly constant
@@ -172,7 +164,7 @@ def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
             acc = np.zeros((panel.n_assets, panel.n_assets))
             for p in range(k):
                 acc += _cov_l1(s[p::k], dead, l1_joint)
-            c = _sym(acc / k)
+            c = acc / k
         # finite returns can still overflow a product; a finite diagonal
         # bounds every entry
         if not np.isfinite(c.diagonal()).all():
@@ -200,7 +192,7 @@ def cov_at_scale(panel: ReturnPanel, dt: int, method: str = METHOD_PRODUCT,
     leaving fewer than four observations in the worst phase raises
     ``DataError``.
     """
-    return _covariances(panel, (int(dt),), method, aggregation, l1_joint)[0]
+    return _covariances(panel, _check_scales((dt,)), method, aggregation, l1_joint)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +208,7 @@ class ScaledCovarianceSet:
 
     def __post_init__(self):
         ids = tuple(str(a) for a in self.asset_ids)
-        scales = tuple(int(s) for s in self.scales)
-        _check_scales(scales)
+        scales = _check_scales(self.scales)
         if len(self.matrices) != len(scales) or len(self.sample_counts) != len(scales):
             raise DataError("one matrix and count per scale required")
         n = len(ids)
@@ -249,13 +240,6 @@ class ScaledCovarianceSet:
             raise KeyError(f"scale {dt} not in {self.scales}") from None
 
 
-def _check_scales(scales: tuple[int, ...]) -> None:
-    if len(scales) == 0:
-        raise ValueError("need at least one scale")
-    if len(set(scales)) != len(scales):
-        raise ValueError("scales must be distinct")
-
-
 def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUCT,
                          aggregation: str = MODE_NONOVERLAPPING,
                          l1_joint: bool = False) -> ScaledCovarianceSet:
@@ -264,9 +248,8 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
     Every scale is checked, and the constant assets found, once for the set;
     the matrices, exactly symmetric by construction, are not re-checked.
     """
-    scales = tuple(int(s) for s in scales)
+    scales = _check_scales(scales)
     built = _covariances(panel, scales, method, aggregation, l1_joint)
-    _check_scales(scales)
     for m, _ in built:
         m.setflags(write=False)
     return _trusted(ScaledCovarianceSet, asset_ids=panel.asset_ids, scales=scales,
@@ -331,7 +314,7 @@ class MultiscaleCovariance:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "condition", _condition(np.linalg.eigvalsh(m)))
         object.__setattr__(self, "asset_ids", tuple(str(a) for a in self.asset_ids))
-        object.__setattr__(self, "scales", tuple(int(s) for s in self.scales))
+        object.__setattr__(self, "scales", _check_scales(self.scales))
         object.__setattr__(self, "scale_weights", tuple(float(w) for w in self.scale_weights))
 
     @property

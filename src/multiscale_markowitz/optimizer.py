@@ -14,8 +14,8 @@ the equality-constrained solution on the free assets, with every asset
 it does not hold long fixed at zero, repeated until all remaining
 weights are positive. That point is feasible and usually on the optimal
 support, so the iteration only certifies it or frees the last few
-bounds. The return-floor problem starts from a floor-feasible mix of
-equal weights and the best asset instead.
+bounds. A return floor is solved without it first, and again as a
+second equality row when that optimum misses it.
 """
 from __future__ import annotations
 
@@ -152,7 +152,7 @@ def min_variance_closed_form(sigma, asset_ids=None) -> PortfolioWeights:
 
 # ---------------------------------------------------------------------------
 # primal active-set solver for:  min w' Sigma w
-#                                s.t. a' w = 1,  w >= 0,  [f' w >= g]
+#                                s.t. R w = b,  w >= 0
 
 def _support_start(m, a):
     """Feasible start for ``min w' m w`` over ``a' w = 1, w >= 0``.
@@ -182,11 +182,10 @@ def _support_start(m, a):
     return w, None
 
 
-def _active_set_qp(m, a, start, step=None, floor_vec=None, floor_rhs=None):
-    """Minimize ``w' m w`` over ``a' w = 1, w >= 0`` and an optional floor
-    ``floor_vec' w >= floor_rhs``, from the feasible point ``start``.
-    ``step``, when given, is ``_eqp``'s solve on the free set of ``start``
-    and stands in for the first iteration's.
+def _active_set_qp(m, rows, rhs, start, step=None):
+    """Minimize ``w' m w`` over ``rows @ w = rhs`` and ``w >= 0``, from the
+    feasible point ``start``. ``step``, when given, is ``_eqp``'s solve on
+    the free set of ``start`` and stands in for the first iteration's.
 
     Returns ``w`` and its KKT residual: the max-norm of the stationarity
     condition on the free coordinates, from the terminal test.
@@ -195,58 +194,41 @@ def _active_set_qp(m, a, start, step=None, floor_vec=None, floor_rhs=None):
     w = np.array(start, dtype=float)
     bound_active = w <= 0.0
     w[bound_active] = 0.0
-    has_floor = floor_vec is not None
-    rows = np.vstack([a, floor_vec]) if has_floor else a[None]
-    rhs = np.array([1.0, floor_rhs]) if has_floor else _ONE
-    floor_active = bool(has_floor and abs(floor_vec @ w - floor_rhs)
-                        <= 1e-10 * max(1.0, abs(floor_rhs)))
     max_iter = 50 * (n + 2)
     for _ in range(max_iter):
         free = ~bound_active
-        r = 2 if floor_active else 1
         if step is None:
-            step = _eqp(m, rows[:r], rhs[:r], free)
+            step = _eqp(m, rows, rhs, free)
+        if step is None and len(rhs) == 2:
+            # the budget and floor rows are dependent over F, so mu is
+            # constant there and the feasible w meets the floor already:
+            # solve the budget alone and give the floor a zero multiplier
+            step = _eqp(m, rows[:1], rhs[:1], free)
+            if step is not None:
+                step = step[0], np.append(step[1], 0.0)
         if step is None:
-            # over F the floor row depends on the budget row: release it
-            if floor_active:
-                floor_active = False
-                continue
             raise NumericalError("singular working set in active-set iteration")
         w_free, lam = step
         step = None
         p = -w
         p[free] += w_free
         if np.abs(p).max() <= _BOUND_TOL:
-            resid = 2.0 * m @ w - rows[:r].T @ lam
+            resid = 2.0 * m @ w - rows.T @ lam
             bound_mult = np.where(bound_active, resid, np.inf)
             worst_bound = int(np.argmin(bound_mult))
-            worst_val = bound_mult[worst_bound]
-            if floor_active and lam[1] < min(worst_val, -_BOUND_TOL):
-                floor_active = False
-            elif worst_val < -_BOUND_TOL:
-                bound_active[worst_bound] = False
-            else:
+            if bound_mult[worst_bound] >= -_BOUND_TOL:
                 return w, float(np.abs(resid[free]).max())
+            bound_active[worst_bound] = False
             continue
         alpha = 1.0
         blocking = None
-        shrinking = (p < -_BOUND_TOL) & free & (w > 0.0)
-        for i in np.flatnonzero(shrinking):
+        for i in np.flatnonzero((p < -_BOUND_TOL) & free):
             cand = w[i] / -p[i]
             if cand < alpha:
                 alpha = cand
                 blocking = i
-        if has_floor and not floor_active:
-            df = float(floor_vec @ p)
-            if df < -_BOUND_TOL:
-                cand = float(floor_vec @ w - floor_rhs) / -df
-                if cand < alpha:
-                    alpha = cand
-                    blocking = "floor"
         w = np.clip(w + alpha * p, 0.0, None)
-        if blocking == "floor":
-            floor_active = True
-        elif blocking is not None:
+        if blocking is not None:
             bound_active[blocking] = True
             w[blocking] = 0.0
     raise MaxIterationsError(
@@ -259,20 +241,21 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
                            asset_ids=None) -> PortfolioWeights:
     """Minimum variance with non-negative weights, optional return floor.
 
-    With ``mu`` and ``mu_target`` given, adds ``mu' w >= mu_target``.
-    A target above the best single-asset mean is infeasible, and one
-    equal to it admits only the assets at that mean. The active
-    set is resolved exactly: inactive bounds hold as strict inequalities,
-    active bounds as exact zeros, and the stationarity residual is
-    reported on the result.
+    With ``mu`` and ``mu_target`` given, adds ``mu' w >= mu_target``. A
+    target above the best single-asset mean is infeasible, and one equal
+    to it admits only the assets at that mean. Otherwise the problem is
+    solved without the floor first; when that optimum misses the floor,
+    the floor binds at the optimum (the objective is strictly convex), so
+    it is solved again with ``mu' w = mu_target`` as a second equality
+    row. The active set is resolved exactly: inactive bounds hold as
+    strict inequalities, active bounds as exact zeros, and the
+    stationarity residual is reported on the result.
     """
     m, ids, record, cond = _as_cov(sigma, asset_ids)
     _require_invertible(cond)
     n = m.shape[0]
     ones = np.ones(n)
-    if mu_target is None:
-        w, residual = _active_set_qp(m, ones, *_support_start(m, ones))
-    else:
+    if mu_target is not None:
         if mu is None:
             raise ValueError("mu_target needs mu")
         mu = np.asarray(mu, dtype=float)
@@ -284,23 +267,25 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
             raise NumericalError(
                 f"return floor {mu_target} exceeds best asset mean {mu_max}"
             )
-        if mu_target == mu_max:
-            # the floor admits only the assets at the best mean and binds on
-            # every mix of them: drop it and solve over those assets alone
-            best = mu == mu_max
-            sub = m[np.ix_(best, best)]
-            w_best, residual = _active_set_qp(sub, ones[best], *_support_start(sub, ones[best]))
-            w = np.zeros(n)
-            w[best] = w_best
-        else:
-            start = np.full(n, 1.0 / n)
-            have = float(mu @ start)
-            if have < mu_target:
-                k = int(np.argmax(mu))
-                t = (mu_target - have) / (mu_max - have)
-                start = (1.0 - t) * start
-                start[k] += t
-            w, residual = _active_set_qp(m, ones, start, floor_vec=mu, floor_rhs=mu_target)
+    if mu_target is not None and mu_target == mu_max:
+        # the floor admits only the assets at the best mean and binds on
+        # every mix of them: drop it and solve over those assets alone
+        best = mu == mu_max
+        sub = m[np.ix_(best, best)]
+        w_best, residual = _active_set_qp(sub, ones[best][None], _ONE,
+                                          *_support_start(sub, ones[best]))
+        w = np.zeros(n)
+        w[best] = w_best
+    else:
+        w, residual = _active_set_qp(m, ones[None], _ONE, *_support_start(m, ones))
+        if mu_target is not None and mu @ w < mu_target:
+            # the floor binds: start on it, part way from w to the best asset
+            have = float(mu @ w)
+            t = (mu_target - have) / (mu_max - have)
+            start = (1.0 - t) * w
+            start[int(np.argmax(mu))] += t
+            w, residual = _active_set_qp(m, np.vstack([ones, mu]),
+                                         np.array([1.0, mu_target]), start)
     w = w / w.sum()
     return PortfolioWeights(ids, w, "min_var", long_only=True,
                             kkt_residual=residual, provenance=record)
@@ -329,7 +314,7 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
             f"best excess return is {excess.max():.3e}; Sharpe has no maximum"
         )
     if long_only:
-        y, residual = _active_set_qp(m, excess, *_support_start(m, excess))
+        y, residual = _active_set_qp(m, excess[None], _ONE, *_support_start(m, excess))
     else:
         # excess != 0 and Sigma is positive definite, so this solve exists
         y, lam = _eqp(m, excess[None], _ONE, np.ones(n, dtype=bool))

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .timeseries import ReturnPanel, _block_sums_each, min_phase_rows
+from .timeseries import ReturnPanel, _block_sums_each, _check_scales, min_phase_rows
 
 DEFAULT_SCALES = (1, 2, 5, 10, 21)
 DEFAULT_Q_GRID = (-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0)
@@ -51,18 +51,6 @@ def _series_and_name(obj, asset):
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D series, got shape {arr.shape}")
     return arr, ("series" if asset is None else str(asset))
-
-
-def _check_scales(scales):
-    out = []
-    for s in scales:
-        ds = int(s)
-        if ds != s or ds < 1:
-            raise ValueError(f"scales must be positive integers, got {s!r}")
-        out.append(ds)
-    if len(set(out)) != len(out):
-        raise ValueError("scales must be distinct")
-    return tuple(out)
 
 
 def structure_function(series, asset=None, q: float = 2.0,

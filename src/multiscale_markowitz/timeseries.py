@@ -352,8 +352,27 @@ def _block_sums_each(x: np.ndarray, scales):
         yield x if dt == 1 else c[dt:] - c[:-dt]
 
 
-def min_phase_rows(n_rows: int, dt: int) -> int:
-    """Rows of ``block_sums(x, dt)[phase::dt]`` in the shortest phase."""
-    if dt == 1:
-        return n_rows
+def min_phase_rows(n_rows: int, dt: int, aggregation: str = MODE_NONOVERLAPPING) -> int:
+    """Rows of ``block_sums(x, dt)[phase::dt]`` in the shortest phase.
+
+    Overlapping aggregation keeps every start index as one phase, so that
+    phase holds all ``n_rows - dt + 1`` block sums.
+    """
+    if aggregation == MODE_OVERLAPPING:
+        return n_rows - dt + 1
     return (n_rows - dt + 1) // dt
+
+
+def _check_scales(scales) -> tuple[int, ...]:
+    """``scales`` as a tuple of distinct positive ints, or ``ValueError``."""
+    out = []
+    for s in scales:
+        ds = int(s)
+        if ds != s or ds < 1:
+            raise ValueError(f"scales must be positive integers, got {s!r}")
+        out.append(ds)
+    if not out:
+        raise ValueError("need at least one scale")
+    if len(set(out)) != len(out):
+        raise ValueError("scales must be distinct")
+    return tuple(out)

@@ -148,6 +148,26 @@ def test_backtest_lookback_too_short_for_scales():
         run_backtest(_panel(400), BacktestConfig(lookback=50, scales=(1, 21)))
 
 
+@pytest.mark.parametrize("aggregation, lookback, ok", [
+    ("overlapping", 40, True),      # 20 overlapping blocks of 21 days
+    ("overlapping", 23, False),     # 3 overlapping blocks
+    ("nonoverlapping", 40, False),  # no full phase of 21-day blocks
+    ("nonoverlapping", 104, True),  # 4 blocks in the shortest phase
+])
+def test_backtest_lookback_check_counts_blocks_as_the_fit_does(aggregation, lookback, ok):
+    cfg = BacktestConfig(strategy=STRATEGY_MARKOWITZ_MULTISCALE, aggregation=aggregation,
+                         lookback=lookback, rebalance_every=10, scales=(1, 21))
+    p = _panel(200)
+    if not ok:
+        with pytest.raises(ValueError, match=f"^lookback {lookback} leaves "):
+            run_backtest(p, cfg)
+        with pytest.raises(DataError):
+            fit_weights(p.window(0, lookback), cfg)
+        return
+    fit_weights(p.window(0, lookback), cfg)
+    assert run_backtest(p, cfg).fallbacks == ()
+
+
 def test_backtest_equal_weight_equity_matches_manual():
     p = _panel(300, n_assets=2, seed=3)
     cfg = BacktestConfig(strategy=STRATEGY_EQUAL, lookback=125, rebalance_every=21)

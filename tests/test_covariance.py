@@ -333,6 +333,45 @@ def test_build_covariance_set_rejects_scales_as_constructor(scales, message):
                             (10,) * len(scales), METHOD_PRODUCT, "nonoverlapping")
 
 
+def _scale_entry_points():
+    from multiscale_markowitz import scaling
+    from multiscale_markowitz.backtest import BacktestConfig
+    rng = np.random.default_rng(0)
+    p = panel_from_returns(rng.standard_normal((400, 2)))
+    x = rng.standard_normal(400)
+    return {
+        "build_covariance_set": lambda s: build_covariance_set(p, s),
+        "cov_at_scale": lambda s: [cov_at_scale(p, dt) for dt in s],
+        "ScaledCovarianceSet": lambda s: ScaledCovarianceSet(
+            ("a1", "a2"), s, (np.eye(2),) * len(s), (10,) * len(s), METHOD_PRODUCT,
+            MODE_NONOVERLAPPING),
+        "MultiscaleCovariance": lambda s: MultiscaleCovariance(
+            np.eye(2), ("a1", "a2"), s, (1.0,) * len(s), 0.0, False, METHOD_PRODUCT,
+            MODE_NONOVERLAPPING),
+        "BacktestConfig": lambda s: BacktestConfig(scales=s),
+        "structure_function": lambda s: scaling.structure_function(x, scales=s),
+        "mfdfa": lambda s: scaling.mfdfa(x, scales=s),
+        "correlation_scaling": lambda s: scaling.estimate_correlation_scaling(
+            p, "a1", "a2", scales=s),
+    }
+
+
+@pytest.mark.parametrize("entry, scales, message", [
+    pytest.param(entry, scales, message, id=f"{entry}-{scales}")
+    for entry in _scale_entry_points()
+    for scales, message in [((4, 8.5), "scales must be positive integers, got 8.5"),
+                            ((4, 0), "scales must be positive integers, got 0"),
+                            ((), "need at least one scale")]
+    # cov_at_scale takes one scale at a time, so it has no empty list
+    if scales or entry != "cov_at_scale"
+])
+def test_every_entry_point_checks_scales_alike(entry, scales, message):
+    # no entry point truncates a fractional scale, and none fails on an
+    # empty list with a message of its own
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        _scale_entry_points()[entry](scales)
+
+
 @pytest.mark.parametrize("method", [METHOD_PRODUCT, METHOD_L1])
 @pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
 def test_built_set_and_blend_match_public_constructors(method, aggregation):

@@ -375,6 +375,71 @@ def test_long_only_floor_kkt_and_slsqp_at_size(name, m, mu):
     assert w @ m @ w <= oracle @ m @ oracle * (1.0 + 1e-9)
 
 
+def _random_floor_problem(rng, tied=False):
+    n = int(rng.integers(2, 30))
+    a = rng.standard_normal((n, n))
+    mu = rng.normal(0.02, 0.05, n)
+    return a @ a.T + 0.1 * np.eye(n), np.round(mu, 2) if tied else mu
+
+
+def test_long_only_slack_floor_returns_the_unfloored_weights():
+    # a floor the no-floor optimum clears changes nothing, bit for bit
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        m, mu = _random_floor_problem(rng)
+        plain = min_variance_long_only(m)
+        floored = min_variance_long_only(m, mu=mu, mu_target=mu @ plain.weights - 0.01)
+        assert floored.weights.tobytes() == plain.weights.tobytes()
+        assert floored.kkt_residual == plain.kkt_residual
+
+
+def _assert_floor_kkt(m, mu, w, binds):
+    """The certificate of ``test_long_only_floor_kkt_and_slsqp_at_size``:
+    ``2 m w = lam 1 + eta mu + z`` with ``z >= 0``, ``z = 0`` on the
+    support, and ``eta >= 0`` only when the floor binds (else 0)."""
+    g = 2.0 * m @ w
+    tol = 1e-9 * np.abs(g).max()
+    support = w > 0.0
+    assert np.all(w >= 0.0)
+    rows = np.column_stack([np.ones(len(w)), mu] if binds else [np.ones(len(w))])
+    mu_s = mu[support][0]
+    if binds and np.all(mu[support] == mu_s):
+        # the two rows are dependent on the support, so least squares cannot
+        # pick eta: take the least eta >= 0 that keeps z >= 0 where mu < mu_s
+        short = mu < mu_s
+        g_s = g[support].mean()
+        eta = ((g_s - g[short]) / (mu_s - mu[short])).max(initial=0.0)
+        mult = np.array([g_s - eta * mu_s, eta])
+    else:
+        mult, *_ = np.linalg.lstsq(rows[support], g[support], rcond=None)
+    z = g - rows @ mult
+    assert np.abs(z[support]).max() <= tol
+    assert np.all(z[~support] >= -tol)
+    if binds:
+        assert mult[1] >= -tol
+
+
+def test_long_only_floor_sweep_binds_exactly_with_a_kkt_certificate():
+    # floors from the median up to the best mean, on untied and tied means;
+    # a floor binds exactly when the no-floor optimum misses it
+    rng = np.random.default_rng(12)
+    binding = 0
+    for i in range(60):
+        m, mu = _random_floor_problem(rng, tied=i % 2 == 1)
+        plain = min_variance_long_only(m).weights
+        for q in (50, 75, 90, 99, 100):
+            target = float(np.percentile(mu, q))
+            w = min_variance_long_only(m, mu=mu, mu_target=target).weights
+            binds = mu @ plain < target
+            if binds:
+                binding += 1
+                assert abs(mu @ w - target) <= 1e-12 * np.abs(mu).max()
+            else:
+                assert np.array_equal(w, plain)
+            _assert_floor_kkt(m, mu, w, binds)
+    assert binding >= 200
+
+
 @pytest.mark.parametrize("name,m,mu", QP_CASES, ids=[c[0] for c in QP_CASES])
 def test_unconstrained_paths_at_size(name, m, mu):
     s = np.linalg.solve(m, np.ones(len(mu)))

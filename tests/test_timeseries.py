@@ -377,6 +377,13 @@ def test_min_phase_rows_matches_actual_minimum():
             assert min_phase_rows(n, dt) == min(len(b[p::dt]) for p in range(dt))
 
 
+def test_min_phase_rows_overlapping_keeps_every_start():
+    for n in range(6, 40):
+        for dt in (1, 2, 3, 5):
+            assert min_phase_rows(n, dt, timeseries.MODE_OVERLAPPING) == len(
+                block_sums(np.arange(float(n)), dt))
+
+
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(10, 60), dt=st.integers(2, 5), data=st.data())
 def test_aggregate_rows_are_exact_block_sums(n, dt, data):
