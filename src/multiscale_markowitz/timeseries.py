@@ -9,11 +9,16 @@ log return over the block.
 """
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as _dt
+import io
+import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DataError
 
@@ -158,23 +163,23 @@ def load_prices(path) -> PriceSeries:
     arrive out of order and are sorted by date; a repeated date is an
     error. Error messages name the offending line and column.
 
-    A canonical file is parsed in one vectorized ``np.loadtxt`` pass. It
-    has ``\\n`` or ``\\r\\n`` line ends and no blank line, and every data
-    line is a ``YYYY-MM-DD`` date followed by one finite positive number
-    per asset, separated by bare commas, with no date repeated.
-    ``prices_to_csv`` writes such files. Every other file goes through the
-    line-precise row-by-row parse, which also reads non-canonical input
-    such as quoted cells or ``20200101`` dates. The fast pass accepts only
-    files on which the row parse returns the same arrays bit for bit.
+    The file is read once, as bytes. A canonical body goes through one
+    ``np.loadtxt`` call on that buffer, and its dates are read from their
+    code points. It is ASCII with ``\\n`` or ``\\r\\n`` line ends, no NUL,
+    no blank line and no line longer than csv's field limit, and every
+    data line is a ``YYYY-MM-DD`` date followed by one finite positive
+    number per asset, separated by bare commas, with no date repeated.
+    ``prices_to_csv`` writes such files, and rows already in date order
+    are not copied. Every other file goes through the line-precise
+    row-by-row parse, which also reads non-canonical input such as quoted
+    cells or ``20200101`` dates. The fast pass accepts only files on which
+    the row parse returns the same arrays bit for bit.
     """
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            first = next(csv.reader(fh), None)
-            body = fh.read()
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: not UTF-8 text: {exc}") from None
-    except csv.Error as exc:
-        raise DataError(f"{path} line 1: {exc}") from None
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.isascii():
+        _check_utf8(path, data)
+    first, start = _read_header(path, data)
     if first is None:
         raise DataError(f"{path}: empty file")
     header = [c.strip() for c in first]
@@ -186,62 +191,139 @@ def load_prices(path) -> PriceSeries:
     except ValueError as exc:
         raise DataError(f"{path}: {exc}") from None
 
-    parsed = _parse_canonical(body, len(asset_ids))
+    parsed = _parse_canonical(data, len(asset_ids), start)
+    del data  # the row parse reads the file again
     if parsed is None:
         return _parse_rows(path, asset_ids)
-    return PriceSeries(asset_ids, *parsed)
+    ts, prices = parsed
+    ts.setflags(write=False)
+    prices.setflags(write=False)
+    return _trusted(PriceSeries, asset_ids=asset_ids, timestamps=ts, prices=prices)
 
 
-def _parse_canonical(body: str, n_assets: int):
-    """Dates and prices of canonical data lines, sorted by date, else None.
+_SCAN_CHUNK = 1 << 16
+
+
+def _check_utf8(path, data: bytes) -> None:
+    """Raise ``DataError`` at the first byte of ``data`` that is not UTF-8.
+
+    Decodes a chunk at a time, so no copy of the whole file is made.
+    """
+    pos = 0
+    while pos < len(data):
+        try:
+            pos += codecs.utf_8_decode(data[pos:pos + _SCAN_CHUNK], "strict",
+                                       pos + _SCAN_CHUNK >= len(data))[1]
+        except UnicodeDecodeError as exc:
+            exc = UnicodeDecodeError("utf-8", data, pos + exc.start, pos + exc.end, exc.reason)
+            raise DataError(f"{path}: not UTF-8 text: {exc}") from None
+
+
+# a line as a text file opened with newline="" yields it: up to \n, \r\n or a lone \r
+_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+
+def _read_header(path, data: bytes):
+    """The first CSV record of UTF-8 ``data`` (None if empty) and the offset after it."""
+    end = 0
+
+    def lines():
+        nonlocal end
+        for m in _LINE.finditer(data):
+            end = m.end()
+            yield m.group().decode("utf-8")
+
+    try:
+        first = next(csv.reader(lines()), None)
+    except csv.Error as exc:
+        raise DataError(f"{path} line 1: {exc}") from None
+    return first, end
+
+
+def _parse_canonical(data: bytes, n_assets: int, start: int = 0):
+    """Dates and prices of canonical data lines ``data[start:]``, sorted by date, else None.
 
     Every check below rejects a file that ``np.loadtxt`` reads but the row
     parse rejects or reads differently.
     """
-    body = body.replace("\r\n", "\n")
-    # csv ends a row at a lone \r; numpy drops trailing NULs from a date
-    if "\r" in body or "\0" in body:
+    if start >= len(data):
         return None
-    lines = body.split("\n")
-    if lines[-1] == "":
-        lines.pop()
-    # a header-only file, or a blank line, which loadtxt would skip
-    if not lines or "" in lines:
-        return None
-    n_lines = len(lines)
-    try:
-        table = np.loadtxt(lines, dtype=[("date", "U11"), ("p", float, (n_assets,))],
-                           delimiter=",", comments=None, ndmin=1)
-    except ValueError:
-        return None
-    del lines
-    # the date cells' code points; the field is U11, so a cell longer than
-    # 10 keeps a nonzero 11th one
-    code = np.ascontiguousarray(table["date"]).view(np.uint32).reshape(-1, 11)
-    digits = code[:, [0, 1, 2, 3, 5, 6, 8, 9]].astype(np.int64) - ord("0")
-    year = digits[:, :4] @ [1000, 100, 10, 1]
-    month = digits[:, 4] * 10 + digits[:, 5]
-    months = ((year - 1970) * 12 + month - 1).astype("datetime64[M]")
-    ts = months.astype("datetime64[D]") + (digits[:, 6] * 10 + digits[:, 7] - 1)
-    prices = table["p"]
+    # one pass over the bytes in chunks: the line ends, and a non-ASCII byte
+    ends = []
+    ascii_only = True
+    for off in range(start, len(data), _SCAN_CHUNK):
+        chunk = np.frombuffer(data, np.uint8, min(_SCAN_CHUNK, len(data) - off), off)
+        ends.append(np.flatnonzero(chunk == ord("\n")) + off)
+        ascii_only &= bool(chunk.max() < 0x80)
+    if not data.endswith(b"\n"):
+        ends.append(np.array([len(data)]))
+    ends = np.concatenate(ends)
+    starts = np.concatenate([[start], ends[:-1] + 1])
+    lengths = ends - starts
+    n_lines = len(ends)
     canonical = (
-        len(table) == n_lines
-        and np.all((code[:, 4] == ord("-")) & (code[:, 7] == ord("-")) & (code[:, 10] == 0))
-        and np.all((digits >= 0) & (digits <= 9))
-        # datetime.date takes years 1..9999
-        and np.all(year >= 1)
-        and np.all((month >= 1) & (month <= 12))
-        # day 0, or a day past the end of its month, lands in another month
-        and np.all(ts.astype("datetime64[M]") == months)
-        and np.all(np.isfinite(prices) & (prices > 0.0))
+        ascii_only
+        # csv ends a row at a lone \r; numpy drops trailing NULs from a date
+        and (data.find(b"\r", start) < 0
+             or data.count(b"\r", start) == data.count(b"\r\n", start))
+        and data.find(b"\0", start) < 0
+        # a blank line, which loadtxt would skip, or one too short for a date
+        and lengths.min() >= 11
+        # csv refuses a cell longer than its field limit
+        and lengths.max() <= csv.field_size_limit()
+        # loadtxt below refuses a line with fewer commas, so each has n_assets
+        and data.count(b",", start) == n_lines * n_assets
     )
     if not canonical:
         return None
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    if np.any(ts[1:] == ts[:-1]):
+    del ends, lengths
+    # the first 11 code points of every line
+    code = sliding_window_view(np.frombuffer(data, np.uint8), 11)[starts]
+    del starts
+    ts = _iso_dates(code)
+    del code
+    if ts is None:
         return None
-    return ts, prices[order]
+    body = io.BytesIO(data)
+    body.seek(start)
+    try:
+        prices = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
+                            usecols=range(1, n_assets + 1))
+    except ValueError:
+        return None
+    # NaN fails both comparisons
+    if len(prices) != n_lines or not (np.all(prices > 0.0) and np.all(prices < np.inf)):
+        return None
+    if np.any(ts[1:] <= ts[:-1]):
+        order = np.argsort(ts, kind="stable")
+        ts = ts[order]
+        if np.any(ts[1:] == ts[:-1]):
+            return None
+        prices = prices[order]
+    return ts, prices
+
+
+def _iso_dates(code: np.ndarray):
+    """Days of ``YYYY-MM-DD,`` code points, one row of 11 per line, else None."""
+    digits = code[:, [0, 1, 2, 3, 5, 6, 8, 9]]
+    # uint8 arithmetic: a code point below "0" wraps past 9
+    digits -= ord("0")
+    if not (np.all(digits <= 9) and np.all(code[:, [4, 7, 10]] == np.frombuffer(b"--,", np.uint8))):
+        return None
+    year = digits[:, :4] @ np.array([1000, 100, 10, 1], np.int16)
+    month = digits[:, 4:6] @ np.array([10, 1], np.int16)
+    day = digits[:, 6:] @ np.array([10, 1], np.int16)
+    del digits
+    months = ((year.astype(np.int64) - 1970) * 12 + month - 1).astype("datetime64[M]")
+    ts = months.astype("datetime64[D]") + (day - 1)
+    canonical = (
+        # datetime.date takes years 1..9999
+        np.all(year >= 1)
+        and np.all((month >= 1) & (month <= 12))
+        # day 0, or a day past the end of its month, lands in another month
+        and np.all(ts.astype("datetime64[M]") == months)
+    )
+    return ts if canonical else None
 
 
 def _parse_rows(path, asset_ids: tuple[str, ...]) -> PriceSeries:
@@ -277,18 +359,18 @@ def _parse_rows(path, asset_ids: tuple[str, ...]) -> PriceSeries:
                 raise DataError(
                     f"{path} line {r}, column {asset_ids[j]!r}: bad number {cell!r}"
                 ) from None
-            if np.isnan(v):
+            if math.isnan(v):
                 raise DataError(f"{path} line {r}, column {asset_ids[j]!r}: NaN")
-            if not np.isfinite(v) or v <= 0.0:
+            if not math.isfinite(v) or v <= 0.0:
                 raise DataError(
                     f"{path} line {r}, column {asset_ids[j]!r}: price {cell} not positive"
                 )
             values[r - 2, j] = v
         dates.append(d)
 
-    order = np.argsort(np.array(dates, dtype="datetime64[D]"), kind="stable")
-    ts = np.array(dates, dtype="datetime64[D]")[order]
-    return PriceSeries(asset_ids, ts, values[order])
+    ts = np.array(dates, dtype="datetime64[D]")
+    order = np.argsort(ts, kind="stable")
+    return PriceSeries(asset_ids, ts[order], values[order])
 
 
 def prices_to_csv(series: PriceSeries) -> str:
@@ -329,8 +411,12 @@ def to_log_returns(series: PriceSeries) -> ReturnPanel:
     """
     if series.n_periods < 2:
         raise DataError(f"need >= 2 price rows, got {series.n_periods}")
+    # log differences of finite positive prices are finite, and the dates
+    # of a checked series strictly increase
     r = np.diff(np.log(series.prices), axis=0)
-    return ReturnPanel(series.asset_ids, series.timestamps[1:], r)
+    r.setflags(write=False)
+    return _trusted(ReturnPanel, asset_ids=series.asset_ids,
+                    timestamps=series.timestamps[1:], returns=r)
 
 
 def block_sums(x: np.ndarray, dt: int) -> np.ndarray:

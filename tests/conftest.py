@@ -1,6 +1,7 @@
 """Shared fixtures and oracle helpers for the test suite."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -82,6 +83,25 @@ def gen_stable_iid(n: int, alpha: float = 1.5, scale: float = 1.0, seed: int = 0
     num = np.sin(alpha * u) / np.cos(u) ** (1.0 / alpha)
     tail = (np.cos((1.0 - alpha) * u) / w) ** ((1.0 - alpha) / alpha)
     return panel_from_returns(scale * num * tail)
+
+
+def peak_traced_bytes(fn, *args):
+    """Peak bytes that ``tracemalloc`` sees allocated during one ``fn(*args)`` call.
+
+    Counts what was live at the high-water mark above what was traced
+    before the call, so the result held at return counts too.
+    """
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 @pytest.fixture

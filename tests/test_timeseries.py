@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiscale_markowitz import timeseries
+from conftest import peak_traced_bytes
+from multiscale_markowitz import cli, timeseries
 from multiscale_markowitz.errors import DataError
 from multiscale_markowitz.timeseries import (
     PriceSeries,
@@ -158,7 +159,7 @@ def test_fast_date_read_agrees_with_row_parse(cells, odd):
     # what the row parse returns
     cells = cells + ([] if odd is None else [odd])
     body = "".join(f"{c},{i + 1}\n" for i, c in enumerate(cells))
-    fast = timeseries._parse_canonical(body, 1)
+    fast = timeseries._parse_canonical(body.encode(), 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "p.csv"
         path.write_text("date,a1\n" + body, encoding="utf-8")
@@ -170,6 +171,51 @@ def test_fast_date_read_agrees_with_row_parse(cells, odd):
     if fast is not None:
         assert np.array_equal(fast[0], rows.timestamps)
         assert np.array_equal(fast[1], rows.prices)
+
+
+@pytest.mark.parametrize("text, ids", [
+    ("date,a1,b\r\n2020-01-02,2.5,3\r\n2020-01-01,1.5,4\r\n", ("a1", "b")),
+    ("date,Société,b\n2020-01-01,1.5,4\n2020-01-02,2.5,3\n", ("Société", "b")),
+], ids=["crlf", "utf8_header"])
+def test_load_prices_fast_path_reach(tmp_path, monkeypatch, text, ids):
+    # CRLF line ends and a non-ASCII header over an ASCII body stay canonical
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+
+    def row_parse(*args):
+        raise AssertionError("canonical file fell back to the row parse")
+
+    monkeypatch.setattr(timeseries, "_parse_rows", row_parse)
+    s = load_prices(path)
+    assert s.asset_ids == ids
+    assert np.array_equal(s.timestamps, np.array(["2020-01-01", "2020-01-02"], "datetime64[D]"))
+    assert np.array_equal(s.prices, [[1.5, 4.0], [2.5, 3.0]])
+
+
+_odd_price = st.sampled_from(
+    ["1_0", " 1.5 ", "+1", "1e-400", "1e400", "inf", "-inf", "nan", '"1.5"', '"1', "0",
+     "-0", "-1", "1.", ".5", "1e5", "0x10", "\t2\t", "\x0c3", "1,", "", " ", "1 2", "٣"]
+) | st.text("0123456789.eE+-_ \t\"infa", max_size=8) | st.floats(allow_nan=False).map(repr)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(cells=st.lists(_odd_price, min_size=1, max_size=3))
+def test_fast_price_read_agrees_with_row_parse(cells):
+    # on any price cells the vectorized pass declines or returns exactly
+    # what the row parse returns
+    body = "".join(f"2020-01-{i + 1:02d},{c}\n" for i, c in enumerate(cells))
+    fast = timeseries._parse_canonical(body.encode(), 1)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "p.csv"
+        path.write_text("date,a1\n" + body, encoding="utf-8")
+        try:
+            rows = timeseries._parse_rows(path, ("a1",))
+        except DataError:
+            assert fast is None
+            return
+    if fast is not None:
+        assert np.array_equal(fast[0], rows.timestamps)
+        assert fast[1].tobytes() == rows.prices.tobytes()
 
 
 @pytest.mark.parametrize("text, dates, prices", [
@@ -234,10 +280,24 @@ def test_load_prices_not_utf8(tmp_path):
         load_prices(path)
 
 
+@pytest.mark.parametrize("header", ["date,a1", "date,Société"], ids=["ascii", "utf8_header"])
+def test_load_prices_not_utf8_names_the_byte_offset(tmp_path, header):
+    # past the first 8 KiB too, the position counts from the start of the file
+    text = (header + "\n" + "".join(f"2020-01-{d:02d},1\n" for d in range(1, 29))).encode()
+    k = 40 * len(text)
+    path = tmp_path / "p.csv"
+    path.write_bytes(text * 40 + b"\xe4\xb8 2020-02-01,1\n")
+    with pytest.raises(DataError) as info:
+        load_prices(path)
+    assert str(info.value) == (f"{path}: not UTF-8 text: 'utf-8' codec can't decode bytes in "
+                               f"position {k}-{k + 1}: invalid continuation byte")
+
+
 @pytest.mark.parametrize("text, line", [
     ("date,a1\n2020-01-01,1\n2020-01-02," + "1" * 200_000 + "\n", 3),
     ("date," + "a" * 200_000 + "\n2020-01-01,1\n", 1),
-], ids=["price", "asset_id"])
+    ("date,a1\n2020-01-01,1\n2020-01-02,1." + "0" * 200_000 + "1\n", 3),
+], ids=["price", "asset_id", "price_loadtxt_reads"])
 def test_load_prices_cell_over_csv_field_limit(tmp_path, text, line):
     path = tmp_path / "p.csv"
     path.write_text(text)
@@ -293,6 +353,43 @@ def test_load_prices_bad_date(tmp_path):
     path.write_text("date,a1\n01/02/2020,1\n")
     with pytest.raises(DataError, match="bad date"):
         load_prices(path)
+
+
+def _canonical_csv(tmp_path, rng, n, ids, shuffle=False):
+    prices = np.exp(rng.standard_normal((n, len(ids))) * 0.01).cumprod(axis=0) * 50.0
+    s = PriceSeries(ids, trading_dates(n), prices)
+    header, *rows = prices_to_csv(s).splitlines()
+    order = rng.permutation(n) if shuffle else range(n)
+    path = tmp_path / "p.csv"
+    path.write_text("\n".join([header] + [rows[i] for i in order]) + "\n", encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_loaded_series_and_returns_match_public_constructors(tmp_path, rng, shuffle):
+    # load_prices and to_log_returns skip the constructors' checks; what
+    # they hold must be what the constructors would have stored
+    s = load_prices(_canonical_csv(tmp_path, rng, 300, ("a", "b", "c"), shuffle))
+    r = to_log_returns(s)
+    for built, name in ((s, "prices"), (r, "returns")):
+        public = type(built)(built.asset_ids, built.timestamps, getattr(built, name))
+        assert built.asset_ids == public.asset_ids
+        for key in ("timestamps", name):
+            a, b = getattr(built, key), getattr(public, key)
+            assert not a.flags.writeable
+            assert (a.dtype, a.shape) == (b.dtype, b.shape)
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("ids", [("a", "b", "c", "d"), ("Société", "中", "c", "d")],
+                         ids=["ascii", "utf8_header"])
+def test_load_prices_traced_peak_within_twice_the_file(tmp_path, ids):
+    # the canonical pass holds the file's bytes once, plus the arrays it builds
+    path = _canonical_csv(tmp_path, np.random.default_rng(15), 1 << 15, ids)
+    size = path.stat().st_size
+    for fn in (load_prices, cli._load_panel):
+        fn(path)
+        assert peak_traced_bytes(fn, path) <= 2.0 * size, fn.__name__
 
 
 # ---------------------------------------------------------------------------
