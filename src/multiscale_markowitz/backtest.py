@@ -307,20 +307,16 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
-def compare(panel: ReturnPanel, configs, names=None) -> ComparisonTable:
+def compare(panel: ReturnPanel, configs) -> ComparisonTable:
     """Run several configurations and tabulate their metrics.
 
-    A strategy that fails outright contributes an error row rather than
-    sinking the table.
+    Each row is named by ``display_name``. A strategy that fails outright
+    contributes an error row rather than sinking the table.
     """
-    configs = list(configs)
-    if names is None:
-        names = [display_name(c) for c in configs]
-    if len(names) != len(configs):
-        raise ValueError("one name per configuration required")
     rows = []
     reports = []
-    for name, cfg in zip(names, configs):
+    for cfg in configs:
+        name = display_name(cfg)
         try:
             rep = run_backtest(panel, cfg)
         except MultiscaleError as exc:

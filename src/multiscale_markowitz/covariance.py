@@ -127,9 +127,9 @@ def _constant_columns(x: np.ndarray) -> np.ndarray:
 
 
 def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
-                 aggregation: str, l1_joint: bool) -> list[tuple[np.ndarray, int]]:
-    # ``(matrix, n_obs)`` per scale, for ``cov_at_scale`` and
-    # ``build_covariance_set``; every scale is checked before any is built
+                 aggregation: str, l1_joint: bool) -> list[np.ndarray]:
+    # one matrix per scale, for ``cov_at_scale`` and ``build_covariance_set``;
+    # every scale is checked before any is built
     if method not in (METHOD_PRODUCT, METHOD_L1):
         raise ValueError(f"unknown method {method!r}")
     if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
@@ -169,7 +169,7 @@ def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
         # bounds every entry
         if not np.isfinite(c.diagonal()).all():
             raise DataError(f"variance at scale {dt} overflows: returns too large")
-        out.append((c, len(s) // k))
+        out.append(c)
     return out
 
 
@@ -192,7 +192,8 @@ def cov_at_scale(panel: ReturnPanel, dt: int, method: str = METHOD_PRODUCT,
     leaving fewer than four observations in the worst phase raises
     ``DataError``.
     """
-    return _covariances(panel, _check_scales((dt,)), method, aggregation, l1_joint)[0]
+    (m,) = _covariances(panel, _check_scales((dt,)), method, aggregation, l1_joint)
+    return m, min_phase_rows(panel.n_periods, int(dt), aggregation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,15 +203,14 @@ class ScaledCovarianceSet:
     asset_ids: tuple[str, ...]
     scales: tuple[int, ...]
     matrices: tuple[np.ndarray, ...]
-    sample_counts: tuple[int, ...]
     method: str
     aggregation: str
 
     def __post_init__(self):
         ids = tuple(str(a) for a in self.asset_ids)
         scales = _check_scales(self.scales)
-        if len(self.matrices) != len(scales) or len(self.sample_counts) != len(scales):
-            raise DataError("one matrix and count per scale required")
+        if len(self.matrices) != len(scales):
+            raise DataError("one matrix per scale required")
         n = len(ids)
         mats = []
         for s, m in zip(scales, self.matrices):
@@ -222,12 +222,9 @@ class ScaledCovarianceSet:
             a = check_symmetric(a, f"matrix at scale {s}")
             a.setflags(write=False)
             mats.append(a)
-        if any(c < 1 for c in self.sample_counts):
-            raise ValueError("sample counts must be positive")
         object.__setattr__(self, "asset_ids", ids)
         object.__setattr__(self, "scales", scales)
         object.__setattr__(self, "matrices", tuple(mats))
-        object.__setattr__(self, "sample_counts", tuple(int(c) for c in self.sample_counts))
 
     @property
     def n_assets(self) -> int:
@@ -250,11 +247,10 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
     """
     scales = _check_scales(scales)
     built = _covariances(panel, scales, method, aggregation, l1_joint)
-    for m, _ in built:
+    for m in built:
         m.setflags(write=False)
     return _trusted(ScaledCovarianceSet, asset_ids=panel.asset_ids, scales=scales,
-                    matrices=tuple(m for m, _ in built), sample_counts=tuple(c for _, c in built),
-                    method=method, aggregation=aggregation)
+                    matrices=tuple(built), method=method, aggregation=aggregation)
 
 
 def _condition(vals: np.ndarray) -> float:
@@ -281,12 +277,12 @@ def psd_repair(matrix: np.ndarray) -> np.ndarray:
 class MultiscaleCovariance:
     """Weighted average of per-scale covariances on a per-period footing.
 
-    ``scale_weights`` are the effective weights applied per scale; when
-    ``normalized_by_scale`` each matrix was divided by its scale first.
-    ``ridge`` is the diagonal loading actually added and ``psd_repaired``
-    records whether negative eigenvalues had to be clipped. The constructor
-    checks the matrix and sets ``condition`` (inf unless positive definite)
-    from its ``eigvalsh``; ``multiscale_cov`` skips it and passes on the blend's.
+    ``scale_weights`` are the weights applied to each matrix after it was
+    divided by its scale. ``ridge`` is the diagonal loading actually added
+    and ``psd_repaired`` records whether negative eigenvalues had to be
+    clipped. The constructor checks the matrix and sets ``condition`` (inf
+    unless positive definite) from its ``eigvalsh``; ``multiscale_cov``
+    skips it and passes on the blend's.
     """
 
     matrix: np.ndarray
@@ -297,7 +293,6 @@ class MultiscaleCovariance:
     psd_repaired: bool
     method: str
     aggregation: str
-    normalized_by_scale: bool = True
     condition: float = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -322,16 +317,17 @@ class MultiscaleCovariance:
         return len(self.asset_ids)
 
 
-def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
-                   normalize_by_scale: bool = True) -> MultiscaleCovariance:
+def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0,
+                   scale_weights=None) -> MultiscaleCovariance:
     """Average the per-scale covariances into one working matrix.
 
-    Each matrix is divided by its scale (unless ``normalize_by_scale`` is
-    off) and combined with ``scale_weights``, equal by default. Weights
-    are used exactly as given, so a single scale with weight one
-    reproduces that scale's matrix unchanged. ``ridge`` adds diagonal
-    loading: a float, or ``"auto"`` for ``1e-8 * trace / n``. The blend of
-    the checked set is not re-checked; its ``eigvalsh`` decides PSD repair.
+    The blend is ``sum_j w_j * (m_j / dt_j)`` with ``scale_weights`` ``w``,
+    equal by default and used exactly as given. They are the one per-scale
+    knob: ``w_j = dt_j`` gives the raw average of the matrices, and
+    ``lam_j * (dt_j / t_j)`` divides each by a target ``t_j`` instead.
+    ``ridge`` adds diagonal loading: a finite non-negative float, or
+    ``"auto"`` for ``1e-8 * trace / n``. The blend of the checked set is
+    not re-checked; its ``eigvalsh`` decides PSD repair.
     """
     k = len(cov_set.scales)
     if scale_weights is None:
@@ -350,7 +346,7 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
     n = cov_set.n_assets
     acc = np.zeros((n, n))
     for w, dt, m in zip(wts, cov_set.scales, cov_set.matrices):
-        acc += w * (m / dt if normalize_by_scale else m)
+        acc += w * (m / dt)
 
     if isinstance(ridge, str):
         if ridge != "auto":
@@ -358,8 +354,8 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
         ridge_val = 1e-8 * np.trace(acc) / n
     else:
         ridge_val = float(ridge)
-        if ridge_val < 0:
-            raise ValueError("ridge must be non-negative")
+        if not 0.0 <= ridge_val < np.inf:
+            raise ValueError(f"ridge must be non-negative and finite, got {ridge_val}")
     if ridge_val > 0:
         acc.flat[:: n + 1] += ridge_val
 
@@ -379,6 +375,5 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0, scale_weights=None,
         psd_repaired=repaired,
         method=cov_set.method,
         aggregation=cov_set.aggregation,
-        normalized_by_scale=normalize_by_scale,
         condition=_condition(vals),
     )

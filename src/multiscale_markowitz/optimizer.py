@@ -262,6 +262,8 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
         if mu.shape != (n,):
             raise ValueError(f"mu shape {mu.shape} does not match {n} assets")
         mu_target = float(mu_target)
+        if not math.isfinite(mu_target):
+            raise ValueError(f"mu_target must be finite, got {mu_target}")
         mu_max = float(mu.max())
         if mu_target > mu_max:
             raise NumericalError(
@@ -308,7 +310,10 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n,):
         raise ValueError(f"mu shape {mu.shape} does not match {n} assets")
-    excess = mu - float(risk_free)
+    risk_free = float(risk_free)
+    if not math.isfinite(risk_free):
+        raise ValueError(f"risk_free must be finite, got {risk_free}")
+    excess = mu - risk_free
     if excess.max() <= 0.0:
         raise NumericalError(
             f"best excess return is {excess.max():.3e}; Sharpe has no maximum"
@@ -490,6 +495,8 @@ def check_target_curve(weights, cov_set: ScaledCovarianceSet,
             )
     if target_table is not None:
         targets = {int(k): float(v) for k, v in target_table.items()}
+        if not all(0.0 < v < math.inf for v in targets.values()):
+            raise ValueError(f"target variances must be positive and finite, got {targets}")
         missing = [s for s in cov_set.scales if s not in targets]
         if missing:
             raise ValueError(f"target_table missing scales {missing}")
@@ -499,8 +506,8 @@ def check_target_curve(weights, cov_set: ScaledCovarianceSet,
             raise ValueError(
                 "need sigma_target_daily and hurst_target, or a target_table"
             )
-        if sigma_target_daily <= 0:
-            raise ValueError("sigma_target_daily must be positive")
+        if not 0.0 < sigma_target_daily < math.inf:
+            raise ValueError(f"sigma_target_daily={sigma_target_daily} must be positive and finite")
         if not 0.0 < hurst_target < 1.0:
             raise ValueError(f"hurst_target={hurst_target} outside (0, 1)")
         targets = {

@@ -194,9 +194,9 @@ class ScalingSpectrum:
                 return float(h)
         raise KeyError(f"q={q} not on the grid {self.q_grid}")
 
-    def h_spread(self, q_lo: float = -4.0, q_hi: float = 4.0) -> float:
-        """h(q_lo) - h(q_hi); positive and large for multifractal series."""
-        return self.h_at(q_lo) - self.h_at(q_hi)
+    def h_spread(self) -> float:
+        """h(-4) - h(4); positive and large for multifractal series."""
+        return self.h_at(-4.0) - self.h_at(4.0)
 
 
 def _check_q_grid(q_grid):
@@ -236,16 +236,12 @@ def structure_spectrum(series, asset=None, q_grid=DEFAULT_Q_GRID,
 # ---------------------------------------------------------------------------
 # multifractal detrended fluctuation analysis
 
-def default_dfa_scales(n: int, n_scales: int = 12,
-                       smallest: int = 16) -> tuple[int, ...]:
-    """Log-spaced segment sizes from ``smallest`` up to ``n // 8``."""
+def default_dfa_scales(n: int) -> tuple[int, ...]:
+    """Twelve log-spaced segment sizes from 16 up to ``n // 8``, rounded and deduplicated."""
     largest = n // 8
-    if largest < smallest:
-        raise DataError(
-            f"series of length {n} supports no segment grid "
-            f"({smallest}..{largest})"
-        )
-    grid = np.exp(np.linspace(math.log(smallest), math.log(largest), n_scales))
+    if largest < 16:
+        raise DataError(f"series of length {n} supports no segment grid (16..{largest})")
+    grid = np.exp(np.linspace(math.log(16), math.log(largest), 12))
     return tuple(np.unique(np.round(grid).astype(int)))
 
 
@@ -345,13 +341,9 @@ class CorrelationScaling:
     pair: tuple[str, str]
     scales: tuple[int, ...]
     rho_by_scale: np.ndarray
-    comoment_by_scale: np.ndarray
     h_rho: float
     h_rho_stderr: float
-    rho_fit_r2: float
     h_cross_2: float
-    h_cross_2_stderr: float
-    cross_fit_r2: float
     h_i_1: float
     h_i_1_stderr: float
     h_j_1: float
@@ -359,7 +351,6 @@ class CorrelationScaling:
     identity_residual: float
     combined_stderr: float
     negative_correlation: bool
-    negative_comoment: bool
 
 
 def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
@@ -368,8 +359,8 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
 
     For each scale the correlation and the raw cross moment are computed
     per non-overlapping phase and phase-averaged. Fits run on absolute
-    values; encountering a negative value sets the corresponding flag
-    rather than raising, since noisy near-zero correlations are routine.
+    values; a negative correlation sets ``negative_correlation`` rather
+    than raising, since noisy near-zero correlations are routine.
     """
     if not isinstance(panel, ReturnPanel):
         raise TypeError("estimate_correlation_scaling needs a ReturnPanel")
@@ -412,7 +403,6 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
         first_j[si] = _phase_moment(np.abs(bs_j), dt, 1.0)
 
     neg_rho = bool(np.any(rho < 0.0))
-    neg_cross = bool(np.any(cross < 0.0))
     fit_rho = fit_scaling_exponent(zip(scales, np.abs(rho)))
     fit_cross = fit_scaling_exponent(zip(scales, np.abs(cross)))
     fit_i = fit_scaling_exponent(zip(scales, first_i))
@@ -424,13 +414,9 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
         pair=(asset_i, asset_j),
         scales=scales,
         rho_by_scale=rho,
-        comoment_by_scale=cross,
         h_rho=fit_rho.exponent,
         h_rho_stderr=fit_rho.stderr,
-        rho_fit_r2=fit_rho.r2,
         h_cross_2=fit_cross.exponent,
-        h_cross_2_stderr=fit_cross.stderr,
-        cross_fit_r2=fit_cross.r2,
         h_i_1=fit_i.exponent,
         h_i_1_stderr=fit_i.stderr,
         h_j_1=fit_j.exponent,
@@ -438,5 +424,4 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
         identity_residual=residual,
         combined_stderr=combined,
         negative_correlation=neg_rho,
-        negative_comoment=neg_cross,
     )

@@ -18,7 +18,8 @@ _MASK64 = (1 << 64) - 1
 
 KINDS = ("gaussian_iid", "fgn", "correlated", "epps", "regime_switch", "cascade")
 
-DEFAULT_EPPS_SCALES = (1, 2, 5, 10, 21)
+# the scales over which an epps pair's correlation slope is calibrated
+EPPS_SCALES = (1, 2, 5, 10, 21)
 
 
 def split_seed(seed: int, index: int) -> int:
@@ -118,7 +119,11 @@ def _fgn_davies_harte(n, hurst, sigma_daily, rng):
 _CHOLESKY_MAX = 1 << 10
 
 
-def _fgn_cholesky(n, hurst, sigma_daily, rng):
+def _fgn_draw(n, hurst, sigma_daily, rng):
+    """fGn by circulant embedding, else by a dense Cholesky factor when ``n`` allows."""
+    r = _fgn_davies_harte(n, hurst, sigma_daily, rng)
+    if r is not None:
+        return r
     if n > _CHOLESKY_MAX:
         raise NumericalError(
             f"circulant embedding for hurst={hurst} has negative eigenvalues "
@@ -153,10 +158,7 @@ def gen_fgn(n: int, hurst: float = 0.5, sigma_daily: float = 0.01, seed: int = 0
     if sigma_daily <= 0:
         raise ValueError("sigma_daily must be positive")
     rng = np.random.default_rng(seed)
-    r = _fgn_davies_harte(n, hurst, sigma_daily, rng)
-    if r is None:
-        r = _fgn_cholesky(n, hurst, sigma_daily, rng)
-    return panel_from_returns(r)
+    return panel_from_returns(_fgn_draw(n, hurst, sigma_daily, rng))
 
 
 def constant_correlation_cov(n_assets: int, rho: float, sigma_daily: float = 0.01) -> np.ndarray:
@@ -219,17 +221,17 @@ def _log_slope(x, y):
     return np.polyfit(lx, ly, 1)[0]
 
 
-def calibrate_epps(rho_inf: float, h_rho: float,
-                   scales=DEFAULT_EPPS_SCALES, tol: float = 0.02) -> float:
+def calibrate_epps(rho_inf: float, h_rho: float) -> float:
     """Find the lag persistence whose correlation curve has slope ``h_rho``.
 
-    The slope is measured on log correlation vs log scale over ``scales``,
-    matching how the estimator will read it back. Deterministic grid search
-    with one refinement pass. Raises ``CalibrationFailure`` (reporting the
-    nearest achievable pair) when no persistence gets within ``tol``.
+    The slope is measured on log correlation vs log scale over
+    ``EPPS_SCALES``, matching how the estimator will read it back.
+    Deterministic grid search with one refinement pass. Raises
+    ``CalibrationFailure`` (reporting the nearest achievable pair) when no
+    persistence gets within 0.02.
     """
     noise_var = 1.0 / rho_inf - 1.0
-    scales = np.asarray(scales, dtype=float)
+    scales = np.asarray(EPPS_SCALES, dtype=float)
 
     def slope(theta):
         return _log_slope(scales, epps_correlation_curve(theta, noise_var, scales))
@@ -242,7 +244,7 @@ def calibrate_epps(rho_inf: float, h_rho: float,
     fine = np.linspace(lo, hi, 400)
     fine_slopes = np.array([slope(t) for t in fine])
     j = int(np.argmin(np.abs(fine_slopes - h_rho)))
-    if abs(fine_slopes[j] - h_rho) > tol:
+    if abs(fine_slopes[j] - h_rho) > 0.02:
         raise CalibrationFailure(
             f"decay exponent {h_rho} with rho_inf={rho_inf} is unreachable; "
             f"nearest achievable exponent is {fine_slopes[j]:.3f}",
@@ -252,13 +254,13 @@ def calibrate_epps(rho_inf: float, h_rho: float,
 
 
 def gen_epps(n: int, rho_inf: float = 0.6, h_rho: float = 0.3, seed: int = 0,
-             sigma_daily: float = 0.01, scales=DEFAULT_EPPS_SCALES) -> ReturnPanel:
+             sigma_daily: float = 0.01) -> ReturnPanel:
     """Two-asset panel whose correlation grows with the observation scale.
 
     ``rho_inf`` is the long-block correlation ceiling; ``h_rho`` the target
-    log-log slope of correlation against scale over ``scales``. Both assets
-    are unit-variance white at scale one with shared dependence hidden in
-    the lag structure, so their own scaling stays diffusive.
+    log-log slope of correlation against scale over ``EPPS_SCALES``. Both
+    assets are unit-variance white at scale one with shared dependence
+    hidden in the lag structure, so their own scaling stays diffusive.
     """
     if n < 16:
         raise DataError(f"n={n} too short, need >= 16")
@@ -266,7 +268,7 @@ def gen_epps(n: int, rho_inf: float = 0.6, h_rho: float = 0.3, seed: int = 0,
         raise ValueError(f"rho_inf={rho_inf} outside (0, 1]")
     if not 0.0 < h_rho < 1.0:
         raise ValueError(f"h_rho={h_rho} outside (0, 1)")
-    theta = calibrate_epps(rho_inf, h_rho, scales)
+    theta = calibrate_epps(rho_inf, h_rho)
     noise_var = 1.0 / rho_inf - 1.0
     amp = math.sqrt(noise_var)
     burn = 0 if theta == 0.0 else min(20000, int(math.log(1e-12) / math.log(theta)) + 1)
@@ -355,7 +357,5 @@ def gen_multifractal(n: int, intermittency: float = 0.2, hurst_base: float = 0.5
     if hurst_base == 0.5:
         noise = rng.standard_normal(n)
     else:
-        noise = _fgn_davies_harte(n, hurst_base, 1.0, rng)
-        if noise is None:
-            noise = _fgn_cholesky(n, hurst_base, 1.0, rng)
+        noise = _fgn_draw(n, hurst_base, 1.0, rng)
     return panel_from_returns(sigma_daily * vol * noise)

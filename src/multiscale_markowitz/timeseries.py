@@ -137,9 +137,9 @@ class ReturnPanel:
                         timestamps=self.timestamps[start:stop], returns=self.returns[start:stop])
 
 
-def trading_dates(n: int, start: np.datetime64 = _EPOCH) -> np.ndarray:
-    """Consecutive calendar dates for synthetic panels."""
-    return np.asarray(start, dtype="datetime64[D]") + np.arange(n)
+def trading_dates(n: int) -> np.ndarray:
+    """Consecutive calendar dates from 2000-01-03 for synthetic panels."""
+    return _EPOCH + np.arange(n)
 
 
 def panel_from_returns(returns: np.ndarray, asset_ids=None) -> ReturnPanel:

@@ -133,7 +133,7 @@ def test_criterion_3_variance_and_exponent_sensitivities():
         all_negative &= rep.dweight_dvar < 0.0
 
         cs = ScaledCovarianceSet(("a1", "a2", "a3", "a4"), (1, 21),
-                                 (sigma, 21.0 * sigma), (200, 200),
+                                 (sigma, 21.0 * sigma),
                                  METHOD_PRODUCT, "nonoverlapping")
         all_h_negative &= sensitivity_to_hurst(cs, k, 21) < 0.0
     ok = worst_rel < 1e-4 and all_negative and all_h_negative
@@ -238,10 +238,9 @@ def test_criterion_8_elliptical_equivalence():
     scales = (1, 2, 5, 10, 21)
     cs_all = ScaledCovarianceSet(("a1", "a2", "a3", "a4"), scales,
                                  tuple(dt * sigma1 for dt in scales),
-                                 tuple(500 for _ in scales),
                                  METHOD_PRODUCT, "nonoverlapping")
     cs_daily = ScaledCovarianceSet(("a1", "a2", "a3", "a4"), (1,), (sigma1,),
-                                   (500,), METHOD_PRODUCT, "nonoverlapping")
+                                   METHOD_PRODUCT, "nonoverlapping")
     w_multi = min_variance_long_only(multiscale_cov(cs_all)).weights
     w_daily = min_variance_long_only(multiscale_cov(cs_daily)).weights
     exact_gap = float(np.abs(w_multi - w_daily).max())

@@ -118,6 +118,15 @@ def test_simulate_bad_generator_params_exit_data(capsys, workdir):
     (["backtest", "{csv}", "--rebalance", "0"], "rebalance_every must be >= 1"),
     (["optimize", "{csv}", "--ridge", "-1"], "ridge must be non-negative"),
     (["estimate", "{csv}", "--q-grid", "0,1"], "q grid must not contain zero"),
+    (["optimize", "{csv}", "--ridge", "nan"], "ridge must be non-negative and finite, got nan"),
+    (["optimize", "{csv}", "--ridge", "inf"], "ridge must be non-negative and finite, got inf"),
+    (["optimize", "{csv}", "--ridge", "1e400"], "ridge must be non-negative and finite, got inf"),
+    (["optimize", "{csv}", "--mu-target", "nan"], "mu_target must be finite, got nan"),
+    (["optimize", "{csv}", "--mu-target=-inf"], "mu_target must be finite, got -inf"),
+    (["optimize", "{csv}", "--objective", "max_sharpe", "--risk-free", "nan"],
+     "risk_free must be finite, got nan"),
+    (["backtest", "{csv}", "--strategy", "max_sharpe_daily", "--lookback", "100",
+      "--risk-free", "nan"], "risk_free must be finite, got nan"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, workdir, argv, message):
     path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",

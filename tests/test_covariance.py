@@ -185,10 +185,9 @@ def test_set_matches_cov_at_scale_bitwise(method, aggregation):
     p = panel_from_returns(rng.standard_normal((500, 6)) * 0.01)
     scales = (1, 2, 5, 10, 21)
     cs = build_covariance_set(p, scales, method=method, aggregation=aggregation)
-    for dt, m, n_obs in zip(scales, cs.matrices, cs.sample_counts):
-        ref, ref_obs = cov_at_scale(p, dt, method=method, aggregation=aggregation)
+    for dt, m in zip(scales, cs.matrices):
+        ref, _ = cov_at_scale(p, dt, method=method, aggregation=aggregation)
         assert np.array_equal(m, ref)
-        assert n_obs == ref_obs
 
 
 @pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
@@ -297,7 +296,6 @@ def test_build_covariance_set_shapes():
     cs = build_covariance_set(p, (1, 2, 5))
     assert cs.scales == (1, 2, 5)
     assert len(cs.matrices) == 3
-    assert cs.sample_counts[0] == 300
     assert cs.matrix_at(5).shape == (2, 2)
     with pytest.raises(KeyError):
         cs.matrix_at(3)
@@ -305,7 +303,7 @@ def test_build_covariance_set_shapes():
 
 def test_covariance_set_validates_shapes():
     with pytest.raises(DataError, match=r"expected \(2, 2\)"):
-        ScaledCovarianceSet(("a", "b"), (1,), (np.eye(3),), (10,),
+        ScaledCovarianceSet(("a", "b"), (1,), (np.eye(3),),
                             METHOD_PRODUCT, "nonoverlapping")
 
 
@@ -316,7 +314,7 @@ def test_covariance_set_validates_shapes():
 ])
 def test_covariance_set_constructor_rejects_bad_matrices(bad, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
-        ScaledCovarianceSet(("a", "b"), (1, 5), (np.eye(2), bad), (10, 10),
+        ScaledCovarianceSet(("a", "b"), (1, 5), (np.eye(2), bad),
                             METHOD_PRODUCT, "nonoverlapping")
 
 
@@ -330,7 +328,7 @@ def test_build_covariance_set_rejects_scales_as_constructor(scales, message):
         build_covariance_set(p, scales)
     with pytest.raises(ValueError, match=f"^{message}$"):
         ScaledCovarianceSet(("a1", "a2"), scales, (np.eye(2),) * len(scales),
-                            (10,) * len(scales), METHOD_PRODUCT, "nonoverlapping")
+                            METHOD_PRODUCT, "nonoverlapping")
 
 
 def _scale_entry_points():
@@ -343,7 +341,7 @@ def _scale_entry_points():
         "build_covariance_set": lambda s: build_covariance_set(p, s),
         "cov_at_scale": lambda s: [cov_at_scale(p, dt) for dt in s],
         "ScaledCovarianceSet": lambda s: ScaledCovarianceSet(
-            ("a1", "a2"), s, (np.eye(2),) * len(s), (10,) * len(s), METHOD_PRODUCT,
+            ("a1", "a2"), s, (np.eye(2),) * len(s), METHOD_PRODUCT,
             MODE_NONOVERLAPPING),
         "MultiscaleCovariance": lambda s: MultiscaleCovariance(
             np.eye(2), ("a1", "a2"), s, (1.0,) * len(s), 0.0, False, METHOD_PRODUCT,
@@ -382,9 +380,8 @@ def test_built_set_and_blend_match_public_constructors(method, aggregation):
     cs = build_covariance_set(p.window(10, 260), (1, 2, 5, 21), method=method,
                               aggregation=aggregation)
     public = ScaledCovarianceSet(cs.asset_ids, cs.scales, cs.matrices,
-                                 cs.sample_counts, cs.method, cs.aggregation)
-    assert (cs.asset_ids, cs.scales, cs.sample_counts) == (
-        public.asset_ids, public.scales, public.sample_counts)
+                                 cs.method, cs.aggregation)
+    assert (cs.asset_ids, cs.scales) == (public.asset_ids, public.scales)
     for built, checked in zip(cs.matrices, public.matrices):
         assert not built.flags.writeable
         assert built.tobytes() == checked.tobytes()
@@ -392,7 +389,7 @@ def test_built_set_and_blend_match_public_constructors(method, aggregation):
     by_hand = MultiscaleCovariance(blend.matrix, blend.asset_ids, blend.scales,
                                    blend.scale_weights, blend.ridge,
                                    blend.psd_repaired, blend.method,
-                                   blend.aggregation, blend.normalized_by_scale)
+                                   blend.aggregation)
     assert not blend.matrix.flags.writeable
     assert blend.matrix.tobytes() == by_hand.matrix.tobytes()
     assert blend.condition == by_hand.condition
@@ -453,8 +450,7 @@ def test_psd_repair_rejects_non_finite(bad):
 
 def _manual_set(scales, matrices, ids=("a", "b")):
     n = len(ids)
-    return ScaledCovarianceSet(ids, tuple(scales), tuple(matrices),
-                               tuple(100 for _ in scales), METHOD_PRODUCT,
+    return ScaledCovarianceSet(ids, tuple(scales), tuple(matrices), METHOD_PRODUCT,
                                "nonoverlapping")
 
 
@@ -463,7 +459,6 @@ def test_multiscale_cov_normalizes_by_scale():
     ms = multiscale_cov(cs)
     # (I/1 + 4I/2) / 2 = 1.5 I
     assert np.allclose(ms.matrix, 1.5 * np.eye(2), atol=1e-15)
-    assert ms.normalized_by_scale
     assert ms.scale_weights == (0.5, 0.5)
 
 
@@ -475,10 +470,32 @@ def test_multiscale_cov_single_scale_is_identity():
 
 
 def test_multiscale_cov_raw_average_option():
+    # the raw average with weights w is the blend with weights w_j * dt_j
     cs = _manual_set((1, 2), (np.eye(2), 4.0 * np.eye(2)))
-    ms = multiscale_cov(cs, normalize_by_scale=False)
+    ms = multiscale_cov(cs, scale_weights=(0.5, 1.0))
     assert np.allclose(ms.matrix, 2.5 * np.eye(2), atol=1e-15)
-    assert not ms.normalized_by_scale
+
+
+def test_scale_weights_divide_by_any_per_scale_target():
+    # weights lam_j * (dt_j / t_j) blend sum_j lam_j * m_j / t_j, so one knob
+    # carries a target curve; at t = dt with uniform lam it is the default
+    rng = np.random.default_rng(21)
+    scales = (1, 2, 5, 10, 21)
+    dt = np.array(scales, dtype=float)
+    for _ in range(50):
+        mats = []
+        for _ in scales:
+            a = rng.standard_normal((4, 4))
+            mats.append(a @ a.T + 0.1 * np.eye(4))
+        cs = _manual_set(scales, mats, ids=("a", "b", "c", "d"))
+        lam = rng.dirichlet(np.ones(len(scales)))
+        t = rng.uniform(0.5, 2.0) * dt ** (2.0 * rng.uniform(0.2, 0.8))
+        got = multiscale_cov(cs, scale_weights=lam * (dt / t)).matrix
+        want = sum(lj * m / tj for lj, m, tj in zip(lam, mats, t))
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+        uniform = np.full(len(scales), 1.0 / len(scales)) * (dt / dt)
+        assert (multiscale_cov(cs, scale_weights=uniform).matrix.tobytes()
+                == multiscale_cov(cs).matrix.tobytes())
 
 
 def test_multiscale_cov_custom_weights():
@@ -496,6 +513,13 @@ def test_multiscale_cov_rejects_non_finite_weights(bad):
     cs = _manual_set((1, 2), (np.eye(2), 4.0 * np.eye(2)))
     with pytest.raises(ValueError, match="scale weights must be finite"):
         multiscale_cov(cs, scale_weights=(bad, 1.0))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-12])
+def test_multiscale_cov_refuses_non_finite_or_negative_ridge(bad):
+    cs = _manual_set((1,), (np.eye(2),))
+    with pytest.raises(ValueError, match="^ridge must be non-negative and finite, got "):
+        multiscale_cov(cs, ridge=bad)
 
 
 def test_multiscale_cov_auto_ridge():

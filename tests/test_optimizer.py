@@ -29,8 +29,7 @@ from multiscale_markowitz.synth import constant_correlation_cov
 
 
 def _set_for(matrices, scales, ids):
-    return ScaledCovarianceSet(ids, tuple(scales), tuple(matrices),
-                               tuple(100 for _ in scales), METHOD_PRODUCT,
+    return ScaledCovarianceSet(ids, tuple(scales), tuple(matrices), METHOD_PRODUCT,
                                "nonoverlapping")
 
 
@@ -182,6 +181,16 @@ def test_long_only_return_floor_slack_when_easy():
 def test_long_only_infeasible_target():
     with pytest.raises(NumericalError, match="exceeds best asset mean"):
         min_variance_long_only(np.eye(2), mu=np.array([0.01, 0.02]), mu_target=0.5)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_solvers_refuse_a_non_finite_floor_or_risk_free_rate(bad):
+    mu = np.array([0.01, 0.02])
+    with pytest.raises(ValueError, match="^mu_target must be finite, got "):
+        min_variance_long_only(np.eye(2), mu=mu, mu_target=bad)
+    for long_only in (True, False):
+        with pytest.raises(ValueError, match="^risk_free must be finite, got "):
+            max_sharpe(np.eye(2), mu, risk_free=bad, long_only=long_only)
 
 
 def test_long_only_floor_at_best_mean_holds_the_best_asset():
@@ -611,6 +620,40 @@ def test_target_curve_power_law():
     rep_bad = check_target_curve(w, cs, sigma_target_daily=0.001, hurst_target=0.5)
     assert not rep_bad.all_within
     assert not any(r.within for r in rep_bad.rows)
+
+
+def test_target_curve_table_form():
+    sig1 = np.eye(2) * 1e-4
+    cs = _set_for((sig1, 5.0 * sig1), (1, 5), ("x", "y"))
+    w = np.array([0.5, 0.5])
+    # portfolio variance 0.5e-4 at scale 1 and 2.5e-4 at scale 5; scales
+    # outside the set are ignored
+    rep = check_target_curve(w, cs, target_table={1: 1e-4, 5: 2e-4, 21: 1.0})
+    assert rep.convention == "explicit per-scale variance targets"
+    assert [r.target_variance for r in rep.rows] == [1e-4, 2e-4]
+    assert [r.ratio for r in rep.rows] == pytest.approx([0.5, 1.25])
+    assert [r.within for r in rep.rows] == [True, False]
+    with pytest.raises(ValueError, match=r"^target_table missing scales \[5\]$"):
+        check_target_curve(w, cs, target_table={1: 1e-4})
+
+
+@pytest.mark.parametrize("targets, message", [
+    ({"sigma_target_daily": np.nan, "hurst_target": 0.5},
+     "sigma_target_daily=nan must be positive and finite"),
+    ({"sigma_target_daily": np.inf, "hurst_target": 0.5},
+     "sigma_target_daily=inf must be positive and finite"),
+    ({"sigma_target_daily": 0.0, "hurst_target": 0.5},
+     "sigma_target_daily=0.0 must be positive and finite"),
+    ({"target_table": {1: 1e-4, 5: -1.0}}, "target variances must be positive and finite"),
+    ({"target_table": {1: 1e-4, 5: np.nan}}, "target variances must be positive and finite"),
+    ({"target_table": {1: 1e-4, 5: np.inf}}, "target variances must be positive and finite"),
+    ({"target_table": {1: 0.0, 5: 1e-4}}, "target variances must be positive and finite"),
+])
+def test_target_curve_refuses_targets_that_are_not_positive_and_finite(targets, message):
+    sig1 = np.eye(2) * 1e-4
+    cs = _set_for((sig1, 5.0 * sig1), (1, 5), ("x", "y"))
+    with pytest.raises(ValueError, match=f"^{message}"):
+        check_target_curve(np.array([0.5, 0.5]), cs, **targets)
 
 
 def test_target_curve_ratio_definition():
