@@ -77,6 +77,8 @@ class BacktestConfig:
             raise ValueError(f"unknown aggregation {self.aggregation!r}")
         if self.periods_per_year < 1:
             raise ValueError("periods_per_year must be positive")
+        if not math.isfinite(self.risk_free):
+            raise ValueError(f"risk_free must be finite, got {self.risk_free}")
 
     @property
     def effective_scales(self) -> tuple[int, ...]:

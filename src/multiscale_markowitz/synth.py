@@ -201,24 +201,25 @@ def epps_correlation_curve(theta: float, noise_var: float, scales) -> np.ndarray
     variance. Short blocks miss the lagged mass, so correlation starts low
     and rises toward ``1 / (1 + noise_var)`` as blocks lengthen.
     """
-    out = np.empty(len(scales))
-    g0 = (1.0 - theta) / (1.0 + theta)
+    return _epps_curves(np.array([theta], dtype=float), noise_var, scales)[0]
+
+
+def _epps_curves(thetas: np.ndarray, noise_var: float, scales) -> np.ndarray:
+    """``epps_correlation_curve`` of every ``thetas[i]``, one row each."""
+    out = np.empty((len(thetas), len(scales)))
+    t = thetas[:, None]
+    g0 = (1.0 - t) / (1.0 + t)
     for idx, m in enumerate(scales):
         h = np.arange(m, dtype=float)
-        kappa = (1.0 - theta) * theta ** h
-        num = ((m - h) * kappa).sum()
+        kappa = (1.0 - t) * t ** h
+        num = ((m - h) * kappa).sum(axis=1)
         var_x = m * (1.0 + noise_var)
-        var_y = m * (g0 + noise_var)
+        var_y = m * (g0[:, 0] + noise_var)
         if m > 1:
             hh = np.arange(1.0, m)
-            var_y += 2.0 * ((m - hh) * g0 * theta ** hh).sum()
-        out[idx] = num / math.sqrt(var_x * var_y)
+            var_y += 2.0 * ((m - hh) * g0 * t ** hh).sum(axis=1)
+        out[:, idx] = num / np.sqrt(var_x * var_y)
     return out
-
-
-def _log_slope(x, y):
-    lx, ly = np.log(x), np.log(y)
-    return np.polyfit(lx, ly, 1)[0]
 
 
 def calibrate_epps(rho_inf: float, h_rho: float) -> float:
@@ -226,23 +227,24 @@ def calibrate_epps(rho_inf: float, h_rho: float) -> float:
 
     The slope is measured on log correlation vs log scale over
     ``EPPS_SCALES``, matching how the estimator will read it back.
-    Deterministic grid search with one refinement pass. Raises
+    Deterministic grid search with one refinement pass; each grid of 400
+    persistences is evaluated and fitted in one array pass. Raises
     ``CalibrationFailure`` (reporting the nearest achievable pair) when no
     persistence gets within 0.02.
     """
     noise_var = 1.0 / rho_inf - 1.0
     scales = np.asarray(EPPS_SCALES, dtype=float)
 
-    def slope(theta):
-        return _log_slope(scales, epps_correlation_curve(theta, noise_var, scales))
+    def fit_slopes(thetas):
+        return np.polyfit(np.log(scales), np.log(_epps_curves(thetas, noise_var, scales)).T, 1)[0]
 
     grid = np.linspace(0.0, 0.995, 400)
-    slopes = np.array([slope(t) for t in grid])
+    slopes = fit_slopes(grid)
     i = int(np.argmin(np.abs(slopes - h_rho)))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
     fine = np.linspace(lo, hi, 400)
-    fine_slopes = np.array([slope(t) for t in fine])
+    fine_slopes = fit_slopes(fine)
     j = int(np.argmin(np.abs(fine_slopes - h_rho)))
     if abs(fine_slopes[j] - h_rho) > 0.02:
         raise CalibrationFailure(

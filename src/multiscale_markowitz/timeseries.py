@@ -327,18 +327,32 @@ def _iso_dates(code: np.ndarray):
 
 
 def _parse_rows(path, asset_ids: tuple[str, ...]) -> PriceSeries:
-    """Parse the file's data rows cell by cell; errors name the line and column."""
+    """Parse the file's data rows cell by cell; errors name the line and column.
+
+    A first pass counts the records, so a csv error comes before any cell
+    error; a second fills arrays one record at a time.
+    """
     with open(path, "r", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            rows = list(reader)[1:]
+            n_rows = sum(1 for _ in reader) - 1
         except csv.Error as exc:
             raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+        fh.seek(0)
+        reader = csv.reader(fh)
+        next(reader)
+        ts, values = _fill_rows(path, asset_ids, reader, n_rows)
+    order = np.argsort(ts, kind="stable")
+    return PriceSeries(asset_ids, ts[order], values[order])
+
+
+def _fill_rows(path, asset_ids, reader, n_rows: int):
+    """Dates and prices of the ``n_rows`` data records ``reader`` yields, in file order."""
     n_cells = len(asset_ids) + 1
-    dates: list[_dt.date] = []
     seen: dict[_dt.date, int] = {}
-    values = np.empty((len(rows), len(asset_ids)))
-    for r, row in enumerate(rows, start=2):
+    ts = np.empty(n_rows, dtype="datetime64[D]")
+    values = np.empty((n_rows, len(asset_ids)))
+    for r, row in enumerate(reader, start=2):
         if len(row) != n_cells:
             raise DataError(f"{path} line {r}: expected {n_cells} cells, got {len(row)}")
         raw_date = row[0].strip()
@@ -366,23 +380,20 @@ def _parse_rows(path, asset_ids: tuple[str, ...]) -> PriceSeries:
                     f"{path} line {r}, column {asset_ids[j]!r}: price {cell} not positive"
                 )
             values[r - 2, j] = v
-        dates.append(d)
-
-    ts = np.array(dates, dtype="datetime64[D]")
-    order = np.argsort(ts, kind="stable")
-    return PriceSeries(asset_ids, ts[order], values[order])
+        ts[r - 2] = d
+    return ts, values
 
 
 def prices_to_csv(series: PriceSeries) -> str:
     """Render a price panel in the same CSV layout ``load_prices`` reads.
 
-    Floats use shortest round-trip formatting, so write/read is lossless.
+    Floats use shortest round-trip formatting (``repr``), so write/read is
+    lossless.
     """
+    dates = np.datetime_as_string(series.timestamps, unit="D").tolist()
     lines = ["date," + ",".join(series.asset_ids)]
-    for t in range(series.n_periods):
-        cells = [str(series.timestamps[t])]
-        cells += [repr(float(v)) for v in series.prices[t]]
-        lines.append(",".join(cells))
+    lines += [d + "," + ",".join(map(repr, row))
+              for d, row in zip(dates, series.prices.tolist())]
     return "\n".join(lines) + "\n"
 
 

@@ -1,5 +1,6 @@
 """Walk-forward evaluation and the strategy comparison table."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -125,6 +126,12 @@ def test_config_rejects_unknown_strategy():
 def test_config_rejects_tiny_lookback():
     with pytest.raises(ValueError):
         BacktestConfig(lookback=5)
+
+
+@pytest.mark.parametrize("risk_free", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_risk_free(risk_free):
+    with pytest.raises(ValueError, match="risk_free must be finite"):
+        BacktestConfig(strategy=STRATEGY_EQUAL, risk_free=risk_free)
 
 
 def test_config_effective_scales_for_daily():

@@ -127,6 +127,8 @@ def test_simulate_bad_generator_params_exit_data(capsys, workdir):
      "risk_free must be finite, got nan"),
     (["backtest", "{csv}", "--strategy", "max_sharpe_daily", "--lookback", "100",
       "--risk-free", "nan"], "risk_free must be finite, got nan"),
+    (["backtest", "{csv}", "--strategy", "all", "--risk-free", "nan"],
+     "risk_free must be finite, got nan"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, workdir, argv, message):
     path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",

@@ -189,6 +189,67 @@ def test_calibrate_epps_failure_reports_nearest():
     assert 0.0 <= rho_near <= 1.0
 
 
+def _reference_epps_curve(theta, noise_var, scales):
+    # the one-theta loop over scales that the grid pass replaced
+    out = np.empty(len(scales))
+    g0 = (1.0 - theta) / (1.0 + theta)
+    for idx, m in enumerate(scales):
+        h = np.arange(m, dtype=float)
+        kappa = (1.0 - theta) * theta ** h
+        num = ((m - h) * kappa).sum()
+        var_x = m * (1.0 + noise_var)
+        var_y = m * (g0 + noise_var)
+        if m > 1:
+            hh = np.arange(1.0, m)
+            var_y += 2.0 * ((m - hh) * g0 * theta ** hh).sum()
+        out[idx] = num / math.sqrt(var_x * var_y)
+    return out
+
+
+def _reference_slopes(thetas, noise_var, scales):
+    # one np.polyfit per theta, as the calibration fitted before the grid pass
+    return np.array([np.polyfit(np.log(scales), np.log(_reference_epps_curve(t, noise_var, scales)),
+                                1)[0] for t in thetas])
+
+
+@pytest.mark.parametrize("rho_inf", [0.05, 0.6, 1.0])
+@pytest.mark.parametrize("scales", [synth.EPPS_SCALES, (1, 3, 100, 1000)])
+def test_epps_curve_matches_per_scale_reference(rho_inf, scales):
+    noise_var = 1.0 / rho_inf - 1.0
+    grid_scales = np.asarray(scales, dtype=float)
+    for theta in np.linspace(0.0, 0.995, 400):
+        for s in (scales, grid_scales):
+            assert (epps_correlation_curve(theta, noise_var, s).tobytes()
+                    == _reference_epps_curve(theta, noise_var, s).tobytes()), theta
+
+
+def test_calibrate_epps_matches_per_theta_reference():
+    # bit for bit, or the same failure; the reference's 800 scalar fits per
+    # call cost about 0.1 s, so it runs on every tenth pair of the 20 x 25 grid
+    scales = np.asarray(synth.EPPS_SCALES, dtype=float)
+    grid = np.linspace(0.0, 0.995, 400)
+    outcomes = set()
+    for a, rho_inf in enumerate(np.linspace(0.05, 1.0, 20)):
+        noise_var = 1.0 / rho_inf - 1.0
+        coarse = _reference_slopes(grid, noise_var, scales)
+        for b, h_rho in enumerate(np.linspace(0.02, 0.98, 25)):
+            if (25 * a + b) % 10:
+                continue
+            i = int(np.argmin(np.abs(coarse - h_rho)))
+            fine = np.linspace(grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)], 400)
+            slopes = _reference_slopes(fine, noise_var, scales)
+            j = int(np.argmin(np.abs(slopes - h_rho)))
+            if abs(slopes[j] - h_rho) > 0.02:
+                with pytest.raises(CalibrationFailure) as exc:
+                    calibrate_epps(rho_inf, h_rho)
+                assert exc.value.nearest == (rho_inf, float(slopes[j]))
+                outcomes.add("fail")
+            else:
+                assert calibrate_epps(rho_inf, h_rho) == float(fine[j])
+                outcomes.add("ok")
+    assert outcomes == {"ok", "fail"}
+
+
 def test_gen_epps_correlation_rises_with_scale():
     p = gen_epps(1 << 14, rho_inf=0.6, h_rho=0.3, seed=21)
     assert p.asset_ids == ("a1", "a2")

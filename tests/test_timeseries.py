@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_traced_bytes
-from multiscale_markowitz import cli, timeseries
+from multiscale_markowitz import cli, synth, timeseries
 from multiscale_markowitz.errors import DataError
 from multiscale_markowitz.timeseries import (
     PriceSeries,
@@ -106,6 +106,51 @@ def test_csv_round_trip_is_lossless(tmp_path, rng):
     assert back.asset_ids == s.asset_ids
     assert np.array_equal(back.timestamps, s.timestamps)
     assert np.array_equal(back.prices, s.prices)
+
+
+def _reference_prices_to_csv(series):
+    # the per-row writer: a numpy date scalar and float(v) for every cell
+    lines = ["date," + ",".join(series.asset_ids)]
+    for t in range(series.n_periods):
+        cells = [str(series.timestamps[t])]
+        cells += [repr(float(v)) for v in series.prices[t]]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def _writer_panels():
+    edge = [1e-05, 9.999999999999999e15, 1e16, 1e22, 5e-324, 1.0]
+    dates = np.array(["0001-01-01", "0001-01-02", "1969-12-31", "2000-02-29",
+                      "9999-12-30", "9999-12-31"], dtype="datetime64[D]")
+    yield PriceSeries(("a", "b"), dates, np.column_stack([edge, edge[::-1]]))
+    first, last = np.datetime64("0001-01-01", "D"), np.datetime64("9999-12-31", "D")
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        n, k = int(rng.integers(1, 400)), int(rng.integers(1, 6))
+        days = np.sort(rng.choice((last - first).astype(int) + 1, n, replace=False))
+        prices = 10.0 ** rng.uniform(-300, 300, (n, k))
+        if seed % 2:
+            prices = np.exp(rng.standard_normal((n, k)) * 0.01).cumprod(axis=0) * 50.0
+        yield PriceSeries(tuple(f"x{j}" for j in range(k)), first + days, prices)
+
+
+def test_prices_to_csv_matches_per_row_reference(tmp_path):
+    for s in _writer_panels():
+        text = prices_to_csv(s)
+        assert text == _reference_prices_to_csv(s)
+        path = tmp_path / "p.csv"
+        path.write_text(text)
+        back = load_prices(path)
+        assert back.timestamps.tobytes() == s.timestamps.tobytes()
+        assert back.prices.tobytes() == s.prices.tobytes()
+
+
+@pytest.mark.parametrize("kind", synth.KINDS)
+def test_simulate_writes_the_reference_bytes(tmp_path, kind):
+    path = tmp_path / f"{kind}.csv"
+    argv = ["simulate", "--kind", kind, "--n", "256", "--seed", "5", "--out", str(path)]
+    assert cli.main(argv) == cli.EXIT_OK
+    assert path.read_bytes() == _reference_prices_to_csv(load_prices(path)).encode()
 
 
 def test_load_prices_canonical_file_skips_row_parse(tmp_path, monkeypatch, rng):
@@ -390,6 +435,20 @@ def test_load_prices_traced_peak_within_twice_the_file(tmp_path, ids):
     for fn in (load_prices, cli._load_panel):
         fn(path)
         assert peak_traced_bytes(fn, path) <= 2.0 * size, fn.__name__
+
+
+def test_row_parse_traced_peak_within_three_times_the_file(tmp_path):
+    # YYYYMMDD dates send the file to the row parse, which must not hold
+    # every record at once
+    path = _canonical_csv(tmp_path, np.random.default_rng(16), 1 << 15, ("a", "b", "c", "d"))
+    want = load_prices(path)
+    path.write_text(re.sub(r"^(\d{4})-(\d\d)-(\d\d),", r"\1\2\3,", path.read_text(),
+                           flags=re.M))
+    size = path.stat().st_size
+    got = load_prices(path)
+    assert np.array_equal(got.timestamps, want.timestamps)
+    assert np.array_equal(got.prices, want.prices)
+    assert peak_traced_bytes(load_prices, path) <= 3.0 * size
 
 
 # ---------------------------------------------------------------------------
