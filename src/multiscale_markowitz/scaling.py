@@ -1,11 +1,12 @@
 """Scaling-law estimation: structure functions, Hurst exponents, MF-DFA,
 and the scale dependence of cross-correlations.
 
-The common thread is a log-log regression of some fluctuation statistic
-against the observation scale. Structure functions read moments of block
-sums directly; detrended fluctuation analysis works on the integrated
-profile and is robust to polynomial trends; the correlation estimator
-tracks how the dependence between two assets builds up with scale.
+Every exponent the module reports is a slope of one law, a fluctuation
+statistic growing as a power of the observation scale, and every slope
+comes from one log-log fit, ``_loglog_fit``. Structure functions read
+moments of block sums directly; detrended fluctuation analysis works on
+the integrated profile and is robust to polynomial trends; the correlation
+estimator tracks how the dependence between two assets builds up with scale.
 """
 from __future__ import annotations
 
@@ -73,8 +74,8 @@ def structure_function(series, asset=None, q: float = 2.0,
         ``DataError``. Exponent fits use ``MIN_OBS_FOR_FIT``.
     """
     x, _ = _series_and_name(series, asset)
-    if q == 0:
-        raise ValueError("q must be nonzero")
+    if q == 0 or not math.isfinite(q):
+        raise ValueError(f"q must be nonzero and finite, got {q}")
     scales, moments = _abs_moments(x, (q,), scales, min_obs)
     return [(float(dt), float(m)) for dt, m in zip(scales, moments[:, 0])]
 
@@ -108,38 +109,57 @@ def _phase_moment(a, dt, q):
     return np.mean([np.mean(a[p::dt] ** q) for p in range(dt)])
 
 
+def _log(moments):
+    """``np.log`` without warnings: a moment <= 0 gives a log that ``_loglog_fit`` refuses."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.log(np.asarray(moments, dtype=float))
+
+
+def _loglog_fit(scales, log_m):
+    """OLS slope, its standard error and R^2 of each column of ``log_m``
+    against ``log(scales)``, as three arrays.
+
+    ``log_m`` has one row per scale. Each column is summed on its own, as a
+    contiguous row of the transpose and never through a matrix product, so
+    its fit does not depend on the columns beside it. ``r2`` is 1.0 for an
+    exact fit, including the constant case.
+    """
+    s = np.asarray(scales, dtype=float)
+    if len(s) < 3:
+        raise DataError(f"need >= 3 scales to fit, got {len(s)}")
+    if np.any(s <= 0):
+        raise ValueError("scales must be positive")
+    y = np.ascontiguousarray(np.asarray(log_m, dtype=float).T)
+    if not np.all(np.isfinite(y)):
+        raise DataError("moments must be positive and finite for a log-log fit")
+    x = np.log(s)
+    xc = x - x.mean()
+    sxx = float(np.sum(xc * xc))
+    if sxx == 0.0:
+        raise ValueError("scales must be distinct")
+    slope = np.sum(xc * y, axis=1) / sxx
+    yc = y - y.mean(axis=1, keepdims=True)
+    resid = yc - slope[:, None] * xc
+    ssr = np.sum(resid * resid, axis=1)
+    sst = np.sum(yc * yc, axis=1)
+    stderr = np.sqrt(ssr / (len(x) - 2) / sxx)
+    # residuals at rounding level count as an exact fit, the constant
+    # case included; testing sst instead misses near-constant log-moments
+    tiny = (16.0 * np.finfo(float).eps * np.maximum(1.0, np.abs(y).max(axis=1))) ** 2 * len(x)
+    exact = ssr <= tiny
+    r2 = np.where(exact, 1.0, 1.0 - ssr / np.where(exact, 1.0, sst))
+    return slope, stderr, r2
+
+
 def fit_scaling_exponent(points) -> PowerLawFit:
     """OLS slope of log moment against log scale.
 
     Needs at least three points with strictly positive finite moments.
     ``r2`` is 1.0 for an exact fit, including the constant case.
     """
-    pts = list(points)
-    if len(pts) < 3:
-        raise DataError(f"need >= 3 scales to fit, got {len(pts)}")
-    s = np.array([float(p[0]) for p in pts])
-    m = np.array([float(p[1]) for p in pts])
-    if np.any(s <= 0):
-        raise ValueError("scales must be positive")
-    if np.any(~np.isfinite(m)) or np.any(m <= 0):
-        raise DataError(
-            "moments must be positive and finite for a log-log fit"
-        )
-    x, y = np.log(s), np.log(m)
-    xc = x - x.mean()
-    sxx = float(xc @ xc)
-    if sxx == 0.0:
-        raise ValueError("scales must be distinct")
-    slope = float(xc @ y) / sxx
-    resid = y - y.mean() - slope * xc
-    ssr = float(resid @ resid)
-    sst = float((y - y.mean()) @ (y - y.mean()))
-    stderr = math.sqrt(ssr / (len(x) - 2) / sxx)
-    # residuals at rounding level count as an exact fit, the constant
-    # case included; testing sst instead misses near-constant log-moments
-    tiny = (16.0 * np.finfo(float).eps * max(1.0, float(np.abs(y).max()))) ** 2 * len(y)
-    r2 = 1.0 if ssr <= tiny else 1.0 - ssr / sst
-    return PowerLawFit(slope, stderr, r2)
+    pts = np.array([(float(p[0]), float(p[1])) for p in points]).reshape(-1, 2)
+    slope, stderr, r2 = _loglog_fit(pts[:, 0], _log(pts[:, 1:]))
+    return PowerLawFit(float(slope[0]), float(stderr[0]), float(r2[0]))
 
 
 def estimate_hurst(series, asset=None, scales=DEFAULT_SCALES) -> HurstEstimate:
@@ -147,12 +167,10 @@ def estimate_hurst(series, asset=None, scales=DEFAULT_SCALES) -> HurstEstimate:
 
     Fits ``mean(|block sum|^2)`` against scale and halves the slope: a
     diffusive (uncorrelated) series gives 0.5, persistent series more,
-    antipersistent less.
+    antipersistent less. This is the q = 2 column of ``structure_spectrum``.
     """
-    pts = structure_function(series, asset=asset, q=2.0, scales=scales,
-                             min_obs=MIN_OBS_FOR_FIT)
-    fit = fit_scaling_exponent(pts)
-    return HurstEstimate(fit.exponent / 2.0, fit.stderr / 2.0)
+    spect = structure_spectrum(series, asset, (2.0,), scales)
+    return HurstEstimate(float(spect.h_of_q[0]), float(spect.stderr[0]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -203,6 +221,8 @@ def _check_q_grid(q_grid):
     q = tuple(float(v) for v in q_grid)
     if len(q) == 0:
         raise ValueError("q grid must be nonempty")
+    if not all(math.isfinite(v) for v in q):
+        raise ValueError(f"q grid must be finite, got {q}")
     if any(v == 0 for v in q):
         raise ValueError("q grid must not contain zero")
     if any(b <= a for a, b in zip(q, q[1:])):
@@ -210,8 +230,14 @@ def _check_q_grid(q_grid):
     return q
 
 
-def _spectrum_flags(h):
-    return bool(np.any(np.diff(h) > 1e-6))
+def _spectrum(name, q_grid, scales, log_m, method) -> ScalingSpectrum:
+    """The spectrum whose ``zeta`` are the log-log slopes of ``log_m``'s
+    columns, one column per order of ``q_grid``."""
+    zeta, stderr, r2 = _loglog_fit(scales, log_m)
+    q = np.array(q_grid)
+    h = zeta / q
+    return ScalingSpectrum(name, q_grid, zeta, h, stderr / np.abs(q), r2, scales, method,
+                           nonmonotone=bool(np.any(np.diff(h) > 1e-6)))
 
 
 def structure_spectrum(series, asset=None, q_grid=DEFAULT_Q_GRID,
@@ -220,17 +246,7 @@ def structure_spectrum(series, asset=None, q_grid=DEFAULT_Q_GRID,
     q_grid = _check_q_grid(q_grid)
     x, name = _series_and_name(series, asset)
     scales, moments = _abs_moments(x, q_grid, scales, MIN_OBS_FOR_FIT)
-    zeta = np.empty(len(q_grid))
-    stderr = np.empty(len(q_grid))
-    r2 = np.empty(len(q_grid))
-    for i, q in enumerate(q_grid):
-        fit = fit_scaling_exponent(zip(scales, moments[:, i]))
-        zeta[i] = fit.exponent
-        stderr[i] = fit.stderr / abs(q)
-        r2[i] = fit.r2
-    h = zeta / np.array(q_grid)
-    return ScalingSpectrum(name, q_grid, zeta, h, stderr, r2, scales, "structure",
-                           nonmonotone=_spectrum_flags(h))
+    return _spectrum(name, q_grid, scales, _log(moments), "structure")
 
 
 # ---------------------------------------------------------------------------
@@ -307,20 +323,8 @@ def mfdfa(series, asset=None, q_grid=DEFAULT_Q_GRID, scales=None,
             )
         with np.errstate(divide="ignore"):
             powed = f2[None, :] ** (q_arr[:, None] / 2.0)
-        log_f[si] = np.log(np.mean(powed, axis=1)) / q_arr
-
-    zeta = np.empty(len(q_grid))
-    stderr = np.empty(len(q_grid))
-    r2 = np.empty(len(q_grid))
-    for qi in range(len(q_grid)):
-        pts = list(zip(scales, np.exp(log_f[:, qi])))
-        fit = fit_scaling_exponent(pts)
-        zeta[qi] = fit.exponent * q_grid[qi]
-        stderr[qi] = fit.stderr
-        r2[qi] = fit.r2
-    h = zeta / q_arr
-    return ScalingSpectrum(name, q_grid, zeta, h, stderr, r2, scales, "dfa",
-                           nonmonotone=_spectrum_flags(h))
+        log_f[si] = np.log(np.mean(powed, axis=1))
+    return _spectrum(name, q_grid, scales, log_f, "dfa")
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +374,9 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
     xj = panel.column(asset_j)
     scales = _check_scales(scales)
     n = len(xi)
-    rho = np.empty(len(scales))
-    cross = np.empty(len(scales))
-    # each series' first absolute moment, structure_function(q=1)'s points
-    first_i = np.empty(len(scales))
-    first_j = np.empty(len(scales))
+    # per scale: rho, the raw cross moment and each series' first absolute
+    # moment (structure_function(q=1)'s points), one curve per column
+    curves = np.empty((len(scales), 4))
     each_i = _block_sums_each(xi, scales)
     each_j = _block_sums_each(xj, scales)
     for si, dt in enumerate(scales):
@@ -397,31 +399,25 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
                 )
             rho_p.append(np.mean((bi - bi.mean()) * (bj - bj.mean())) / (si_std * sj_std))
             cross_p.append(np.mean(bi * bj))
-        rho[si] = np.mean(rho_p)
-        cross[si] = np.mean(cross_p)
-        first_i[si] = _phase_moment(np.abs(bs_i), dt, 1.0)
-        first_j[si] = _phase_moment(np.abs(bs_j), dt, 1.0)
+        curves[si] = (np.mean(rho_p), np.mean(cross_p),
+                      _phase_moment(np.abs(bs_i), dt, 1.0), _phase_moment(np.abs(bs_j), dt, 1.0))
 
-    neg_rho = bool(np.any(rho < 0.0))
-    fit_rho = fit_scaling_exponent(zip(scales, np.abs(rho)))
-    fit_cross = fit_scaling_exponent(zip(scales, np.abs(cross)))
-    fit_i = fit_scaling_exponent(zip(scales, first_i))
-    fit_j = fit_scaling_exponent(zip(scales, first_j))
-    residual = fit_rho.exponent - (fit_cross.exponent - fit_i.exponent - fit_j.exponent)
-    combined = math.sqrt(fit_rho.stderr ** 2 + fit_cross.stderr ** 2
-                         + fit_i.stderr ** 2 + fit_j.stderr ** 2)
+    rho = curves[:, 0].copy()
+    h, err, _ = _loglog_fit(scales, _log(np.abs(curves)))
+    h_rho, h_cross, h_i, h_j = h.tolist()
+    e_rho, e_cross, e_i, e_j = err.tolist()
     return CorrelationScaling(
         pair=(asset_i, asset_j),
         scales=scales,
         rho_by_scale=rho,
-        h_rho=fit_rho.exponent,
-        h_rho_stderr=fit_rho.stderr,
-        h_cross_2=fit_cross.exponent,
-        h_i_1=fit_i.exponent,
-        h_i_1_stderr=fit_i.stderr,
-        h_j_1=fit_j.exponent,
-        h_j_1_stderr=fit_j.stderr,
-        identity_residual=residual,
-        combined_stderr=combined,
-        negative_correlation=neg_rho,
+        h_rho=h_rho,
+        h_rho_stderr=e_rho,
+        h_cross_2=h_cross,
+        h_i_1=h_i,
+        h_i_1_stderr=e_i,
+        h_j_1=h_j,
+        h_j_1_stderr=e_j,
+        identity_residual=h_rho - (h_cross - h_i - h_j),
+        combined_stderr=math.sqrt(e_rho ** 2 + e_cross ** 2 + e_i ** 2 + e_j ** 2),
+        negative_correlation=bool(np.any(rho < 0.0)),
     )

@@ -78,12 +78,16 @@ def generate(spec: GeneratorSpec) -> ReturnPanel:
 # ---------------------------------------------------------------------------
 # elementary generators
 
+def _check_sigma(sigma_daily):
+    if not 0.0 < sigma_daily < math.inf:
+        raise ValueError(f"sigma_daily must be positive and finite, got {sigma_daily}")
+
+
 def gen_gaussian_iid(n: int, sigma_daily: float = 0.01, seed: int = 0) -> ReturnPanel:
     """Independent Gaussian one-period returns, one asset."""
     if n < 16:
         raise DataError(f"n={n} too short, need >= 16")
-    if sigma_daily <= 0:
-        raise ValueError("sigma_daily must be positive")
+    _check_sigma(sigma_daily)
     rng = np.random.default_rng(seed)
     r = sigma_daily * rng.standard_normal(n)
     return panel_from_returns(r)
@@ -155,8 +159,7 @@ def gen_fgn(n: int, hurst: float = 0.5, sigma_daily: float = 0.01, seed: int = 0
         raise DataError(f"n={n} must be a power of two >= 16")
     if not 0.0 < hurst < 1.0:
         raise ValueError(f"hurst={hurst} outside (0, 1)")
-    if sigma_daily <= 0:
-        raise ValueError("sigma_daily must be positive")
+    _check_sigma(sigma_daily)
     rng = np.random.default_rng(seed)
     return panel_from_returns(_fgn_draw(n, hurst, sigma_daily, rng))
 
@@ -167,6 +170,7 @@ def constant_correlation_cov(n_assets: int, rho: float, sigma_daily: float = 0.0
         raise ValueError("n_assets must be >= 1")
     if not -1.0 / max(n_assets - 1, 1) <= rho <= 1.0:
         raise ValueError(f"rho={rho} makes the matrix indefinite for {n_assets} assets")
+    _check_sigma(sigma_daily)
     c = np.full((n_assets, n_assets), rho)
     np.fill_diagonal(c, 1.0)
     return sigma_daily ** 2 * c
@@ -270,6 +274,7 @@ def gen_epps(n: int, rho_inf: float = 0.6, h_rho: float = 0.3, seed: int = 0,
         raise ValueError(f"rho_inf={rho_inf} outside (0, 1]")
     if not 0.0 < h_rho < 1.0:
         raise ValueError(f"h_rho={h_rho} outside (0, 1)")
+    _check_sigma(sigma_daily)
     theta = calibrate_epps(rho_inf, h_rho)
     noise_var = 1.0 / rho_inf - 1.0
     amp = math.sqrt(noise_var)
@@ -314,8 +319,10 @@ def gen_regime_switch(n: int, sigma_low=0.008, sigma_high=0.02, switch_points=()
         hi = np.full(n_assets, hi[0])
     if len(lo) != n_assets or len(hi) != n_assets:
         raise ValueError("sigma_low/sigma_high lengths disagree with n_assets")
-    if np.any(lo <= 0) or np.any(hi <= lo):
-        raise ValueError("need 0 < sigma_low < sigma_high per asset")
+    if not (np.all(0 < lo) and np.all(lo < hi) and np.all(hi < np.inf)):
+        raise ValueError("need 0 < sigma_low < sigma_high < inf per asset")
+    if not all(float(p).is_integer() for p in switch_points):
+        raise ValueError(f"switch points must be integers, got {list(switch_points)}")
     pts = [int(p) for p in switch_points]
     if any(not 0 <= p < n for p in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
         raise DataError(f"switch points {pts} must be strictly increasing in [0, {n})")
@@ -348,8 +355,7 @@ def gen_multifractal(n: int, intermittency: float = 0.2, hurst_base: float = 0.5
         raise ValueError(f"intermittency={intermittency} outside (0, 0.5]")
     if not 0.0 < hurst_base < 1.0:
         raise ValueError(f"hurst_base={hurst_base} outside (0, 1)")
-    if sigma_daily <= 0:
-        raise ValueError("sigma_daily must be positive")
+    _check_sigma(sigma_daily)
     v = intermittency * math.log(2.0)
     rng = np.random.default_rng(seed)
     log_vol = np.zeros(1)

@@ -129,6 +129,26 @@ def test_simulate_bad_generator_params_exit_data(capsys, workdir):
       "--risk-free", "nan"], "risk_free must be finite, got nan"),
     (["backtest", "{csv}", "--strategy", "all", "--risk-free", "nan"],
      "risk_free must be finite, got nan"),
+    (["simulate", "--kind", "fgn", "--n", "64", "--sigma", "nan"],
+     "sigma_daily must be positive and finite, got nan"),
+    (["simulate", "--kind", "gaussian_iid", "--n", "64", "--sigma", "inf"],
+     "sigma_daily must be positive and finite, got inf"),
+    (["simulate", "--kind", "cascade", "--n", "64", "--sigma", "nan"],
+     "sigma_daily must be positive and finite, got nan"),
+    (["simulate", "--kind", "epps", "--n", "64", "--sigma", "-0.01"],
+     "sigma_daily must be positive and finite, got -0.01"),
+    (["simulate", "--kind", "epps", "--n", "64", "--sigma", "inf"],
+     "sigma_daily must be positive and finite, got inf"),
+    (["simulate", "--kind", "correlated", "--n", "64", "--sigma", "-1"],
+     "sigma_daily must be positive and finite, got -1.0"),
+    (["simulate", "--kind", "regime_switch", "--n", "64", "--sigma-low", "nan"],
+     "need 0 < sigma_low < sigma_high < inf per asset"),
+    (["simulate", "--kind", "regime_switch", "--n", "64", "--sigma-high", "inf"],
+     "need 0 < sigma_low < sigma_high < inf per asset"),
+    (["estimate", "{csv}", "--q-grid", "nan,1"], "q grid must be finite, got (nan, 1.0)"),
+    (["estimate", "{csv}", "--q-grid", "1,inf"], "q grid must be finite, got (1.0, inf)"),
+    (["estimate", "{csv}", "--method", "dfa", "--q-grid", "nan"],
+     "q grid must be finite, got (nan,)"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, workdir, argv, message):
     path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",

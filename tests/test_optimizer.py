@@ -569,6 +569,13 @@ def test_hurst_sensitivity_scale_one_is_zero():
         assert sensitivity_to_hurst(cs, 0, 1) == 0.0
 
 
+@pytest.mark.parametrize("k, dt", [(99, 1), (99, 21), (-1, 1), (3, 21)])
+def test_hurst_sensitivity_checks_asset_index_at_every_scale(k, dt):
+    cs = _set_for((np.eye(3) * 1e-4, np.eye(3) * 2.1e-3), (1, 21), ("a", "b", "c"))
+    with pytest.raises(ValueError, match=rf"asset index {k} outside \[0, 3\)"):
+        sensitivity_to_hurst(cs, k, dt)
+
+
 def test_hurst_sensitivity_matches_finite_difference():
     rng = np.random.default_rng(14)
     m21 = random_pd_matrix(rng, 3, scale=0.01)

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import gen_stable_iid
+from multiscale_markowitz import scaling
 from multiscale_markowitz.errors import DataError
 from multiscale_markowitz.scaling import (
     MIN_OBS_FOR_FIT,
@@ -108,6 +109,31 @@ def test_fit_recovers_any_exact_power_law(prefactor, exponent, n_points):
     fit = fit_scaling_exponent(list(zip(x, prefactor * x**exponent)))
     assert fit.exponent == pytest.approx(exponent, abs=1e-9)
     assert fit.r2 == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("k", [3, 5, 8, 12, 13])
+def test_loglog_fit_columns_are_one_column_fits(k):
+    # numpy sums a contiguous run pairwise but a strided column in order,
+    # so the row counts straddle its 8-element block
+    rng = np.random.default_rng(k)
+    scales = np.sort(rng.choice(np.arange(1, 200), size=k, replace=False))
+    log_m = rng.normal(0.0, 3.0, size=(k, 7)) + rng.uniform(-2, 2, 7) * np.log(scales)[:, None]
+    slope, stderr, r2 = scaling._loglog_fit(scales, log_m)
+    for j in range(log_m.shape[1]):
+        one = scaling._loglog_fit(scales, log_m[:, [j]])
+        assert (slope[j], stderr[j], r2[j]) == tuple(v[0] for v in one)
+    assert np.allclose(slope, np.polyfit(np.log(scales), log_m, 1)[0], rtol=0, atol=1e-12)
+
+
+def test_loglog_fit_rejects_in_order():
+    with pytest.raises(DataError, match="need >= 3 scales"):
+        scaling._loglog_fit((0, -1), np.full((2, 1), np.nan))
+    with pytest.raises(ValueError, match="scales must be positive"):
+        scaling._loglog_fit((0, 1, 2), np.full((3, 1), np.nan))
+    with pytest.raises(DataError, match="positive and finite"):
+        scaling._loglog_fit((2, 2, 2), np.array([[0.0, 1.0], [1.0, 1.0], [np.inf, 1.0]]))
+    with pytest.raises(ValueError, match="scales must be distinct"):
+        scaling._loglog_fit((2, 2, 2), np.zeros((3, 2)))
 
 
 def test_fit_stderr_reflects_scatter(rng):
@@ -295,6 +321,34 @@ def test_scaling_estimates_take_one_prefix_sum_per_series(monkeypatch):
     # block sums of each series, which also give their first moments
     estimate_correlation_scaling(p, "a1", "a2")
     assert calls["cumsum"] == 4
+
+
+def test_every_estimate_makes_one_loglog_fit(monkeypatch):
+    p = gen_epps(1 << 12, rho_inf=0.6, h_rho=0.3, seed=17)
+    calls = Counter()
+    fit = scaling._loglog_fit
+
+    def counted(*args, **kwargs):
+        calls["fit"] += 1
+        return fit(*args, **kwargs)
+    monkeypatch.setattr(scaling, "_loglog_fit", counted)
+    for estimate in (lambda: structure_spectrum(p, asset="a1"),
+                     lambda: mfdfa(p, asset="a1"),
+                     lambda: estimate_hurst(p, asset="a1"),
+                     lambda: estimate_correlation_scaling(p, "a1", "a2")):
+        calls.clear()
+        estimate()
+        assert calls["fit"] == 1
+
+
+@pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
+def test_moment_order_must_be_finite(q):
+    p = gen_gaussian_iid(1 << 10, seed=2)
+    with pytest.raises(ValueError, match="q must be nonzero and finite"):
+        structure_function(p, q=q)
+    for spectrum in (structure_spectrum, mfdfa):
+        with pytest.raises(ValueError, match="q grid must be finite"):
+            spectrum(p, q_grid=(q, 1.0))
 
 
 @pytest.mark.parametrize("scales", [(1, 2, 5, 10, 21), (3, 1, 7, 12)])

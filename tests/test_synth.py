@@ -319,6 +319,13 @@ def test_regime_switch_bad_schedule():
         gen_regime_switch(100, switch_points=(200,))
 
 
+def test_regime_switch_refuses_fractional_switch_points():
+    with pytest.raises(ValueError, match=r"switch points must be integers, got \[5.5, 20.9\]"):
+        gen_regime_switch(100, switch_points=(5.5, 20.9))
+    whole = gen_regime_switch(100, switch_points=(5.0, 20.0), seed=3)
+    assert np.array_equal(whole.returns, gen_regime_switch(100, switch_points=(5, 20), seed=3).returns)
+
+
 # ---------------------------------------------------------------------------
 # multiplicative cascade
 
