@@ -27,6 +27,7 @@ from .timeseries import (
     MODE_OVERLAPPING,
     ReturnPanel,
     _check_scales,
+    _integral,
     min_phase_rows,
 )
 
@@ -66,6 +67,11 @@ class BacktestConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
+        for name in ("lookback", "rebalance_every"):
+            value = _integral(getattr(self, name))
+            if value is None:
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, value)
         if self.lookback < 8:
             raise ValueError("lookback must be at least 8 periods")
         if self.rebalance_every < 1:

@@ -7,12 +7,14 @@ pipeline end to end from fixed seeds.
 
 Exit codes: 0 success, 1 usage, 2 bad input data, 3 numerical failure.
 Results go to stdout and files; diagnostics go to stderr. Output files
-are written atomically (temp file plus rename). A ``--config`` file
-supplies ``key=value`` defaults that explicit flags override.
+are written atomically (temp file plus rename). Each ``key = value`` line
+of a ``--config`` file is read as a ``--key=value`` flag placed before the
+command line's own, so explicit flags override it.
 """
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
 import json
 import math
@@ -51,76 +53,58 @@ class _Parser(argparse.ArgumentParser):
 
 
 # ---------------------------------------------------------------------------
-# option casting shared by flags and config files
+# option casts: argparse applies them to flags, config lines and string defaults
 
 def _cast_int(raw):
     try:
         return int(raw)
     except ValueError:
-        raise _UsageError(f"expected an integer, got {raw!r}") from None
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
 
 
 def _cast_float(raw):
     try:
         return float(raw)
     except ValueError:
-        raise _UsageError(f"expected a number, got {raw!r}") from None
-
-
-def _cast_str(raw):
-    return str(raw)
+        raise argparse.ArgumentTypeError(f"expected a number, got {raw!r}") from None
 
 
 def _cast_bool(raw):
-    low = str(raw).strip().lower()
+    low = raw.strip().lower()
     if low in ("1", "true", "yes", "on"):
         return True
     if low in ("0", "false", "no", "off"):
         return False
-    raise _UsageError(f"expected a boolean, got {raw!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {raw!r}")
 
 
-def _cast_int_list(raw):
-    raw = str(raw).strip()
-    if not raw:
-        return ()
-    return tuple(_cast_int(p.strip()) for p in raw.split(","))
-
-
-def _cast_float_list(raw):
-    raw = str(raw).strip()
-    if not raw:
-        return ()
-    return tuple(_cast_float(p.strip()) for p in raw.split(","))
+def _list_of(cast):
+    def cast_list(raw):
+        raw = raw.strip()
+        return tuple(cast(p.strip()) for p in raw.split(",")) if raw else ()
+    return cast_list
 
 
 def _cast_ridge(raw):
-    if str(raw).strip() == "auto":
-        return "auto"
-    return _cast_float(raw)
+    return "auto" if raw.strip() == "auto" else _cast_float(raw)
 
 
 def _choice(options):
     def cast(raw):
         if raw not in options:
-            raise _UsageError(f"expected one of {', '.join(options)}; got {raw!r}")
+            raise argparse.ArgumentTypeError(
+                f"expected one of {', '.join(options)}; got {raw!r}")
         return raw
     return cast
 
 
-class Opt:
-    def __init__(self, flag, cast, default, help):
-        self.flag = flag
-        self.dest = flag.lstrip("-").replace("-", "_")
-        self.cast = cast
-        self.default = default
-        self.help = help
+Opt = collections.namedtuple("Opt", "flag cast default help")
 
 
 _COMMON = [
-    Opt("--out-dir", _cast_str, None,
+    Opt("--out-dir", str, None,
         f"output directory (default: ${OUT_DIR_ENV} or '.')"),
-    Opt("--config", _cast_str, None,
+    Opt("--config", str, None,
         "key=value file supplying defaults; explicit flags win"),
 ]
 
@@ -135,11 +119,13 @@ _SIMULATE_OPTS = [
     Opt("--rho", _cast_float, 0.0, "pairwise correlation (correlated)"),
     Opt("--rho-inf", _cast_float, 0.6, "long-block correlation ceiling (epps)"),
     Opt("--h-rho", _cast_float, 0.3, "correlation growth exponent (epps)"),
-    Opt("--sigma-low", _cast_float_list, (0.008,), "calm volatility per asset (regime_switch)"),
-    Opt("--sigma-high", _cast_float_list, (0.02,), "stressed volatility per asset (regime_switch)"),
-    Opt("--switch-points", _cast_int_list, (), "regime toggle indices (regime_switch)"),
+    Opt("--sigma-low", _list_of(_cast_float), (0.008,),
+        "calm volatility per asset (regime_switch)"),
+    Opt("--sigma-high", _list_of(_cast_float), (0.02,),
+        "stressed volatility per asset (regime_switch)"),
+    Opt("--switch-points", _list_of(_cast_int), (), "regime toggle indices (regime_switch)"),
     Opt("--intermittency", _cast_float, 0.2, "cascade intermittency"),
-    Opt("--out", _cast_str, None, "output CSV path (default derived from kind/n/seed)"),
+    Opt("--out", str, None, "output CSV path (default derived from kind/n/seed)"),
 ] + _COMMON
 
 # generator keyword -> option dest, per kind
@@ -157,20 +143,20 @@ _SIMULATE_PARAMS = {
 _ESTIMATE_OPTS = [
     Opt("--method", _choice(("structure", "dfa")), "structure",
         "exponent estimator"),
-    Opt("--asset", _cast_str, None, "restrict to one asset"),
-    Opt("--scales", _cast_int_list, scaling.DEFAULT_SCALES,
+    Opt("--asset", str, None, "restrict to one asset"),
+    Opt("--scales", _list_of(_cast_int), scaling.DEFAULT_SCALES,
         "aggregation scales for structure functions"),
-    Opt("--q-grid", _cast_float_list, scaling.DEFAULT_Q_GRID, "moment orders"),
-    Opt("--dfa-scales", _cast_int_list, (), "segment sizes for dfa (default: auto)"),
+    Opt("--q-grid", _list_of(_cast_float), scaling.DEFAULT_Q_GRID, "moment orders"),
+    Opt("--dfa-scales", _list_of(_cast_int), (), "segment sizes for dfa (default: auto)"),
     Opt("--detrend-order", _cast_int, 1, "polynomial order removed per segment"),
     Opt("--pairs", _cast_bool, False, "also fit pairwise correlation scaling"),
-    Opt("--json-out", _cast_str, None, "write the full report as JSON"),
+    Opt("--json-out", str, None, "write the full report as JSON"),
 ] + _COMMON
 
 _OPTIMIZE_OPTS = [
     Opt("--objective", _choice(("min_variance", "max_sharpe")), "min_variance",
         "what to optimize"),
-    Opt("--scales", _cast_int_list, bt.DEFAULT_SCALES, "covariance scales"),
+    Opt("--scales", _list_of(_cast_int), bt.DEFAULT_SCALES, "covariance scales"),
     Opt("--cov", _choice((cov.METHOD_PRODUCT, cov.METHOD_L1)), cov.METHOD_PRODUCT,
         "covariance estimator"),
     Opt("--l1-joint", _cast_bool, False,
@@ -181,7 +167,7 @@ _OPTIMIZE_OPTS = [
     Opt("--allow-short", _cast_bool, False, "drop the long-only constraint"),
     Opt("--mu-target", _cast_float, None, "expected-return floor (sample means)"),
     Opt("--risk-free", _cast_float, 0.0, "risk-free rate for max_sharpe"),
-    Opt("--out-prefix", _cast_str, None, "prefix for weights CSV and report JSON"),
+    Opt("--out-prefix", str, None, "prefix for weights CSV and report JSON"),
 ] + _COMMON
 
 _BACKTEST_OPTS = [
@@ -191,14 +177,14 @@ _BACKTEST_OPTS = [
         "include Sharpe-objective rows in 'all'"),
     Opt("--lookback", _cast_int, bt.DEFAULT_LOOKBACK, "estimation window length"),
     Opt("--rebalance", _cast_int, bt.DEFAULT_REBALANCE, "holding period length"),
-    Opt("--scales", _cast_int_list, bt.DEFAULT_SCALES, "covariance scales"),
+    Opt("--scales", _list_of(_cast_int), bt.DEFAULT_SCALES, "covariance scales"),
     Opt("--cov", _choice((cov.METHOD_PRODUCT, cov.METHOD_L1)), cov.METHOD_PRODUCT,
         "covariance estimator"),
     Opt("--aggregation", _choice((ts.MODE_NONOVERLAPPING, ts.MODE_OVERLAPPING)),
         ts.MODE_NONOVERLAPPING, "aggregation for multiscale strategies"),
     Opt("--ridge", _cast_ridge, "auto", "diagonal loading: a number or 'auto'"),
     Opt("--risk-free", _cast_float, 0.0, "risk-free rate"),
-    Opt("--out-prefix", _cast_str, None, "prefix for table CSV/text and report JSON"),
+    Opt("--out-prefix", str, None, "prefix for table CSV/text and report JSON"),
 ] + _COMMON
 
 _REPRO_OPTS = [
@@ -230,18 +216,23 @@ def build_parser() -> _Parser:
         if has_input:
             p.add_argument(_POSITIONAL_INPUT[0], help=_POSITIONAL_INPUT[1])
         for o in opts:
-            p.add_argument(o.flag, dest=o.dest, default=None, metavar="V",
+            p.add_argument(o.flag, type=o.cast, default=o.default, metavar="V",
                            help=o.help)
         p.set_defaults(_opts=opts, _func=func)
     return parser
 
 
-def _read_config_file(path, known):
-    values = {}
+def _config_flags(path, opts) -> list:
+    """Each ``key = value`` line of the file at ``path`` as ``--key=value``.
+
+    The ``=`` form keeps a value such as ``-2,2`` from reading as a flag.
+    """
+    known = {o.flag for o in opts} - {"--config"}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from None
+    flags = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -249,34 +240,11 @@ def _read_config_file(path, known):
         if "=" not in line:
             raise _UsageError(f"{path} line {lineno}: expected key=value, got {line!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        dest = key.replace("-", "_")
-        if dest not in known:
+        flag = "--" + key.replace("_", "-")
+        if flag not in known:
             raise _UsageError(f"{path} line {lineno}: unknown key {key!r}")
-        values[dest] = val
-    return values
-
-
-def _merge_options(args) -> dict:
-    opts = {o.dest: o for o in args._opts}
-    file_values = {}
-    raw_config = getattr(args, "config", None)
-    if raw_config is not None:
-        file_values = _read_config_file(raw_config, set(opts) - {"config"})
-    merged = {}
-    for dest, o in opts.items():
-        raw = getattr(args, dest, None)
-        if raw is None:
-            raw = file_values.get(dest)
-        if raw is None:
-            merged[dest] = o.default
-        else:
-            try:
-                merged[dest] = o.cast(raw)
-            except _UsageError as exc:
-                raise _UsageError(f"option --{dest.replace('_', '-')}: {exc}") from None
-    if hasattr(args, "input"):
-        merged["input"] = args.input
-    return merged
+        flags.append(f"{flag}={val}")
+    return flags
 
 
 def _out_dir(merged) -> Path:
@@ -614,21 +582,20 @@ def cmd_repro(merged) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
+        if args.command is None:
+            parser.print_usage(sys.stderr)
+            raise _UsageError("msmark: error: a command is required")
+        if args.config is not None:
+            # the file's flags go first, so the command line's own flags win
+            flags = _config_flags(args.config, args._opts)
+            args = parser.parse_args(argv[:1] + flags + argv[1:])
+        return args._func(vars(args))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if getattr(args, "command", None) is None:
-        parser.print_usage(sys.stderr)
-        print("msmark: error: a command is required", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        merged = _merge_options(args)
-        return args._func(merged)
     except _UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE

@@ -27,6 +27,7 @@ import numpy as np
 
 from .covariance import MultiscaleCovariance, ScaledCovarianceSet, _condition, check_symmetric
 from .errors import DataError, MaxIterationsError, NumericalError, ScaleOneWarning, SensitivitySignWarning
+from .timeseries import _check_scales
 
 MAX_CONDITION = 1e12
 
@@ -80,17 +81,19 @@ class PortfolioWeights:
 def _as_cov(sigma, asset_ids=None):
     """The matrix, asset ids, provenance record and condition number of ``sigma``."""
     if isinstance(sigma, MultiscaleCovariance):
-        ids = tuple(asset_ids) if asset_ids is not None else sigma.asset_ids
+        m, ids, cond = np.asarray(sigma.matrix, dtype=float), sigma.asset_ids, sigma.condition
         record = {"scales": sigma.scales, "covariance": sigma.method,
                   "aggregation": sigma.aggregation, "ridge": sigma.ridge,
                   "psd_repaired": sigma.psd_repaired}
-        return np.asarray(sigma.matrix, dtype=float), ids, record, sigma.condition
-    m = check_symmetric(sigma, "covariance")
-    if asset_ids is None:
-        asset_ids = tuple(f"a{j + 1}" for j in range(m.shape[0]))
-    elif len(asset_ids) != m.shape[0]:
-        raise ValueError("asset_ids length does not match the matrix")
-    return m, tuple(asset_ids), {}, _condition(np.linalg.eigvalsh(m))
+    else:
+        m = check_symmetric(sigma, "covariance")
+        ids, record = tuple(f"a{j + 1}" for j in range(m.shape[0])), {}
+        cond = _condition(np.linalg.eigvalsh(m))
+    if asset_ids is not None:
+        if len(asset_ids) != m.shape[0]:
+            raise ValueError("asset_ids length does not match the matrix")
+        ids = tuple(asset_ids)
+    return m, ids, record, cond
 
 
 def _require_invertible(cond: float) -> None:
@@ -496,7 +499,9 @@ def check_target_curve(weights, cov_set: ScaledCovarianceSet,
                 f"weights shape {w.shape} does not match {cov_set.n_assets} assets"
             )
     if target_table is not None:
-        targets = {int(k): float(v) for k, v in target_table.items()}
+        # a fractional scale is refused, not truncated onto an integer one
+        targets = {s: float(v) for s, v in zip(_check_scales(target_table),
+                                                target_table.values())}
         if not all(0.0 < v < math.inf for v in targets.values()):
             raise ValueError(f"target variances must be positive and finite, got {targets}")
         missing = [s for s in cov_set.scales if s not in targets]

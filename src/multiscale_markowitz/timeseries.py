@@ -460,12 +460,20 @@ def min_phase_rows(n_rows: int, dt: int, aggregation: str = MODE_NONOVERLAPPING)
     return (n_rows - dt + 1) // dt
 
 
+def _integral(value) -> int | None:
+    """``value`` as an int if it is a finite whole number, else None."""
+    try:
+        return int(value) if int(value) == value else None
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
 def _check_scales(scales) -> tuple[int, ...]:
     """``scales`` as a tuple of distinct positive ints, or ``ValueError``."""
     out = []
     for s in scales:
-        ds = int(s)
-        if ds != s or ds < 1:
+        ds = _integral(s)
+        if ds is None or ds < 1:
             raise ValueError(f"scales must be positive integers, got {s!r}")
         out.append(ds)
     if not out:

@@ -128,6 +128,15 @@ def test_config_rejects_tiny_lookback():
         BacktestConfig(lookback=5)
 
 
+@pytest.mark.parametrize("field", ["lookback", "rebalance_every"])
+def test_config_stores_integral_periods_as_int_and_refuses_fractions(field):
+    cfg = BacktestConfig(**{field: 21.0})
+    assert getattr(cfg, field) == 21 and type(getattr(cfg, field)) is int
+    for bad in (200.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {bad!r}$"):
+            BacktestConfig(**{field: bad})
+
+
 @pytest.mark.parametrize("risk_free", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_risk_free(risk_free):
     with pytest.raises(ValueError, match="risk_free must be finite"):

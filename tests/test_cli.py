@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from multiscale_markowitz import scaling
+from multiscale_markowitz import cli, scaling
 from multiscale_markowitz.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from multiscale_markowitz.covariance import build_covariance_set, multiscale_cov
 from multiscale_markowitz.timeseries import load_prices, to_log_returns
@@ -466,3 +466,110 @@ def test_config_bad_line_is_usage_error(capsys, workdir):
     code, _, err = _run(capsys, ["simulate", "--config", str(cfg)])
     assert code == EXIT_USAGE
     assert "line 1" in err
+
+
+# A sample value for every option of every subcommand. A config line
+# ``key = value`` and the flag ``--key=value`` must parse to the same
+# value, through the one argparse path.
+_SAMPLES = {
+    "simulate": {"--kind": "fgn", "--n": "64", "--seed": "5", "--sigma": "0.02",
+                 "--hurst": "0.6", "--assets": "3", "--rho": "-0.1", "--rho-inf": "0.5",
+                 "--h-rho": "0.2", "--sigma-low": "0.01,0.02", "--sigma-high": "0.03",
+                 "--switch-points": "10,20", "--intermittency": "0.1", "--out": "x.csv",
+                 "--out-dir": "outs"},
+    "estimate": {"--method": "dfa", "--asset": "a1", "--scales": "1,4",
+                 "--q-grid": "-2,2", "--dfa-scales": "", "--detrend-order": "2",
+                 "--pairs": "yes", "--json-out": "r.json", "--out-dir": "outs"},
+    "optimize": {"--objective": "max_sharpe", "--scales": "1,5", "--cov": "l1",
+                 "--l1-joint": "on", "--aggregation": "overlapping", "--ridge": "auto",
+                 "--allow-short": "true", "--mu-target": "-0.001", "--risk-free": "0.01",
+                 "--out-prefix": "p", "--out-dir": "outs"},
+    "backtest": {"--strategy": "equal_weight", "--max-sharpe-rows": "1",
+                 "--lookback": "100", "--rebalance": "5", "--scales": "1,2",
+                 "--cov": "l1", "--aggregation": "overlapping", "--ridge": "0.5",
+                 "--risk-free": "0.01", "--out-prefix": "p", "--out-dir": "outs"},
+    "repro": {"--seed": "9", "--out-dir": "outs"},
+}
+_INPUT = {"simulate": [], "estimate": ["p.csv"], "optimize": ["p.csv"],
+          "backtest": ["p.csv"], "repro": []}
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Run ``main(argv)`` with every command replaced by one that keeps its options."""
+    seen = []
+    for name in _INPUT:
+        monkeypatch.setattr(cli, f"cmd_{name}", lambda opts: seen.append(opts) or EXIT_OK)
+
+    def parse(argv):
+        code = main(argv)
+        return code, (seen.pop() if code == EXIT_OK else None)
+    return parse
+
+
+def test_samples_cover_every_option(parsed):
+    for name, samples in _SAMPLES.items():
+        code, opts = parsed([name, *_INPUT[name]])
+        assert code == EXIT_OK
+        dests = {k for k in opts if not k.startswith("_")} - {"command", "input", "config"}
+        assert dests == {f[2:].replace("-", "_") for f in samples}, name
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c, opts in _SAMPLES.items()
+                                           for f in opts])
+def test_config_line_parses_as_its_flag(parsed, workdir, command, flag):
+    value = _SAMPLES[command][flag]
+    cfg = workdir / "opts.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    code, from_file = parsed([command, *_INPUT[command], "--config", str(cfg)])
+    assert code == EXIT_OK
+    code, from_flag = parsed([command, *_INPUT[command], f"{flag}={value}"])
+    assert code == EXIT_OK
+    dest = flag[2:].replace("-", "_")
+    assert from_file[dest] == from_flag[dest]
+    assert type(from_file[dest]) is type(from_flag[dest])
+
+
+@pytest.mark.parametrize("command, line, dest, value", [
+    ("estimate", "q-grid = -2,2", "q_grid", (-2.0, 2.0)),
+    ("optimize", "ridge = auto", "ridge", "auto"),
+    ("optimize", "ridge = 0.25", "ridge", 0.25),
+    ("estimate", "pairs = yes", "pairs", True),
+    ("backtest", "aggregation = overlapping", "aggregation", "overlapping"),
+    ("simulate", "rho_inf = 0.5", "rho_inf", 0.5),
+])
+def test_config_line_values(parsed, workdir, command, line, dest, value):
+    cfg = workdir / "opts.cfg"
+    cfg.write_text(line + "\n")
+    code, opts = parsed([command, *_INPUT[command], "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert opts[dest] == value
+
+
+def test_string_defaults_pass_their_casts(parsed):
+    code, opts = parsed(["backtest", "p.csv"])
+    assert code == EXIT_OK
+    assert (opts["ridge"], opts["strategy"], opts["risk_free"]) == ("auto", "all", 0.0)
+    assert opts["out_prefix"] is None
+
+
+def test_explicit_flag_overrides_config_value(parsed, workdir):
+    cfg = workdir / "opts.cfg"
+    cfg.write_text("method = dfa\nq-grid = -2,2\n")
+    code, opts = parsed(["estimate", "p.csv", "--config", str(cfg), "--q-grid", "1,3"])
+    assert code == EXIT_OK
+    assert (opts["method"], opts["q_grid"]) == ("dfa", (1.0, 3.0))
+    code, opts = parsed(["estimate", "p.csv", "--q-grid=0.5", "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert opts["q_grid"] == (0.5,)
+
+
+@pytest.mark.parametrize("overridden", [False, True])
+def test_bad_config_value_names_its_flag(capsys, parsed, workdir, overridden):
+    # a bad value in the file is refused even when the command line sets the key
+    cfg = workdir / "sim.cfg"
+    cfg.write_text("kind = gaussian_iid\nn = x\n")
+    code, _ = parsed(["simulate", "--config", str(cfg)] + (["--n", "64"] if overridden else []))
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "msmark simulate: error: argument --n: expected an integer, got 'x'" in err

@@ -116,6 +116,19 @@ def test_blend_conditioning_refused_as_plain_matrix(matrix):
         assert str(blended.value) == str(plain.value)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda s, ids: sensitivity_to_variance(s, 2, asset_ids=ids),
+    lambda s, ids: min_variance_long_only(s, asset_ids=ids),
+])
+def test_blend_asset_ids_length_checked_before_solving(solve, monkeypatch):
+    # a blend gets the plain matrix's refusal, before any solve starts
+    blend = multiscale_cov(_set_for([np.diag([1.0, 2.0, 3.0])], [1], ("a", "b", "c")))
+    monkeypatch.setattr(optimizer, "_eqp", lambda *a: pytest.fail("solved"))
+    for sigma in (blend.matrix, blend):
+        with pytest.raises(ValueError, match="^asset_ids length does not match the matrix$"):
+            solve(sigma, ("x",))
+
+
 def test_hand_built_blend_is_refused_when_ill_conditioned():
     ms = MultiscaleCovariance(np.diag([1.0, 1e-15]), ("a", "b"), (1,), (1.0,), 0.0,
                               False, "product", "nonoverlapping")
@@ -642,6 +655,15 @@ def test_target_curve_table_form():
     assert [r.within for r in rep.rows] == [True, False]
     with pytest.raises(ValueError, match=r"^target_table missing scales \[5\]$"):
         check_target_curve(w, cs, target_table={1: 1e-4})
+
+
+@pytest.mark.parametrize("table", [{1: 1e-4, 5.9: 1e-3}, {1: 1e-4, 5: 1e-3, 5.9: 2e-3}])
+def test_target_curve_refuses_a_fractional_table_scale(table):
+    # 5.9 is neither read as scale 5 nor allowed to replace its target
+    sig1 = np.eye(2) * 1e-4
+    cs = _set_for((sig1, 5.0 * sig1), (1, 5), ("x", "y"))
+    with pytest.raises(ValueError, match="^scales must be positive integers, got 5.9$"):
+        check_target_curve(np.array([0.5, 0.5]), cs, target_table=table)
 
 
 @pytest.mark.parametrize("targets, message", [
