@@ -21,7 +21,6 @@ from .covariance import (
     MultiscaleCovariance,
     ScaledCovarianceSet,
     build_covariance_set,
-    cov_at_scale,
     multiscale_cov,
     psd_repair,
 )
@@ -41,13 +40,10 @@ from .optimizer import (
 from .scaling import (
     CorrelationScaling,
     HurstEstimate,
-    PowerLawFit,
     ScalingSpectrum,
     estimate_correlation_scaling,
     estimate_hurst,
-    fit_scaling_exponent,
     mfdfa,
-    structure_function,
     structure_spectrum,
 )
 from .synth import (
@@ -87,7 +83,6 @@ __all__ = [
     "NumericalError",
     "PerformanceMetrics",
     "PortfolioWeights",
-    "PowerLawFit",
     "PriceSeries",
     "ReturnPanel",
     "ScaledCovarianceSet",
@@ -99,10 +94,8 @@ __all__ = [
     "check_target_curve",
     "compare",
     "correlation_sensitivity_analytic",
-    "cov_at_scale",
     "estimate_correlation_scaling",
     "estimate_hurst",
-    "fit_scaling_exponent",
     "gen_correlated",
     "gen_epps",
     "gen_fgn",
@@ -124,7 +117,6 @@ __all__ = [
     "sensitivity_to_variance",
     "split_seed",
     "standard_comparison_configs",
-    "structure_function",
     "structure_spectrum",
     "to_log_returns",
     "to_price_series",

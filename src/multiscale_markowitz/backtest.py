@@ -67,7 +67,7 @@ class BacktestConfig:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}; choose from {STRATEGIES}")
-        for name in ("lookback", "rebalance_every"):
+        for name in ("lookback", "rebalance_every", "periods_per_year"):
             value = _integral(getattr(self, name))
             if value is None:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
@@ -109,6 +109,8 @@ def metrics(equity, periods_per_year: int = 252) -> PerformanceMetrics:
     fraction, a value in [-1, 0]. Constant returns raise; returns constant
     up to rounding give NaN Sharpe, Sortino and kurtosis.
     """
+    if (_integral(periods_per_year) or 0) < 1:
+        raise ValueError(f"periods_per_year must be a positive integer, got {periods_per_year!r}")
     arr = np.asarray(equity, dtype=float)
     if arr.ndim != 1 or len(arr) < 3:
         raise ValueError("equity curve needs at least 3 points")

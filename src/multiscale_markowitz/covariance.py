@@ -91,21 +91,16 @@ def _phase_cov(s: np.ndarray, k: int) -> np.ndarray:
     return y.T @ y
 
 
-def _corr_with_guard(x: np.ndarray, dead: np.ndarray) -> np.ndarray:
+def _cov_l1(x: np.ndarray, dead: np.ndarray, joint: bool) -> np.ndarray:
+    # correlation times a mean-absolute-deviation scale; the deviation is
+    # taken about the per-asset median
+    dev = np.abs(x - np.median(x, axis=0))
     c = _phase_cov(x, 1)
     sd = np.sqrt(np.diag(c))
     sd_safe = np.where(sd > 0.0, sd, 1.0)
     rho = c / np.outer(sd_safe, sd_safe)
     rho[dead, :] = 0.0
     rho[:, dead] = 0.0
-    return rho
-
-
-def _cov_l1(x: np.ndarray, dead: np.ndarray, joint: bool) -> np.ndarray:
-    # correlation times a mean-absolute-deviation scale; the deviation is
-    # taken about the per-asset median
-    dev = np.abs(x - np.median(x, axis=0))
-    rho = _corr_with_guard(x, dead)
     if joint:
         scale = dev.T @ dev / x.shape[0]
     else:
@@ -124,76 +119,6 @@ def _constant_columns(x: np.ndarray) -> np.ndarray:
     """
     cols = x.T.copy()
     return cols.max(axis=1) == cols.min(axis=1)
-
-
-def _covariances(panel: ReturnPanel, scales: tuple[int, ...], method: str,
-                 aggregation: str, l1_joint: bool) -> list[np.ndarray]:
-    # one matrix per scale, for ``cov_at_scale`` and ``build_covariance_set``;
-    # every scale is checked before any is built
-    if method not in (METHOD_PRODUCT, METHOD_L1):
-        raise ValueError(f"unknown method {method!r}")
-    if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    for dt in scales:
-        rows = min_phase_rows(panel.n_periods, dt, aggregation)
-        if rows < MIN_OBS_PER_PHASE:
-            kind = ("observations in the worst phase" if aggregation == MODE_NONOVERLAPPING
-                    else "overlapping observations")
-            raise DataError(f"scale {dt} leaves {rows} {kind}, need >= {MIN_OBS_PER_PHASE}")
-
-    # decided on the one-period returns: block sums of a constant column
-    # carry cumsum rounding and would not test as exactly constant
-    dead = _constant_columns(panel.returns)
-    dead_ids = [panel.asset_ids[i] for i in np.flatnonzero(dead)]
-    out = []
-    for dt, s in zip(scales, _block_sums_each(panel.returns, scales)):
-        for aid in dead_ids:
-            warnings.warn(
-                f"asset {aid!r} has zero variance at scale {dt}; "
-                "its covariance entries are zero",
-                DegenerateAssetWarning,
-                stacklevel=3,
-            )
-        k = dt if aggregation == MODE_NONOVERLAPPING else 1
-        if method == METHOD_PRODUCT:
-            c = _phase_cov(s, k)
-            if dead_ids:
-                c[dead, :] = 0.0
-                c[:, dead] = 0.0
-        else:
-            acc = np.zeros((panel.n_assets, panel.n_assets))
-            for p in range(k):
-                acc += _cov_l1(s[p::k], dead, l1_joint)
-            c = acc / k
-        # finite returns can still overflow a product; a finite diagonal
-        # bounds every entry
-        if not np.isfinite(c.diagonal()).all():
-            raise DataError(f"variance at scale {dt} overflows: returns too large")
-        out.append(c)
-    return out
-
-
-def cov_at_scale(panel: ReturnPanel, dt: int, method: str = METHOD_PRODUCT,
-                 aggregation: str = MODE_NONOVERLAPPING,
-                 l1_joint: bool = False) -> tuple[np.ndarray, int]:
-    """Covariance of ``dt``-period returns, phase-averaged.
-
-    Non-overlapping aggregation averages the covariances of the ``dt``
-    phases (block sums starting at ``p, p + dt, ...``); the product
-    estimator gets that average from one Gram product of the block sums,
-    each centred by its phase mean and weighted by its phase's
-    ``1/(dt (n_p - 1))``, and the L1 estimator averages phase by phase.
-    Overlapping aggregation uses the block sums at every start index.
-    Returns ``(matrix, n_obs)`` where ``n_obs`` is the smallest number of
-    observations behind any phase. Product matrices are exactly symmetric.
-
-    Assets whose one-period returns are constant over the panel get their
-    rows and columns zeroed and raise ``DegenerateAssetWarning``. A scale
-    leaving fewer than four observations in the worst phase raises
-    ``DataError``.
-    """
-    (m,) = _covariances(panel, _check_scales((dt,)), method, aggregation, l1_joint)
-    return m, min_phase_rows(panel.n_periods, int(dt), aggregation)
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,15 +165,58 @@ class ScaledCovarianceSet:
 def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUCT,
                          aggregation: str = MODE_NONOVERLAPPING,
                          l1_joint: bool = False) -> ScaledCovarianceSet:
-    """Estimate ``cov_at_scale`` for each requested scale.
+    """Covariance of the ``dt``-period returns at each scale, phase-averaged.
 
-    Every scale is checked, and the constant assets found, once for the set;
-    the matrices, exactly symmetric by construction, are not re-checked.
+    Non-overlapping aggregation averages the covariances of the ``dt`` phases
+    (block sums starting at ``p, p + dt, ...``), in one Gram product for the
+    product estimator and phase by phase for L1; overlapping aggregation uses
+    every start index. A scale under four observations in its worst phase
+    (``min_phase_rows``) raises ``DataError``; a constant asset gets zero rows
+    and columns and a ``DegenerateAssetWarning`` per scale. The matrices are
+    exactly symmetric by construction and not re-checked.
     """
     scales = _check_scales(scales)
-    built = _covariances(panel, scales, method, aggregation, l1_joint)
-    for m in built:
-        m.setflags(write=False)
+    if method not in (METHOD_PRODUCT, METHOD_L1):
+        raise ValueError(f"unknown method {method!r}")
+    if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
+        raise ValueError(f"unknown aggregation {aggregation!r}")
+    for dt in scales:
+        rows = min_phase_rows(panel.n_periods, dt, aggregation)
+        if rows < MIN_OBS_PER_PHASE:
+            kind = ("observations in the worst phase" if aggregation == MODE_NONOVERLAPPING
+                    else "overlapping observations")
+            raise DataError(f"scale {dt} leaves {rows} {kind}, need >= {MIN_OBS_PER_PHASE}")
+
+    # decided on the one-period returns: block sums of a constant column
+    # carry cumsum rounding and would not test as exactly constant
+    dead = _constant_columns(panel.returns)
+    dead_ids = [panel.asset_ids[i] for i in np.flatnonzero(dead)]
+    built = []
+    for dt, s in zip(scales, _block_sums_each(panel.returns, scales)):
+        for aid in dead_ids:
+            warnings.warn(
+                f"asset {aid!r} has zero variance at scale {dt}; "
+                "its covariance entries are zero",
+                DegenerateAssetWarning,
+                stacklevel=2,
+            )
+        k = dt if aggregation == MODE_NONOVERLAPPING else 1
+        if method == METHOD_PRODUCT:
+            c = _phase_cov(s, k)
+            if dead_ids:
+                c[dead, :] = 0.0
+                c[:, dead] = 0.0
+        else:
+            acc = np.zeros((panel.n_assets, panel.n_assets))
+            for p in range(k):
+                acc += _cov_l1(s[p::k], dead, l1_joint)
+            c = acc / k
+        # finite returns can still overflow a product; a finite diagonal
+        # bounds every entry
+        if not np.isfinite(c.diagonal()).all():
+            raise DataError(f"variance at scale {dt} overflows: returns too large")
+        c.setflags(write=False)
+        built.append(c)
     return _trusted(ScaledCovarianceSet, asset_ids=panel.asset_ids, scales=scales,
                     matrices=tuple(built), method=method, aggregation=aggregation)
 

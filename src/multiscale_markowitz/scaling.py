@@ -17,7 +17,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .timeseries import ReturnPanel, _block_sums_each, _check_scales, min_phase_rows
+from .timeseries import ReturnPanel, _block_sums_each, _check_scales, _integral, min_phase_rows
 
 DEFAULT_SCALES = (1, 2, 5, 10, 21)
 DEFAULT_Q_GRID = (-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0)
@@ -25,14 +25,6 @@ DEFAULT_Q_GRID = (-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0)
 # fitting a scaling exponent needs this many aggregated observations in
 # every phase of every scale
 MIN_OBS_FOR_FIT = 4
-
-
-class PowerLawFit(NamedTuple):
-    """Slope of log(moment) against log(scale) with OLS diagnostics."""
-
-    exponent: float
-    stderr: float
-    r2: float
 
 
 class HurstEstimate(NamedTuple):
@@ -54,34 +46,9 @@ def _series_and_name(obj, asset):
     return arr, ("series" if asset is None else str(asset))
 
 
-def structure_function(series, asset=None, q: float = 2.0,
-                       scales=DEFAULT_SCALES, min_obs: int = 1):
-    """Mean absolute moments of block sums, phase-averaged per scale.
-
-    For each scale ``dt`` the series is summed over non-overlapping blocks
-    at every phase offset, ``mean(|block|^q)`` is taken per phase, and the
-    phase means are averaged. Returns ``[(scale, moment), ...]``.
-
-    Parameters
-    ----------
-    series : ReturnPanel or 1-D array
-    asset : str, optional
-        Column to read when ``series`` is a multi-asset panel.
-    q : float
-        Moment order, nonzero. Negative orders emphasize quiet blocks.
-    min_obs : int
-        Fewest blocks tolerated in any phase; scales leaving fewer raise
-        ``DataError``. Exponent fits use ``MIN_OBS_FOR_FIT``.
-    """
-    x, _ = _series_and_name(series, asset)
-    if q == 0 or not math.isfinite(q):
-        raise ValueError(f"q must be nonzero and finite, got {q}")
-    scales, moments = _abs_moments(x, (q,), scales, min_obs)
-    return [(float(dt), float(m)) for dt, m in zip(scales, moments[:, 0])]
-
-
-def _abs_moments(x, q_grid, scales, min_obs):
-    """Checked scales and ``structure_function``'s moments, one column per q.
+def _abs_moments(x, q_grid, scales):
+    """Checked scales and the structure functions of ``x``: row ``i``, column
+    ``j`` is the phase average of ``mean(|block sum|^q_j)`` at ``scales[i]``.
 
     Every scale's block sums come from one prefix sum, and each scale's
     ``|block sum|`` is taken once for the whole q grid.
@@ -91,10 +58,10 @@ def _abs_moments(x, q_grid, scales, min_obs):
     scales = _check_scales(scales)
     n = len(x)
     for dt in scales:
-        if min_phase_rows(n, dt) < min_obs:
+        if min_phase_rows(n, dt) < MIN_OBS_FOR_FIT:
             raise DataError(
                 f"scale {dt} leaves {min_phase_rows(n, dt)} blocks in the worst phase, "
-                f"need >= {min_obs}"
+                f"need >= {MIN_OBS_FOR_FIT}"
             )
     moments = np.empty((len(scales), len(q_grid)))
     for si, (dt, b) in enumerate(zip(scales, _block_sums_each(x, scales))):
@@ -149,17 +116,6 @@ def _loglog_fit(scales, log_m):
     exact = ssr <= tiny
     r2 = np.where(exact, 1.0, 1.0 - ssr / np.where(exact, 1.0, sst))
     return slope, stderr, r2
-
-
-def fit_scaling_exponent(points) -> PowerLawFit:
-    """OLS slope of log moment against log scale.
-
-    Needs at least three points with strictly positive finite moments.
-    ``r2`` is 1.0 for an exact fit, including the constant case.
-    """
-    pts = np.array([(float(p[0]), float(p[1])) for p in points]).reshape(-1, 2)
-    slope, stderr, r2 = _loglog_fit(pts[:, 0], _log(pts[:, 1:]))
-    return PowerLawFit(float(slope[0]), float(stderr[0]), float(r2[0]))
 
 
 def estimate_hurst(series, asset=None, scales=DEFAULT_SCALES) -> HurstEstimate:
@@ -245,7 +201,7 @@ def structure_spectrum(series, asset=None, q_grid=DEFAULT_Q_GRID,
     """Scaling exponents from structure functions over a grid of orders."""
     q_grid = _check_q_grid(q_grid)
     x, name = _series_and_name(series, asset)
-    scales, moments = _abs_moments(x, q_grid, scales, MIN_OBS_FOR_FIT)
+    scales, moments = _abs_moments(x, q_grid, scales)
     return _spectrum(name, q_grid, scales, _log(moments), "structure")
 
 
@@ -289,6 +245,9 @@ def mfdfa(series, asset=None, q_grid=DEFAULT_Q_GRID, scales=None,
     """
     x, name = _series_and_name(series, asset)
     q_grid = _check_q_grid(q_grid)
+    if _integral(detrend_order) is None:
+        raise ValueError(f"detrend_order must be an integer, got {detrend_order!r}")
+    detrend_order = int(detrend_order)
     if detrend_order < 1:
         raise ValueError("detrend_order must be >= 1")
     n = len(x)
@@ -375,7 +334,7 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
     scales = _check_scales(scales)
     n = len(xi)
     # per scale: rho, the raw cross moment and each series' first absolute
-    # moment (structure_function(q=1)'s points), one curve per column
+    # moment (its q = 1 structure function), one curve per column
     curves = np.empty((len(scales), 4))
     each_i = _block_sums_each(xi, scales)
     each_j = _block_sums_each(xj, scales)

@@ -197,19 +197,14 @@ def gen_correlated(n: int, cov: np.ndarray, seed: int = 0) -> ReturnPanel:
 # ---------------------------------------------------------------------------
 # lead-lag pair with correlation rising in the observation scale
 
-def epps_correlation_curve(theta: float, noise_var: float, scales) -> np.ndarray:
-    """Exact block-sum correlation of the lagged-factor pair at each scale.
+def _epps_curves(thetas: np.ndarray, noise_var: float, scales) -> np.ndarray:
+    """Exact block-sum correlation of the lagged-factor pair: a row per theta, a column per scale.
 
     Asset one is ``f_t`` plus noise; asset two applies the geometric lag
     kernel ``(1-theta) theta^l`` to the same factor, plus noise of equal
     variance. Short blocks miss the lagged mass, so correlation starts low
     and rises toward ``1 / (1 + noise_var)`` as blocks lengthen.
     """
-    return _epps_curves(np.array([theta], dtype=float), noise_var, scales)[0]
-
-
-def _epps_curves(thetas: np.ndarray, noise_var: float, scales) -> np.ndarray:
-    """``epps_correlation_curve`` of every ``thetas[i]``, one row each."""
     out = np.empty((len(thetas), len(scales)))
     t = thetas[:, None]
     g0 = (1.0 - t) / (1.0 + t)

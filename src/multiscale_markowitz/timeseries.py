@@ -14,6 +14,7 @@ import csv
 import datetime as _dt
 import io
 import math
+import mmap
 import re
 from dataclasses import dataclass
 
@@ -163,22 +164,24 @@ def load_prices(path) -> PriceSeries:
     arrive out of order and are sorted by date; a repeated date is an
     error. Error messages name the offending line and column.
 
-    The file is read once, as bytes. A canonical body goes through one
-    ``np.loadtxt`` call on that buffer, and its dates are read from their
-    code points. It is ASCII with ``\\n`` or ``\\r\\n`` line ends, no NUL,
-    no blank line and no line longer than csv's field limit, and every
-    data line is a ``YYYY-MM-DD`` date followed by one finite positive
-    number per asset, separated by bare commas, with no date repeated.
-    ``prices_to_csv`` writes such files, and rows already in date order
-    are not copied. Every other file goes through the line-precise
-    row-by-row parse, which also reads non-canonical input such as quoted
-    cells or ``20200101`` dates. The fast pass accepts only files on which
-    the row parse returns the same arrays bit for bit.
+    The file is mapped read-only where it can be, so no heap buffer of its
+    size is taken. A canonical body goes through one ``np.loadtxt`` call and
+    its dates are read from their code points. It is ASCII with ``\\n`` or
+    ``\\r\\n`` line ends, no NUL, no blank line and no line longer than
+    csv's field limit, and every data line is a ``YYYY-MM-DD`` date followed
+    by one finite positive number per asset, separated by bare commas, with
+    no date repeated. ``prices_to_csv`` writes such files, and rows already
+    in date order are not copied. Every other file goes through the
+    line-precise row-by-row parse, which also reads non-canonical input such
+    as quoted cells or ``20200101`` dates. The fast pass accepts only files
+    on which the row parse returns the same arrays bit for bit.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if not data.isascii():
-        _check_utf8(path, data)
+        try:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        except (ValueError, OSError):  # an empty file, a pipe
+            data = fh.read()
+    _check_utf8(path, data)
     first, start = _read_header(path, data)
     if first is None:
         raise DataError(f"{path}: empty file")
@@ -192,7 +195,7 @@ def load_prices(path) -> PriceSeries:
         raise DataError(f"{path}: {exc}") from None
 
     parsed = _parse_canonical(data, len(asset_ids), start)
-    del data  # the row parse reads the file again
+    del data  # unmapped; the row parse reads the file again
     if parsed is None:
         return _parse_rows(path, asset_ids)
     ts, prices = parsed
@@ -204,11 +207,8 @@ def load_prices(path) -> PriceSeries:
 _SCAN_CHUNK = 1 << 16
 
 
-def _check_utf8(path, data: bytes) -> None:
-    """Raise ``DataError`` at the first byte of ``data`` that is not UTF-8.
-
-    Decodes a chunk at a time, so no copy of the whole file is made.
-    """
+def _check_utf8(path, data) -> None:
+    """Raise ``DataError`` at the first non-UTF-8 byte of ``data``, decoding a chunk at a time."""
     pos = 0
     while pos < len(data):
         try:
@@ -223,7 +223,7 @@ def _check_utf8(path, data: bytes) -> None:
 _LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-def _read_header(path, data: bytes):
+def _read_header(path, data):
     """The first CSV record of UTF-8 ``data`` (None if empty) and the offset after it."""
     end = 0
 
@@ -240,22 +240,22 @@ def _read_header(path, data: bytes):
     return first, end
 
 
-def _parse_canonical(data: bytes, n_assets: int, start: int = 0):
+def _parse_canonical(data, n_assets: int, start: int = 0):
     """Dates and prices of canonical data lines ``data[start:]``, sorted by date, else None.
 
-    Every check below rejects a file that ``np.loadtxt`` reads but the row
-    parse rejects or reads differently.
+    ``data`` is bytes or an ``mmap``. Every check below rejects a file that
+    ``np.loadtxt`` reads but the row parse rejects or reads differently.
     """
     if start >= len(data):
         return None
-    # one pass over the bytes in chunks: the line ends, and a non-ASCII byte
-    ends = []
-    ascii_only = True
+    # one pass over the bytes in chunks: the line ends, the commas, and a non-ASCII byte
+    ends, commas, ascii_only = [], 0, True
     for off in range(start, len(data), _SCAN_CHUNK):
         chunk = np.frombuffer(data, np.uint8, min(_SCAN_CHUNK, len(data) - off), off)
         ends.append(np.flatnonzero(chunk == ord("\n")) + off)
+        commas += np.count_nonzero(chunk == ord(","))
         ascii_only &= bool(chunk.max() < 0x80)
-    if not data.endswith(b"\n"):
+    if data[-1:] != b"\n":
         ends.append(np.array([len(data)]))
     ends = np.concatenate(ends)
     starts = np.concatenate([[start], ends[:-1] + 1])
@@ -265,14 +265,14 @@ def _parse_canonical(data: bytes, n_assets: int, start: int = 0):
         ascii_only
         # csv ends a row at a lone \r; numpy drops trailing NULs from a date
         and (data.find(b"\r", start) < 0
-             or data.count(b"\r", start) == data.count(b"\r\n", start))
+             or re.compile(rb"\r(?!\n)").search(data, start) is None)
         and data.find(b"\0", start) < 0
         # a blank line, which loadtxt would skip, or one too short for a date
         and lengths.min() >= 11
         # csv refuses a cell longer than its field limit
         and lengths.max() <= csv.field_size_limit()
         # loadtxt below refuses a line with fewer commas, so each has n_assets
-        and data.count(b",", start) == n_lines * n_assets
+        and commas == n_lines * n_assets
     )
     if not canonical:
         return None
@@ -284,11 +284,11 @@ def _parse_canonical(data: bytes, n_assets: int, start: int = 0):
     del code
     if ts is None:
         return None
-    body = io.BytesIO(data)
+    body = data if isinstance(data, mmap.mmap) else io.BytesIO(data)
     body.seek(start)
     try:
-        prices = np.loadtxt(body, delimiter=",", comments=None, ndmin=2,
-                            usecols=range(1, n_assets + 1))
+        prices = np.loadtxt(iter(body.readline, b""), delimiter=",", comments=None, ndmin=2,
+                            usecols=range(1, n_assets + 1), max_rows=n_lines)
     except ValueError:
         return None
     # NaN fails both comparisons

@@ -137,6 +137,15 @@ def test_config_stores_integral_periods_as_int_and_refuses_fractions(field):
             BacktestConfig(**{field: bad})
 
 
+@pytest.mark.parametrize("periods", [math.nan, math.inf, 252.5])
+def test_periods_per_year_must_be_a_whole_number(periods):
+    # NaN would make every Sharpe and Sortino NaN, inf make them -inf
+    with pytest.raises(ValueError, match=f"^periods_per_year must be an integer, got {periods!r}$"):
+        BacktestConfig(periods_per_year=periods)
+    with pytest.raises(ValueError, match="^periods_per_year must be a positive integer"):
+        metrics([1.0, 1.01, 0.99, 1.02], periods_per_year=periods)
+
+
 @pytest.mark.parametrize("risk_free", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_risk_free(risk_free):
     with pytest.raises(ValueError, match="risk_free must be finite"):

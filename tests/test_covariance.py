@@ -13,7 +13,6 @@ from multiscale_markowitz.covariance import (
     MultiscaleCovariance,
     ScaledCovarianceSet,
     build_covariance_set,
-    cov_at_scale,
     multiscale_cov,
     psd_repair,
 )
@@ -22,6 +21,7 @@ from multiscale_markowitz.timeseries import (
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
     block_sums,
+    min_phase_rows,
     panel_from_returns,
 )
 
@@ -30,12 +30,17 @@ from multiscale_markowitz.timeseries import (
 # single-scale estimates
 
 
+def _one_scale(p, dt, **kwargs):
+    """The matrix of the one-scale covariance set at ``dt``."""
+    return build_covariance_set(p, (dt,), **kwargs).matrices[0]
+
+
 def test_cov_identical_columns_rank_one():
     rng = np.random.default_rng(1)
     x = rng.standard_normal(200)
     p = panel_from_returns(np.column_stack([x, x]), asset_ids=("x", "y"))
-    m, n_obs = cov_at_scale(p, 1)
-    assert n_obs == 200
+    m = _one_scale(p, 1)
+    assert min_phase_rows(p.n_periods, 1) == 200
     assert m[0, 0] == pytest.approx(m[0, 1])
     assert m[0, 0] == pytest.approx(x.var(ddof=1))
 
@@ -43,7 +48,7 @@ def test_cov_identical_columns_rank_one():
 def test_cov_alternating_series_l1():
     # median 0, every absolute deviation 1: robust variance estimate is 1
     p = panel_from_returns(np.tile([-1.0, 1.0], 50))
-    m, _ = cov_at_scale(p, 1, method=METHOD_L1)
+    m = _one_scale(p, 1, method=METHOD_L1)
     assert m[0, 0] == pytest.approx(1.0)
 
 
@@ -52,16 +57,16 @@ def test_cov_l1_gaussian_ratio():
     # sits 2/pi below the product estimate
     rng = np.random.default_rng(2)
     p = panel_from_returns(rng.standard_normal(1 << 15) * 0.01)
-    prod, _ = cov_at_scale(p, 1, method=METHOD_PRODUCT)
-    l1, _ = cov_at_scale(p, 1, method=METHOD_L1)
+    prod = _one_scale(p, 1, method=METHOD_PRODUCT)
+    l1 = _one_scale(p, 1, method=METHOD_L1)
     assert l1[0, 0] / prod[0, 0] == pytest.approx(2.0 / np.pi, rel=0.03)
 
 
 def test_cov_l1_joint_matches_marginal_on_diag():
     rng = np.random.default_rng(3)
     p = panel_from_returns(rng.standard_normal((500, 2)) * 0.01)
-    marginal, _ = cov_at_scale(p, 1, method=METHOD_L1, l1_joint=False)
-    joint, _ = cov_at_scale(p, 1, method=METHOD_L1, l1_joint=True)
+    marginal = _one_scale(p, 1, method=METHOD_L1, l1_joint=False)
+    joint = _one_scale(p, 1, method=METHOD_L1, l1_joint=True)
     assert marginal.shape == joint.shape == (2, 2)
     # both must be symmetric with positive diagonals
     for m in (marginal, joint):
@@ -72,8 +77,8 @@ def test_cov_l1_joint_matches_marginal_on_diag():
 def test_cov_brownian_scales_linearly():
     cov = constant_correlation_cov(3, 0.3, sigma_daily=0.01)
     p = gen_correlated(1 << 14, cov, seed=4)
-    m1, _ = cov_at_scale(p, 1)
-    m5, _ = cov_at_scale(p, 5)
+    m1 = _one_scale(p, 1)
+    m5 = _one_scale(p, 5)
     assert np.allclose(m5, 5.0 * m1, rtol=0.12, atol=2e-7)
 
 
@@ -82,7 +87,7 @@ def test_cov_degenerate_asset_warns_and_zeroes():
     x = rng.standard_normal(100)
     p = panel_from_returns(np.column_stack([x, np.zeros(100)]), asset_ids=("x", "flat"))
     with pytest.warns(DegenerateAssetWarning):
-        m, _ = cov_at_scale(p, 1)
+        m = _one_scale(p, 1)
     assert m[1, 1] == 0.0
     assert m[0, 1] == 0.0
     assert m[0, 0] > 0.0
@@ -99,7 +104,7 @@ def test_cov_constant_asset_is_degenerate(aggregation, dt):
     p = panel_from_returns(np.column_stack([x[:, 0], np.full(500, 0.001), x[:, 1]]),
                            asset_ids=("x", "flat", "y"))
     with pytest.warns(DegenerateAssetWarning, match="flat"):
-        m, _ = cov_at_scale(p, dt, aggregation=aggregation)
+        m = _one_scale(p, dt, aggregation=aggregation)
     assert np.all(m[1, :] == 0.0)
     assert np.all(m[:, 1] == 0.0)
     assert m[0, 0] > 0.0 and m[2, 2] > 0.0
@@ -108,13 +113,14 @@ def test_cov_constant_asset_is_degenerate(aggregation, dt):
 def test_cov_scale_too_large():
     p = panel_from_returns(np.arange(20.0))
     with pytest.raises(DataError, match="worst phase"):
-        cov_at_scale(p, 7)
+        _one_scale(p, 7)
     # 20 rows hold four overlapping blocks of 17 but only three of 18
-    assert cov_at_scale(p, 17, aggregation=MODE_OVERLAPPING)[1] == 4
+    assert min_phase_rows(p.n_periods, 17, MODE_OVERLAPPING) == 4
+    _one_scale(p, 17, aggregation=MODE_OVERLAPPING)
     with pytest.raises(DataError, match="3 overlapping observations"):
-        cov_at_scale(p, 18, aggregation=MODE_OVERLAPPING)
+        _one_scale(p, 18, aggregation=MODE_OVERLAPPING)
     with pytest.raises(DataError, match="overlapping observations"):
-        cov_at_scale(p, 25, aggregation=MODE_OVERLAPPING)
+        _one_scale(p, 25, aggregation=MODE_OVERLAPPING)
 
 
 def _reference_cov(x, dt, aggregation):
@@ -137,9 +143,9 @@ def _reference_cov(x, dt, aggregation):
 def test_cov_matches_reshape_sum_reference(aggregation, dt):
     rng = np.random.default_rng(9)
     x = rng.standard_normal((500, 4)) * 0.01 + 0.002
-    m, n_obs = cov_at_scale(panel_from_returns(x), dt, aggregation=aggregation)
+    m = _one_scale(panel_from_returns(x), dt, aggregation=aggregation)
     ref, ref_obs = _reference_cov(x, dt, aggregation)
-    assert n_obs == ref_obs
+    assert min_phase_rows(len(x), dt, aggregation) == ref_obs
     assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -160,7 +166,7 @@ def test_cov_matches_per_phase_np_cov(aggregation, dt, t):
     # t + 1: at every dt for t = 419 and at none for t = 420
     rng = np.random.default_rng(10)
     x = rng.standard_normal((t, 5)) * 0.01 + 0.001
-    m, _ = cov_at_scale(panel_from_returns(x), dt, aggregation=aggregation)
+    m = _one_scale(panel_from_returns(x), dt, aggregation=aggregation)
     ref = _per_phase_np_cov(x, dt, aggregation)
     assert np.abs(m - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -174,19 +180,20 @@ def test_cov_single_phase_is_plain_gram_product(aggregation, dt):
     x = rng.standard_normal((300, 4)) * 0.01
     s = x if dt == 1 else block_sums(x, dt)
     xc = s - s.mean(axis=0)
-    m, _ = cov_at_scale(panel_from_returns(x), dt, aggregation=aggregation)
+    m = _one_scale(panel_from_returns(x), dt, aggregation=aggregation)
     assert np.array_equal(m, xc.T @ xc / (len(s) - 1))
 
 
 @pytest.mark.parametrize("method", [METHOD_PRODUCT, METHOD_L1])
 @pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
 def test_set_matches_cov_at_scale_bitwise(method, aggregation):
+    # each matrix of a many-scale set is the one-scale set's, bit for bit
     rng = np.random.default_rng(12)
     p = panel_from_returns(rng.standard_normal((500, 6)) * 0.01)
     scales = (1, 2, 5, 10, 21)
     cs = build_covariance_set(p, scales, method=method, aggregation=aggregation)
     for dt, m in zip(scales, cs.matrices):
-        ref, _ = cov_at_scale(p, dt, method=method, aggregation=aggregation)
+        ref = _one_scale(p, dt, method=method, aggregation=aggregation)
         assert np.array_equal(m, ref)
 
 
@@ -196,7 +203,7 @@ def test_product_matrices_exactly_symmetric(aggregation, t):
     rng = np.random.default_rng(13)
     p = panel_from_returns(rng.standard_normal((t, 30)) * 0.01)
     for dt in (1, 2, 3, 5, 10, 21):
-        m, _ = cov_at_scale(p, dt, aggregation=aggregation)
+        m = _one_scale(p, dt, aggregation=aggregation)
         assert np.array_equal(m, m.T)
 
 
@@ -219,6 +226,15 @@ def test_set_warns_once_per_dead_asset_and_scale(method, aggregation):
         for i in (1, 3):
             assert np.all(m[i, :] == 0.0) and np.all(m[:, i] == 0.0)
         assert np.all(np.diag(m)[[0, 2, 4]] > 0.0)
+
+
+@pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
+def test_degenerate_asset_warning_names_the_caller(aggregation):
+    x = np.random.default_rng(14).standard_normal((100, 2)) * 0.01
+    x[:, 1] = 0.0
+    with pytest.warns(DegenerateAssetWarning) as record:
+        build_covariance_set(panel_from_returns(x), (1, 5), aggregation=aggregation)
+    assert [w.filename for w in record] == [__file__] * 2
 
 
 # every finite float, subnormals and both zeros included
@@ -281,8 +297,8 @@ def test_ridge_loads_the_diagonal_only():
 def test_cov_overlapping_close_to_nonoverlapping():
     rng = np.random.default_rng(6)
     p = panel_from_returns(rng.standard_normal((2000, 2)) * 0.01)
-    m_no, _ = cov_at_scale(p, 5)
-    m_ov, _ = cov_at_scale(p, 5, aggregation=MODE_OVERLAPPING)
+    m_no = _one_scale(p, 5)
+    m_ov = _one_scale(p, 5, aggregation=MODE_OVERLAPPING)
     assert np.allclose(m_no, m_ov, rtol=0.15, atol=2e-7)
 
 
@@ -339,7 +355,6 @@ def _scale_entry_points():
     x = rng.standard_normal(400)
     return {
         "build_covariance_set": lambda s: build_covariance_set(p, s),
-        "cov_at_scale": lambda s: [cov_at_scale(p, dt) for dt in s],
         "ScaledCovarianceSet": lambda s: ScaledCovarianceSet(
             ("a1", "a2"), s, (np.eye(2),) * len(s), METHOD_PRODUCT,
             MODE_NONOVERLAPPING),
@@ -347,7 +362,7 @@ def _scale_entry_points():
             np.eye(2), ("a1", "a2"), s, (1.0,) * len(s), 0.0, False, METHOD_PRODUCT,
             MODE_NONOVERLAPPING),
         "BacktestConfig": lambda s: BacktestConfig(scales=s),
-        "structure_function": lambda s: scaling.structure_function(x, scales=s),
+        "structure_spectrum": lambda s: scaling.structure_spectrum(x, scales=s),
         "mfdfa": lambda s: scaling.mfdfa(x, scales=s),
         "correlation_scaling": lambda s: scaling.estimate_correlation_scaling(
             p, "a1", "a2", scales=s),
@@ -360,8 +375,6 @@ def _scale_entry_points():
     for scales, message in [((4, 8.5), "scales must be positive integers, got 8.5"),
                             ((4, 0), "scales must be positive integers, got 0"),
                             ((), "need at least one scale")]
-    # cov_at_scale takes one scale at a time, so it has no empty list
-    if scales or entry != "cov_at_scale"
 ])
 def test_every_entry_point_checks_scales_alike(entry, scales, message):
     # no entry point truncates a fractional scale, and none fails on an

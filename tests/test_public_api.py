@@ -64,6 +64,18 @@ def test_readme_command_parses(command):
     cli.build_parser().parse_args(shlex.split(command))
 
 
+def test_readme_library_example_runs(capsys):
+    (code,) = re.findall(r"^```python\n(.*?)^```", _README.read_text(), flags=re.S | re.M)
+    exec(compile(code, str(_README), "exec"), {})
+    assert len(capsys.readouterr().out.splitlines()) == 3
+
+
+def test_readme_names_resolve():
+    names = set(re.findall(r"\bmm\.(\w+)", _README.read_text()))
+    assert len(names) >= 10
+    assert sorted(n for n in names if not hasattr(multiscale_markowitz, n)) == []
+
+
 # The bench (msmark_bench/spans.py and worker.py) traces the program by
 # replacing these names where the program looks them up.
 _BENCH_PATCHED = {

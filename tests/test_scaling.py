@@ -1,4 +1,4 @@
-"""Structure functions, power-law fitting, fluctuation analysis."""
+"""Structure functions, log-log fits, fluctuation analysis."""
 
 import tracemalloc
 from collections import Counter
@@ -12,13 +12,11 @@ from conftest import gen_stable_iid
 from multiscale_markowitz import scaling
 from multiscale_markowitz.errors import DataError
 from multiscale_markowitz.scaling import (
-    MIN_OBS_FOR_FIT,
+    DEFAULT_SCALES,
     default_dfa_scales,
     estimate_correlation_scaling,
     estimate_hurst,
-    fit_scaling_exponent,
     mfdfa,
-    structure_function,
     structure_spectrum,
 )
 from multiscale_markowitz.synth import (
@@ -27,7 +25,7 @@ from multiscale_markowitz.synth import (
     gen_gaussian_iid,
     gen_multifractal,
 )
-from multiscale_markowitz.timeseries import panel_from_returns
+from multiscale_markowitz.timeseries import block_sums, panel_from_returns
 
 
 # ---------------------------------------------------------------------------
@@ -37,67 +35,77 @@ from multiscale_markowitz.timeseries import panel_from_returns
 def test_structure_function_alternating_series():
     # blocks of two cancel exactly
     x = np.tile([1.0, -1.0], 8)
-    pts = dict(structure_function(x, q=2.0, scales=(1, 2)))
-    assert pts[1.0] == pytest.approx(1.0)
-    assert pts[2.0] == pytest.approx(0.0)
+    _, moments = scaling._abs_moments(x, (2.0,), (1, 2))
+    assert moments[0, 0] == pytest.approx(1.0)
+    assert moments[1, 0] == pytest.approx(0.0)
 
 
 def test_structure_function_manual_phase_average():
+    # two blocks per phase, under the fits' floor, so the phase average
+    # is read off the block sums directly
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    pts = dict(structure_function(x, q=1.0, scales=(2,)))
+    moment = scaling._phase_moment(np.abs(block_sums(x, 2)), 2, 1.0)
     # phase 0 blocks: 3, 7; phase 1 blocks: 5, 9
     expected = np.mean([np.mean([3.0, 7.0]), np.mean([5.0, 9.0])])
-    assert pts[2.0] == pytest.approx(expected)
+    assert moment == pytest.approx(expected)
 
 
 def test_structure_function_on_panel_column():
     p = panel_from_returns(np.arange(1.0, 9.0).reshape(4, 2), asset_ids=("x", "y"))
-    pts_x = structure_function(p, asset="x", q=1.0, scales=(1,))
-    assert pts_x[0][1] == pytest.approx(np.mean([1.0, 3.0, 5.0, 7.0]))
+    x, name = scaling._series_and_name(p, "x")
+    assert name == "x"
+    _, moments = scaling._abs_moments(x, (1.0,), (1,))
+    assert moments[0, 0] == pytest.approx(np.mean([1.0, 3.0, 5.0, 7.0]))
 
 
 def test_structure_function_all_zero():
     with pytest.raises(DataError, match="all base returns are zero"):
-        structure_function(np.zeros(32), scales=(1, 2))
+        scaling._abs_moments(np.zeros(32), (2.0,), (1, 2))
 
 
 def test_structure_function_scale_guard():
     with pytest.raises(DataError, match="blocks in the worst phase"):
-        structure_function(np.ones(16), scales=(1, 8), min_obs=4)
+        scaling._abs_moments(np.ones(16), (2.0,), (1, 8))
 
 
 def test_structure_function_negative_q_moments_positive():
     rng = np.random.default_rng(0)
-    pts = structure_function(rng.standard_normal(512), q=-2.0, scales=(1, 2, 4))
-    assert all(m > 0 for _, m in pts)
+    _, moments = scaling._abs_moments(rng.standard_normal(512), (-2.0,), (1, 2, 4))
+    assert np.all(moments > 0)
 
 
 # ---------------------------------------------------------------------------
-# power-law fits
+# log-log fits
+
+
+def _fit(scales, moments):
+    """Slope, standard error and R^2 of the log-log fit of one moment column."""
+    slope, stderr, r2 = scaling._loglog_fit(scales, scaling._log(np.c_[moments]))
+    return slope[0], stderr[0], r2[0]
 
 
 def test_fit_exact_power_law():
     x = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
-    fit = fit_scaling_exponent(list(zip(x, 3.0 * x**1.7)))
-    assert fit.exponent == pytest.approx(1.7, abs=1e-12)
-    assert fit.stderr == pytest.approx(0.0, abs=1e-10)
-    assert fit.r2 == pytest.approx(1.0)
+    exponent, stderr, r2 = _fit(x, 3.0 * x**1.7)
+    assert exponent == pytest.approx(1.7, abs=1e-12)
+    assert stderr == pytest.approx(0.0, abs=1e-10)
+    assert r2 == pytest.approx(1.0)
 
 
 def test_fit_constant_series():
-    fit = fit_scaling_exponent([(1.0, 2.0), (2.0, 2.0), (4.0, 2.0)])
-    assert fit.exponent == pytest.approx(0.0, abs=1e-14)
-    assert fit.r2 == pytest.approx(1.0)
+    exponent, _, r2 = _fit((1.0, 2.0, 4.0), (2.0, 2.0, 2.0))
+    assert exponent == pytest.approx(0.0, abs=1e-14)
+    assert r2 == pytest.approx(1.0)
 
 
 def test_fit_needs_three_points():
     with pytest.raises(DataError, match="need >= 3 scales"):
-        fit_scaling_exponent([(1.0, 1.0), (2.0, 2.0)])
+        _fit((1.0, 2.0), (1.0, 2.0))
 
 
 def test_fit_rejects_nonpositive_moment():
     with pytest.raises(DataError, match="positive and finite"):
-        fit_scaling_exponent([(1.0, 1.0), (2.0, 0.0), (4.0, 2.0)])
+        _fit((1.0, 2.0, 4.0), (1.0, 0.0, 2.0))
 
 
 @settings(max_examples=60, deadline=None)
@@ -106,9 +114,9 @@ def test_fit_rejects_nonpositive_moment():
 @example(prefactor=1.0, exponent=1e-12, n_points=3)
 def test_fit_recovers_any_exact_power_law(prefactor, exponent, n_points):
     x = 2.0 ** np.arange(n_points)
-    fit = fit_scaling_exponent(list(zip(x, prefactor * x**exponent)))
-    assert fit.exponent == pytest.approx(exponent, abs=1e-9)
-    assert fit.r2 == pytest.approx(1.0, abs=1e-9)
+    slope, _, r2 = _fit(x, prefactor * x**exponent)
+    assert slope == pytest.approx(exponent, abs=1e-9)
+    assert r2 == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("k", [3, 5, 8, 12, 13])
@@ -139,9 +147,9 @@ def test_loglog_fit_rejects_in_order():
 def test_fit_stderr_reflects_scatter(rng):
     x = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0])
     noisy = 2.0 * x**0.5 * np.exp(rng.normal(0.0, 0.1, size=len(x)))
-    fit = fit_scaling_exponent(list(zip(x, noisy)))
-    assert fit.stderr > 0.0
-    assert fit.exponent == pytest.approx(0.5, abs=0.3)
+    exponent, stderr, _ = _fit(x, noisy)
+    assert stderr > 0.0
+    assert exponent == pytest.approx(0.5, abs=0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +192,8 @@ def test_structure_spectrum_stderr_is_that_of_h():
     spec = structure_spectrum(x, q_grid=(-2.0, 2.0))
     assert spec.stderr[1] == estimate_hurst(x).stderr
     # a fit of zeta(q) over the same points has q times this error
-    assert spec.stderr[0] * 2.0 == fit_scaling_exponent(
-        structure_function(x, q=-2.0)).stderr
+    scales, moments = scaling._abs_moments(x.returns[:, 0], (-2.0,), DEFAULT_SCALES)
+    assert spec.stderr[0] * 2.0 == _fit(scales, moments[:, 0])[1]
 
 
 def test_structure_spectrum_matches_per_q_fits():
@@ -194,10 +202,11 @@ def test_structure_spectrum_matches_per_q_fits():
     x = gen_fgn(4096, hurst=0.7, seed=11)
     spec = structure_spectrum(x)
     for i, q in enumerate(spec.q_grid):
-        fit = fit_scaling_exponent(structure_function(x, q=q, min_obs=MIN_OBS_FOR_FIT))
-        assert spec.zeta[i] == fit.exponent
-        assert spec.stderr[i] == fit.stderr / abs(q)
-        assert spec.fit_r2[i] == fit.r2
+        scales, moments = scaling._abs_moments(x.returns[:, 0], (q,), DEFAULT_SCALES)
+        exponent, stderr, r2 = _fit(scales, moments[:, 0])
+        assert spec.zeta[i] == exponent
+        assert spec.stderr[i] == stderr / abs(q)
+        assert spec.fit_r2[i] == r2
 
 
 def test_structure_spectrum_stable_first_moment():
@@ -256,6 +265,19 @@ def test_mfdfa_rejects_tiny_scale_for_order():
     x = np.random.default_rng(0).standard_normal(4096)
     with pytest.raises(ValueError):
         mfdfa(x, scales=(3, 16, 32), detrend_order=2)
+
+
+@pytest.mark.parametrize("order", [1.5, np.nan, np.inf])
+def test_mfdfa_refuses_a_non_integral_order(order):
+    x = np.random.default_rng(0).standard_normal(4096)
+    with pytest.raises(ValueError, match="detrend_order must be an integer"):
+        mfdfa(x, scales=(16, 32, 64), detrend_order=order)
+
+
+def test_mfdfa_takes_a_whole_float_order():
+    x = np.random.default_rng(0).standard_normal(4096)
+    spec = mfdfa(x, scales=(16, 32, 64), detrend_order=2.0)
+    assert spec.zeta.tobytes() == mfdfa(x, scales=(16, 32, 64), detrend_order=2).zeta.tobytes()
 
 
 def test_mfdfa_degenerate_input():
@@ -344,8 +366,6 @@ def test_every_estimate_makes_one_loglog_fit(monkeypatch):
 @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
 def test_moment_order_must_be_finite(q):
     p = gen_gaussian_iid(1 << 10, seed=2)
-    with pytest.raises(ValueError, match="q must be nonzero and finite"):
-        structure_function(p, q=q)
     for spectrum in (structure_spectrum, mfdfa):
         with pytest.raises(ValueError, match="q grid must be finite"):
             spectrum(p, q_grid=(q, 1.0))
@@ -358,9 +378,8 @@ def test_correlation_scaling_first_moments_are_structure_function_fits(scales):
     p = gen_epps(1 << 12, rho_inf=0.6, h_rho=0.3, seed=17)
     cs = estimate_correlation_scaling(p, "a1", "a2", scales=scales)
     for asset, h, err in (("a1", cs.h_i_1, cs.h_i_1_stderr), ("a2", cs.h_j_1, cs.h_j_1_stderr)):
-        fit = fit_scaling_exponent(structure_function(p, asset=asset, q=1.0, scales=scales,
-                                                      min_obs=MIN_OBS_FOR_FIT))
-        assert (h, err) == (fit.exponent, fit.stderr)
+        checked, moments = scaling._abs_moments(p.column(asset), (1.0,), scales)
+        assert (h, err) == _fit(checked, moments[:, 0])[:2]
 
 
 def test_correlation_scaling_reports_errors_in_scale_order():

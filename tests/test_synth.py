@@ -12,7 +12,6 @@ from multiscale_markowitz.synth import (
     GeneratorSpec,
     calibrate_epps,
     constant_correlation_cov,
-    epps_correlation_curve,
     gen_correlated,
     gen_epps,
     gen_fgn,
@@ -161,9 +160,14 @@ def test_gen_correlated_rejects_non_psd():
 # lead-lag pair
 
 
+def _epps_curve(theta, noise_var, scales):
+    """The exact correlation curve of one lag persistence ``theta``."""
+    return synth._epps_curves(np.array([theta]), noise_var, scales)[0]
+
+
 def test_epps_curve_limits():
     scales = np.array([1, 2, 5, 10, 21, 100, 1000])
-    rho = epps_correlation_curve(0.7, 0.5, scales)
+    rho = _epps_curve(0.7, 0.5, scales)
     assert np.all(np.diff(rho) > 0)
     # noise washes out and the lag is absorbed at coarse scales
     assert rho[-1] == pytest.approx(1.0 / 1.5, rel=0.02)
@@ -173,11 +177,11 @@ def test_calibrate_epps_hits_targets():
     theta = calibrate_epps(0.6, 0.3)
     noise_var = 1.0 / 0.6 - 1.0
     scales = np.array([1, 2, 5, 10, 21])
-    rho = epps_correlation_curve(theta, noise_var, scales)
+    rho = _epps_curve(theta, noise_var, scales)
     slope = np.polyfit(np.log(scales), np.log(rho), 1)[0]
     assert slope == pytest.approx(0.3, abs=0.02)
     # plateau limit is the asymptotic correlation
-    limit = epps_correlation_curve(theta, noise_var, np.array([100000]))[0]
+    limit = _epps_curve(theta, noise_var, np.array([100000]))[0]
     assert limit == pytest.approx(0.6, abs=0.01)
 
 
@@ -219,7 +223,7 @@ def test_epps_curve_matches_per_scale_reference(rho_inf, scales):
     grid_scales = np.asarray(scales, dtype=float)
     for theta in np.linspace(0.0, 0.995, 400):
         for s in (scales, grid_scales):
-            assert (epps_correlation_curve(theta, noise_var, s).tobytes()
+            assert (_epps_curve(theta, noise_var, s).tobytes()
                     == _reference_epps_curve(theta, noise_var, s).tobytes()), theta
 
 

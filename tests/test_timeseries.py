@@ -1,7 +1,10 @@
 """Panel containers, CSV ingestion, and block sums."""
 
+import mmap
+import os
 import re
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -429,12 +432,14 @@ def test_loaded_series_and_returns_match_public_constructors(tmp_path, rng, shuf
 @pytest.mark.parametrize("ids", [("a", "b", "c", "d"), ("Société", "中", "c", "d")],
                          ids=["ascii", "utf8_header"])
 def test_load_prices_traced_peak_within_twice_the_file(tmp_path, ids):
-    # the canonical pass holds the file's bytes once, plus the arrays it builds
+    # the file is mapped, so no heap buffer of its size is traced: only the
+    # arrays built from it (prices are a third of this file, plus the dates)
+    # and, for the panel, its returns
     path = _canonical_csv(tmp_path, np.random.default_rng(15), 1 << 15, ids)
     size = path.stat().st_size
-    for fn in (load_prices, cli._load_panel):
+    for fn, bound in ((load_prices, 0.75), (cli._load_panel, 2.0)):
         fn(path)
-        assert peak_traced_bytes(fn, path) <= 2.0 * size, fn.__name__
+        assert peak_traced_bytes(fn, path) <= bound * size, fn.__name__
 
 
 def test_row_parse_traced_peak_within_three_times_the_file(tmp_path):
@@ -449,6 +454,46 @@ def test_row_parse_traced_peak_within_three_times_the_file(tmp_path):
     assert np.array_equal(got.timestamps, want.timestamps)
     assert np.array_equal(got.prices, want.prices)
     assert peak_traced_bytes(load_prices, path) <= 3.0 * size
+
+
+@pytest.mark.parametrize("text", [
+    "date,a1,b\r\n2020-01-02,2.5,3\r\n2020-01-01,1.5,4\r\n",
+    "date,a1,b\n2020-01-01,1.5,4\n2020-01-02,2.5,3",
+    "date,a1,b\n2020-01-01,1.5,4\r2020-01-02,2.5,3\n",
+    "date,a1,b\n2020-01-01,1.5,4,\n",
+], ids=["crlf", "no_final_newline", "bare_cr", "extra_comma"])
+def test_fast_pass_reads_a_map_as_it_reads_bytes(tmp_path, text):
+    path = tmp_path / "p.csv"
+    path.write_bytes(text.encode())
+    start = text.index("\n") + 1
+    with open(path, "rb") as fh, mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ) as mapped:
+        from_map = timeseries._parse_canonical(mapped, 2, start)
+    from_bytes = timeseries._parse_canonical(text.encode(), 2, start)
+    assert (from_map is None) == (from_bytes is None)
+    if from_bytes is not None:
+        for a, b in zip(from_map, from_bytes):
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_prices_reads_a_pipe_and_refuses_an_empty_file(tmp_path):
+    # neither can be mapped: both are read as bytes
+    path = _canonical_csv(tmp_path, np.random.default_rng(18), 64, ("a", "b"))
+    fifo = tmp_path / "p.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(path.read_bytes(),))
+    writer.start()
+    try:
+        got = load_prices(fifo)
+    finally:
+        writer.join()
+    want = load_prices(path)
+    assert np.array_equal(got.timestamps, want.timestamps)
+    assert np.array_equal(got.prices, want.prices)
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    with pytest.raises(DataError, match="empty file"):
+        load_prices(empty)
 
 
 # ---------------------------------------------------------------------------
