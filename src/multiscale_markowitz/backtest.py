@@ -13,16 +13,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .covariance import (
-    METHOD_L1,
-    METHOD_PRODUCT,
-    MIN_OBS_PER_PHASE,
-    build_covariance_set,
-    multiscale_cov,
-)
+from .covariance import METHOD_L1, METHOD_PRODUCT, build_covariance_set, multiscale_cov
 from .errors import DataError, MultiscaleError, NumericalError
 from .optimizer import PortfolioWeights, max_sharpe, min_variance_long_only
 from .timeseries import (
+    MIN_PHASE_ROWS,
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
     ReturnPanel,
@@ -37,12 +32,28 @@ STRATEGY_MARKOWITZ_MULTISCALE = "markowitz_multiscale"
 STRATEGY_MAX_SHARPE_DAILY = "max_sharpe_daily"
 STRATEGY_MAX_SHARPE_MULTISCALE = "max_sharpe_multiscale"
 
-STRATEGIES = (
-    STRATEGY_EQUAL,
-    STRATEGY_MARKOWITZ_DAILY,
-    STRATEGY_MARKOWITZ_MULTISCALE,
-    STRATEGY_MAX_SHARPE_DAILY,
-    STRATEGY_MAX_SHARPE_MULTISCALE,
+
+class _Strategy(NamedTuple):
+    display_name: str
+    objective: str | None  # "min_variance", "max_sharpe", or None for equal weights
+    multiscale: bool  # fits on the config's scales rather than scale 1 alone
+
+
+# every fact about a strategy; fit_weights looks the solvers up as module
+# globals, so the table names objectives rather than binding functions
+_STRATEGY_TABLE = {
+    STRATEGY_EQUAL: _Strategy("Equally Weighted", None, False),
+    STRATEGY_MARKOWITZ_DAILY: _Strategy("Traditional Markowitz", "min_variance", False),
+    STRATEGY_MARKOWITZ_MULTISCALE: _Strategy("Multiscale Markowitz", "min_variance", True),
+    STRATEGY_MAX_SHARPE_DAILY: _Strategy("Traditional Max Sharpe", "max_sharpe", False),
+    STRATEGY_MAX_SHARPE_MULTISCALE: _Strategy("Multiscale Max Sharpe", "max_sharpe", True),
+}
+STRATEGIES = tuple(_STRATEGY_TABLE)
+
+# (daily, multiscale) strategies of one objective, in lineup order
+_PAIRS = (
+    (STRATEGY_MARKOWITZ_DAILY, STRATEGY_MARKOWITZ_MULTISCALE),
+    (STRATEGY_MAX_SHARPE_DAILY, STRATEGY_MAX_SHARPE_MULTISCALE),
 )
 
 DEFAULT_LOOKBACK = 125
@@ -88,9 +99,7 @@ class BacktestConfig:
 
     @property
     def effective_scales(self) -> tuple[int, ...]:
-        if self.strategy in (STRATEGY_MARKOWITZ_DAILY, STRATEGY_MAX_SHARPE_DAILY):
-            return (1,)
-        return self.scales
+        return self.scales if _STRATEGY_TABLE[self.strategy].multiscale else (1,)
 
 
 class PerformanceMetrics(NamedTuple):
@@ -154,15 +163,15 @@ class BacktestReport:
 
 def fit_weights(window: ReturnPanel, cfg: BacktestConfig) -> PortfolioWeights:
     """Fit one set of weights on an estimation window."""
-    n = window.n_assets
-    ids = window.asset_ids
-    if cfg.strategy == STRATEGY_EQUAL:
-        return PortfolioWeights(ids, np.full(n, 1.0 / n), "equal", long_only=True)
+    objective = _STRATEGY_TABLE[cfg.strategy].objective
+    if objective is None:
+        n = window.n_assets
+        return PortfolioWeights(window.asset_ids, np.full(n, 1.0 / n), "equal", long_only=True)
     cset = build_covariance_set(window, cfg.effective_scales,
                                 method=cfg.covariance_method,
                                 aggregation=cfg.aggregation)
     blended = multiscale_cov(cset, ridge=cfg.ridge)
-    if cfg.strategy in (STRATEGY_MARKOWITZ_DAILY, STRATEGY_MARKOWITZ_MULTISCALE):
+    if objective == "min_variance":
         return min_variance_long_only(blended)
     mu = window.returns.mean(axis=0)
     return max_sharpe(blended, mu, risk_free=cfg.risk_free)
@@ -182,10 +191,10 @@ def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:
             f"panel has {t_total} rows; need lookback {cfg.lookback} plus one "
             f"holding period of {cfg.rebalance_every}"
         )
-    if cfg.strategy != STRATEGY_EQUAL:
+    if _STRATEGY_TABLE[cfg.strategy].objective is not None:
         dt = max(cfg.effective_scales)
         worst = min_phase_rows(cfg.lookback, dt, cfg.aggregation)
-        if worst < MIN_OBS_PER_PHASE:
+        if worst < MIN_PHASE_ROWS:
             raise ValueError(
                 f"lookback {cfg.lookback} leaves {worst} observations at scale "
                 f"{dt}; shrink scales or grow the window"
@@ -230,17 +239,10 @@ def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:
 # strategy comparison
 
 def display_name(cfg: BacktestConfig) -> str:
-    base = {
-        STRATEGY_EQUAL: "Equally Weighted",
-        STRATEGY_MARKOWITZ_DAILY: "Traditional Markowitz",
-        STRATEGY_MARKOWITZ_MULTISCALE: "Multiscale Markowitz",
-        STRATEGY_MAX_SHARPE_DAILY: "Traditional Max Sharpe",
-        STRATEGY_MAX_SHARPE_MULTISCALE: "Multiscale Max Sharpe",
-    }[cfg.strategy]
-    if cfg.aggregation == MODE_OVERLAPPING and cfg.strategy in (
-            STRATEGY_MARKOWITZ_MULTISCALE, STRATEGY_MAX_SHARPE_MULTISCALE):
-        base += " (Overlapping)"
-    return base
+    entry = _STRATEGY_TABLE[cfg.strategy]
+    if entry.multiscale and cfg.aggregation == MODE_OVERLAPPING:
+        return entry.display_name + " (Overlapping)"
+    return entry.display_name
 
 
 def standard_comparison_configs(base: BacktestConfig | None = None,
@@ -252,24 +254,11 @@ def standard_comparison_configs(base: BacktestConfig | None = None,
     """
     if base is None:
         base = BacktestConfig()
-    rows = [
-        replace(base, strategy=STRATEGY_EQUAL, aggregation=MODE_NONOVERLAPPING),
-        replace(base, strategy=STRATEGY_MARKOWITZ_DAILY,
-                aggregation=MODE_NONOVERLAPPING),
-        replace(base, strategy=STRATEGY_MARKOWITZ_MULTISCALE,
-                aggregation=MODE_NONOVERLAPPING),
-        replace(base, strategy=STRATEGY_MARKOWITZ_MULTISCALE,
-                aggregation=MODE_OVERLAPPING),
-    ]
-    if max_sharpe_rows:
-        rows += [
-            replace(base, strategy=STRATEGY_MAX_SHARPE_DAILY,
-                    aggregation=MODE_NONOVERLAPPING),
-            replace(base, strategy=STRATEGY_MAX_SHARPE_MULTISCALE,
-                    aggregation=MODE_NONOVERLAPPING),
-            replace(base, strategy=STRATEGY_MAX_SHARPE_MULTISCALE,
-                    aggregation=MODE_OVERLAPPING),
-        ]
+    rows = [replace(base, strategy=STRATEGY_EQUAL, aggregation=MODE_NONOVERLAPPING)]
+    for daily, multiscale in _PAIRS if max_sharpe_rows else _PAIRS[:1]:
+        rows += [replace(base, strategy=daily, aggregation=MODE_NONOVERLAPPING),
+                 replace(base, strategy=multiscale, aggregation=MODE_NONOVERLAPPING),
+                 replace(base, strategy=multiscale, aggregation=MODE_OVERLAPPING)]
     return rows
 
 

@@ -23,15 +23,14 @@ from .timeseries import (
     MODE_OVERLAPPING,
     ReturnPanel,
     _block_sums_each,
+    _check_phase_rows,
     _check_scales,
+    _integral,
     _trusted,
-    min_phase_rows,
 )
 
 METHOD_PRODUCT = "product"
 METHOD_L1 = "l1"
-
-MIN_OBS_PER_PHASE = 4
 
 
 def _sym(m: np.ndarray) -> np.ndarray:
@@ -157,7 +156,7 @@ class ScaledCovarianceSet:
 
     def matrix_at(self, dt: int) -> np.ndarray:
         try:
-            return self.matrices[self.scales.index(int(dt))]
+            return self.matrices[self.scales.index(_integral(dt))]
         except ValueError:
             raise KeyError(f"scale {dt} not in {self.scales}") from None
 
@@ -170,8 +169,8 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
     Non-overlapping aggregation averages the covariances of the ``dt`` phases
     (block sums starting at ``p, p + dt, ...``), in one Gram product for the
     product estimator and phase by phase for L1; overlapping aggregation uses
-    every start index. A scale under four observations in its worst phase
-    (``min_phase_rows``) raises ``DataError``; a constant asset gets zero rows
+    every start index. A scale under ``MIN_PHASE_ROWS`` block sums in its
+    worst phase raises ``DataError``; a constant asset gets zero rows
     and columns and a ``DegenerateAssetWarning`` per scale. The matrices are
     exactly symmetric by construction and not re-checked.
     """
@@ -181,11 +180,7 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
     if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
         raise ValueError(f"unknown aggregation {aggregation!r}")
     for dt in scales:
-        rows = min_phase_rows(panel.n_periods, dt, aggregation)
-        if rows < MIN_OBS_PER_PHASE:
-            kind = ("observations in the worst phase" if aggregation == MODE_NONOVERLAPPING
-                    else "overlapping observations")
-            raise DataError(f"scale {dt} leaves {rows} {kind}, need >= {MIN_OBS_PER_PHASE}")
+        _check_phase_rows(panel.n_periods, dt, aggregation)
 
     # decided on the one-period returns: block sums of a constant column
     # carry cumsum rounding and would not test as exactly constant

@@ -418,7 +418,6 @@ def sensitivity_to_hurst(cov_set: ScaledCovarianceSet, k: int, dt: int) -> float
         raise TypeError("sensitivity_to_hurst reads a ScaledCovarianceSet")
     if not 0 <= k < cov_set.n_assets:
         raise ValueError(f"asset index {k} outside [0, {cov_set.n_assets})")
-    dt = int(dt)
     m = cov_set.matrix_at(dt)
     if dt == 1:
         warnings.warn("scale 1 carries no exponent information (ln 1 = 0)",

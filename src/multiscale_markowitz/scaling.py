@@ -17,14 +17,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .timeseries import ReturnPanel, _block_sums_each, _check_scales, _integral, min_phase_rows
+from .timeseries import ReturnPanel, _block_sums_each, _check_phase_rows, _check_scales, _integral
 
 DEFAULT_SCALES = (1, 2, 5, 10, 21)
 DEFAULT_Q_GRID = (-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0)
-
-# fitting a scaling exponent needs this many aggregated observations in
-# every phase of every scale
-MIN_OBS_FOR_FIT = 4
 
 
 class HurstEstimate(NamedTuple):
@@ -56,13 +52,8 @@ def _abs_moments(x, q_grid, scales):
     if not np.any(x != 0.0):
         raise DataError("all base returns are zero")
     scales = _check_scales(scales)
-    n = len(x)
     for dt in scales:
-        if min_phase_rows(n, dt) < MIN_OBS_FOR_FIT:
-            raise DataError(
-                f"scale {dt} leaves {min_phase_rows(n, dt)} blocks in the worst phase, "
-                f"need >= {MIN_OBS_FOR_FIT}"
-            )
+        _check_phase_rows(len(x), dt)
     moments = np.empty((len(scales), len(q_grid)))
     for si, (dt, b) in enumerate(zip(scales, _block_sums_each(x, scales))):
         a = np.abs(b)
@@ -332,17 +323,13 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
     xi = panel.column(asset_i)
     xj = panel.column(asset_j)
     scales = _check_scales(scales)
-    n = len(xi)
     # per scale: rho, the raw cross moment and each series' first absolute
     # moment (its q = 1 structure function), one curve per column
     curves = np.empty((len(scales), 4))
     each_i = _block_sums_each(xi, scales)
     each_j = _block_sums_each(xj, scales)
     for si, dt in enumerate(scales):
-        if min_phase_rows(n, dt) < MIN_OBS_FOR_FIT:
-            raise DataError(
-                f"scale {dt} leaves under {MIN_OBS_FOR_FIT} blocks per phase"
-            )
+        _check_phase_rows(len(xi), dt)
         bs_i = next(each_i)
         bs_j = next(each_j)
         rho_p = []

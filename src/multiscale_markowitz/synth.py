@@ -11,8 +11,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .covariance import check_symmetric
 from .errors import CalibrationFailure, DataError, NumericalError
-from .timeseries import ReturnPanel, panel_from_returns
+from .timeseries import ReturnPanel, _integral, panel_from_returns
 
 _MASK64 = (1 << 64) - 1
 
@@ -49,10 +50,13 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown generator kind {self.kind!r}; choose from {KINDS}")
-        if int(self.n) < 1:
+        n, seed = _integral(self.n), _integral(self.seed)
+        if n is None or n < 1:
             raise ValueError("n must be a positive integer")
-        if int(self.seed) < 0:
+        if seed is None or seed < 0:
             raise ValueError("seed must be a non-negative integer")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "seed", seed)
 
 
 def generate(spec: GeneratorSpec) -> ReturnPanel:
@@ -180,12 +184,8 @@ def gen_correlated(n: int, cov: np.ndarray, seed: int = 0) -> ReturnPanel:
     """Gaussian panel with the given daily covariance matrix."""
     if n < 16:
         raise DataError(f"n={n} too short, need >= 16")
-    c = np.asarray(cov, dtype=float)
-    if c.ndim != 2 or c.shape[0] != c.shape[1]:
-        raise ValueError(f"cov must be square, got shape {c.shape}")
-    if np.abs(c - c.T).max() > 1e-10 * max(np.abs(c).max(), 1.0):
-        raise DataError("cov must be symmetric")
-    vals, vecs = np.linalg.eigh((c + c.T) / 2)
+    c = check_symmetric(cov, "cov")
+    vals, vecs = np.linalg.eigh(c)
     if vals.min() < -1e-8 * max(vals.max(), 1e-300):
         raise DataError(f"cov has negative eigenvalue {vals.min():.3e}")
     root = vecs * np.sqrt(np.clip(vals, 0.0, None))

@@ -460,6 +460,19 @@ def min_phase_rows(n_rows: int, dt: int, aggregation: str = MODE_NONOVERLAPPING)
     return (n_rows - dt + 1) // dt
 
 
+# a per-scale estimate needs this many block sums in every phase
+MIN_PHASE_ROWS = 4
+
+
+def _check_phase_rows(n_rows: int, dt: int, aggregation: str = MODE_NONOVERLAPPING):
+    """``DataError`` unless scale ``dt`` leaves ``MIN_PHASE_ROWS`` block sums in every phase."""
+    rows = min_phase_rows(n_rows, dt, aggregation)
+    if rows < MIN_PHASE_ROWS:
+        kind = ("blocks in the worst phase" if aggregation == MODE_NONOVERLAPPING
+                else "overlapping observations")
+        raise DataError(f"scale {dt} leaves {rows} {kind}, need >= {MIN_PHASE_ROWS}")
+
+
 def _integral(value) -> int | None:
     """``value`` as an int if it is a finite whole number, else None."""
     try:

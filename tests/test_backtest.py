@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from multiscale_markowitz import covariance, optimizer
+from multiscale_markowitz import backtest, covariance, optimizer
 from multiscale_markowitz.errors import DataError, NumericalError
 from multiscale_markowitz.backtest import (
     BacktestConfig,
@@ -15,6 +15,7 @@ from multiscale_markowitz.backtest import (
     STRATEGY_MARKOWITZ_MULTISCALE,
     STRATEGY_MAX_SHARPE_DAILY,
     STRATEGY_MAX_SHARPE_MULTISCALE,
+    STRATEGIES,
     compare,
     display_name,
     fit_weights,
@@ -309,6 +310,27 @@ def test_standard_comparison_optional_max_sharpe_rows():
     assert len({display_name(c) for c in cfgs}) == 7
 
 
+def test_lineup_names_and_rows_are_pinned():
+    assert STRATEGIES == ("equal_weight", "markowitz_daily", "markowitz_multiscale",
+                          "max_sharpe_daily", "max_sharpe_multiscale")
+    lineup = [(c.strategy, c.aggregation, display_name(c))
+              for c in standard_comparison_configs(max_sharpe_rows=True)]
+    assert lineup == [
+        ("equal_weight", "nonoverlapping", "Equally Weighted"),
+        ("markowitz_daily", "nonoverlapping", "Traditional Markowitz"),
+        ("markowitz_multiscale", "nonoverlapping", "Multiscale Markowitz"),
+        ("markowitz_multiscale", "overlapping", "Multiscale Markowitz (Overlapping)"),
+        ("max_sharpe_daily", "nonoverlapping", "Traditional Max Sharpe"),
+        ("max_sharpe_multiscale", "nonoverlapping", "Multiscale Max Sharpe"),
+        ("max_sharpe_multiscale", "overlapping", "Multiscale Max Sharpe (Overlapping)"),
+    ]
+    assert standard_comparison_configs() == standard_comparison_configs(max_sharpe_rows=True)[:4]
+    # scale 1 alone has one phase, so only the multiscale fits name their aggregation
+    for strategy in (STRATEGY_EQUAL, STRATEGY_MARKOWITZ_DAILY, STRATEGY_MAX_SHARPE_DAILY):
+        cfg = BacktestConfig(strategy=strategy, aggregation="overlapping")
+        assert "Overlapping" not in display_name(cfg)
+
+
 def test_compare_table_format():
     p = _panel(350, seed=11)
     table = compare(p, standard_comparison_configs(BacktestConfig(lookback=125)))
@@ -355,6 +377,36 @@ def test_fit_weights_decomposes_once(monkeypatch, strategy, aggregation, cumsums
     cfg = BacktestConfig(strategy=strategy, aggregation=aggregation, lookback=300)
     fit_weights(window, cfg)
     assert calls == Counter(eigvalsh=1, cumsum=cumsums)
+
+
+def test_fit_weights_calls_the_solvers_bound_in_backtest(monkeypatch):
+    # the bench traces the QP by patching these two module globals, so a
+    # fit must look them up at call time
+    window = _panel(n=400, n_assets=4, drift=0.001).window(100, 400)
+    calls = Counter()
+
+    def count(name):
+        fn = getattr(backtest, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(backtest, name, counted)
+
+    count("min_variance_long_only")
+    count("max_sharpe")
+    expected = {
+        STRATEGY_EQUAL: Counter(),
+        STRATEGY_MARKOWITZ_DAILY: Counter(min_variance_long_only=1),
+        STRATEGY_MARKOWITZ_MULTISCALE: Counter(min_variance_long_only=1),
+        STRATEGY_MAX_SHARPE_DAILY: Counter(max_sharpe=1),
+        STRATEGY_MAX_SHARPE_MULTISCALE: Counter(max_sharpe=1),
+    }
+    assert set(expected) == set(STRATEGIES)
+    for strategy, want in expected.items():
+        calls.clear()
+        fit_weights(window, BacktestConfig(strategy=strategy, lookback=300))
+        assert calls == want, strategy
 
 
 @pytest.mark.parametrize("strategy, solves, held", [

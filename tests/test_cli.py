@@ -1,6 +1,8 @@
 """End-to-end command line checks driven through ``main(argv)``."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -46,6 +48,19 @@ def test_help_exits_zero(capsys):
     assert code == EXIT_OK
     for name in ("simulate", "estimate", "optimize", "backtest", "repro"):
         assert name in out
+
+
+def test_ci_workflow_msmark_commands_exit_zero(capsys, workdir):
+    # the workflow's installed-command step, run here through main(argv)
+    # so a CLI change that breaks it fails in tier-1 first
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    step = workflow.read_text().split("- name: Installed msmark command\n", 1)[1]
+    step = step.split("- name:", 1)[0]
+    lines = [s.strip() for s in step.splitlines() if s.strip().startswith("msmark ")]
+    assert lines
+    for line in lines:
+        code, _, err = _run(capsys, shlex.split(line)[1:])
+        assert code == EXIT_OK, (line, err)
 
 
 def test_subcommand_help_lists_flags(capsys):

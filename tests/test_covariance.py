@@ -317,6 +317,15 @@ def test_build_covariance_set_shapes():
         cs.matrix_at(3)
 
 
+def test_matrix_at_takes_whole_numbers_only():
+    rng = np.random.default_rng(7)
+    cs = build_covariance_set(panel_from_returns(rng.standard_normal((300, 2)) * 0.01), (1, 5))
+    assert cs.matrix_at(5.0) is cs.matrix_at(5)
+    for dt in (5.5, 1.5, "5"):
+        with pytest.raises(KeyError, match=f"scale {dt} not in"):
+            cs.matrix_at(dt)
+
+
 def test_covariance_set_validates_shapes():
     with pytest.raises(DataError, match=r"expected \(2, 2\)"):
         ScaledCovarianceSet(("a", "b"), (1,), (np.eye(3),),

@@ -582,6 +582,17 @@ def test_hurst_sensitivity_scale_one_is_zero():
         assert sensitivity_to_hurst(cs, 0, 1) == 0.0
 
 
+def test_hurst_sensitivity_refuses_a_fractional_scale():
+    rng = np.random.default_rng(14)
+    cs = _set_for((np.eye(3) * 1e-4, random_pd_matrix(rng, 3, scale=0.01)), (1, 21),
+                  ("a", "b", "c"))
+    assert sensitivity_to_hurst(cs, 0, 21.0) == sensitivity_to_hurst(cs, 0, 21)
+    # a scale is never truncated onto its neighbour, scale 1 included
+    for dt in (21.9, 1.5):
+        with pytest.raises(KeyError, match=f"scale {dt} not in"):
+            sensitivity_to_hurst(cs, 0, dt)
+
+
 @pytest.mark.parametrize("k, dt", [(99, 1), (99, 21), (-1, 1), (3, 21)])
 def test_hurst_sensitivity_checks_asset_index_at_every_scale(k, dt):
     cs = _set_for((np.eye(3) * 1e-4, np.eye(3) * 2.1e-3), (1, 21), ("a", "b", "c"))

@@ -389,5 +389,5 @@ def test_correlation_scaling_reports_errors_in_scale_order():
     p = panel_from_returns(np.column_stack([x, y]), asset_ids=("x", "y"))
     with pytest.raises(DataError, match="zero variance at scale 2, phase 0"):
         estimate_correlation_scaling(p, "x", "y", scales=(1, 2, 21))
-    with pytest.raises(DataError, match="scale 21 leaves under 4 blocks per phase"):
+    with pytest.raises(DataError, match="scale 21 leaves 1 blocks in the worst phase, need >= 4"):
         estimate_correlation_scaling(p, "x", "y", scales=(1, 21, 2))

@@ -49,6 +49,24 @@ def test_generator_spec_rejects_unknown_kind():
         GeneratorSpec(kind="lorenz", n=64)
 
 
+def test_generator_spec_stores_whole_numbers_as_int():
+    spec = GeneratorSpec(kind="gaussian_iid", n=64.0, seed=3.0)
+    assert type(spec.n) is int and type(spec.seed) is int
+    assert np.array_equal(generate(spec).returns, gen_gaussian_iid(64, seed=3).returns)
+
+
+@pytest.mark.parametrize("n, seed, message", [
+    (64.5, 0, "n must be a positive integer"),
+    (0, 0, "n must be a positive integer"),
+    ("64", 0, "n must be a positive integer"),
+    (64, 1.5, "seed must be a non-negative integer"),
+    (64, -1, "seed must be a non-negative integer"),
+])
+def test_generator_spec_rejects_fractional_or_out_of_range(n, seed, message):
+    with pytest.raises(ValueError, match=message):
+        GeneratorSpec(kind="gaussian_iid", n=n, seed=seed)
+
+
 # ---------------------------------------------------------------------------
 # iid Gaussian
 
@@ -153,6 +171,18 @@ def test_gen_correlated_recovers_cov():
 def test_gen_correlated_rejects_non_psd():
     bad = np.array([[1.0, 2.0], [2.0, 1.0]])
     with pytest.raises(DataError, match="negative eigenvalue"):
+        gen_correlated(64, bad)
+
+
+def test_gen_correlated_rejects_asymmetric_cov():
+    bad = np.array([[1.0, 0.5], [0.4, 1.0]]) * 1e-4
+    with pytest.raises(ValueError, match="cov is not symmetric"):
+        gen_correlated(64, bad)
+
+
+def test_gen_correlated_rejects_non_finite_cov():
+    bad = np.array([[1.0, np.nan], [np.nan, 1.0]]) * 1e-4
+    with pytest.raises(ValueError, match="cov has non-finite entries"):
         gen_correlated(64, bad)
 
 
