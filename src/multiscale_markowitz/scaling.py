@@ -39,6 +39,9 @@ def _series_and_name(obj, asset):
     arr = np.asarray(obj, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D series, got shape {arr.shape}")
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise ValueError(f"series value at index {bad[0]} is {arr[bad[0]]}, not finite")
     return arr, ("series" if asset is None else str(asset))
 
 
@@ -56,15 +59,30 @@ def _abs_moments(x, q_grid, scales):
         _check_phase_rows(len(x), dt)
     moments = np.empty((len(scales), len(q_grid)))
     for si, (dt, b) in enumerate(zip(scales, _block_sums_each(x, scales))):
-        a = np.abs(b)
-        for qi, q in enumerate(q_grid):
-            moments[si, qi] = _phase_moment(a, dt, q)
+        moments[si] = _phase_moments(np.abs(b), dt, q_grid)
     return scales, moments
 
 
-def _phase_moment(a, dt, q):
-    """Mean over the phases ``p`` of ``mean(a[p::dt] ** q)``."""
-    return np.mean([np.mean(a[p::dt] ** q) for p in range(dt)])
+def _dot(u, v):
+    """``u @ v`` for 1-D arrays, summed by numpy rather than BLAS: a threaded
+    BLAS splits a long sum by its thread count, so its last bits would
+    follow the host's thread setting."""
+    return np.einsum("i,i->", u, v)
+
+
+def _phase_moments(a, dt, q_grid):
+    """Mean over the phases ``p`` of ``mean(a[p::dt] ** q)``, for each ``q``
+    of ``q_grid``: one power and one weighted sum over all of ``a`` per order.
+
+    Each order is reduced on its own, so an order's moment does not depend
+    on the orders beside it in the grid.
+    """
+    # row k belongs to phase p = k % dt, which holds n_p rows and gives
+    # each of them the weight 1 / (dt * n_p)
+    m, r = divmod(len(a), dt)
+    w_p = 1.0 / (dt * np.array([m + 1] * r + [m] * (dt - r), dtype=float))
+    w = np.broadcast_to(w_p, (m + (r > 0), dt)).reshape(-1)[: len(a)]
+    return [float(_dot(a ** q, w)) for q in q_grid]
 
 
 def _log(moments):
@@ -255,25 +273,26 @@ def mfdfa(series, asset=None, q_grid=DEFAULT_Q_GRID, scales=None,
         )
 
     profile = np.cumsum(x - x.mean())
-    q_arr = np.array(q_grid)
     log_f = np.empty((len(scales), len(q_grid)))
     for si, s in enumerate(scales):
         ns = n // s
-        fwd = profile[: ns * s].reshape(ns, s)
-        bwd = profile[n - ns * s:].reshape(ns, s)
-        segments = np.vstack([fwd, bwd])
-        t = np.arange(s, dtype=float)
-        design = np.vander(t, detrend_order + 1)
-        coef = segments @ np.linalg.pinv(design).T
-        resid = segments - coef @ design.T
-        f2 = np.mean(resid ** 2, axis=1)
+        design = np.vander(np.arange(s, dtype=float), detrend_order + 1)
+        fit = np.linalg.pinv(design).T
+        # the segments from each end are views of the profile; each view's
+        # trend array becomes its residuals in place
+        f2 = np.empty(2 * ns)
+        for k, segments in enumerate((profile[: ns * s].reshape(ns, s),
+                                      profile[n - ns * s:].reshape(ns, s))):
+            resid = (segments @ fit) @ design.T
+            np.subtract(segments, resid, out=resid)
+            f2[k * ns:(k + 1) * ns] = np.einsum("ij,ij->i", resid, resid) / s
         if not np.any(f2 > 0.0):
             raise DataError(
                 f"all {2 * ns} segments of size {s} have zero residual variance"
             )
+        # each order is averaged on its own, as _phase_moments does
         with np.errstate(divide="ignore"):
-            powed = f2[None, :] ** (q_arr[:, None] / 2.0)
-        log_f[si] = np.log(np.mean(powed, axis=1))
+            log_f[si] = [np.log(np.mean(f2 ** (q / 2.0))) for q in q_grid]
     return _spectrum(name, q_grid, scales, log_f, "dfa")
 
 
@@ -337,16 +356,19 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
         for p in range(dt):
             bi = bs_i[p::dt]
             bj = bs_j[p::dt]
-            si_std = bi.std()
-            sj_std = bj.std()
-            if si_std == 0.0 or sj_std == 0.0:
+            ci = bi - bi.mean()
+            cj = bj - bj.mean()
+            ss_i = _dot(ci, ci)
+            ss_j = _dot(cj, cj)
+            if ss_i == 0.0 or ss_j == 0.0:
                 raise DataError(
                     f"zero variance at scale {dt}, phase {p}; correlation undefined"
                 )
-            rho_p.append(np.mean((bi - bi.mean()) * (bj - bj.mean())) / (si_std * sj_std))
-            cross_p.append(np.mean(bi * bj))
+            rho_p.append(_dot(ci, cj) / (math.sqrt(ss_i) * math.sqrt(ss_j)))
+            cross_p.append(_dot(bi, bj) / len(bi))
         curves[si] = (np.mean(rho_p), np.mean(cross_p),
-                      _phase_moment(np.abs(bs_i), dt, 1.0), _phase_moment(np.abs(bs_j), dt, 1.0))
+                      *_phase_moments(np.abs(bs_i), dt, (1.0,)),
+                      *_phase_moments(np.abs(bs_j), dt, (1.0,)))
 
     rho = curves[:, 0].copy()
     h, err, _ = _loglog_fit(scales, _log(np.abs(curves)))

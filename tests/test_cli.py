@@ -1,5 +1,6 @@
 """End-to-end command line checks driven through ``main(argv)``."""
 
+import importlib
 import json
 import shlex
 from pathlib import Path
@@ -61,6 +62,18 @@ def test_ci_workflow_msmark_commands_exit_zero(capsys, workdir):
     for line in lines:
         code, _, err = _run(capsys, shlex.split(line)[1:])
         assert code == EXIT_OK, (line, err)
+
+
+def test_console_script_entry_resolves_to_main():
+    # the installed `msmark` the workflow runs is this entry point of
+    # pyproject.toml; tomllib is in the standard library from 3.11
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+    assert scripts["msmark"] == "multiscale_markowitz.cli:main"
+    module, attr = scripts["msmark"].split(":")
+    entry = getattr(importlib.import_module(module), attr)
+    assert entry is cli.main and callable(entry)
 
 
 def test_subcommand_help_lists_flags(capsys):

@@ -1,7 +1,11 @@
 """Structure functions, log-log fits, fluctuation analysis."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +48,7 @@ def test_structure_function_manual_phase_average():
     # two blocks per phase, under the fits' floor, so the phase average
     # is read off the block sums directly
     x = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
-    moment = scaling._phase_moment(np.abs(block_sums(x, 2)), 2, 1.0)
+    (moment,) = scaling._phase_moments(np.abs(block_sums(x, 2)), 2, (1.0,))
     # phase 0 blocks: 3, 7; phase 1 blocks: 5, 9
     expected = np.mean([np.mean([3.0, 7.0]), np.mean([5.0, 9.0])])
     assert moment == pytest.approx(expected)
@@ -209,6 +213,15 @@ def test_structure_spectrum_matches_per_q_fits():
         assert spec.fit_r2[i] == r2
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("estimate", [structure_spectrum, estimate_hurst, mfdfa])
+def test_series_with_a_non_finite_value_is_refused(estimate, bad):
+    x = np.random.default_rng(0).standard_normal(4096)
+    x[[37, 900]] = bad
+    with pytest.raises(ValueError, match="series value at index 37 is .*, not finite"):
+        estimate(x)
+
+
 def test_structure_spectrum_stable_first_moment():
     # block sums of alpha-stable terms grow like m^(1/alpha)
     alpha = 1.5
@@ -238,6 +251,17 @@ def test_mfdfa_cascade_spectrum_widens():
     assert casc.h_spread() > iid.h_spread()
     assert casc.h_spread() > 0.1
     assert iid.h_spread() < 0.1
+
+
+def test_mfdfa_matches_per_q_spectra():
+    # each order is averaged on its own, so a one-order call gives the
+    # full grid's column bit for bit
+    x = gen_fgn(4096, hurst=0.7, seed=11)
+    spec = mfdfa(x)
+    for i, q in enumerate(spec.q_grid):
+        one = mfdfa(x, q_grid=(q,))
+        assert (one.zeta[0], one.stderr[0], one.fit_r2[0]) == (
+            spec.zeta[i], spec.stderr[i], spec.fit_r2[i])
 
 
 def test_mfdfa_zeta_definition():
@@ -363,6 +387,26 @@ def test_every_estimate_makes_one_loglog_fit(monkeypatch):
         assert calls["fit"] == 1
 
 
+def test_scaling_estimates_do_not_depend_on_blas_threads():
+    # a threaded BLAS splits a long dot product by its thread count, which
+    # moves the last bits, so the estimates keep their sums out of BLAS
+    code = ("import numpy as np\n"
+            "from multiscale_markowitz import scaling, synth\n"
+            "p = synth.gen_epps(1 << 15, rho_inf=0.6, h_rho=0.3, seed=17)\n"
+            "cs = scaling.estimate_correlation_scaling(p, 'a1', 'a2')\n"
+            "out = [scaling.structure_spectrum(p, 'a1').zeta, scaling.mfdfa(p, 'a1').zeta,\n"
+            "       cs.rho_by_scale, [cs.h_cross_2, cs.h_i_1, cs.h_j_1]]\n"
+            "print(np.concatenate(out).tobytes().hex())\n")
+    src = Path(scaling.__file__).resolve().parents[1]
+    runs = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        runs.add(subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                                check=True, cwd=src, env=env).stdout)
+    assert len(runs) == 1
+
+
 @pytest.mark.parametrize("q", [np.nan, np.inf, -np.inf])
 def test_moment_order_must_be_finite(q):
     p = gen_gaussian_iid(1 << 10, seed=2)
@@ -391,3 +435,108 @@ def test_correlation_scaling_reports_errors_in_scale_order():
         estimate_correlation_scaling(p, "x", "y", scales=(1, 2, 21))
     with pytest.raises(DataError, match="scale 21 leaves 1 blocks in the worst phase, need >= 4"):
         estimate_correlation_scaling(p, "x", "y", scales=(1, 21, 2))
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the plain per-phase and stacked-segment definitions that
+# the whole-array kernels replace. Only the order of the sums differs, so
+# the two agree to rounding.
+
+def _ref_phase_moment(a, dt, q):
+    return np.mean([np.mean(a[p::dt] ** q) for p in range(dt)])
+
+
+def _ref_abs_moments(x, q_grid, scales):
+    moments = np.empty((len(scales), len(q_grid)))
+    for si, dt in enumerate(scales):
+        a = np.abs(block_sums(x, dt))
+        moments[si] = [_ref_phase_moment(a, dt, q) for q in q_grid]
+    return moments
+
+
+def _ref_pair_curves(xi, xj, scales):
+    """Per scale: phase-averaged rho, cross moment and both first moments."""
+    curves = np.empty((len(scales), 4))
+    for si, dt in enumerate(scales):
+        bs_i, bs_j = block_sums(xi, dt), block_sums(xj, dt)
+        rho_p, cross_p = [], []
+        for p in range(dt):
+            bi, bj = bs_i[p::dt], bs_j[p::dt]
+            rho_p.append(np.mean((bi - bi.mean()) * (bj - bj.mean())) / (bi.std() * bj.std()))
+            cross_p.append(np.mean(bi * bj))
+        curves[si] = (np.mean(rho_p), np.mean(cross_p),
+                      _ref_phase_moment(np.abs(bs_i), dt, 1.0),
+                      _ref_phase_moment(np.abs(bs_j), dt, 1.0))
+    return curves
+
+
+def _ref_dfa_log_f(x, q_grid, scales, order):
+    n = len(x)
+    profile = np.cumsum(x - x.mean())
+    q_arr = np.array(q_grid)
+    log_f = np.empty((len(scales), len(q_grid)))
+    for si, s in enumerate(scales):
+        ns = n // s
+        segments = np.vstack([profile[: ns * s].reshape(ns, s),
+                              profile[n - ns * s:].reshape(ns, s)])
+        design = np.vander(np.arange(s, dtype=float), order + 1)
+        resid = segments - (segments @ np.linalg.pinv(design).T) @ design.T
+        f2 = np.mean(resid ** 2, axis=1)
+        log_f[si] = np.log(np.mean(f2[None, :] ** (q_arr[:, None] / 2.0), axis=1))
+    return log_f
+
+
+REF_Q_GRID = (-4.0, -1.5, -1.0, 0.5, 1.0, 2.0, 2.5, 4.0)
+REF_RTOL = 1e-12
+
+
+def _ref_series():
+    """Three series as panel columns, so each is a strided view, and the
+    first also as a contiguous array. Column ``z`` takes values in
+    {-2, ..., 2}, so many of its block sums are exactly zero."""
+    rng = np.random.default_rng(23)
+    n = 3000
+    z = rng.integers(-2, 3, size=n).astype(float)
+    lead = rng.standard_normal(n) * 0.01
+    lag = 0.6 * np.r_[0.0, lead[:-1]] + 0.8 * rng.standard_normal(n) * 0.01
+    p = panel_from_returns(np.column_stack([z, lead, lag]), asset_ids=("z", "lead", "lag"))
+    return p, {"z": p.column("z"), "lead": p.column("lead"), "lag": p.column("lag"),
+               "z contiguous": np.ascontiguousarray(p.column("z"))}
+
+
+@pytest.mark.parametrize("name", ["z", "lead", "lag", "z contiguous"])
+@pytest.mark.parametrize("scales", [DEFAULT_SCALES, (3, 1, 7, 12)])
+def test_abs_moments_agree_with_the_reference(name, scales):
+    x = _ref_series()[1][name]
+    with np.errstate(divide="ignore"):
+        _, moments = scaling._abs_moments(x, REF_Q_GRID, scales)
+        expected = _ref_abs_moments(x, REF_Q_GRID, scales)
+    if name.startswith("z"):
+        # zero block sums make every negative-order moment infinite
+        assert np.all(np.isinf(expected[:, :3]))
+    np.testing.assert_allclose(moments, expected, rtol=REF_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("pair", [("lead", "lag"), ("z", "lag"), ("lag", "z")])
+@pytest.mark.parametrize("scales", [DEFAULT_SCALES, (3, 1, 7, 12)])
+def test_correlation_scaling_agrees_with_the_reference(pair, scales):
+    p, cols = _ref_series()
+    cs = estimate_correlation_scaling(p, *pair, scales=scales)
+    curves = _ref_pair_curves(cols[pair[0]], cols[pair[1]], scales)
+    h, err, _ = scaling._loglog_fit(scales, np.log(np.abs(curves)))
+    np.testing.assert_allclose(cs.rho_by_scale, curves[:, 0], rtol=REF_RTOL, atol=0)
+    np.testing.assert_allclose([cs.h_rho, cs.h_cross_2, cs.h_i_1, cs.h_j_1], h,
+                               rtol=REF_RTOL, atol=0)
+    np.testing.assert_allclose([cs.h_rho_stderr, cs.h_i_1_stderr, cs.h_j_1_stderr],
+                               err[[0, 2, 3]], rtol=REF_RTOL, atol=0)
+
+
+@pytest.mark.parametrize("name", ["z", "lead", "z contiguous"])
+@pytest.mark.parametrize("order", [1, 2])
+def test_mfdfa_agrees_with_the_reference(name, order):
+    x = _ref_series()[1][name]
+    scales = default_dfa_scales(len(x))
+    spec = mfdfa(x, q_grid=REF_Q_GRID, scales=scales, detrend_order=order)
+    zeta, stderr, _ = scaling._loglog_fit(scales, _ref_dfa_log_f(x, REF_Q_GRID, scales, order))
+    np.testing.assert_allclose(spec.zeta, zeta, rtol=REF_RTOL, atol=0)
+    np.testing.assert_allclose(spec.stderr, stderr / np.abs(REF_Q_GRID), rtol=REF_RTOL, atol=0)
