@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import collections
+import ctypes
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -200,26 +202,34 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 parser_class=_Parser)
     specs = [
-        ("simulate", "generate a synthetic price panel", _SIMULATE_OPTS, False,
-         cmd_simulate),
-        ("estimate", "fit scaling exponents from prices", _ESTIMATE_OPTS, True,
-         cmd_estimate),
-        ("optimize", "build portfolio weights from prices", _OPTIMIZE_OPTS, True,
-         cmd_optimize),
-        ("backtest", "walk strategies forward over prices", _BACKTEST_OPTS, True,
-         cmd_backtest),
-        ("repro", "run the full pipeline from fixed seeds", _REPRO_OPTS, False,
-         cmd_repro),
+        ("simulate", "generate a synthetic price panel", _SIMULATE_OPTS, False),
+        ("estimate", "fit scaling exponents from prices", _ESTIMATE_OPTS, True),
+        ("optimize", "build portfolio weights from prices", _OPTIMIZE_OPTS, True),
+        ("backtest", "walk strategies forward over prices", _BACKTEST_OPTS, True),
+        ("repro", "run the full pipeline from fixed seeds", _REPRO_OPTS, False),
     ]
-    for name, help_text, opts, has_input, func in specs:
+    for name, help_text, opts, has_input in specs:
         p = sub.add_parser(name, help=help_text, description=help_text)
         if has_input:
             p.add_argument(_POSITIONAL_INPUT[0], help=_POSITIONAL_INPUT[1])
         for o in opts:
             p.add_argument(o.flag, type=o.cast, default=o.default, metavar="V",
                            help=o.help)
-        p.set_defaults(_opts=opts, _func=func)
+        p.set_defaults(_opts=opts)
     return parser
+
+
+@functools.cache
+def _parser() -> _Parser:
+    """``build_parser()``, built once per process.
+
+    Building the tree leaves some 450 argparse objects in reference
+    cycles. Built on every ``main`` call, they were freed whenever the
+    cyclic garbage collector next ran, a moment set by unrelated
+    allocations, and where their memory came free shaped the heap that the
+    next command's arrays were placed in.
+    """
+    return build_parser()
 
 
 def _config_flags(path, opts) -> list:
@@ -581,9 +591,41 @@ def cmd_repro(merged) -> int:
 
 # ---------------------------------------------------------------------------
 
+# mallopt parameters from glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _fix_malloc_thresholds() -> bool:
+    """Fix glibc's malloc thresholds, once per process; False without glibc.
+
+    glibc raises its mmap threshold to the size of each large block freed,
+    after which panel-sized arrays (a 65536 x 4 panel is 2 MiB) are carved
+    from the brk heap, and it trims the top of the heap once more than
+    twice that threshold lies free there. Whether an array then reuses
+    resident pages or adds new ones turned on where small long-lived
+    blocks happened to sit, so the peak memory of one and the same command
+    moved by 2 MiB and more from run to run. Fixed, the mmap threshold of
+    1 MiB gives every larger array a mapping of its own, returned when it
+    is freed, and the trim threshold of 64 MiB (glibc's own ceiling for
+    it) keeps the pages the heap has grown to, so later commands reuse
+    them and the peak is the heap's high-water mark, reached in the first
+    command.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    return bool(mallopt(_M_MMAP_THRESHOLD, 1 << 20) and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
+
+
 def main(argv=None) -> int:
+    _fix_malloc_thresholds()
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
         if args.command is None:
@@ -593,7 +635,8 @@ def main(argv=None) -> int:
             # the file's flags go first, so the command line's own flags win
             flags = _config_flags(args.config, args._opts)
             args = parser.parse_args(argv[:1] + flags + argv[1:])
-        return args._func(vars(args))
+        # looked up when called, so the one parser runs whatever cmd_<name> holds now
+        return globals()[f"cmd_{args.command}"](vars(args))
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except _UsageError as exc:

@@ -1,8 +1,12 @@
 """End-to-end command line checks driven through ``main(argv)``."""
 
+import ctypes
+import gc
 import importlib
 import json
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +78,45 @@ def test_console_script_entry_resolves_to_main():
     module, attr = scripts["msmark"].split(":")
     entry = getattr(importlib.import_module(module), attr)
     assert entry is cli.main and callable(entry)
+
+
+def test_main_leaves_nothing_for_the_cyclic_gc(capsys, workdir):
+    # a parser built per call left hundreds of argparse objects in cycles,
+    # freed whenever the collector next ran
+    path = _simulate(capsys, workdir, ["--kind", "fgn", "--n", "512", "--seed", "3"])
+    assert main(["estimate", str(path)]) == EXIT_OK
+    gc.collect()
+    assert main(["estimate", str(path)]) == EXIT_OK
+    assert gc.collect() == 0
+
+
+def test_main_gives_panel_sized_arrays_their_own_mappings():
+    # once an 8 MiB block has been freed, glibc's default carves a 2 MiB
+    # array from the brk heap; after main it gets a mapping of its own.
+    # A fresh process, so that no earlier main call has fixed the thresholds
+    try:
+        ctypes.CDLL(None).mallinfo2
+    except (AttributeError, OSError, TypeError):
+        pytest.skip("needs glibc 2.33 or newer")
+    code = (
+        "import ctypes, numpy as np\n"
+        "from multiscale_markowitz import cli\n"
+        "class Info(ctypes.Structure):\n"
+        "    _fields_ = [(f, ctypes.c_size_t) for f in ('arena', 'ordblks', 'smblks',\n"
+        "                'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks',\n"
+        "                'keepcost')]\n"
+        "mallinfo2 = ctypes.CDLL(None).mallinfo2\n"
+        "mallinfo2.argtypes, mallinfo2.restype = (), Info\n"
+        "assert cli.main(['--help']) == 0\n"
+        "np.ones(1 << 20)\n"
+        "before = mallinfo2().hblks\n"
+        "panel = np.ones((1 << 16, 4))\n"
+        "print(mallinfo2().hblks - before)\n"
+    )
+    src = Path(cli.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=src)
+    assert out.stdout.splitlines()[-1] == "1"
 
 
 def test_subcommand_help_lists_flags(capsys):
