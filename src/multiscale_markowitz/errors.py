@@ -30,7 +30,7 @@ class NumericalError(MultiscaleError):
 class MaxIterationsError(NumericalError):
     """Active-set iteration cap reached before convergence.
 
-    Carries the best iterate seen so the caller can inspect it.
+    Carries the last iterate so the caller can inspect it.
     """
 
     def __init__(self, message, weights=None):

@@ -202,13 +202,12 @@ def _active_set_qp(m, rows, rhs, start, step=None):
         free = ~bound_active
         if step is None:
             step = _eqp(m, rows, rhs, free)
-        if step is None and len(rhs) == 2:
+        dependent = step is None and len(rhs) == 2
+        if dependent:
             # the budget and floor rows are dependent over F, so mu is
             # constant there and the feasible w meets the floor already:
-            # solve the budget alone and give the floor a zero multiplier
+            # solve the budget alone
             step = _eqp(m, rows[:1], rhs[:1], free)
-            if step is not None:
-                step = step[0], np.append(step[1], 0.0)
         if step is None:
             raise NumericalError("singular working set in active-set iteration")
         w_free, lam = step
@@ -216,7 +215,14 @@ def _active_set_qp(m, rows, rhs, start, step=None):
         p = -w
         p[free] += w_free
         if np.abs(p).max() <= _BOUND_TOL:
-            resid = 2.0 * m @ w - rows.T @ lam
+            resid = 2.0 * m @ w - rows[:len(lam)].T @ lam
+            if dependent:
+                # with mu_F the largest mean on F, a floor multiplier eta
+                # adds eta (mu_F - mu_i) to bound i's: take the least eta >= 0
+                # that keeps every bound on a lower mean non-negative
+                gap = rows[1, free].max() - rows[1]
+                lower = bound_active & (gap > 0.0)
+                resid += (-resid[lower] / gap[lower]).max(initial=0.0) * gap
             bound_mult = np.where(bound_active, resid, np.inf)
             worst_bound = int(np.argmin(bound_mult))
             if bound_mult[worst_bound] >= -_BOUND_TOL:
@@ -245,14 +251,15 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
     """Minimum variance with non-negative weights, optional return floor.
 
     With ``mu`` and ``mu_target`` given, adds ``mu' w >= mu_target``. A
-    target above the best single-asset mean is infeasible, and one equal
-    to it admits only the assets at that mean. Otherwise the problem is
-    solved without the floor first; when that optimum misses the floor,
-    the floor binds at the optimum (the objective is strictly convex), so
-    it is solved again with ``mu' w = mu_target`` as a second equality
-    row. The active set is resolved exactly: inactive bounds hold as
-    strict inequalities, active bounds as exact zeros, and the
-    stationarity residual is reported on the result.
+    target above the best single-asset mean is infeasible. Otherwise the
+    problem is solved without the floor first; when that optimum misses
+    the floor, the floor binds at the optimum (the objective is strictly
+    convex), so it is solved again with ``mu' w = mu_target`` as a second
+    equality row. Every floor takes this one path, so a target equal to
+    the best mean holds only the assets at that mean. The active set is
+    resolved exactly: inactive bounds hold as strict inequalities, active
+    bounds as exact zeros, and the stationarity residual is reported on
+    the result.
     """
     m, ids, record, cond = _as_cov(sigma, asset_ids)
     _require_invertible(cond)
@@ -272,25 +279,15 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
             raise NumericalError(
                 f"return floor {mu_target} exceeds best asset mean {mu_max}"
             )
-    if mu_target is not None and mu_target == mu_max:
-        # the floor admits only the assets at the best mean and binds on
-        # every mix of them: drop it and solve over those assets alone
-        best = mu == mu_max
-        sub = m[np.ix_(best, best)]
-        w_best, residual = _active_set_qp(sub, ones[best][None], _ONE,
-                                          *_support_start(sub, ones[best]))
-        w = np.zeros(n)
-        w[best] = w_best
-    else:
-        w, residual = _active_set_qp(m, ones[None], _ONE, *_support_start(m, ones))
-        if mu_target is not None and mu @ w < mu_target:
-            # the floor binds: start on it, part way from w to the best asset
-            have = float(mu @ w)
-            t = (mu_target - have) / (mu_max - have)
-            start = (1.0 - t) * w
-            start[int(np.argmax(mu))] += t
-            w, residual = _active_set_qp(m, np.vstack([ones, mu]),
-                                         np.array([1.0, mu_target]), start)
+    w, residual = _active_set_qp(m, ones[None], _ONE, *_support_start(m, ones))
+    if mu_target is not None and mu @ w < mu_target:
+        # the floor binds: start on it, part way from w to the best asset
+        have = float(mu @ w)
+        t = (mu_target - have) / (mu_max - have)
+        start = (1.0 - t) * w
+        start[int(np.argmax(mu))] += t
+        w, residual = _active_set_qp(m, np.vstack([ones, mu]),
+                                     np.array([1.0, mu_target]), start)
     w = w / w.sum()
     return PortfolioWeights(ids, w, "min_var", long_only=True,
                             kkt_residual=residual, provenance=record)

@@ -7,6 +7,7 @@ import json
 import shlex
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -70,8 +71,7 @@ def test_ci_workflow_msmark_commands_exit_zero(capsys, workdir):
 
 def test_console_script_entry_resolves_to_main():
     # the installed `msmark` the workflow runs is this entry point of
-    # pyproject.toml; tomllib is in the standard library from 3.11
-    tomllib = pytest.importorskip("tomllib")
+    # pyproject.toml
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
     assert scripts["msmark"] == "multiscale_markowitz.cli:main"

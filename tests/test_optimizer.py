@@ -8,7 +8,7 @@ from conftest import brute_force_min_variance, correlation_sensitivity, random_p
 
 from multiscale_markowitz import optimizer
 from multiscale_markowitz.errors import (
-    DataError, MaxIterationsError, NumericalError, ScaleOneWarning, SensitivitySignWarning,
+    DataError, NumericalError, ScaleOneWarning, SensitivitySignWarning,
 )
 from multiscale_markowitz.covariance import (
     METHOD_PRODUCT,
@@ -241,7 +241,7 @@ def test_long_only_scale_invariant():
 
 
 def _near_tied_floor_draws():
-    """200 random problems whose floor sits 1e-15 below the best mean."""
+    """200 random problems for floors at and a few ulps below the best mean."""
     rng = np.random.default_rng(3)
     draws = []
     for _ in range(200):
@@ -252,16 +252,13 @@ def _near_tied_floor_draws():
     return draws
 
 
-@pytest.mark.xfail(strict=True, raises=MaxIterationsError,
-                   reason="ROADMAP Open item 2: the active-set iteration cycles when "
-                          "the floor sits a few ulps below a nearly tied best mean")
 @pytest.mark.parametrize("draw", [16, 60, 181])
 def test_long_only_floor_just_below_a_near_tie_converges(draw):
     m, mu = _near_tied_floor_draws()[draw]
     target = mu.max() - 1e-15
     w = min_variance_long_only(m, mu=mu, mu_target=target).weights
     assert mu @ w >= target - 1e-12
-    _assert_long_only_kkt(m, w, np.ones(len(mu)))
+    _assert_floor_kkt(m, mu, w, binds=True)
 
 
 # ---------------------------------------------------------------------------
@@ -460,6 +457,25 @@ def test_long_only_floor_sweep_binds_exactly_with_a_kkt_certificate():
                 assert np.array_equal(w, plain)
             _assert_floor_kkt(m, mu, w, binds)
     assert binding >= 200
+
+
+def test_long_only_floor_at_and_just_below_the_best_mean_converges():
+    # floors at the best mean take the same two-row path as every other
+    # floor; at and a few ulps below it the loop meets vertices whose
+    # budget and floor rows are dependent over the free set
+    cases = [(m, mu, mu.max() - below) for m, mu in _near_tied_floor_draws()
+             for below in (0.0, 1e-15, 1e-13, 1e-10)]
+    rng = np.random.default_rng(12)
+    draws = [_random_floor_problem(rng, tied=i % 2 == 1) for i in range(1955)]
+    for i in (70, 80, 90, 122, 338, 464, 558, 592, 668, 1002,
+              1262, 1280, 1290, 1462, 1638, 1650, 1702, 1704, 1860, 1954):
+        m, mu = draws[i]
+        cases.append((m, mu, mu.max()))
+    for m, mu, target in cases:
+        plain = min_variance_long_only(m).weights
+        w = min_variance_long_only(m, mu=mu, mu_target=target).weights
+        assert mu @ w >= target - 1e-12 * np.abs(mu).max()
+        _assert_floor_kkt(m, mu, w, binds=mu @ plain < target)
 
 
 @pytest.mark.parametrize("name,m,mu", QP_CASES, ids=[c[0] for c in QP_CASES])
