@@ -201,7 +201,7 @@ def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:
             )
 
     n = panel.n_assets
-    equity = [1.0]
+    daily = np.empty(t_total)  # portfolio returns from row cfg.lookback on
     weights_history = []
     turnover = []
     fallbacks = []
@@ -217,12 +217,10 @@ def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:
         turnover.append(float(np.abs(current - prev).sum()))
         prev = current
         stop = min(t + cfg.rebalance_every, t_total)
-        growth = panel.returns[t:stop]
-        daily = (np.exp(growth) - 1.0) @ current
-        for g in 1.0 + daily:
-            equity.append(equity[-1] * g)
+        daily[t:stop] = (np.exp(panel.returns[t:stop]) - 1.0) @ current
 
-    equity = np.asarray(equity)
+    # a 1-D cumprod multiplies in order, as a running product would
+    equity = np.cumprod(np.concatenate([[1.0], 1.0 + daily[cfg.lookback:]]))
     return BacktestReport(
         config=cfg,
         asset_ids=panel.asset_ids,

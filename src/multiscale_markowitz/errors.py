@@ -6,9 +6,8 @@ mismatched shapes. ``NumericalError`` means a procedure failed on valid
 input: a singular covariance, no positive excess return, an embedding
 without a valid factorization. The CLI maps them to exit codes 2 and 3;
 both derive from ``MultiscaleError``, which the backtest catches to fall
-back. The message says which check fired. Two subclasses carry a payload:
-``MaxIterationsError`` the last iterate, ``CalibrationFailure`` the
-nearest reachable target.
+back. The message says which check fired. Only ``CalibrationFailure``
+carries a payload: the nearest reachable target.
 
 Warnings derive from ``MultiscaleWarning`` and stay separate categories
 so callers can filter each one.
@@ -28,14 +27,7 @@ class NumericalError(MultiscaleError):
 
 
 class MaxIterationsError(NumericalError):
-    """Active-set iteration cap reached before convergence.
-
-    Carries the last iterate so the caller can inspect it.
-    """
-
-    def __init__(self, message, weights=None):
-        super().__init__(message)
-        self.weights = weights
+    """Active-set iteration cap reached before convergence; carries only its message."""
 
 
 class CalibrationFailure(NumericalError):

@@ -79,7 +79,12 @@ class PortfolioWeights:
 
 
 def _as_cov(sigma, asset_ids=None):
-    """The matrix, asset ids, provenance record and condition number of ``sigma``."""
+    """The matrix, asset ids and provenance record of ``sigma``.
+
+    Every solver and sensitivity enters here. A condition number above
+    ``MAX_CONDITION`` is refused, so each later solve on ``sigma`` or a
+    principal submatrix of it is well posed.
+    """
     if isinstance(sigma, MultiscaleCovariance):
         m, ids, cond = np.asarray(sigma.matrix, dtype=float), sigma.asset_ids, sigma.condition
         record = {"scales": sigma.scales, "covariance": sigma.method,
@@ -89,18 +94,26 @@ def _as_cov(sigma, asset_ids=None):
         m = check_symmetric(sigma, "covariance")
         ids, record = tuple(f"a{j + 1}" for j in range(m.shape[0])), {}
         cond = _condition(np.linalg.eigvalsh(m))
-    if asset_ids is not None:
-        if len(asset_ids) != m.shape[0]:
-            raise ValueError("asset_ids length does not match the matrix")
-        ids = tuple(asset_ids)
-    return m, ids, record, cond
-
-
-def _require_invertible(cond: float) -> None:
     if cond > MAX_CONDITION:
         raise NumericalError(
             f"covariance condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}"
         )
+    if asset_ids is not None:
+        if len(asset_ids) != m.shape[0]:
+            raise ValueError("asset_ids length does not match the matrix")
+        ids = tuple(asset_ids)
+    return m, ids, record
+
+
+def _means(mu, n: int) -> np.ndarray:
+    """``mu`` as ``n`` finite floats."""
+    mu = np.asarray(mu, dtype=float)
+    if mu.shape != (n,):
+        raise ValueError(f"mu shape {mu.shape} does not match {n} assets")
+    if not np.isfinite(mu).all():
+        k = int(np.flatnonzero(~np.isfinite(mu))[0])
+        raise ValueError(f"mu must be finite, got {mu[k]} at asset {k}")
+    return mu
 
 
 def _eqp(m, rows, rhs, free):
@@ -109,7 +122,7 @@ def _eqp(m, rows, rhs, free):
     With ``X = M_FF^{-1} R_F'`` and ``nu = (R_F X)^{-1} b`` the solution is
     ``w_F = X nu``, and ``2 M_FF w_F = R_F' lambda`` holds with the
     multipliers ``lambda = 2 nu``; both are returned. ``M_FF`` is a
-    principal submatrix of a matrix ``_require_invertible`` has passed, so
+    principal submatrix of a matrix ``_as_cov`` has passed, so
     only the rows can make this fail: the result is ``None`` when ``F``
     has fewer coordinates than there are rows or when ``R_F X`` is
     numerically singular.
@@ -133,15 +146,14 @@ def _eqp(m, rows, rhs, free):
     return x @ nu, 2.0 * nu
 
 
-def min_variance_closed_form(sigma, asset_ids=None) -> PortfolioWeights:
+def min_variance_closed_form(sigma) -> PortfolioWeights:
     """Unconstrained minimum-variance weights on the budget hyperplane.
 
     ``w = Sigma^{-1} 1 / (1' Sigma^{-1} 1)``; weights may be negative.
     The reported residual checks ``2 Sigma w = lambda 1`` with
     ``lambda = 2 / (1' Sigma^{-1} 1)``.
     """
-    m, ids, record, cond = _as_cov(sigma, asset_ids)
-    _require_invertible(cond)
+    m, ids, record = _as_cov(sigma)
     n = m.shape[0]
     step = _eqp(m, np.ones((1, n)), _ONE, np.ones(n, dtype=bool))
     if step is None:
@@ -240,14 +252,10 @@ def _active_set_qp(m, rows, rhs, start, step=None):
         if blocking is not None:
             bound_active[blocking] = True
             w[blocking] = 0.0
-    raise MaxIterationsError(
-        f"active-set solver did not converge in {max_iter} iterations",
-        weights=w,
-    )
+    raise MaxIterationsError(f"active-set solver did not converge in {max_iter} iterations")
 
 
-def min_variance_long_only(sigma, mu=None, mu_target=None,
-                           asset_ids=None) -> PortfolioWeights:
+def min_variance_long_only(sigma, mu=None, mu_target=None) -> PortfolioWeights:
     """Minimum variance with non-negative weights, optional return floor.
 
     With ``mu`` and ``mu_target`` given, adds ``mu' w >= mu_target``. A
@@ -261,16 +269,13 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
     bounds as exact zeros, and the stationarity residual is reported on
     the result.
     """
-    m, ids, record, cond = _as_cov(sigma, asset_ids)
-    _require_invertible(cond)
+    m, ids, record = _as_cov(sigma)
     n = m.shape[0]
     ones = np.ones(n)
     if mu_target is not None:
         if mu is None:
             raise ValueError("mu_target needs mu")
-        mu = np.asarray(mu, dtype=float)
-        if mu.shape != (n,):
-            raise ValueError(f"mu shape {mu.shape} does not match {n} assets")
+        mu = _means(mu, n)
         mu_target = float(mu_target)
         if not math.isfinite(mu_target):
             raise ValueError(f"mu_target must be finite, got {mu_target}")
@@ -293,8 +298,7 @@ def min_variance_long_only(sigma, mu=None, mu_target=None,
                             kkt_residual=residual, provenance=record)
 
 
-def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
-               asset_ids=None) -> PortfolioWeights:
+def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True) -> PortfolioWeights:
     """Maximize ``(mu - r_f)' w / sqrt(w' Sigma w)`` on the budget.
 
     Requires at least one asset with positive excess return. Both forms
@@ -304,12 +308,9 @@ def max_sharpe(sigma, mu, risk_free: float = 0.0, long_only: bool = True,
     ``y`` is proportional to ``Sigma^{-1} (mu - r_f)``, which must have a
     positive sum.
     """
-    m, ids, record, cond = _as_cov(sigma, asset_ids)
-    _require_invertible(cond)
+    m, ids, record = _as_cov(sigma)
     n = m.shape[0]
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (n,):
-        raise ValueError(f"mu shape {mu.shape} does not match {n} assets")
+    mu = _means(mu, n)
     risk_free = float(risk_free)
     if not math.isfinite(risk_free):
         raise ValueError(f"risk_free must be finite, got {risk_free}")
@@ -368,11 +369,10 @@ def sensitivity_to_variance(sigma, k: int, asset_ids=None) -> SensitivityReport:
     reported with ``SensitivitySignWarning`` since it means the
     unconstrained solution shorts asset ``k``.
     """
-    m, ids, _, cond = _as_cov(sigma, asset_ids)
+    m, ids, _ = _as_cov(sigma, asset_ids)
     n = m.shape[0]
     if not 0 <= k < n:
         raise ValueError(f"asset index {k} outside [0, {n})")
-    _require_invertible(cond)
     inv = np.linalg.inv(m)
     s = inv @ np.ones(n)
     s_total = float(s.sum())
@@ -431,11 +431,10 @@ def correlation_sensitivity_analytic(sigma, i: int, j: int) -> np.ndarray:
     Sigma_jj)``; the chain rule through ``s = Sigma^{-1} 1`` gives the
     full vector ``d w / d rho_ij``.
     """
-    m, _, _, cond = _as_cov(sigma)
+    m, _, _ = _as_cov(sigma)
     n = m.shape[0]
     if i == j or not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"need two distinct indices in [0, {n})")
-    _require_invertible(cond)
     inv = np.linalg.inv(m)
     s = inv @ np.ones(n)
     s_total = float(s.sum())

@@ -165,7 +165,8 @@ def load_prices(path) -> PriceSeries:
     error. Error messages name the offending line and column.
 
     The file is mapped read-only where it can be, so no heap buffer of its
-    size is taken. A canonical body goes through one ``np.loadtxt`` call and
+    size is taken; a source that cannot be mapped, such as a pipe, is read
+    once, and either parse reads those bytes. A canonical body goes through one ``np.loadtxt`` call and
     its dates are read from their code points. It is ASCII with ``\\n`` or
     ``\\r\\n`` line ends, no NUL, no blank line and no line longer than
     csv's field limit, and every data line is a ``YYYY-MM-DD`` date followed
@@ -195,9 +196,10 @@ def load_prices(path) -> PriceSeries:
         raise DataError(f"{path}: {exc}") from None
 
     parsed = _parse_canonical(data, len(asset_ids), start)
-    del data  # unmapped; the row parse reads the file again
+    if isinstance(data, mmap.mmap):
+        data = None  # unmapped; the row parse reads the file again
     if parsed is None:
-        return _parse_rows(path, asset_ids)
+        return _parse_rows(path, asset_ids, data)
     ts, prices = parsed
     ts.setflags(write=False)
     prices.setflags(write=False)
@@ -326,13 +328,16 @@ def _iso_dates(code: np.ndarray):
     return ts if canonical else None
 
 
-def _parse_rows(path, asset_ids: tuple[str, ...]) -> PriceSeries:
+def _parse_rows(path, asset_ids: tuple[str, ...], data: bytes | None = None) -> PriceSeries:
     """Parse the file's data rows cell by cell; errors name the line and column.
 
-    A first pass counts the records, so a csv error comes before any cell
-    error; a second fills arrays one record at a time.
+    ``data``, when given, is the file's bytes, already read from a source
+    that cannot be read twice, such as a pipe. A first pass counts the
+    records, so a csv error comes before any cell error; a second fills
+    arrays one record at a time.
     """
-    with open(path, "r", newline="", encoding="utf-8") as fh:
+    with (open(path, "r", newline="", encoding="utf-8") if data is None
+          else io.StringIO(data.decode("utf-8"), newline="")) as fh:
         reader = csv.reader(fh)
         try:
             n_rows = sum(1 for _ in reader) - 1

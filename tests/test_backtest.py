@@ -204,6 +204,21 @@ def test_backtest_equal_weight_equity_matches_manual():
     assert len(rep.equity) == 300 - 125 + 1
 
 
+def test_backtest_equity_is_the_running_product_bit_for_bit():
+    # refitted weights and a short last holding period; the curve must be
+    # the day-by-day running product, multiplied in the same order
+    p = _panel(310, n_assets=3, seed=5)
+    cfg = BacktestConfig(strategy=STRATEGY_MARKOWITZ_MULTISCALE, lookback=125,
+                         rebalance_every=21)
+    rep = run_backtest(p, cfg)
+    equity = [1.0]
+    for t, w in rep.weights_history:
+        for g in 1.0 + (np.exp(p.returns[t:t + 21]) - 1.0) @ w:
+            equity.append(equity[-1] * g)
+    assert len(rep.weights_history) == 9
+    assert np.array_equal(rep.equity, equity)
+
+
 def test_backtest_single_asset_equity_compounds_prices():
     r = np.random.default_rng(4).standard_normal(300) * 0.01
     p = panel_from_returns(r)

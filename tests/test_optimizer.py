@@ -116,17 +116,13 @@ def test_blend_conditioning_refused_as_plain_matrix(matrix):
         assert str(blended.value) == str(plain.value)
 
 
-@pytest.mark.parametrize("solve", [
-    lambda s, ids: sensitivity_to_variance(s, 2, asset_ids=ids),
-    lambda s, ids: min_variance_long_only(s, asset_ids=ids),
-])
-def test_blend_asset_ids_length_checked_before_solving(solve, monkeypatch):
+def test_blend_asset_ids_length_checked_before_solving(monkeypatch):
     # a blend gets the plain matrix's refusal, before any solve starts
     blend = multiscale_cov(_set_for([np.diag([1.0, 2.0, 3.0])], [1], ("a", "b", "c")))
     monkeypatch.setattr(optimizer, "_eqp", lambda *a: pytest.fail("solved"))
     for sigma in (blend.matrix, blend):
         with pytest.raises(ValueError, match="^asset_ids length does not match the matrix$"):
-            solve(sigma, ("x",))
+            sensitivity_to_variance(sigma, 2, asset_ids=("x",))
 
 
 def test_hand_built_blend_is_refused_when_ill_conditioned():
@@ -204,6 +200,21 @@ def test_solvers_refuse_a_non_finite_floor_or_risk_free_rate(bad):
     for long_only in (True, False):
         with pytest.raises(ValueError, match="^risk_free must be finite, got "):
             max_sharpe(np.eye(2), mu, risk_free=bad, long_only=long_only)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("solve", [
+    lambda m, mu: min_variance_long_only(m, mu, mu_target=0.05),
+    lambda m, mu: max_sharpe(m, mu),
+    lambda m, mu: max_sharpe(m, mu, long_only=False),
+], ids=["floor", "max_sharpe_long_only", "max_sharpe"])
+def test_non_finite_means_refused_before_solving(solve, bad, monkeypatch):
+    # refused before any solve: a NaN mean would drop the floor silently
+    # or run the active set to its iteration cap
+    m = np.array([[1.0, 0.2], [0.2, 2.0]])
+    monkeypatch.setattr(optimizer, "_eqp", lambda *a: pytest.fail("solved"))
+    with pytest.raises(ValueError, match=f"^mu must be finite, got {bad} at asset 0$"):
+        solve(m, np.array([bad, 0.1]))
 
 
 def test_long_only_floor_at_best_mean_holds_the_best_asset():
@@ -722,6 +733,6 @@ def test_target_curve_ratio_definition():
     assert row.target_variance == pytest.approx(1e-4)
     assert row.ratio == pytest.approx(0.5)
     # weights over another universe are rejected, not matched by position
-    other = min_variance_closed_form(np.eye(2), asset_ids=("x", "z"))
+    other = min_variance_closed_form(multiscale_cov(_set_for((sig1,), (1,), ("x", "z"))))
     with pytest.raises(DataError, match="universe"):
         check_target_curve(other, cs, sigma_target_daily=0.01, hurst_target=0.5)

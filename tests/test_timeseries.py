@@ -3,6 +3,8 @@
 import mmap
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 from pathlib import Path
@@ -494,6 +496,26 @@ def test_load_prices_reads_a_pipe_and_refuses_an_empty_file(tmp_path):
     empty.write_bytes(b"")
     with pytest.raises(DataError, match="empty file"):
         load_prices(empty)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_load_prices_row_parses_piped_stdin_from_the_bytes_it_read(tmp_path):
+    # quoted dates send piped bytes to the row parse, which cannot read the
+    # drained pipe a second time
+    path = _canonical_csv(tmp_path, np.random.default_rng(19), 64, ("a", "b"))
+    want = load_prices(path)
+    text = re.sub(r"^(\d{4}-\d\d-\d\d),", r'"\1",', path.read_text(), flags=re.M)
+    quoted = tmp_path / "q.csv"
+    quoted.write_bytes(text.replace("\n", "\r\n").encode())
+    code = ("from multiscale_markowitz.timeseries import load_prices\n"
+            "s = load_prices('/dev/stdin')\n"
+            "print(s.timestamps.tobytes().hex(), s.prices.tobytes().hex())\n")
+    src = Path(timeseries.__file__).resolve().parents[1]
+    out = subprocess.run([sys.executable, "-c", code], input=quoted.read_bytes(),
+                         capture_output=True, timeout=60, check=True, cwd=src)
+    piped = out.stdout.decode().split()
+    for s in (want, load_prices(quoted)):
+        assert [s.timestamps.tobytes().hex(), s.prices.tobytes().hex()] == piped
 
 
 # ---------------------------------------------------------------------------
