@@ -13,9 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .covariance import METHOD_L1, METHOD_PRODUCT, build_covariance_set, multiscale_cov
+from .covariance import METHOD_L1, METHOD_PRODUCT, _check_ridge, build_covariance_set, multiscale_cov
 from .errors import DataError, MultiscaleError, NumericalError
-from .optimizer import PortfolioWeights, max_sharpe, min_variance_long_only
+from .optimizer import PortfolioWeights, max_sharpe, min_variance_closed_form, min_variance_long_only
 from .timeseries import (
     MIN_PHASE_ROWS,
     MODE_NONOVERLAPPING,
@@ -31,22 +31,23 @@ STRATEGY_MARKOWITZ_DAILY = "markowitz_daily"
 STRATEGY_MARKOWITZ_MULTISCALE = "markowitz_multiscale"
 STRATEGY_MAX_SHARPE_DAILY = "max_sharpe_daily"
 STRATEGY_MAX_SHARPE_MULTISCALE = "max_sharpe_multiscale"
+# what fit optimizes, read by the strategy table and by msmark optimize's --objective
+OBJECTIVES = MIN_VARIANCE, MAX_SHARPE = ("min_variance", "max_sharpe")
 
 
 class _Strategy(NamedTuple):
     display_name: str
-    objective: str | None  # "min_variance", "max_sharpe", or None for equal weights
+    objective: str | None  # one of OBJECTIVES, or None for equal weights
     multiscale: bool  # fits on the config's scales rather than scale 1 alone
 
 
-# every fact about a strategy; fit_weights looks the solvers up as module
-# globals, so the table names objectives rather than binding functions
+# every fact about a strategy; it names objectives, as fit looks the solvers up as globals
 _STRATEGY_TABLE = {
     STRATEGY_EQUAL: _Strategy("Equally Weighted", None, False),
-    STRATEGY_MARKOWITZ_DAILY: _Strategy("Traditional Markowitz", "min_variance", False),
-    STRATEGY_MARKOWITZ_MULTISCALE: _Strategy("Multiscale Markowitz", "min_variance", True),
-    STRATEGY_MAX_SHARPE_DAILY: _Strategy("Traditional Max Sharpe", "max_sharpe", False),
-    STRATEGY_MAX_SHARPE_MULTISCALE: _Strategy("Multiscale Max Sharpe", "max_sharpe", True),
+    STRATEGY_MARKOWITZ_DAILY: _Strategy("Traditional Markowitz", MIN_VARIANCE, False),
+    STRATEGY_MARKOWITZ_MULTISCALE: _Strategy("Multiscale Markowitz", MIN_VARIANCE, True),
+    STRATEGY_MAX_SHARPE_DAILY: _Strategy("Traditional Max Sharpe", MAX_SHARPE, False),
+    STRATEGY_MAX_SHARPE_MULTISCALE: _Strategy("Multiscale Max Sharpe", MAX_SHARPE, True),
 }
 STRATEGIES = tuple(_STRATEGY_TABLE)
 
@@ -96,6 +97,7 @@ class BacktestConfig:
             raise ValueError("periods_per_year must be positive")
         if not math.isfinite(self.risk_free):
             raise ValueError(f"risk_free must be finite, got {self.risk_free}")
+        _check_ridge(self.ridge)  # checked, not normalised: asdict(cfg) keeps it as given
 
     @property
     def effective_scales(self) -> tuple[int, ...]:
@@ -161,20 +163,32 @@ class BacktestReport:
     performance: PerformanceMetrics
 
 
-def fit_weights(window: ReturnPanel, cfg: BacktestConfig) -> PortfolioWeights:
-    """Fit one set of weights on an estimation window."""
-    objective = _STRATEGY_TABLE[cfg.strategy].objective
+def fit(window, objective, scales, method, aggregation, ridge, risk_free,
+        l1_joint=False, long_only=True, mu_target=None):
+    """Weights for ``objective`` (``None``: equal weights) on ``window``, and their blend.
+
+    The one place that builds the covariance set, blends it and picks a solver;
+    ``mu_target`` floors the long-only minimum variance and nothing else.
+    """
     if objective is None:
         n = window.n_assets
-        return PortfolioWeights(window.asset_ids, np.full(n, 1.0 / n), "equal", long_only=True)
-    cset = build_covariance_set(window, cfg.effective_scales,
-                                method=cfg.covariance_method,
-                                aggregation=cfg.aggregation)
-    blended = multiscale_cov(cset, ridge=cfg.ridge)
-    if objective == "min_variance":
-        return min_variance_long_only(blended)
-    mu = window.returns.mean(axis=0)
-    return max_sharpe(blended, mu, risk_free=cfg.risk_free)
+        return PortfolioWeights(window.asset_ids, np.full(n, 1.0 / n), "equal", long_only=True), None
+    if objective not in OBJECTIVES:
+        raise ValueError(f"unknown objective {objective!r}; choose from {OBJECTIVES}")
+    blended = multiscale_cov(build_covariance_set(
+        window, scales, method=method, aggregation=aggregation, l1_joint=l1_joint), ridge=ridge)
+    mu = None if objective == MIN_VARIANCE and mu_target is None else window.returns.mean(axis=0)
+    if objective == MAX_SHARPE:
+        return max_sharpe(blended, mu, risk_free=risk_free, long_only=long_only), blended
+    if long_only:
+        return min_variance_long_only(blended, mu=mu, mu_target=mu_target), blended
+    return min_variance_closed_form(blended), blended
+
+
+def fit_weights(window: ReturnPanel, cfg: BacktestConfig) -> PortfolioWeights:
+    """Fit one set of weights on an estimation window."""
+    return fit(window, _STRATEGY_TABLE[cfg.strategy].objective, cfg.effective_scales,
+               cfg.covariance_method, cfg.aggregation, cfg.ridge, cfg.risk_free)[0]
 
 
 def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:

@@ -29,7 +29,6 @@ import numpy as np
 
 from . import backtest as bt
 from . import covariance as cov
-from . import optimizer as opt
 from . import scaling
 from . import synth
 from . import timeseries as ts
@@ -156,8 +155,7 @@ _ESTIMATE_OPTS = [
 ] + _COMMON
 
 _OPTIMIZE_OPTS = [
-    Opt("--objective", _choice(("min_variance", "max_sharpe")), "min_variance",
-        "what to optimize"),
+    Opt("--objective", _choice(bt.OBJECTIVES), bt.MIN_VARIANCE, "what to optimize"),
     Opt("--scales", _list_of(_cast_int), bt.DEFAULT_SCALES, "covariance scales"),
     Opt("--cov", _choice((cov.METHOD_PRODUCT, cov.METHOD_L1)), cov.METHOD_PRODUCT,
         "covariance estimator"),
@@ -261,6 +259,17 @@ def _out_dir(merged) -> Path:
     if merged.get("out_dir"):
         return Path(merged["out_dir"])
     return Path(os.environ.get(OUT_DIR_ENV, "."))
+
+
+def _out_paths(merged, default: str, *exts) -> list:
+    """``--out-prefix`` (default ``<out dir>/<default>``) with each of ``exts`` appended.
+
+    Appended to the prefix's whole name, so that ``w_h0.5`` and ``w_h0.7``
+    name different files; ``with_suffix`` would cut both at the last dot.
+    """
+    prefix = merged["out_prefix"]
+    prefix = _out_dir(merged) / default if prefix is None else Path(prefix)
+    return [prefix.with_name(prefix.name + ext) for ext in exts]
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -415,35 +424,21 @@ def cmd_estimate(merged) -> int:
 
 def cmd_optimize(merged) -> int:
     long_only = not merged["allow_short"]
-    if merged["mu_target"] is not None and merged["objective"] != "min_variance":
+    if merged["mu_target"] is not None and merged["objective"] != bt.MIN_VARIANCE:
         raise _UsageError("--mu-target applies only to --objective min_variance")
     if merged["mu_target"] is not None and not long_only:
         raise _UsageError("--mu-target requires the long-only constraint")
-    panel = _load_panel(merged["input"])
-    cset = cov.build_covariance_set(panel, merged["scales"], method=merged["cov"],
-                                    aggregation=merged["aggregation"],
-                                    l1_joint=merged["l1_joint"])
-    blended = cov.multiscale_cov(cset, ridge=merged["ridge"])
-    mu = panel.returns.mean(axis=0)
-    if merged["objective"] == "max_sharpe":
-        weights = opt.max_sharpe(blended, mu, risk_free=merged["risk_free"],
-                                 long_only=long_only)
-    elif long_only:
-        weights = opt.min_variance_long_only(blended, mu=mu,
-                                             mu_target=merged["mu_target"])
-    else:
-        weights = opt.min_variance_closed_form(blended)
+    weights, blended = bt.fit(_load_panel(merged["input"]), merged["objective"], merged["scales"],
+                              merged["cov"], merged["aggregation"], merged["ridge"],
+                              merged["risk_free"], merged["l1_joint"], long_only, merged["mu_target"])
     for aid, val in weights.as_dict().items():
         print(f"{aid}: {val:.6f}")
     _note(f"kkt residual {weights.kkt_residual:.3e}")
-    prefix = merged["out_prefix"]
-    if prefix is None:
-        prefix = _out_dir(merged) / "optimize"
-    prefix = Path(prefix)
+    csv_path, json_path = _out_paths(merged, "optimize", ".csv", ".json")
     weight_lines = ["asset,weight"] + [
         f"{aid},{val!r}" for aid, val in weights.as_dict().items()
     ]
-    _write_atomic(prefix.with_suffix(".csv"), "\n".join(weight_lines) + "\n")
+    _write_atomic(csv_path, "\n".join(weight_lines) + "\n")
     payload = {
         "input": str(merged["input"]),
         "objective": merged["objective"],
@@ -455,8 +450,8 @@ def cmd_optimize(merged) -> int:
         "covariance_matrix": blended.matrix,
         "asset_ids": list(blended.asset_ids),
     }
-    _write_atomic(prefix.with_suffix(".json"), _dump_json(payload))
-    _note(f"wrote {prefix.with_suffix('.csv')} and {prefix.with_suffix('.json')}")
+    _write_atomic(json_path, _dump_json(payload))
+    _note(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
 
@@ -481,12 +476,9 @@ def cmd_backtest(merged) -> int:
         # partial failure prints a table; total failure is a hard error
         raise DataError(f"every strategy failed; first error: {table.rows[0].error}")
     print(table.to_text(), end="")
-    prefix = merged["out_prefix"]
-    if prefix is None:
-        prefix = _out_dir(merged) / "backtest"
-    prefix = Path(prefix)
-    _write_atomic(prefix.with_suffix(".txt"), table.to_text())
-    _write_atomic(prefix.with_suffix(".csv"), table.to_csv())
+    txt_path, csv_path, json_path = _out_paths(merged, "backtest", ".txt", ".csv", ".json")
+    _write_atomic(txt_path, table.to_text())
+    _write_atomic(csv_path, table.to_csv())
     payload = {
         "input": str(merged["input"]),
         "rows": [
@@ -503,9 +495,8 @@ def cmd_backtest(merged) -> int:
             for row, cfg, rep in zip(table.rows, configs, table.reports)
         ],
     }
-    _write_atomic(prefix.with_suffix(".json"), _dump_json(payload))
-    _note(f"wrote {prefix.with_suffix('.txt')}, {prefix.with_suffix('.csv')}, "
-          f"{prefix.with_suffix('.json')}")
+    _write_atomic(json_path, _dump_json(payload))
+    _note(f"wrote {txt_path}, {csv_path}, {json_path}")
     return EXIT_OK
 
 

@@ -280,6 +280,15 @@ class MultiscaleCovariance:
         return len(self.asset_ids)
 
 
+def _check_ridge(ridge) -> None:
+    """Refuse a ``ridge`` that is neither ``"auto"`` nor a finite non-negative number."""
+    if isinstance(ridge, str):
+        if ridge != "auto":
+            raise ValueError(f"ridge must be a float or 'auto', got {ridge!r}")
+    elif not 0.0 <= float(ridge) < np.inf:
+        raise ValueError(f"ridge must be non-negative and finite, got {float(ridge)}")
+
+
 def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0,
                    scale_weights=None) -> MultiscaleCovariance:
     """Average the per-scale covariances into one working matrix.
@@ -311,14 +320,8 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0,
     for w, dt, m in zip(wts, cov_set.scales, cov_set.matrices):
         acc += w * (m / dt)
 
-    if isinstance(ridge, str):
-        if ridge != "auto":
-            raise ValueError(f"ridge must be a float or 'auto', got {ridge!r}")
-        ridge_val = 1e-8 * np.trace(acc) / n
-    else:
-        ridge_val = float(ridge)
-        if not 0.0 <= ridge_val < np.inf:
-            raise ValueError(f"ridge must be non-negative and finite, got {ridge_val}")
+    _check_ridge(ridge)
+    ridge_val = 1e-8 * np.trace(acc) / n if isinstance(ridge, str) else float(ridge)
     if ridge_val > 0:
         acc.flat[:: n + 1] += ridge_val
 

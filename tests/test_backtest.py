@@ -1,6 +1,9 @@
 """Walk-forward evaluation and the strategy comparison table."""
 
+import dataclasses
+import itertools
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -9,6 +12,7 @@ import pytest
 from multiscale_markowitz import backtest, covariance, optimizer
 from multiscale_markowitz.errors import DataError, NumericalError
 from multiscale_markowitz.backtest import (
+    OBJECTIVES,
     BacktestConfig,
     STRATEGY_EQUAL,
     STRATEGY_MARKOWITZ_DAILY,
@@ -18,6 +22,7 @@ from multiscale_markowitz.backtest import (
     STRATEGIES,
     compare,
     display_name,
+    fit,
     fit_weights,
     metrics,
     run_backtest,
@@ -151,6 +156,26 @@ def test_periods_per_year_must_be_a_whole_number(periods):
 def test_config_rejects_non_finite_risk_free(risk_free):
     with pytest.raises(ValueError, match="risk_free must be finite"):
         BacktestConfig(strategy=STRATEGY_EQUAL, risk_free=risk_free)
+
+
+@pytest.mark.parametrize("ridge, message", [
+    (-1, "ridge must be non-negative and finite, got -1.0"),
+    (math.nan, "ridge must be non-negative and finite, got nan"),
+    ("bogus", "ridge must be a float or 'auto', got 'bogus'"),
+])
+def test_config_rejects_a_bad_ridge_when_built(ridge, message):
+    # with the blend's own messages, and before any refit, so that an
+    # equal-weight run cannot record a ridge no blend would accept
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BacktestConfig(strategy=STRATEGY_EQUAL, ridge=ridge)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        covariance.multiscale_cov(covariance.build_covariance_set(_panel(100), (1,)), ridge=ridge)
+
+
+@pytest.mark.parametrize("ridge", ["auto", 0, 0.5, np.float64(1e-6)])
+def test_config_keeps_a_good_ridge_as_given(ridge):
+    got = dataclasses.asdict(BacktestConfig(ridge=ridge))["ridge"]
+    assert got == ridge and type(got) is type(ridge)
 
 
 def test_config_effective_scales_for_daily():
@@ -459,3 +484,99 @@ def test_fit_weights_names_overflowing_scale(strategy, method):
     cfg = BacktestConfig(strategy=strategy, covariance_method=method)
     with pytest.raises(DataError, match="variance at scale 1 overflows"):
         fit_weights(window, cfg)
+
+
+# ---------------------------------------------------------------------------
+# the one fit entry, against the two dispatches it replaced
+
+
+def _reference_fit_weights(window, cfg):
+    # fit_weights' own body before it called fit, also returning its blend
+    objective = backtest._STRATEGY_TABLE[cfg.strategy].objective
+    if objective is None:
+        n = window.n_assets
+        return optimizer.PortfolioWeights(window.asset_ids, np.full(n, 1.0 / n), "equal",
+                                          long_only=True), None
+    cset = covariance.build_covariance_set(window, cfg.effective_scales,
+                                           method=cfg.covariance_method,
+                                           aggregation=cfg.aggregation)
+    blended = covariance.multiscale_cov(cset, ridge=cfg.ridge)
+    if objective == "min_variance":
+        return optimizer.min_variance_long_only(blended), blended
+    mu = window.returns.mean(axis=0)
+    return optimizer.max_sharpe(blended, mu, risk_free=cfg.risk_free), blended
+
+
+def _reference_optimize(panel, objective, scales, method, aggregation, ridge, risk_free,
+                        l1_joint, long_only, mu_target):
+    # cmd_optimize's build, blend and if/elif before it called fit
+    cset = covariance.build_covariance_set(panel, scales, method=method,
+                                           aggregation=aggregation, l1_joint=l1_joint)
+    blended = covariance.multiscale_cov(cset, ridge=ridge)
+    mu = panel.returns.mean(axis=0)
+    if objective == "max_sharpe":
+        weights = optimizer.max_sharpe(blended, mu, risk_free=risk_free, long_only=long_only)
+    elif long_only:
+        weights = optimizer.min_variance_long_only(blended, mu=mu, mu_target=mu_target)
+    else:
+        weights = optimizer.min_variance_closed_form(blended)
+    return weights, blended
+
+
+def _assert_same_fit(got, want):
+    (w, blend), (w_ref, blend_ref) = got, want
+    assert (w.asset_ids, w.method, w.long_only) == (w_ref.asset_ids, w_ref.method, w_ref.long_only)
+    assert w.weights.tobytes() == w_ref.weights.tobytes()
+    assert repr(w.kkt_residual) == repr(w_ref.kkt_residual)
+    assert repr(w.provenance) == repr(w_ref.provenance)
+    if blend_ref is None:
+        assert blend is None
+    else:
+        assert blend.matrix.tobytes() == blend_ref.matrix.tobytes()
+
+
+@pytest.mark.parametrize("method, l1_joint, aggregation", list(itertools.product(
+    (covariance.METHOD_PRODUCT, covariance.METHOD_L1), (False, True),
+    ("nonoverlapping", "overlapping"))))
+def test_fit_matches_the_optimize_dispatch_bit_for_bit(method, l1_joint, aggregation):
+    window = _panel(n=500, n_assets=4, seed=12, drift=5e-4).window(100, 500)
+    args = (window, (1, 2, 5, 10, 21), method, aggregation, "auto", 1e-4)
+    mu = window.returns.mean(axis=0)
+    free = _reference_optimize(*args[:1], "min_variance", *args[1:], l1_joint, True, None)[0]
+    floor = (mu @ free.weights + mu.max()) / 2.0  # above the floor-free mean: it binds
+    assert mu @ free.weights < floor
+    for objective, long_only, mu_target in itertools.product(
+            OBJECTIVES, (True, False), (None, floor)):
+        want = _reference_optimize(window, objective, *args[1:], l1_joint, long_only, mu_target)
+        got = fit(window, objective, *args[1:], l1_joint=l1_joint, long_only=long_only,
+                  mu_target=mu_target)
+        _assert_same_fit(got, want)
+        if objective == "min_variance" and long_only and mu_target is not None:
+            assert got[0].weights @ mu == pytest.approx(floor, rel=1e-9)
+
+
+@pytest.mark.parametrize("method", [covariance.METHOD_PRODUCT, covariance.METHOD_L1])
+@pytest.mark.parametrize("aggregation", ["nonoverlapping", "overlapping"])
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_fit_weights_matches_its_former_body_bit_for_bit(monkeypatch, strategy, aggregation,
+                                                         method):
+    # the blend is read where the bench reads it, from the multiscale_cov bound in backtest
+    window = _panel(n=400, n_assets=4, seed=3, drift=0.001).window(100, 400)
+    cfg = BacktestConfig(strategy=strategy, aggregation=aggregation, covariance_method=method,
+                         lookback=300, risk_free=1e-4)
+    blends = []
+    blend = backtest.multiscale_cov
+
+    def recorded(*args, **kwargs):
+        blends.append(blend(*args, **kwargs))
+        return blends[-1]
+    monkeypatch.setattr(backtest, "multiscale_cov", recorded)
+    got = fit_weights(window, cfg)
+    _assert_same_fit((got, blends[0] if blends else None), _reference_fit_weights(window, cfg))
+    assert len(blends) == (strategy != STRATEGY_EQUAL)
+
+
+def test_fit_refuses_an_unknown_objective():
+    with pytest.raises(ValueError, match="unknown objective 'target_curve'"):
+        fit(_panel(200), "target_curve", (1,), covariance.METHOD_PRODUCT, "nonoverlapping",
+            "auto", 0.0)

@@ -1,5 +1,7 @@
 """End-to-end command line checks driven through ``main(argv)``."""
 
+import argparse
+import ast
 import ctypes
 import gc
 import importlib
@@ -13,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from multiscale_markowitz import backtest as bt
 from multiscale_markowitz import cli, scaling
 from multiscale_markowitz.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from multiscale_markowitz.covariance import build_covariance_set, multiscale_cov
@@ -463,8 +466,83 @@ def test_optimize_json_provenance(capsys, workdir, flags, closed_form):
     assert prov == expected
 
 
+def test_optimize_dotted_prefixes_name_distinct_files(capsys, workdir):
+    # each extension goes after the prefix's whole name, so two prefixes
+    # that differ after their last dot no longer write the same two files
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",
+                                       "--assets", "3", "--seed", "8"])
+    written = []
+    for prefix in ("runs/w_h0.5", "runs/w_h0.7"):
+        code, _, err = _run(capsys, ["optimize", str(path), "--out-prefix", prefix])
+        assert code == EXIT_OK
+        assert f"wrote {prefix}.csv and {prefix}.json" in err
+        written += [workdir / f"{prefix}.csv", workdir / f"{prefix}.json"]
+    assert sorted(workdir.joinpath("runs").iterdir()) == sorted(written)
+
+
+def test_optimize_fits_through_the_one_entry(capsys, workdir, monkeypatch):
+    # cmd_optimize builds, blends and solves nothing itself
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",
+                                       "--assets", "3", "--rho", "0.2", "--seed", "8"])
+    calls = []
+    fit = bt.fit
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return fit(*args, **kwargs)
+    monkeypatch.setattr(bt, "fit", counted)
+    for objective in bt.OBJECTIVES:
+        calls.clear()
+        code, _, _ = _run(capsys, ["optimize", str(path), "--objective", objective,
+                                   "--out-prefix", "w"])
+        assert code == EXIT_OK and calls == [objective]
+
+
+def test_optimize_objective_choices_are_the_fit_objectives():
+    opt = next(o for o in cli._OPTIMIZE_OPTS if o.flag == "--objective")
+    assert opt.default in bt.OBJECTIVES
+    assert [opt.cast(name) for name in bt.OBJECTIVES] == list(bt.OBJECTIVES)
+    with pytest.raises(argparse.ArgumentTypeError,
+                       match=f"expected one of {', '.join(bt.OBJECTIVES)}; got 'x'"):
+        opt.cast("x")
+
+
+def test_cli_imports_no_optimizer_and_calls_no_builder_blend_or_solver():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "optimizer" not in imported
+    used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not used & {"build_covariance_set", "multiscale_cov", "max_sharpe",
+                       "min_variance_long_only", "min_variance_closed_form"}
+
+
 # ---------------------------------------------------------------------------
 # backtest
+
+
+def test_backtest_dotted_prefix_keeps_its_whole_name(capsys, workdir):
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "320",
+                                       "--assets", "2", "--seed", "4"])
+    code, _, err = _run(capsys, ["backtest", str(path), "--strategy", "equal_weight",
+                                 "--out-prefix", "runs/bt_lb.500"])
+    assert code == EXIT_OK
+    names = [f"runs/bt_lb.500{ext}" for ext in (".txt", ".csv", ".json")]
+    assert f"wrote {', '.join(names)}" in err
+    assert sorted(p.name for p in workdir.joinpath("runs").iterdir()) == sorted(
+        Path(n).name for n in names)
+
+
+@pytest.mark.parametrize("ridge", ["-1", "nan"])
+def test_backtest_equal_weight_refuses_a_bad_ridge(capsys, workdir, ridge):
+    # the equal-weight fit blends nothing, so the config itself checks it
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "320",
+                                       "--assets", "2", "--seed", "4"])
+    code, _, err = _run(capsys, ["backtest", str(path), "--strategy", "equal_weight",
+                                 "--ridge", ridge, "--out-prefix", "bt"])
+    assert code == EXIT_USAGE
+    assert f"ridge must be non-negative and finite, got {float(ridge)}" in err
+    assert not list(workdir.glob("bt.*"))
 
 
 def test_backtest_table_all_strategies(capsys, workdir):
