@@ -7,8 +7,9 @@ pipeline end to end from fixed seeds.
 
 Exit codes: 0 success, 1 usage, 2 bad input data, 3 numerical failure.
 Results go to stdout and files; diagnostics go to stderr. Output files
-are written atomically (temp file plus rename). Each ``key = value`` line
-of a ``--config`` file is read as a ``--key=value`` flag placed before the
+are written atomically (temp file plus rename), with the mode a plain
+``open()`` gives: 0666 less the umask. Each ``key = value`` line of a
+``--config`` file is read as a ``--key=value`` flag placed before the
 command line's own, so explicit flags override it.
 """
 from __future__ import annotations
@@ -90,6 +91,13 @@ def _cast_ridge(raw):
     return "auto" if raw.strip() == "auto" else _cast_float(raw)
 
 
+def _cast_prefix(raw):
+    # each extension is appended to the prefix's last component, which must name a file
+    if os.path.basename(raw) in ("", ".", ".."):
+        raise argparse.ArgumentTypeError(f"expected a file name prefix, got {raw!r}")
+    return raw
+
+
 def _choice(options):
     def cast(raw):
         if raw not in options:
@@ -167,7 +175,7 @@ _OPTIMIZE_OPTS = [
     Opt("--allow-short", _cast_bool, False, "drop the long-only constraint"),
     Opt("--mu-target", _cast_float, None, "expected-return floor (sample means)"),
     Opt("--risk-free", _cast_float, 0.0, "risk-free rate for max_sharpe"),
-    Opt("--out-prefix", str, None, "prefix for weights CSV and report JSON"),
+    Opt("--out-prefix", _cast_prefix, None, "prefix for weights CSV and report JSON"),
 ] + _COMMON
 
 _BACKTEST_OPTS = [
@@ -184,7 +192,7 @@ _BACKTEST_OPTS = [
         ts.MODE_NONOVERLAPPING, "aggregation for multiscale strategies"),
     Opt("--ridge", _cast_ridge, "auto", "diagonal loading: a number or 'auto'"),
     Opt("--risk-free", _cast_float, 0.0, "risk-free rate"),
-    Opt("--out-prefix", str, None, "prefix for table CSV/text and report JSON"),
+    Opt("--out-prefix", _cast_prefix, None, "prefix for table CSV/text and report JSON"),
 ] + _COMMON
 
 _REPRO_OPTS = [
@@ -279,6 +287,10 @@ def _write_atomic(path: Path, text: str) -> None:
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp makes the file 0600; give it the mode a plain open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -497,11 +497,6 @@ def check_target_curve(weights, cov_set: ScaledCovarianceSet,
         # a fractional scale is refused, not truncated onto an integer one
         targets = {s: float(v) for s, v in zip(_check_scales(target_table),
                                                 target_table.values())}
-        if not all(0.0 < v < math.inf for v in targets.values()):
-            raise ValueError(f"target variances must be positive and finite, got {targets}")
-        missing = [s for s in cov_set.scales if s not in targets]
-        if missing:
-            raise ValueError(f"target_table missing scales {missing}")
         convention = "explicit per-scale variance targets"
     else:
         if sigma_target_daily is None or hurst_target is None:
@@ -512,14 +507,18 @@ def check_target_curve(weights, cov_set: ScaledCovarianceSet,
             raise ValueError(f"sigma_target_daily={sigma_target_daily} must be positive and finite")
         if not 0.0 < hurst_target < 1.0:
             raise ValueError(f"hurst_target={hurst_target} outside (0, 1)")
-        targets = {
-            s: sigma_target_daily ** 2 * s ** (2.0 * hurst_target)
-            for s in cov_set.scales
-        }
+        # float * float gives inf or 0 where float ** 2 would raise OverflowError
+        sigma2 = float(sigma_target_daily) * float(sigma_target_daily)
+        targets = {s: sigma2 * s ** (2.0 * hurst_target) for s in cov_set.scales}
         convention = (
             "power law: variance(dt) <= sigma_target_daily^2 * dt^(2*hurst_target); "
             "sigma_target_daily is a one-period standard deviation"
         )
+    if not all(0.0 < v < math.inf for v in targets.values()):
+        raise ValueError(f"target variances must be positive and finite, got {targets}")
+    missing = [s for s in cov_set.scales if s not in targets]
+    if missing:
+        raise ValueError(f"target_table missing scales {missing}")
     rows = []
     for s, m in zip(cov_set.scales, cov_set.matrices):
         pv = float(w @ m @ w)
@@ -528,7 +527,7 @@ def check_target_curve(weights, cov_set: ScaledCovarianceSet,
             scale=s,
             portfolio_variance=pv,
             target_variance=tv,
-            ratio=pv / tv if tv > 0 else math.inf,
+            ratio=pv / tv,
             within=pv <= tv * (1.0 + 1e-12),
         ))
     return TargetCurveReport(rows=tuple(rows), convention=convention)

@@ -85,6 +85,9 @@ def generate(spec: GeneratorSpec) -> ReturnPanel:
 def _check_sigma(sigma_daily):
     if not 0.0 < sigma_daily < math.inf:
         raise ValueError(f"sigma_daily must be positive and finite, got {sigma_daily}")
+    # float * float gives inf or 0 where float ** 2 would raise OverflowError
+    if not 0.0 < float(sigma_daily) * float(sigma_daily) < math.inf:
+        raise ValueError(f"sigma_daily={sigma_daily} has a square that is not positive and finite")
 
 
 def gen_gaussian_iid(n: int, sigma_daily: float = 0.01, seed: int = 0) -> ReturnPanel:
@@ -103,14 +106,24 @@ def _fgn_autocov(n: int, hurst: float, sigma2: float) -> np.ndarray:
     return 0.5 * sigma2 * ((k + 1) ** two_h - 2 * k ** two_h + np.abs(k - 1) ** two_h)
 
 
-def _fgn_davies_harte(n, hurst, sigma_daily, rng):
-    # circulant row [g(0..n-1), 0, g(n-1..1)]; its top-left n x n block is
-    # exactly Toeplitz(g) whenever all eigenvalues are non-negative
-    gamma = _fgn_autocov(n, hurst, sigma_daily ** 2)
-    row = np.concatenate([gamma, [0.0], gamma[-1:0:-1]])
-    lam = np.fft.fft(row).real
-    if lam.min() < -1e-8 * np.abs(lam).max():
-        return None
+def _fgn_draw(n, hurst, sigma_daily, rng):
+    """fGn of length ``n`` by circulant embedding (Davies & Harte 1987).
+
+    The circulant row ``[g(0..n-1), c, g(n-1..1)]`` has ``Toeplitz(g)`` as
+    its top-left n x n block, so it is the covariance of a longer periodic
+    series whenever its eigenvalues are non-negative. ``c = 0`` comes
+    first; where it has a negative eigenvalue (large H at short n), the
+    minimal embedding ``c = g(n)`` takes its place.
+    """
+    gamma = _fgn_autocov(n + 1, hurst, sigma_daily ** 2)
+    for middle in (0.0, gamma[n]):
+        lam = np.fft.fft(np.concatenate([gamma[:n], [middle], gamma[n - 1:0:-1]])).real
+        if lam.min() >= -1e-8 * np.abs(lam).max():
+            break
+    else:
+        raise NumericalError(
+            f"circulant embedding for hurst={hurst}, n={n} has negative eigenvalues"
+        )
     lam = np.clip(lam, 0.0, None)
     m = 2 * n
     v0, vn = rng.standard_normal(2)
@@ -124,33 +137,11 @@ def _fgn_davies_harte(n, hurst, sigma_daily, rng):
     return np.fft.fft(w)[:n].real
 
 
-_CHOLESKY_MAX = 1 << 10
-
-
-def _fgn_draw(n, hurst, sigma_daily, rng):
-    """fGn by circulant embedding, else by a dense Cholesky factor when ``n`` allows."""
-    r = _fgn_davies_harte(n, hurst, sigma_daily, rng)
-    if r is not None:
-        return r
-    if n > _CHOLESKY_MAX:
-        raise NumericalError(
-            f"circulant embedding for hurst={hurst} has negative eigenvalues "
-            f"and n={n} exceeds the dense fallback limit {_CHOLESKY_MAX}"
-        )
-    gamma = _fgn_autocov(n, hurst, sigma_daily ** 2)
-    k = np.arange(n)
-    cov = gamma[np.abs(k[:, None] - k)]
-    chol = np.linalg.cholesky(cov)
-    return chol @ rng.standard_normal(n)
-
-
 def gen_fgn(n: int, hurst: float = 0.5, sigma_daily: float = 0.01, seed: int = 0) -> ReturnPanel:
     """Fractional Gaussian noise via circulant embedding.
 
     Sums of ``m`` consecutive values have variance ``sigma_daily^2 m^{2H}``
     exactly, so the series is the canonical fixture for scaling estimators.
-    Falls back to a dense Cholesky factor when the embedding is not
-    non-negative definite and ``n`` is small enough to afford it.
 
     Parameters
     ----------
@@ -341,7 +332,7 @@ def gen_multifractal(n: int, intermittency: float = 0.2, hurst_base: float = 0.5
     series is ``intermittency * ln n``. Larger ``intermittency`` widens the
     spread of generalized scaling exponents; zero-adjacent values give an
     essentially monofractal series. The noise is fGn with exponent
-    ``hurst_base``, drawn as ``gen_fgn`` draws it and refused where it is.
+    ``hurst_base``, drawn as ``gen_fgn`` draws it.
     """
     depth = int(round(math.log2(n))) if n > 0 else 0
     if n < 16 or 2 ** depth != n or depth < 4:

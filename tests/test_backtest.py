@@ -386,6 +386,25 @@ def test_compare_table_format():
     assert len(csv_text.splitlines()) == 5
 
 
+def test_compare_renders_a_failed_row():
+    # one config's lookback exceeds the panel; the other rows still run
+    configs = [BacktestConfig(strategy=STRATEGY_EQUAL, lookback=100),
+               BacktestConfig(strategy=STRATEGY_MARKOWITZ_DAILY, lookback=1000)]
+    table = compare(_panel(300, seed=11), configs)
+    error = "DataError: panel has 300 rows; need lookback 1000 plus one holding period of 21"
+    assert table.rows[1].error == error and table.reports[1] is None
+    failed = table.to_text().splitlines()[2].split()
+    assert failed[:4] == ["Traditional", "Markowitz", "failed", "failed"]
+    assert " ".join(failed[4:]) == error
+    assert table.to_csv().splitlines()[2] == f'Traditional Markowitz,,,,"{error}"'
+
+
+def test_csv_error_cell_quotes_a_double_quote_as_single():
+    row = backtest.TableRow("Broken", None, None, None, error='bad "lookback"')
+    table = backtest.ComparisonTable((row,), (None,))
+    assert table.to_csv() == "method,sharpe,sortino,max_drawdown,error\nBroken,,,,\"bad 'lookback'\"\n"
+
+
 # ---------------------------------------------------------------------------
 # checks made once per refit
 

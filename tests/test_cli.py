@@ -6,7 +6,9 @@ import ctypes
 import gc
 import importlib
 import json
+import os
 import shlex
+import stat
 import subprocess
 import sys
 import tomllib
@@ -223,6 +225,12 @@ def test_simulate_bad_generator_params_exit_data(capsys, workdir):
     (["estimate", "{csv}", "--q-grid", "1,inf"], "q grid must be finite, got (1.0, inf)"),
     (["estimate", "{csv}", "--method", "dfa", "--q-grid", "nan"],
      "q grid must be finite, got (nan,)"),
+    (["simulate", "--kind", "fgn", "--n", "1024", "--sigma", "1e200"],
+     "sigma_daily=1e+200 has a square that is not positive and finite"),
+    (["simulate", "--kind", "correlated", "--n", "64", "--sigma", "1e200"],
+     "sigma_daily=1e+200 has a square that is not positive and finite"),
+    (["simulate", "--kind", "gaussian_iid", "--n", "64", "--sigma", "1e-200"],
+     "sigma_daily=1e-200 has a square that is not positive and finite"),
 ])
 def test_out_of_range_option_is_usage_error(capsys, workdir, argv, message):
     path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",
@@ -231,6 +239,29 @@ def test_out_of_range_option_is_usage_error(capsys, workdir, argv, message):
     assert code == EXIT_USAGE
     assert f"msmark: error: {message}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_output_files_get_the_mode_the_umask_leaves(capsys, workdir, mask, mode):
+    old = os.umask(mask)
+    try:
+        path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "320",
+                                           "--assets", "2", "--seed", "4"])
+        code, _, _ = _run(capsys, ["optimize", str(path), "--out-prefix", "w"])
+    finally:
+        os.umask(old)
+    assert code == EXIT_OK
+    for written in (path, workdir / "w.csv", workdir / "w.json"):
+        assert stat.S_IMODE(written.stat().st_mode) == mode
+
+
+def test_failed_replace_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("replace failed")
+    monkeypatch.setattr(cli.os, "replace", fail)
+    with pytest.raises(OSError, match="^replace failed$"):
+        cli._write_atomic(tmp_path / "out" / "w.csv", "a\n")
+    assert list(tmp_path.joinpath("out").iterdir()) == []
 
 
 def test_simulate_out_dir_env(capsys, tmp_path, monkeypatch):
@@ -515,6 +546,20 @@ def test_cli_imports_no_optimizer_and_calls_no_builder_blend_or_solver():
     used = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not used & {"build_covariance_set", "multiscale_cov", "max_sharpe",
                        "min_variance_long_only", "min_variance_closed_form"}
+
+
+@pytest.mark.parametrize("command", ["optimize", "backtest"])
+@pytest.mark.parametrize("prefix", ["", ".", "..", "runs/", "runs/.", "runs/.."])
+def test_out_prefix_that_names_no_file_is_usage_error(capsys, workdir, command, prefix):
+    # refused while parsing, so nothing is printed or written
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "320",
+                                       "--assets", "2", "--seed", "4"])
+    before = sorted(workdir.rglob("*"))
+    code, out, err = _run(capsys, [command, str(path), "--out-prefix", prefix])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert f"argument --out-prefix: expected a file name prefix, got {prefix!r}" in err
+    assert sorted(workdir.rglob("*")) == before
 
 
 # ---------------------------------------------------------------------------

@@ -715,6 +715,10 @@ def test_target_curve_refuses_a_fractional_table_scale(table):
     ({"target_table": {1: 1e-4, 5: np.nan}}, "target variances must be positive and finite"),
     ({"target_table": {1: 1e-4, 5: np.inf}}, "target variances must be positive and finite"),
     ({"target_table": {1: 0.0, 5: 1e-4}}, "target variances must be positive and finite"),
+    ({"sigma_target_daily": 1e200, "hurst_target": 0.5},
+     "target variances must be positive and finite"),
+    ({"sigma_target_daily": 1e-200, "hurst_target": 0.5},
+     "target variances must be positive and finite"),
 ])
 def test_target_curve_refuses_targets_that_are_not_positive_and_finite(targets, message):
     sig1 = np.eye(2) * 1e-4

@@ -1,6 +1,7 @@
 """Synthetic return generators: distributional checks against theory."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,20 @@ def test_gaussian_iid_too_short():
         gen_gaussian_iid(8)
 
 
+@pytest.mark.parametrize("sigma", [1e200, 1e-200])
+@pytest.mark.parametrize("make", [
+    lambda s: gen_gaussian_iid(64, sigma_daily=s),
+    lambda s: gen_fgn(64, hurst=0.7, sigma_daily=s),
+    lambda s: constant_correlation_cov(2, 0.1, sigma_daily=s),
+    lambda s: gen_epps(64, sigma_daily=s),
+    lambda s: gen_multifractal(64, sigma_daily=s),
+])
+def test_generators_refuse_a_sigma_whose_square_is_not_positive_and_finite(make, sigma):
+    # 1e200 squared overflows, where float ** raises; 1e-200 squared is 0
+    with pytest.raises(ValueError, match=re.escape(f"sigma_daily={sigma} has a square that")):
+        make(sigma)
+
+
 # ---------------------------------------------------------------------------
 # fractional Gaussian noise
 
@@ -132,21 +147,106 @@ def test_fgn_unit_scale_std():
     assert r.std() == pytest.approx(0.015, rel=0.05)
 
 
-def test_fgn_dense_fallback_matches_toeplitz_cholesky():
-    from scipy.linalg import toeplitz
+def _zero_middle_draw(n, hurst, sigma_daily, rng):
+    """The circulant draw with middle entry 0 alone, None where that row fails.
 
-    # the circulant embedding fails at n 16, H 0.9, so this is the dense path
-    cov = toeplitz(synth._fgn_autocov(16, 0.9, 0.01 ** 2))
-    want = np.linalg.cholesky(cov) @ np.random.default_rng(5).standard_normal(16)
-    assert np.array_equal(gen_fgn(16, hurst=0.9, seed=5).returns[:, 0], want)
+    Where it holds, ``_fgn_draw`` must return exactly this, so the seeds
+    behind existing panels keep their draws.
+    """
+    gamma = synth._fgn_autocov(n, hurst, sigma_daily ** 2)
+    row = np.concatenate([gamma, [0.0], gamma[-1:0:-1]])
+    lam = np.fft.fft(row).real
+    if lam.min() < -1e-8 * np.abs(lam).max():
+        return None
+    lam = np.clip(lam, 0.0, None)
+    m = 2 * n
+    v0, vn = rng.standard_normal(2)
+    a = rng.standard_normal(n - 1)
+    b = rng.standard_normal(n - 1)
+    w = np.zeros(m, dtype=complex)
+    w[0] = np.sqrt(lam[0] / m) * v0
+    w[1:n] = np.sqrt(lam[1:n] / (2 * m)) * (a + 1j * b)
+    w[n] = np.sqrt(lam[n] / m) * vn
+    w[n + 1:] = np.conj(w[1:n][::-1])
+    return np.fft.fft(w)[:n].real
 
 
-def test_dense_fallback_refuses_large_n():
-    # both generators share the fallback and its size limit
-    with pytest.raises(NumericalError, match="dense fallback limit 1024"):
-        gen_fgn(2048, hurst=0.95)
-    with pytest.raises(NumericalError, match="dense fallback limit 1024"):
-        gen_multifractal(2048, hurst_base=0.95)
+def _zero_middle(monkeypatch, make):
+    """``make()`` with every fGn drawn by ``_zero_middle_draw``, which must hold."""
+    def draw(*args):
+        r = _zero_middle_draw(*args)
+        assert r is not None
+        return r
+    with monkeypatch.context() as m:
+        m.setattr(synth, "_fgn_draw", draw)
+        return make()
+
+
+@pytest.mark.parametrize("n", [16, 256, 4096])
+@pytest.mark.parametrize("hurst", [0.1, 0.3, 0.5, 0.7, 0.85])
+def test_fgn_is_bit_identical_where_the_zero_middle_row_holds(monkeypatch, n, hurst):
+    want = _zero_middle(monkeypatch, lambda: gen_fgn(n, hurst=hurst, seed=5))
+    assert np.array_equal(gen_fgn(n, hurst=hurst, seed=5).returns, want.returns)
+
+
+def test_cascade_is_bit_identical_where_the_zero_middle_row_holds(monkeypatch):
+    want = _zero_middle(monkeypatch, lambda: gen_multifractal(1024, hurst_base=0.7, seed=3))
+    assert np.array_equal(gen_multifractal(1024, hurst_base=0.7, seed=3).returns, want.returns)
+
+
+@pytest.mark.parametrize("n, hurst", [(16, 0.9), (2048, 0.95)])
+def test_fgn_draws_where_the_zero_middle_row_fails(n, hurst):
+    assert _zero_middle_draw(n, hurst, 0.01, np.random.default_rng(0)) is None
+    r = gen_fgn(n, hurst=hurst, seed=5).returns
+    assert r.shape == (n, 1) and np.isfinite(r).all()
+    r = gen_multifractal(n, hurst_base=hurst, seed=5).returns
+    assert r.shape == (n, 1) and np.isfinite(r).all()
+
+
+@pytest.mark.parametrize("hurst", [0.9, 0.95, 0.99])
+def test_fgn_draws_every_power_of_two_length(hurst):
+    for e in range(4, 17):
+        assert np.isfinite(gen_fgn(1 << e, hurst=hurst, seed=e).returns).all()
+
+
+class _UnitNormals:
+    """Stands in for a Generator whose normals are the ``j``-th unit vector."""
+
+    def __init__(self, j, size):
+        self.z, self.used = np.eye(size)[j], 0
+
+    def standard_normal(self, k):
+        self.used += k
+        return self.z[self.used - k:self.used]
+
+
+@pytest.mark.parametrize("n, hurst, zero_middle", [(16, 0.9, False), (256, 0.95, False),
+                                                    (256, 0.7, True)])
+def test_fgn_draw_has_exactly_the_toeplitz_covariance(n, hurst, zero_middle):
+    # the draw is linear in its 2n normals; feeding it each unit vector
+    # gives the matrix A, and A A^T is the covariance it draws
+    assert (_zero_middle_draw(n, hurst, 1.0, np.random.default_rng(0)) is not None) == zero_middle
+    a = np.column_stack([synth._fgn_draw(n, hurst, 1.0, _UnitNormals(j, 2 * n))
+                         for j in range(2 * n)])
+    gamma = synth._fgn_autocov(n, hurst, 1.0)
+    k = np.arange(n)
+    assert np.abs(a @ a.T - gamma[np.abs(k[:, None] - k)]).max() < 1e-12
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.5, 0.9, 0.95, 0.99])
+@pytest.mark.parametrize("n", [16, 256, 4096, 1 << 16])
+def test_minimal_embedding_spectrum_reproduces_the_autocovariance(n, hurst):
+    gamma = synth._fgn_autocov(n + 1, hurst, 1.0)
+    lam = np.fft.fft(np.concatenate([gamma[:n], [gamma[n]], gamma[n - 1:0:-1]])).real
+    assert lam.min() >= 0.0
+    assert np.abs(np.fft.ifft(lam).real[:n] - gamma[:n]).max() < 1e-12
+
+
+def test_fgn_refuses_where_both_rows_fail():
+    # at n 2^19, H 0.999 the autocovariance's second difference loses enough
+    # bits to cancellation that the g(n) row, too, has a negative eigenvalue
+    with pytest.raises(NumericalError, match="has negative eigenvalues"):
+        gen_fgn(1 << 19, hurst=0.999)
 
 
 # ---------------------------------------------------------------------------
