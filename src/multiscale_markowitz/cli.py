@@ -92,7 +92,8 @@ def _cast_ridge(raw):
 
 
 def _cast_prefix(raw):
-    # each extension is appended to the prefix's last component, which must name a file
+    # the cast of --out, --json-out and --out-prefix: each suffix is appended
+    # to the name's last component, which must name a file
     if os.path.basename(raw) in ("", ".", ".."):
         raise argparse.ArgumentTypeError(f"expected a file name prefix, got {raw!r}")
     return raw
@@ -134,7 +135,7 @@ _SIMULATE_OPTS = [
         "stressed volatility per asset (regime_switch)"),
     Opt("--switch-points", _list_of(_cast_int), (), "regime toggle indices (regime_switch)"),
     Opt("--intermittency", _cast_float, 0.2, "cascade intermittency"),
-    Opt("--out", str, None, "output CSV path (default derived from kind/n/seed)"),
+    Opt("--out", _cast_prefix, None, "output CSV path (default derived from kind/n/seed)"),
 ] + _COMMON
 
 # generator keyword -> option dest, per kind
@@ -159,24 +160,28 @@ _ESTIMATE_OPTS = [
     Opt("--dfa-scales", _list_of(_cast_int), (), "segment sizes for dfa (default: auto)"),
     Opt("--detrend-order", _cast_int, 1, "polynomial order removed per segment"),
     Opt("--pairs", _cast_bool, False, "also fit pairwise correlation scaling"),
-    Opt("--json-out", str, None, "write the full report as JSON"),
+    Opt("--json-out", _cast_prefix, None, "write the full report as JSON"),
+] + _COMMON
+
+# the options optimize and backtest share
+_FIT_OPTS = [
+    Opt("--scales", _list_of(_cast_int), bt.DEFAULT_SCALES, "covariance scales"),
+    Opt("--cov", _choice((cov.METHOD_PRODUCT, cov.METHOD_L1)), cov.METHOD_PRODUCT,
+        "covariance estimator"),
+    Opt("--aggregation", _choice((ts.MODE_NONOVERLAPPING, ts.MODE_OVERLAPPING)),
+        ts.MODE_NONOVERLAPPING, "aggregation mode of the multiscale covariance"),
+    Opt("--ridge", _cast_ridge, "auto", "diagonal loading: a number or 'auto'"),
+    Opt("--risk-free", _cast_float, 0.0, "risk-free rate of max_sharpe and the Sharpe ratios"),
+    Opt("--out-prefix", _cast_prefix, None, "output file prefix (default: <out dir>/<command>)"),
 ] + _COMMON
 
 _OPTIMIZE_OPTS = [
     Opt("--objective", _choice(bt.OBJECTIVES), bt.MIN_VARIANCE, "what to optimize"),
-    Opt("--scales", _list_of(_cast_int), bt.DEFAULT_SCALES, "covariance scales"),
-    Opt("--cov", _choice((cov.METHOD_PRODUCT, cov.METHOD_L1)), cov.METHOD_PRODUCT,
-        "covariance estimator"),
     Opt("--l1-joint", _cast_bool, False,
         "average deviation products jointly in the l1 estimator"),
-    Opt("--aggregation", _choice((ts.MODE_NONOVERLAPPING, ts.MODE_OVERLAPPING)),
-        ts.MODE_NONOVERLAPPING, "aggregation mode"),
-    Opt("--ridge", _cast_ridge, "auto", "diagonal loading: a number or 'auto'"),
     Opt("--allow-short", _cast_bool, False, "drop the long-only constraint"),
     Opt("--mu-target", _cast_float, None, "expected-return floor (sample means)"),
-    Opt("--risk-free", _cast_float, 0.0, "risk-free rate for max_sharpe"),
-    Opt("--out-prefix", _cast_prefix, None, "prefix for weights CSV and report JSON"),
-] + _COMMON
+] + _FIT_OPTS
 
 _BACKTEST_OPTS = [
     Opt("--strategy", _choice(("all",) + bt.STRATEGIES), "all",
@@ -185,15 +190,7 @@ _BACKTEST_OPTS = [
         "include Sharpe-objective rows in 'all'"),
     Opt("--lookback", _cast_int, bt.DEFAULT_LOOKBACK, "estimation window length"),
     Opt("--rebalance", _cast_int, bt.DEFAULT_REBALANCE, "holding period length"),
-    Opt("--scales", _list_of(_cast_int), bt.DEFAULT_SCALES, "covariance scales"),
-    Opt("--cov", _choice((cov.METHOD_PRODUCT, cov.METHOD_L1)), cov.METHOD_PRODUCT,
-        "covariance estimator"),
-    Opt("--aggregation", _choice((ts.MODE_NONOVERLAPPING, ts.MODE_OVERLAPPING)),
-        ts.MODE_NONOVERLAPPING, "aggregation for multiscale strategies"),
-    Opt("--ridge", _cast_ridge, "auto", "diagonal loading: a number or 'auto'"),
-    Opt("--risk-free", _cast_float, 0.0, "risk-free rate"),
-    Opt("--out-prefix", _cast_prefix, None, "prefix for table CSV/text and report JSON"),
-] + _COMMON
+] + _FIT_OPTS
 
 _REPRO_OPTS = [
     Opt("--seed", _cast_int, 7, "seed for every synthetic input"),
@@ -269,17 +266,6 @@ def _out_dir(merged) -> Path:
     return Path(os.environ.get(OUT_DIR_ENV, "."))
 
 
-def _out_paths(merged, default: str, *exts) -> list:
-    """``--out-prefix`` (default ``<out dir>/<default>``) with each of ``exts`` appended.
-
-    Appended to the prefix's whole name, so that ``w_h0.5`` and ``w_h0.7``
-    name different files; ``with_suffix`` would cut both at the last dot.
-    """
-    prefix = merged["out_prefix"]
-    prefix = _out_dir(merged) / default if prefix is None else Path(prefix)
-    return [prefix.with_name(prefix.name + ext) for ext in exts]
-
-
 def _write_atomic(path: Path, text: str) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -296,6 +282,27 @@ def _write_atomic(path: Path, text: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _write_outputs(merged, option, default, files) -> list:
+    """Write each ``(suffix, text)`` of ``files``; return the paths written.
+
+    Each suffix is appended to the whole name that the ``option`` dest
+    holds (or, where it holds none, ``<out dir>/<default>``), so that
+    ``w_h0.5`` and ``w_h0.7`` name different files; ``with_suffix`` would
+    cut both at the last dot. A write that fails is a data error.
+    """
+    base = merged.get(option)
+    base = _out_dir(merged) / default if base is None else Path(base)
+    paths = []
+    for suffix, text in files:
+        path = base.with_name(base.name + suffix)
+        try:
+            _write_atomic(path, text)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc}") from None
+        paths.append(path)
+    return paths
 
 
 def _jsonable(obj):
@@ -350,11 +357,8 @@ def cmd_simulate(merged) -> int:
     spec = synth.GeneratorSpec(kind=kind, n=merged["n"], seed=merged["seed"],
                                params=params)
     panel = synth.generate(spec)
-    out = merged["out"]
-    if out is None:
-        out = _out_dir(merged) / f"{kind}_{merged['n']}_{merged['seed']}.csv"
-    out = Path(out)
-    _write_atomic(out, ts.prices_to_csv(ts.to_price_series(panel)))
+    [out] = _write_outputs(merged, "out", f"{kind}_{merged['n']}_{merged['seed']}.csv",
+                           [("", ts.prices_to_csv(ts.to_price_series(panel)))])
     _note(f"wrote {panel.n_periods} returns for {panel.n_assets} asset(s) to {out}")
     print(str(out))
     return EXIT_OK
@@ -428,8 +432,8 @@ def cmd_estimate(merged) -> int:
                     f"(combined stderr {cs.combined_stderr:.4f})"
                 )
     print("\n".join(lines))
-    if merged["json_out"]:
-        _write_atomic(Path(merged["json_out"]), _dump_json(report))
+    if merged["json_out"] is not None:
+        _write_outputs(merged, "json_out", None, [("", _dump_json(report))])
         _note(f"wrote report to {merged['json_out']}")
     return EXIT_OK
 
@@ -446,11 +450,9 @@ def cmd_optimize(merged) -> int:
     for aid, val in weights.as_dict().items():
         print(f"{aid}: {val:.6f}")
     _note(f"kkt residual {weights.kkt_residual:.3e}")
-    csv_path, json_path = _out_paths(merged, "optimize", ".csv", ".json")
     weight_lines = ["asset,weight"] + [
         f"{aid},{val!r}" for aid, val in weights.as_dict().items()
     ]
-    _write_atomic(csv_path, "\n".join(weight_lines) + "\n")
     payload = {
         "input": str(merged["input"]),
         "objective": merged["objective"],
@@ -462,7 +464,8 @@ def cmd_optimize(merged) -> int:
         "covariance_matrix": blended.matrix,
         "asset_ids": list(blended.asset_ids),
     }
-    _write_atomic(json_path, _dump_json(payload))
+    csv_path, json_path = _write_outputs(merged, "out_prefix", "optimize", [
+        (".csv", "\n".join(weight_lines) + "\n"), (".json", _dump_json(payload))])
     _note(f"wrote {csv_path} and {json_path}")
     return EXIT_OK
 
@@ -488,9 +491,6 @@ def cmd_backtest(merged) -> int:
         # partial failure prints a table; total failure is a hard error
         raise DataError(f"every strategy failed; first error: {table.rows[0].error}")
     print(table.to_text(), end="")
-    txt_path, csv_path, json_path = _out_paths(merged, "backtest", ".txt", ".csv", ".json")
-    _write_atomic(txt_path, table.to_text())
-    _write_atomic(csv_path, table.to_csv())
     payload = {
         "input": str(merged["input"]),
         "rows": [
@@ -507,15 +507,15 @@ def cmd_backtest(merged) -> int:
             for row, cfg, rep in zip(table.rows, configs, table.reports)
         ],
     }
-    _write_atomic(json_path, _dump_json(payload))
-    _note(f"wrote {txt_path}, {csv_path}, {json_path}")
+    paths = _write_outputs(merged, "out_prefix", "backtest", [
+        (".txt", table.to_text()), (".csv", table.to_csv()), (".json", _dump_json(payload))])
+    _note(f"wrote {', '.join(map(str, paths))}")
     return EXIT_OK
 
 
 def cmd_repro(merged) -> int:
     seed = merged["seed"]
-    out_dir = _out_dir(merged)
-    _note(f"running the pipeline with seed {seed} into {out_dir}")
+    _note(f"running the pipeline with seed {seed} into {_out_dir(merged)}")
 
     # stage 1: a five-asset panel with two volatility regimes
     n = 1400
@@ -524,8 +524,6 @@ def cmd_repro(merged) -> int:
     hi = tuple(2.5 * v for v in lo)
     panel = synth.gen_regime_switch(n, lo, hi, switch_points,
                                     seed=synth.split_seed(seed, 0), n_assets=5)
-    panel_path = out_dir / "repro_panel.csv"
-    _write_atomic(panel_path, ts.prices_to_csv(ts.to_price_series(panel)))
 
     # stage 2: scaling estimates on a known-exponent series
     hurst_truth = 0.7
@@ -543,8 +541,6 @@ def cmd_repro(merged) -> int:
     # stage 4: the standard strategy comparison
     table = bt.compare(panel, bt.standard_comparison_configs())
     print(table.to_text(), end="")
-    _write_atomic(out_dir / "repro_table.txt", table.to_text())
-    _write_atomic(out_dir / "repro_table.csv", table.to_csv())
 
     by_name = {row.name: row for row in table.rows}
     trad = by_name["Traditional Markowitz"]
@@ -556,7 +552,7 @@ def cmd_repro(merged) -> int:
         drawdown_no_worse = bool(abs(multi.max_drawdown) <= abs(trad.max_drawdown))
     summary = {
         "seed": seed,
-        "panel": {"file": panel_path.name, "n_periods": panel.n_periods,
+        "panel": {"file": "repro_panel.csv", "n_periods": panel.n_periods,
                   "n_assets": panel.n_assets,
                   "switch_points": list(switch_points)},
         "scaling": {
@@ -581,8 +577,11 @@ def cmd_repro(merged) -> int:
         "multiscale_minus_traditional_drawdown": drawdown_gap,
         "multiscale_drawdown_no_worse": drawdown_no_worse,
     }
-    _write_atomic(out_dir / "repro_summary.json", _dump_json(summary))
-    _note(f"wrote {out_dir / 'repro_summary.json'}")
+    *_, summary_path = _write_outputs(merged, None, "repro", [
+        ("_panel.csv", ts.prices_to_csv(ts.to_price_series(panel))),
+        ("_table.txt", table.to_text()), ("_table.csv", table.to_csv()),
+        ("_summary.json", _dump_json(summary))])
+    _note(f"wrote {summary_path}")
     print(f"fgn H(2): {hurst_fit.value:.4f} (truth {hurst_truth})")
     print(f"pair H_rho: {cs.h_rho:.4f} (truth 0.3)")
     if drawdown_gap is not None:

@@ -548,18 +548,45 @@ def test_cli_imports_no_optimizer_and_calls_no_builder_blend_or_solver():
                        "min_variance_long_only", "min_variance_closed_form"}
 
 
-@pytest.mark.parametrize("command", ["optimize", "backtest"])
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=command) for command, flag in (
+        ("optimize", "--out-prefix"), ("backtest", "--out-prefix"),
+        ("simulate", "--out"), ("estimate", "--json-out"))])
 @pytest.mark.parametrize("prefix", ["", ".", "..", "runs/", "runs/.", "runs/.."])
-def test_out_prefix_that_names_no_file_is_usage_error(capsys, workdir, command, prefix):
+def test_out_prefix_that_names_no_file_is_usage_error(capsys, workdir, command, flag, prefix):
     # refused while parsing, so nothing is printed or written
     path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "320",
                                        "--assets", "2", "--seed", "4"])
     before = sorted(workdir.rglob("*"))
-    code, out, err = _run(capsys, [command, str(path), "--out-prefix", prefix])
+    args = ["--kind", "fgn", "--n", "64"] if command == "simulate" else [str(path)]
+    code, out, err = _run(capsys, [command, *args, flag, prefix])
     assert code == EXIT_USAGE
     assert out == ""
-    assert f"argument --out-prefix: expected a file name prefix, got {prefix!r}" in err
+    assert f"argument {flag}: expected a file name prefix, got {prefix!r}" in err
     assert sorted(workdir.rglob("*")) == before
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--kind", "fgn", "--n", "64", "--out-dir", "taken"],
+    ["optimize", "{csv}", "--out-dir", "taken"],
+    ["backtest", "{csv}", "--strategy", "equal_weight", "--out-dir", "taken"],
+    ["repro", "--out-dir", "taken"],
+    ["estimate", "{csv}", "--json-out", "taken/r.json"],
+    ["simulate", "--kind", "fgn", "--n", "64", "--out", "adir"],
+], ids=["simulate", "optimize", "backtest", "repro", "estimate", "simulate-onto-dir"])
+def test_output_that_cannot_be_written_is_data_error(capsys, workdir, argv):
+    # "taken" is a regular file where a directory is needed; "adir" is a
+    # directory where the file goes, so the rename onto it fails
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "320",
+                                       "--assets", "2", "--seed", "4"])
+    workdir.joinpath("taken").write_text("a file\n")
+    workdir.joinpath("adir").mkdir()
+    code, _, err = _run(capsys, [a.format(csv=path) for a in argv])
+    assert code == EXIT_DATA
+    assert "msmark: data error: cannot write " in err
+    assert "Traceback" not in err
+    assert list(workdir.rglob("*.tmp")) == []
+    assert workdir.joinpath("taken").read_text() == "a file\n"
 
 
 # ---------------------------------------------------------------------------
