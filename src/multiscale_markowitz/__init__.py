@@ -47,14 +47,12 @@ from .scaling import (
     structure_spectrum,
 )
 from .synth import (
-    GeneratorSpec,
     gen_correlated,
     gen_epps,
     gen_fgn,
     gen_gaussian_iid,
     gen_multifractal,
     gen_regime_switch,
-    generate,
     split_seed,
 )
 from .timeseries import (
@@ -75,7 +73,6 @@ __all__ = [
     "ComparisonTable",
     "CorrelationScaling",
     "DataError",
-    "GeneratorSpec",
     "HurstEstimate",
     "MultiscaleCovariance",
     "MultiscaleError",
@@ -102,7 +99,6 @@ __all__ = [
     "gen_gaussian_iid",
     "gen_multifractal",
     "gen_regime_switch",
-    "generate",
     "load_prices",
     "max_sharpe",
     "metrics",

@@ -99,6 +99,13 @@ def _cast_prefix(raw):
     return raw
 
 
+def _cast_dir(raw):
+    # an empty name would read as unset and fall through to $MSMARK_OUT or '.'
+    if not raw:
+        raise argparse.ArgumentTypeError("expected a directory name, got ''")
+    return raw
+
+
 def _choice(options):
     def cast(raw):
         if raw not in options:
@@ -112,15 +119,36 @@ Opt = collections.namedtuple("Opt", "flag cast default help")
 
 
 _COMMON = [
-    Opt("--out-dir", str, None,
+    Opt("--out-dir", _cast_dir, None,
         f"output directory (default: ${OUT_DIR_ENV} or '.')"),
     Opt("--config", str, None,
         "key=value file supplying defaults; explicit flags win"),
 ]
 
+
+def _gen_constant_correlation(n, n_assets, rho, sigma_daily, seed):
+    cov_matrix = synth.constant_correlation_cov(n_assets, rho, sigma_daily)
+    return synth.gen_correlated(n, cov_matrix, seed=seed)
+
+
+# per kind: its generator and the generator keyword -> option dest map;
+# --kind offers these keys
+_SIMULATE_KINDS = {
+    "gaussian_iid": (synth.gen_gaussian_iid, {"sigma_daily": "sigma"}),
+    "fgn": (synth.gen_fgn, {"hurst": "hurst", "sigma_daily": "sigma"}),
+    "correlated": (_gen_constant_correlation,
+                   {"n_assets": "assets", "rho": "rho", "sigma_daily": "sigma"}),
+    "epps": (synth.gen_epps, {"rho_inf": "rho_inf", "h_rho": "h_rho", "sigma_daily": "sigma"}),
+    "regime_switch": (synth.gen_regime_switch,
+                      {"sigma_low": "sigma_low", "sigma_high": "sigma_high",
+                       "switch_points": "switch_points", "n_assets": "assets"}),
+    "cascade": (synth.gen_multifractal, {"intermittency": "intermittency",
+                                         "hurst_base": "hurst", "sigma_daily": "sigma"}),
+}
+
 _SIMULATE_OPTS = [
-    Opt("--kind", _choice(synth.KINDS), None,
-        "generator: " + ", ".join(synth.KINDS)),
+    Opt("--kind", _choice(tuple(_SIMULATE_KINDS)), None,
+        "generator: " + ", ".join(_SIMULATE_KINDS)),
     Opt("--n", _cast_int, None, "number of return periods"),
     Opt("--seed", _cast_int, 0, "random seed"),
     Opt("--sigma", _cast_float, 0.01, "one-period volatility"),
@@ -137,18 +165,6 @@ _SIMULATE_OPTS = [
     Opt("--intermittency", _cast_float, 0.2, "cascade intermittency"),
     Opt("--out", _cast_prefix, None, "output CSV path (default derived from kind/n/seed)"),
 ] + _COMMON
-
-# generator keyword -> option dest, per kind
-_SIMULATE_PARAMS = {
-    "gaussian_iid": {"sigma_daily": "sigma"},
-    "fgn": {"hurst": "hurst", "sigma_daily": "sigma"},
-    "correlated": {"n_assets": "assets", "rho": "rho", "sigma_daily": "sigma"},
-    "epps": {"rho_inf": "rho_inf", "h_rho": "h_rho", "sigma_daily": "sigma"},
-    "regime_switch": {"sigma_low": "sigma_low", "sigma_high": "sigma_high",
-                      "switch_points": "switch_points", "n_assets": "assets"},
-    "cascade": {"intermittency": "intermittency", "hurst_base": "hurst",
-                "sigma_daily": "sigma"},
-}
 
 _ESTIMATE_OPTS = [
     Opt("--method", _choice(("structure", "dfa")), "structure",
@@ -353,10 +369,9 @@ def _require(merged, *keys):
 def cmd_simulate(merged) -> int:
     _require(merged, "kind", "n")
     kind = merged["kind"]
-    params = {param: merged[dest] for param, dest in _SIMULATE_PARAMS[kind].items()}
-    spec = synth.GeneratorSpec(kind=kind, n=merged["n"], seed=merged["seed"],
-                               params=params)
-    panel = synth.generate(spec)
+    gen, keywords = _SIMULATE_KINDS[kind]
+    panel = gen(merged["n"], seed=merged["seed"],
+                **{key: merged[dest] for key, dest in keywords.items()})
     [out] = _write_outputs(merged, "out", f"{kind}_{merged['n']}_{merged['seed']}.csv",
                            [("", ts.prices_to_csv(ts.to_price_series(panel)))])
     _note(f"wrote {panel.n_periods} returns for {panel.n_assets} asset(s) to {out}")
@@ -650,7 +665,8 @@ def main(argv=None) -> int:
     except (NumericalError, np.linalg.LinAlgError) as exc:
         print(f"msmark: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except ValueError as exc:  # an option value the library rejects
+    # an option value the library rejects, or one too large for a float
+    except (ValueError, OverflowError) as exc:
         print(f"msmark: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -7,7 +7,6 @@ per-call seeds with ``split_seed`` instead of reusing one stream.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,8 +15,6 @@ from .errors import CalibrationFailure, DataError, NumericalError
 from .timeseries import ReturnPanel, _integral, panel_from_returns
 
 _MASK64 = (1 << 64) - 1
-
-KINDS = ("gaussian_iid", "fgn", "correlated", "epps", "regime_switch", "cascade")
 
 # the scales over which an epps pair's correlation slope is calibrated
 EPPS_SCALES = (1, 2, 5, 10, 21)
@@ -33,50 +30,6 @@ def split_seed(seed: int, index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-@dataclass(frozen=True)
-class GeneratorSpec:
-    """Declarative description of one synthetic panel.
-
-    ``params`` holds the kind-specific arguments; ``generate`` dispatches.
-    """
-
-    kind: str
-    n: int
-    seed: int = 0
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown generator kind {self.kind!r}; choose from {KINDS}")
-        n, seed = _integral(self.n), _integral(self.seed)
-        if n is None or n < 1:
-            raise ValueError("n must be a positive integer")
-        if seed is None or seed < 0:
-            raise ValueError("seed must be a non-negative integer")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "seed", seed)
-
-
-def generate(spec: GeneratorSpec) -> ReturnPanel:
-    """Build the panel a ``GeneratorSpec`` describes."""
-    p = dict(spec.params)
-    if spec.kind == "gaussian_iid":
-        return gen_gaussian_iid(spec.n, seed=spec.seed, **p)
-    if spec.kind == "fgn":
-        return gen_fgn(spec.n, seed=spec.seed, **p)
-    if spec.kind == "correlated":
-        if "cov" not in p:
-            p["cov"] = constant_correlation_cov(
-                p.pop("n_assets", 2), p.pop("rho", 0.0), p.pop("sigma_daily", 0.01)
-            )
-        return gen_correlated(spec.n, seed=spec.seed, **p)
-    if spec.kind == "epps":
-        return gen_epps(spec.n, seed=spec.seed, **p)
-    if spec.kind == "regime_switch":
-        return gen_regime_switch(spec.n, seed=spec.seed, **p)
-    return gen_multifractal(spec.n, seed=spec.seed, **p)
 
 
 # ---------------------------------------------------------------------------
@@ -307,9 +260,9 @@ def gen_regime_switch(n: int, sigma_low=0.008, sigma_high=0.02, switch_points=()
         raise ValueError("sigma_low/sigma_high lengths disagree with n_assets")
     if not (np.all(0 < lo) and np.all(lo < hi) and np.all(hi < np.inf)):
         raise ValueError("need 0 < sigma_low < sigma_high < inf per asset")
-    if not all(float(p).is_integer() for p in switch_points):
+    pts = [_integral(p) for p in switch_points]
+    if None in pts:
         raise ValueError(f"switch points must be integers, got {list(switch_points)}")
-    pts = [int(p) for p in switch_points]
     if any(not 0 <= p < n for p in pts) or any(b <= a for a, b in zip(pts, pts[1:])):
         raise DataError(f"switch points {pts} must be strictly increasing in [0, {n})")
     toggles = np.zeros(n)

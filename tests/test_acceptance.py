@@ -30,7 +30,14 @@ from multiscale_markowitz.optimizer import (
     sensitivity_to_variance,
 )
 from multiscale_markowitz.scaling import estimate_correlation_scaling, estimate_hurst, mfdfa
-from multiscale_markowitz.synth import gen_correlated, gen_fgn, gen_gaussian_iid, gen_multifractal, split_seed
+from multiscale_markowitz.synth import (
+    constant_correlation_cov,
+    gen_correlated,
+    gen_fgn,
+    gen_gaussian_iid,
+    gen_multifractal,
+    split_seed,
+)
 from multiscale_markowitz.timeseries import panel_from_returns
 
 
@@ -308,9 +315,7 @@ def test_criterion_9_repro_pipeline(tmp_path, capsys):
 
 
 def test_criterion_10_no_look_ahead():
-    cov = mm.GeneratorSpec(kind="correlated", n=400, seed=split_seed(1010, 0),
-                           params={"n_assets": 3, "rho": 0.3, "sigma_daily": 0.01})
-    panel = mm.generate(cov)
+    panel = gen_correlated(400, constant_correlation_cov(3, 0.3, 0.01), seed=split_seed(1010, 0))
     cfg = BacktestConfig(lookback=125, rebalance_every=21)
     base = run_backtest(panel, cfg)
 

@@ -18,10 +18,11 @@ import numpy as np
 import pytest
 
 from multiscale_markowitz import backtest as bt
-from multiscale_markowitz import cli, scaling
+from multiscale_markowitz import cli, scaling, synth
 from multiscale_markowitz.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from multiscale_markowitz.covariance import build_covariance_set, multiscale_cov
-from multiscale_markowitz.timeseries import load_prices, to_log_returns
+from multiscale_markowitz.timeseries import (load_prices, prices_to_csv, to_log_returns,
+                                             to_price_series)
 
 
 def _run(capsys, argv):
@@ -129,6 +130,49 @@ def test_subcommand_help_lists_flags(capsys):
     assert code == EXIT_OK
     for flag in ("--kind", "--n", "--seed", "--switch-points", "--out-dir"):
         assert flag in out
+
+
+# per kind: a non-default value for every option in its row of the kind
+# table, and the generator call those values should make
+_DIRECT_CALLS = {
+    "gaussian_iid": ({"--sigma": "0.02"},
+                     lambda n, seed: synth.gen_gaussian_iid(n, sigma_daily=0.02, seed=seed)),
+    "fgn": ({"--hurst": "0.7", "--sigma": "0.02"},
+            lambda n, seed: synth.gen_fgn(n, hurst=0.7, sigma_daily=0.02, seed=seed)),
+    "correlated": ({"--assets": "3", "--rho": "0.4", "--sigma": "0.02"},
+                   lambda n, seed: synth.gen_correlated(
+                       n, synth.constant_correlation_cov(3, 0.4, 0.02), seed=seed)),
+    "epps": ({"--rho-inf": "0.7", "--h-rho": "0.2", "--sigma": "0.02"},
+             lambda n, seed: synth.gen_epps(n, rho_inf=0.7, h_rho=0.2, sigma_daily=0.02,
+                                            seed=seed)),
+    "regime_switch": ({"--sigma-low": "0.005,0.006,0.007", "--sigma-high": "0.03,0.02,0.04",
+                       "--switch-points": "10,50", "--assets": "3"},
+                      lambda n, seed: synth.gen_regime_switch(
+                          n, sigma_low=(0.005, 0.006, 0.007), sigma_high=(0.03, 0.02, 0.04),
+                          switch_points=(10, 50), n_assets=3, seed=seed)),
+    "cascade": ({"--intermittency": "0.3", "--hurst": "0.6", "--sigma": "0.02"},
+                lambda n, seed: synth.gen_multifractal(n, intermittency=0.3, hurst_base=0.6,
+                                                       sigma_daily=0.02, seed=seed)),
+}
+
+
+def test_direct_calls_cover_every_kind():
+    assert list(_DIRECT_CALLS) == list(cli._SIMULATE_KINDS)
+
+
+@pytest.mark.parametrize("kind", _DIRECT_CALLS)
+def test_simulate_calls_the_generator_with_its_options(capsys, workdir, kind):
+    flags, direct = _DIRECT_CALLS[kind]
+    _, keywords = cli._SIMULATE_KINDS[kind]
+    assert set(flags) == {"--" + dest.replace("_", "-") for dest in keywords.values()}
+    opts = {o.flag: o for o in cli._SIMULATE_OPTS}
+    assert all(opts[f].cast(v) != opts[f].default for f, v in flags.items())
+    for seed in (0, 5):
+        argv = ["simulate", "--kind", kind, "--n", "128", "--seed", str(seed), "--out", "p.csv"]
+        code, _, err = _run(capsys, argv + [a for item in flags.items() for a in item])
+        assert code == EXIT_OK, err
+        expected = prices_to_csv(to_price_series(direct(128, seed)))
+        assert workdir.joinpath("p.csv").read_text() == expected
 
 
 def test_unknown_kind_is_usage_error(capsys, workdir):
@@ -241,6 +285,24 @@ def test_out_of_range_option_is_usage_error(capsys, workdir, argv, message):
     assert "Traceback" not in err
 
 
+_TOO_LARGE_FOR_A_FLOAT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("argv, expected, message", [
+    (["simulate", "--kind", "regime_switch", "--n", "100", "--switch-points",
+      _TOO_LARGE_FOR_A_FLOAT], EXIT_DATA, "msmark: data error: switch points [1000"),
+    (["simulate", "--kind", "correlated", "--n", "64", "--assets", _TOO_LARGE_FOR_A_FLOAT],
+     EXIT_USAGE, "msmark: error: int too large to convert to float"),
+], ids=["regime_switch", "correlated"])
+def test_option_too_large_for_a_float_keeps_the_exit_codes(capsys, workdir, argv, expected,
+                                                            message):
+    code, out, err = _run(capsys, argv)
+    assert code == expected
+    assert out == ""
+    assert err.startswith(message)
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("mask, mode", [(0o022, 0o644), (0o077, 0o600)])
 def test_output_files_get_the_mode_the_umask_leaves(capsys, workdir, mask, mode):
     old = os.umask(mask)
@@ -272,6 +334,29 @@ def test_simulate_out_dir_env(capsys, tmp_path, monkeypatch):
     code, out, _ = _run(capsys, ["simulate", "--kind", "gaussian_iid", "--n", "64"])
     assert code == EXIT_OK
     assert (target / "gaussian_iid_64_0.csv").exists()
+    # an empty variable means unset
+    monkeypatch.setenv("MSMARK_OUT", "")
+    code, out, _ = _run(capsys, ["simulate", "--kind", "gaussian_iid", "--n", "64"])
+    assert code == EXIT_OK
+    assert (tmp_path / "gaussian_iid_64_0.csv").exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["simulate", "estimate", "optimize", "backtest", "repro"])
+def test_empty_out_dir_is_usage_error(capsys, workdir, monkeypatch, command, source):
+    # an empty --out-dir read as unset, so files went to $MSMARK_OUT unannounced
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "320",
+                                       "--assets", "2", "--seed", "4"])
+    monkeypatch.setenv("MSMARK_OUT", str(workdir / "envdir"))
+    workdir.joinpath("o.cfg").write_text("out_dir =\n")
+    extra = ["--out-dir", ""] if source == "flag" else ["--config", "o.cfg"]
+    args = {"simulate": ["--kind", "fgn", "--n", "64"], "repro": []}.get(command, [str(path)])
+    before = sorted(workdir.rglob("*"))
+    code, out, err = _run(capsys, [command, *args, *extra])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "argument --out-dir: expected a directory name, got ''" in err
+    assert sorted(workdir.rglob("*")) == before
 
 
 # ---------------------------------------------------------------------------

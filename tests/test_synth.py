@@ -10,7 +10,6 @@ from conftest import gen_stable_iid
 from multiscale_markowitz import synth
 from multiscale_markowitz.errors import CalibrationFailure, DataError, NumericalError
 from multiscale_markowitz.synth import (
-    GeneratorSpec,
     calibrate_epps,
     constant_correlation_cov,
     gen_correlated,
@@ -19,7 +18,6 @@ from multiscale_markowitz.synth import (
     gen_gaussian_iid,
     gen_multifractal,
     gen_regime_switch,
-    generate,
     split_seed,
 )
 from multiscale_markowitz.timeseries import block_sums
@@ -36,36 +34,6 @@ def test_split_seed_deterministic_and_distinct():
     assert len(vals) == 100
     assert all(0 <= v < 2**64 for v in vals)
     assert split_seed(7, 0) != split_seed(8, 0)
-
-
-def test_generator_spec_dispatch_matches_direct_call():
-    spec = GeneratorSpec(kind="gaussian_iid", n=64, seed=3, params={"sigma_daily": 0.02})
-    p = generate(spec)
-    q = gen_gaussian_iid(64, sigma_daily=0.02, seed=3)
-    assert np.array_equal(p.returns, q.returns)
-
-
-def test_generator_spec_rejects_unknown_kind():
-    with pytest.raises(ValueError):
-        GeneratorSpec(kind="lorenz", n=64)
-
-
-def test_generator_spec_stores_whole_numbers_as_int():
-    spec = GeneratorSpec(kind="gaussian_iid", n=64.0, seed=3.0)
-    assert type(spec.n) is int and type(spec.seed) is int
-    assert np.array_equal(generate(spec).returns, gen_gaussian_iid(64, seed=3).returns)
-
-
-@pytest.mark.parametrize("n, seed, message", [
-    (64.5, 0, "n must be a positive integer"),
-    (0, 0, "n must be a positive integer"),
-    ("64", 0, "n must be a positive integer"),
-    (64, 1.5, "seed must be a non-negative integer"),
-    (64, -1, "seed must be a non-negative integer"),
-])
-def test_generator_spec_rejects_fractional_or_out_of_range(n, seed, message):
-    with pytest.raises(ValueError, match=message):
-        GeneratorSpec(kind="gaussian_iid", n=n, seed=seed)
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import peak_traced_bytes
-from multiscale_markowitz import cli, synth, timeseries
+from multiscale_markowitz import cli, timeseries
 from multiscale_markowitz.errors import DataError
 from multiscale_markowitz.timeseries import (
     PriceSeries,
@@ -150,7 +150,7 @@ def test_prices_to_csv_matches_per_row_reference(tmp_path):
         assert back.prices.tobytes() == s.prices.tobytes()
 
 
-@pytest.mark.parametrize("kind", synth.KINDS)
+@pytest.mark.parametrize("kind", cli._SIMULATE_KINDS)
 def test_simulate_writes_the_reference_bytes(tmp_path, kind):
     path = tmp_path / f"{kind}.csv"
     argv = ["simulate", "--kind", kind, "--n", "256", "--seed", "5", "--out", str(path)]
