@@ -64,6 +64,14 @@ def _cast_int(raw):
         raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
 
 
+def _cast_seed(raw):
+    # numpy's generators refuse a negative seed without naming the option
+    seed = _cast_int(raw)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {raw!r}")
+    return seed
+
+
 def _cast_float(raw):
     try:
         return float(raw)
@@ -150,7 +158,7 @@ _SIMULATE_OPTS = [
     Opt("--kind", _choice(tuple(_SIMULATE_KINDS)), None,
         "generator: " + ", ".join(_SIMULATE_KINDS)),
     Opt("--n", _cast_int, None, "number of return periods"),
-    Opt("--seed", _cast_int, 0, "random seed"),
+    Opt("--seed", _cast_seed, 0, "random seed"),
     Opt("--sigma", _cast_float, 0.01, "one-period volatility"),
     Opt("--hurst", _cast_float, 0.5, "scaling exponent (fgn) or noise exponent (cascade)"),
     Opt("--assets", _cast_int, 2, "asset count (correlated, regime_switch)"),
@@ -379,20 +387,6 @@ def cmd_simulate(merged) -> int:
     return EXIT_OK
 
 
-def _spectrum_payload(spec: scaling.ScalingSpectrum) -> dict:
-    return {
-        "asset": spec.asset_id,
-        "method": spec.method,
-        "q_grid": list(spec.q_grid),
-        "zeta": spec.zeta,
-        "h_of_q": spec.h_of_q,
-        "stderr": spec.stderr,
-        "fit_r2": spec.fit_r2,
-        "scales": list(spec.scales),
-        "nonmonotone": spec.nonmonotone,
-    }
-
-
 def cmd_estimate(merged) -> int:
     panel = _load_panel(merged["input"])
     assets = [merged["asset"]] if merged["asset"] else list(panel.asset_ids)
@@ -419,8 +413,9 @@ def cmd_estimate(merged) -> int:
             est, err = scaling.estimate_hurst(panel, asset=a, scales=merged["scales"])
         else:
             est = err = float("nan")
-        report["assets"][a] = {"hurst": est, "hurst_stderr": err,
-                               "spectrum": _spectrum_payload(spect)}
+        spectrum = dataclasses.asdict(spect)
+        spectrum["asset"] = spectrum.pop("asset_id")
+        report["assets"][a] = {"hurst": est, "hurst_stderr": err, "spectrum": spectrum}
         lines.append(f"{a}: H(2) = {est:.4f} +/- {err:.4f}  "
                      f"[{spect.method}, scales {spect.scales}]")
     if merged["pairs"]:
@@ -430,17 +425,7 @@ def cmd_estimate(merged) -> int:
                 cs = scaling.estimate_correlation_scaling(panel, ids[i], ids[j],
                                                           scales=merged["scales"])
                 key = f"{ids[i]}~{ids[j]}"
-                report["pairs"][key] = {
-                    "h_rho": cs.h_rho,
-                    "h_rho_stderr": cs.h_rho_stderr,
-                    "h_cross_2": cs.h_cross_2,
-                    "h_i_1": cs.h_i_1,
-                    "h_j_1": cs.h_j_1,
-                    "identity_residual": cs.identity_residual,
-                    "combined_stderr": cs.combined_stderr,
-                    "rho_by_scale": cs.rho_by_scale,
-                    "negative_correlation": cs.negative_correlation,
-                }
+                report["pairs"][key] = dataclasses.asdict(cs)
                 lines.append(
                     f"{key}: H_rho = {cs.h_rho:.4f} +/- {cs.h_rho_stderr:.4f}  "
                     f"identity residual {cs.identity_residual:+.4f} "
@@ -468,17 +453,9 @@ def cmd_optimize(merged) -> int:
     weight_lines = ["asset,weight"] + [
         f"{aid},{val!r}" for aid, val in weights.as_dict().items()
     ]
-    payload = {
-        "input": str(merged["input"]),
-        "objective": merged["objective"],
-        "long_only": weights.long_only,
-        "method": weights.method,
-        "weights": weights.as_dict(),
-        "kkt_residual": weights.kkt_residual,
-        "provenance": weights.provenance,
-        "covariance_matrix": blended.matrix,
-        "asset_ids": list(blended.asset_ids),
-    }
+    payload = {**dataclasses.asdict(weights), "input": str(merged["input"]),
+               "objective": merged["objective"], "weights": weights.as_dict(),
+               "covariance_matrix": blended.matrix}
     csv_path, json_path = _write_outputs(merged, "out_prefix", "optimize", [
         (".csv", "\n".join(weight_lines) + "\n"), (".json", _dump_json(payload))])
     _note(f"wrote {csv_path} and {json_path}")
@@ -509,16 +486,9 @@ def cmd_backtest(merged) -> int:
     payload = {
         "input": str(merged["input"]),
         "rows": [
-            {
-                "name": row.name,
-                "sharpe": row.sharpe,
-                "sortino": row.sortino,
-                "max_drawdown": row.max_drawdown,
-                "error": row.error,
-                "config": dataclasses.asdict(cfg),
-                "fallbacks": list(rep.fallbacks) if rep is not None else None,
-                "final_equity": float(rep.equity[-1]) if rep is not None else None,
-            }
+            {**dataclasses.asdict(row), "config": dataclasses.asdict(cfg),
+             "fallbacks": list(rep.fallbacks) if rep is not None else None,
+             "final_equity": float(rep.equity[-1]) if rep is not None else None}
             for row, cfg, rep in zip(table.rows, configs, table.reports)
         ],
     }
@@ -584,11 +554,7 @@ def cmd_repro(merged) -> int:
             "kkt_residual": weights.kkt_residual,
             "ridge": weights.provenance["ridge"],
         },
-        "strategies": [
-            {"name": row.name, "sharpe": row.sharpe, "sortino": row.sortino,
-             "max_drawdown": row.max_drawdown, "error": row.error}
-            for row in table.rows
-        ],
+        "strategies": [dataclasses.asdict(row) for row in table.rows],
         "multiscale_minus_traditional_drawdown": drawdown_gap,
         "multiscale_drawdown_no_worse": drawdown_no_worse,
     }

@@ -299,7 +299,8 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0,
     ``lam_j * (dt_j / t_j)`` divides each by a target ``t_j`` instead.
     ``ridge`` adds diagonal loading: a finite non-negative float, or
     ``"auto"`` for ``1e-8 * trace / n``. The blend of the checked set is
-    not re-checked; its ``eigvalsh`` decides PSD repair.
+    not re-checked; its ``eigvalsh`` decides PSD repair, which clips the
+    blend without its ridge, so a repaired blend keeps its ridge.
     """
     k = len(cov_set.scales)
     if scale_weights is None:
@@ -329,7 +330,9 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0,
     # ascending, so the ends hold the smallest value and the largest magnitude
     repaired = bool(vals[0] < -1e-12 * max(-vals[0], vals[-1], 1e-300))
     if repaired:
+        acc.flat[:: n + 1] -= ridge_val
         acc = psd_repair(acc)
+        acc.flat[:: n + 1] += ridge_val
         vals = np.linalg.eigvalsh(acc)
     acc.setflags(write=False)
     return _trusted(

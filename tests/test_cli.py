@@ -3,6 +3,7 @@
 import argparse
 import ast
 import ctypes
+import dataclasses
 import gc
 import importlib
 import json
@@ -21,6 +22,8 @@ from multiscale_markowitz import backtest as bt
 from multiscale_markowitz import cli, scaling, synth
 from multiscale_markowitz.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from multiscale_markowitz.covariance import build_covariance_set, multiscale_cov
+from multiscale_markowitz.errors import DataError
+from multiscale_markowitz.optimizer import PortfolioWeights
 from multiscale_markowitz.timeseries import (load_prices, prices_to_csv, to_log_returns,
                                              to_price_series)
 
@@ -233,6 +236,15 @@ def test_simulate_bad_generator_params_exit_data(capsys, workdir):
     assert "power of two" in err
 
 
+def test_simulate_negative_seed_is_refused_by_name(capsys, workdir):
+    # numpy's own refusal named no option; the cast refuses it while parsing
+    code, out, err = _run(capsys, ["simulate", "--kind", "fgn", "--n", "64", "--seed", "-1"])
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.strip() == ("msmark simulate: error: argument --seed: "
+                           "expected a non-negative integer, got '-1'")
+    assert not list(workdir.iterdir())
+
+
 @pytest.mark.parametrize("argv, message", [
     (["simulate", "--kind", "fgn", "--n", "64", "--hurst", "1.5"], "hurst=1.5 outside"),
     (["backtest", "{csv}", "--rebalance", "0"], "rebalance_every must be >= 1"),
@@ -436,6 +448,41 @@ def test_estimate_pairs(capsys, workdir):
     assert "identity_residual" in rep["pairs"]["a1~a2"]
 
 
+def test_estimate_pairs_are_the_library_records(capsys, workdir):
+    # each pair object is its CorrelationScaling field for field
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "1500",
+                                       "--assets", "3", "--rho", "0.35", "--seed", "5"])
+    code, _, _ = _run(capsys, ["estimate", str(path), "--pairs", "true",
+                               "--scales", "1,2,5,10", "--json-out", "rep.json"])
+    assert code == EXIT_OK
+    rep = json.loads((workdir / "rep.json").read_text())
+    panel = to_log_returns(load_prices(path))
+    assert sorted(rep["pairs"]) == ["a1~a2", "a1~a3", "a2~a3"]
+    for key, entry in rep["pairs"].items():
+        cs = scaling.estimate_correlation_scaling(panel, *key.split("~"), scales=(1, 2, 5, 10))
+        assert entry == cli._jsonable(dataclasses.asdict(cs))
+    assert {"pair", "scales", "h_i_1_stderr", "h_j_1_stderr"} <= set(rep["pairs"]["a1~a2"])
+
+
+@pytest.mark.parametrize("method", ["structure", "dfa"])
+def test_estimate_spectra_are_the_library_records(capsys, workdir, method):
+    # each spectrum is its ScalingSpectrum field for field, asset_id as "asset"
+    path = _simulate(capsys, workdir, ["--kind", "epps", "--n", "4096", "--seed", "7"])
+    code, _, _ = _run(capsys, ["estimate", str(path), "--method", method,
+                               "--json-out", "rep.json"])
+    assert code == EXIT_OK
+    rep = json.loads((workdir / "rep.json").read_text())
+    panel = to_log_returns(load_prices(path))
+    for asset in ("a1", "a2"):
+        if method == "structure":
+            spect = scaling.structure_spectrum(panel, asset=asset)
+        else:
+            spect = scaling.mfdfa(panel, asset=asset)
+        expected = dataclasses.asdict(spect)
+        expected["asset"] = expected.pop("asset_id")
+        assert rep["assets"][asset]["spectrum"] == cli._jsonable(expected)
+
+
 def test_estimate_unknown_asset_exit_data(capsys, workdir):
     path = _simulate(capsys, workdir, ["--kind", "gaussian_iid", "--n", "64"])
     code, _, err = _run(capsys, ["estimate", str(path), "--asset", "zz"])
@@ -580,6 +627,23 @@ def test_optimize_json_provenance(capsys, workdir, flags, closed_form):
         lam = 2.0 / np.linalg.solve(sigma, np.ones(3)).sum()
         assert prov.pop("lagrange_multiplier") == pytest.approx(lam, rel=1e-9)
     assert prov == expected
+
+
+def test_optimize_report_is_the_weights_record(capsys, workdir):
+    # PortfolioWeights' fields, weights keyed by asset, plus three keys of its own
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",
+                                       "--assets", "3", "--rho", "0.2", "--seed", "8"])
+    code, _, _ = _run(capsys, ["optimize", str(path), "--out-prefix", "w"])
+    assert code == EXIT_OK
+    rep = json.loads((workdir / "w.json").read_text())
+    weights, blended = bt.fit(to_log_returns(load_prices(path)), bt.MIN_VARIANCE,
+                              bt.DEFAULT_SCALES, "product", "nonoverlapping", "auto", 0.0)
+    fields = [f.name for f in dataclasses.fields(PortfolioWeights)]
+    assert set(rep) == set(fields) | {"input", "objective", "covariance_matrix"}
+    for name in fields:
+        value = weights.as_dict() if name == "weights" else getattr(weights, name)
+        assert rep[name] == cli._jsonable(value), name
+    assert rep["covariance_matrix"] == blended.matrix.tolist()
 
 
 def test_optimize_dotted_prefixes_name_distinct_files(capsys, workdir):
@@ -728,6 +792,51 @@ def test_backtest_single_strategy(capsys, workdir):
     body = [l for l in out.splitlines() if l.strip()]
     assert len(body) == 2
     assert "Equally Weighted" in out
+
+
+def _recording_compare(monkeypatch):
+    tables = []
+    compare = bt.compare
+
+    def recorded(panel, configs):
+        tables.append((compare(panel, configs), configs))
+        return tables[-1][0]
+    monkeypatch.setattr(bt, "compare", recorded)
+    return tables
+
+
+def test_backtest_rows_are_the_table_rows(capsys, workdir, monkeypatch):
+    # each row is its TableRow field for field plus config, fallbacks and
+    # final equity; the failed multiscale rows too
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "320",
+                                       "--assets", "3", "--rho", "0.3", "--seed", "3"])
+    run = bt.run_backtest
+
+    def failing(panel, cfg):
+        if cfg.strategy == bt.STRATEGY_MARKOWITZ_MULTISCALE:
+            raise DataError("no fit")
+        return run(panel, cfg)
+    monkeypatch.setattr(bt, "run_backtest", failing)
+    tables = _recording_compare(monkeypatch)
+    code, _, _ = _run(capsys, ["backtest", str(path), "--out-prefix", "bt"])
+    assert code == EXIT_OK
+    rows = json.loads((workdir / "bt.json").read_text())["rows"]
+    [(table, configs)] = tables
+    assert [row.error for row in table.rows] == [None, None] + ["DataError: no fit"] * 2
+    for entry, row, cfg, rep in zip(rows, table.rows, configs, table.reports, strict=True):
+        extra = {"config": dataclasses.asdict(cfg),
+                 "fallbacks": None if rep is None else list(rep.fallbacks),
+                 "final_equity": None if rep is None else rep.equity[-1]}
+        assert entry == cli._jsonable({**dataclasses.asdict(row), **extra})
+
+
+def test_repro_strategies_are_the_table_rows(capsys, workdir, monkeypatch):
+    tables = _recording_compare(monkeypatch)
+    code, _, _ = _run(capsys, ["repro", "--seed", "3"])
+    assert code == EXIT_OK
+    summary = json.loads((workdir / "repro_summary.json").read_text())
+    [(table, _)] = tables
+    assert summary["strategies"] == cli._jsonable([dataclasses.asdict(r) for r in table.rows])
 
 
 def test_backtest_short_panel_exit_data(capsys, workdir):

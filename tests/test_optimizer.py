@@ -116,6 +116,21 @@ def test_blend_conditioning_refused_as_plain_matrix(matrix):
         assert str(blended.value) == str(plain.value)
 
 
+@pytest.mark.parametrize("ridge", ["auto", 1e-5])
+def test_repaired_blend_keeps_its_ridge_and_solves(ridge):
+    # the repair clips the blend without its ridge and adds it back, so the
+    # smallest eigenvalue is the ridge, not a clipped zero the solvers refuse
+    indefinite = 1e-4 * np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+    blend = multiscale_cov(_set_for([indefinite], [1], ("a", "b", "c")), ridge=ridge)
+    assert blend.psd_repaired
+    vals = np.linalg.eigvalsh(blend.matrix)
+    assert vals[0] == pytest.approx(blend.ridge, rel=1e-6)
+    assert blend.condition == pytest.approx(vals[-1] / vals[0])
+    w = min_variance_long_only(blend)
+    assert w.provenance["psd_repaired"] and w.provenance["ridge"] == blend.ridge
+    assert w.weights.sum() == pytest.approx(1.0)
+
+
 def test_blend_asset_ids_length_checked_before_solving(monkeypatch):
     # a blend gets the plain matrix's refusal, before any solve starts
     blend = multiscale_cov(_set_for([np.diag([1.0, 2.0, 3.0])], [1], ("a", "b", "c")))
