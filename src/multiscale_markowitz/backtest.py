@@ -17,13 +17,12 @@ from .covariance import METHOD_L1, METHOD_PRODUCT, _check_ridge, build_covarianc
 from .errors import DataError, MultiscaleError, NumericalError
 from .optimizer import PortfolioWeights, max_sharpe, min_variance_closed_form, min_variance_long_only
 from .timeseries import (
-    MIN_PHASE_ROWS,
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
     ReturnPanel,
+    _check_phase_rows,
     _check_scales,
     _integral,
-    min_phase_rows,
 )
 
 STRATEGY_EQUAL = "equal_weight"
@@ -198,21 +197,18 @@ def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:
     weights then apply to returns ``t .. t + rebalance_every - 1``. A fit
     failure keeps the previous weights (equal weights before the first
     success) and is recorded in ``fallbacks`` instead of aborting.
+
+    Two checks raise ``DataError``, an error row in ``compare``, before any
+    fit: the panel holds the window plus one holding period and at least
+    two rows, and the window leaves each phase of the strategy's largest
+    scale the refit's ``MIN_PHASE_ROWS`` block sums.
     """
     t_total = panel.n_periods
-    if t_total < cfg.lookback + cfg.rebalance_every:
-        raise DataError(
-            f"panel has {t_total} rows; need lookback {cfg.lookback} plus one "
-            f"holding period of {cfg.rebalance_every}"
-        )
-    if _STRATEGY_TABLE[cfg.strategy].objective is not None:
-        dt = max(cfg.effective_scales)
-        worst = min_phase_rows(cfg.lookback, dt, cfg.aggregation)
-        if worst < MIN_PHASE_ROWS:
-            raise ValueError(
-                f"lookback {cfg.lookback} leaves {worst} observations at scale "
-                f"{dt}; shrink scales or grow the window"
-            )
+    if t_total < cfg.lookback + max(cfg.rebalance_every, 2):  # metrics needs 3 equity points
+        raise DataError(f"panel has {t_total} rows; need lookback {cfg.lookback} plus one "
+                        f"holding period of {cfg.rebalance_every}"
+                        + ("" if cfg.rebalance_every > 1 else ", and 2 rows after the window"))
+    _check_phase_rows(cfg.lookback, max(cfg.effective_scales), cfg.aggregation)
 
     n = panel.n_assets
     daily = np.empty(t_total)  # portfolio returns from row cfg.lookback on

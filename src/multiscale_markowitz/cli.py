@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import ctypes
 import dataclasses
 import functools
 import json
@@ -574,39 +573,7 @@ def cmd_repro(merged) -> int:
 
 # ---------------------------------------------------------------------------
 
-# mallopt parameters from glibc's malloc.h
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-@functools.cache
-def _fix_malloc_thresholds() -> bool:
-    """Fix glibc's malloc thresholds, once per process; False without glibc.
-
-    glibc raises its mmap threshold to the size of each large block freed,
-    after which panel-sized arrays (a 65536 x 4 panel is 2 MiB) are carved
-    from the brk heap, and it trims the top of the heap once more than
-    twice that threshold lies free there. Whether an array then reuses
-    resident pages or adds new ones turned on where small long-lived
-    blocks happened to sit, so the peak memory of one and the same command
-    moved by 2 MiB and more from run to run. Fixed, the mmap threshold of
-    1 MiB gives every larger array a mapping of its own, returned when it
-    is freed, and the trim threshold of 64 MiB (glibc's own ceiling for
-    it) keeps the pages the heap has grown to, so later commands reuse
-    them and the peak is the heap's high-water mark, reached in the first
-    command.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    return bool(mallopt(_M_MMAP_THRESHOLD, 1 << 20) and mallopt(_M_TRIM_THRESHOLD, 64 << 20))
-
-
 def main(argv=None) -> int:
-    _fix_malloc_thresholds()
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = _parser()
     try:

@@ -134,6 +134,15 @@ def test_config_rejects_tiny_lookback():
         BacktestConfig(lookback=5)
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"covariance_method": "x"}, "unknown covariance method 'x'"),
+    ({"aggregation": "x"}, "unknown aggregation 'x'"),
+])
+def test_config_rejects_unknown_method_or_aggregation(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        BacktestConfig(**kwargs)
+
+
 @pytest.mark.parametrize("field", ["lookback", "rebalance_every"])
 def test_config_stores_integral_periods_as_int_and_refuses_fractions(field):
     cfg = BacktestConfig(**{field: 21.0})
@@ -195,8 +204,37 @@ def test_backtest_panel_too_short():
 
 
 def test_backtest_lookback_too_short_for_scales():
-    with pytest.raises(ValueError):
+    with pytest.raises(DataError, match="^scale 21 leaves 1 blocks in the worst phase, need >= 4$"):
         run_backtest(_panel(400), BacktestConfig(lookback=50, scales=(1, 21)))
+
+
+def test_backtest_panel_must_leave_two_returns_after_the_window():
+    # one row past the window gives a two-point equity curve, which metrics refuses;
+    # as a DataError it is an error row in compare rather than sinking the table
+    p = _panel(20)
+    base = BacktestConfig(lookback=8, rebalance_every=1)
+    configs = [dataclasses.replace(base, strategy=s)
+               for s in (STRATEGY_EQUAL, STRATEGY_MARKOWITZ_DAILY)]
+    error = ("panel has 9 rows; need lookback 8 plus one holding period of 1, "
+             "and 2 rows after the window")
+    with pytest.raises(DataError, match=f"^{error}$"):
+        run_backtest(p.window(0, 9), configs[0])
+    table = compare(p.window(0, 9), configs)
+    assert [row.error for row in table.rows] == [f"DataError: {error}"] * 2
+    assert table.reports == (None, None)
+    assert len(run_backtest(p.window(0, 10), configs[0]).equity) == 3
+
+
+def test_compare_makes_an_error_row_of_a_window_too_short_for_the_largest_scale():
+    # 40 rows hold no full phase of 21-day blocks, but overlapping blocks and scale 1 fit
+    table = compare(_panel(300), standard_comparison_configs(
+        BacktestConfig(lookback=40, rebalance_every=10)))
+    assert [row.name for row in table.rows] == [
+        "Equally Weighted", "Traditional Markowitz", "Multiscale Markowitz",
+        "Multiscale Markowitz (Overlapping)"]
+    assert [row.error for row in table.rows] == [
+        None, None, "DataError: scale 21 leaves 0 blocks in the worst phase, need >= 4", None]
+    assert [rep is None for rep in table.reports] == [False, False, True, False]
 
 
 @pytest.mark.parametrize("aggregation, lookback, ok", [
@@ -210,10 +248,13 @@ def test_backtest_lookback_check_counts_blocks_as_the_fit_does(aggregation, look
                          lookback=lookback, rebalance_every=10, scales=(1, 21))
     p = _panel(200)
     if not ok:
-        with pytest.raises(ValueError, match=f"^lookback {lookback} leaves "):
+        # the walk refuses up front with the refit's own message
+        with pytest.raises(DataError, match="^scale 21 leaves [0-3] (blocks in the worst phase"
+                                            "|overlapping observations), need >= 4$") as walk:
             run_backtest(p, cfg)
-        with pytest.raises(DataError):
+        with pytest.raises(DataError) as refit:
             fit_weights(p.window(0, lookback), cfg)
+        assert str(walk.value) == str(refit.value)
         return
     fit_weights(p.window(0, lookback), cfg)
     assert run_backtest(p, cfg).fallbacks == ()

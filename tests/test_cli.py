@@ -2,15 +2,14 @@
 
 import argparse
 import ast
-import ctypes
 import dataclasses
 import gc
 import importlib
 import json
 import os
+import re
 import shlex
 import stat
-import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -97,35 +96,6 @@ def test_main_leaves_nothing_for_the_cyclic_gc(capsys, workdir):
     gc.collect()
     assert main(["estimate", str(path)]) == EXIT_OK
     assert gc.collect() == 0
-
-
-def test_main_gives_panel_sized_arrays_their_own_mappings():
-    # once an 8 MiB block has been freed, glibc's default carves a 2 MiB
-    # array from the brk heap; after main it gets a mapping of its own.
-    # A fresh process, so that no earlier main call has fixed the thresholds
-    try:
-        ctypes.CDLL(None).mallinfo2
-    except (AttributeError, OSError, TypeError):
-        pytest.skip("needs glibc 2.33 or newer")
-    code = (
-        "import ctypes, numpy as np\n"
-        "from multiscale_markowitz import cli\n"
-        "class Info(ctypes.Structure):\n"
-        "    _fields_ = [(f, ctypes.c_size_t) for f in ('arena', 'ordblks', 'smblks',\n"
-        "                'hblks', 'hblkhd', 'usmblks', 'fsmblks', 'uordblks', 'fordblks',\n"
-        "                'keepcost')]\n"
-        "mallinfo2 = ctypes.CDLL(None).mallinfo2\n"
-        "mallinfo2.argtypes, mallinfo2.restype = (), Info\n"
-        "assert cli.main(['--help']) == 0\n"
-        "np.ones(1 << 20)\n"
-        "before = mallinfo2().hblks\n"
-        "panel = np.ones((1 << 16, 4))\n"
-        "print(mallinfo2().hblks - before)\n"
-    )
-    src = Path(cli.__file__).resolve().parents[1]
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, cwd=src)
-    assert out.stdout.splitlines()[-1] == "1"
 
 
 def test_subcommand_help_lists_flags(capsys):
@@ -501,6 +471,20 @@ def test_estimate_non_utf8_file_exit_data(capsys, workdir):
     code, _, err = _run(capsys, ["estimate", str(path)])
     assert code == EXIT_DATA
     assert "bad.csv: not UTF-8 text" in err
+
+
+@pytest.mark.parametrize("header, message", [
+    ("date,a1,a1", "asset ids must be unique"),
+    ("date,a1,", "asset ids must be non-empty strings"),
+])
+def test_bad_header_ids_are_a_data_error_naming_the_path(capsys, workdir, header, message):
+    path = workdir / "ids.csv"
+    path.write_text(f"{header}\n2020-01-01,1,2\n2020-01-02,1,2\n")
+    with pytest.raises(DataError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        load_prices(path)
+    code, _, err = _run(capsys, ["estimate", str(path)])
+    assert code == EXIT_DATA
+    assert err == f"msmark: data error: {path}: {message}\n"
 
 
 def test_estimate_cell_over_csv_field_limit_exit_data(capsys, workdir):

@@ -356,6 +356,16 @@ def test_build_covariance_set_rejects_scales_as_constructor(scales, message):
                             METHOD_PRODUCT, "nonoverlapping")
 
 
+@pytest.mark.parametrize("kwargs, message", [
+    ({"method": "x"}, "unknown method 'x'"),
+    ({"aggregation": "x"}, "unknown aggregation 'x'"),
+])
+def test_build_covariance_set_refuses_an_unknown_method_or_aggregation(kwargs, message):
+    p = panel_from_returns(np.random.default_rng(0).standard_normal((100, 2)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_covariance_set(p, (1, 5), **kwargs)
+
+
 def _scale_entry_points():
     from multiscale_markowitz import scaling
     from multiscale_markowitz.backtest import BacktestConfig

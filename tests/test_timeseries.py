@@ -91,6 +91,16 @@ def test_panel_rejects_duplicate_dates():
         ReturnPanel(("a1",), ts, np.zeros((3, 1)))
 
 
+@pytest.mark.parametrize("ids, message", [
+    ((), "at least one asset id required"),
+    (("a1", ""), "asset ids must be non-empty strings"),
+    (("a1", "a1"), "asset ids must be unique"),
+])
+def test_panel_rejects_bad_asset_ids(ids, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ReturnPanel(ids, trading_dates(3), np.zeros((3, len(ids))))
+
+
 def test_price_series_rejects_nonpositive():
     with pytest.raises(DataError, match="strictly positive"):
         PriceSeries(("a1",), trading_dates(2), np.array([[1.0], [0.0]]))
