@@ -6,6 +6,8 @@ averaged.
 The product estimator averages the per-phase covariances of a scale in one
 weighted Gram product ``y'y``: each block sum is centred by its phase mean
 and scaled by ``1/sqrt(dt (n_p - 1))``, where its phase holds ``n_p`` sums.
+Every scale's block sums come from one prefix sum of the returns, and a
+phase's sum telescopes to the difference of two of its entries.
 A robust variant replaces the usual variance scale with mean absolute
 deviation about the median, keeping the correlation structure.
 """
@@ -22,10 +24,10 @@ from .timeseries import (
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
     ReturnPanel,
-    _block_sums_each,
     _check_phase_rows,
     _check_scales,
     _integral,
+    _prefix_sum,
     _trusted,
 )
 
@@ -68,26 +70,33 @@ def _phase_weights(rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return counts, weights
 
 
-def _phase_cov(s: np.ndarray, k: int) -> np.ndarray:
+def _phase_cov(s: np.ndarray, k: int, c: np.ndarray | None = None) -> np.ndarray:
     """Mean over the phases ``i mod k`` of the rows' sample covariances.
 
     One weighted Gram product, as the module docstring says; ``y.T @ y``
-    runs as BLAS ``syrk``, so the result is exactly symmetric.
+    runs as BLAS ``syrk``, so the result is exactly symmetric. For ``k > 1``
+    the rows ``s`` are the block sums ``c[k:] - c[:-k]`` of the prefix sum
+    ``c`` and become ``y`` in place: phase ``p``'s ``n_p`` sums telescope to
+    ``c[p + n_p k] - c[p]``, so no pass over ``s`` sums them.
     """
     rows, n = s.shape
     if k == 1:
         # the sum over the count is what ``mean`` computes, without its dispatch
         xc = s - s.sum(axis=0) / rows
         return xc.T @ xc / (rows - 1)
-    m = -(-rows // k)
-    y = np.zeros((m * k, n))
-    y[:rows] = s
-    phased = y.reshape(m, k, n)
     counts, weights = _phase_weights(rows, k)
-    phased -= phased.sum(axis=0) / counts
-    phased *= weights
-    y[rows:] = 0.0
-    return y.T @ y
+    means = c[np.arange(k) + k * counts[:, 0]]
+    means -= c[:k]
+    means /= counts
+    # the whole rounds of k rows as (m, k, n), then the r rows left over
+    m, r = divmod(rows, k)
+    body = s[: m * k].reshape(m, k, n)
+    body -= means
+    body *= weights
+    tail = s[m * k:]
+    tail -= means[:r]
+    tail *= weights[:r]
+    return s.T @ s
 
 
 def _cov_l1(x: np.ndarray, dead: np.ndarray, joint: bool) -> np.ndarray:
@@ -169,7 +178,9 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
     Non-overlapping aggregation averages the covariances of the ``dt`` phases
     (block sums starting at ``p, p + dt, ...``), in one Gram product for the
     product estimator and phase by phase for L1; overlapping aggregation uses
-    every start index. A scale under ``MIN_PHASE_ROWS`` block sums in its
+    every start index. The block sums of every scale above 1 are written from
+    one prefix sum, taken at the first such scale, into one buffer that each
+    scale overwrites. A scale under ``MIN_PHASE_ROWS`` block sums in its
     worst phase raises ``DataError``; a constant asset gets zero rows
     and columns and a ``DegenerateAssetWarning`` per scale. The matrices are
     exactly symmetric by construction and not re-checked.
@@ -187,7 +198,18 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
     dead = _constant_columns(panel.returns)
     dead_ids = [panel.asset_ids[i] for i in np.flatnonzero(dead)]
     built = []
-    for dt, s in zip(scales, _block_sums_each(panel.returns, scales)):
+    c = buf = None
+    for dt in scales:
+        if dt == 1:
+            s = panel.returns
+        else:
+            if c is None:
+                c = _prefix_sum(panel.returns)
+                # the window's shape holds every scale's rows and, being
+                # the size of the window's other arrays, reuses their freed
+                # heap chunks: lower peak memory than a rows-sized buffer
+                buf = np.empty(panel.returns.shape)
+            s = np.subtract(c[dt:], c[:-dt], out=buf[: len(c) - dt])
         for aid in dead_ids:
             warnings.warn(
                 f"asset {aid!r} has zero variance at scale {dt}; "
@@ -197,21 +219,21 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
             )
         k = dt if aggregation == MODE_NONOVERLAPPING else 1
         if method == METHOD_PRODUCT:
-            c = _phase_cov(s, k)
+            m = _phase_cov(s, k, c)
             if dead_ids:
-                c[dead, :] = 0.0
-                c[:, dead] = 0.0
+                m[dead, :] = 0.0
+                m[:, dead] = 0.0
         else:
             acc = np.zeros((panel.n_assets, panel.n_assets))
             for p in range(k):
                 acc += _cov_l1(s[p::k], dead, l1_joint)
-            c = acc / k
+            m = acc / k
         # finite returns can still overflow a product; a finite diagonal
         # bounds every entry
-        if not np.isfinite(c.diagonal()).all():
+        if not np.isfinite(m.diagonal()).all():
             raise DataError(f"variance at scale {dt} overflows: returns too large")
-        c.setflags(write=False)
-        built.append(c)
+        m.setflags(write=False)
+        built.append(m)
     return _trusted(ScaledCovarianceSet, asset_ids=panel.asset_ids, scales=scales,
                     matrices=tuple(built), method=method, aggregation=aggregation)
 

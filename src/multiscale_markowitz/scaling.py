@@ -70,9 +70,36 @@ def _dot(u, v):
     return np.einsum("i,i->", u, v)
 
 
+def _power(a, q):
+    """``a ** q`` for ``a >= 0``, in one new array.
+
+    A whole or half order with ``|q| <= 4`` is taken by products and at
+    most one ``np.sqrt``, a negative one by a last reciprocal: within 4 ulp
+    of ``np.power``, and equal to it at orders -1, 0.5, 1 and 2. libm
+    ``pow`` costs several products per element. Any other order, 0
+    included, goes to ``np.power``.
+    """
+    n = 2.0 * abs(q)
+    if n == 0 or n > 8 or n % 1:
+        return np.power(a, q)
+    k, half = divmod(int(n), 2)
+    if half:
+        out = np.sqrt(a)
+    elif k >= 2:
+        out, k = a * a, k - 2
+    else:
+        out, k = a.copy(), 0
+    for _ in range(k):
+        out *= a
+    if q < 0:
+        np.divide(1.0, out, out=out)
+    return out
+
+
 def _phase_moments(a, dt, q_grid):
     """Mean over the phases ``p`` of ``mean(a[p::dt] ** q)``, for each ``q``
-    of ``q_grid``: one power and one weighted sum over all of ``a`` per order.
+    of ``q_grid``: one ``_power`` and one weighted sum over all of ``a`` per
+    order.
 
     Each order is reduced on its own, so an order's moment does not depend
     on the orders beside it in the grid.
@@ -82,7 +109,7 @@ def _phase_moments(a, dt, q_grid):
     m, r = divmod(len(a), dt)
     w_p = 1.0 / (dt * np.array([m + 1] * r + [m] * (dt - r), dtype=float))
     w = np.broadcast_to(w_p, (m + (r > 0), dt)).reshape(-1)[: len(a)]
-    return [float(_dot(a ** q, w)) for q in q_grid]
+    return [float(_dot(_power(a, q), w)) for q in q_grid]
 
 
 def _log(moments):
@@ -276,14 +303,15 @@ def mfdfa(series, asset=None, q_grid=DEFAULT_Q_GRID, scales=None,
     log_f = np.empty((len(scales), len(q_grid)))
     for si, s in enumerate(scales):
         ns = n // s
-        design = np.vander(np.arange(s, dtype=float), detrend_order + 1)
-        fit = np.linalg.pinv(design).T
+        # an orthonormal basis of the polynomials of order detrend_order on
+        # s points; a segment's trend is its projection onto it
+        basis = np.linalg.qr(np.vander(np.linspace(-1.0, 1.0, s), detrend_order + 1))[0]
         # the segments from each end are views of the profile; each view's
         # trend array becomes its residuals in place
         f2 = np.empty(2 * ns)
         for k, segments in enumerate((profile[: ns * s].reshape(ns, s),
                                       profile[n - ns * s:].reshape(ns, s))):
-            resid = (segments @ fit) @ design.T
+            resid = (segments @ basis) @ basis.T
             np.subtract(segments, resid, out=resid)
             f2[k * ns:(k + 1) * ns] = np.einsum("ij,ij->i", resid, resid) / s
         if not np.any(f2 > 0.0):
@@ -292,7 +320,7 @@ def mfdfa(series, asset=None, q_grid=DEFAULT_Q_GRID, scales=None,
             )
         # each order is averaged on its own, as _phase_moments does
         with np.errstate(divide="ignore"):
-            log_f[si] = [np.log(np.mean(f2 ** (q / 2.0))) for q in q_grid]
+            log_f[si] = [np.log(np.mean(_power(f2, q / 2.0))) for q in q_grid]
     return _spectrum(name, q_grid, scales, log_f, "dfa")
 
 

@@ -445,12 +445,21 @@ def block_sums(x: np.ndarray, dt: int) -> np.ndarray:
     return next(_block_sums_each(x, (dt,)))
 
 
+def _prefix_sum(x: np.ndarray) -> np.ndarray:
+    """Prefix sum of ``x`` along axis 0 behind a zero row: ``c[t + dt] - c[t]``
+    is the sum of rows ``t .. t + dt - 1``."""
+    c = np.empty((len(x) + 1,) + x.shape[1:])
+    c[0] = 0.0
+    np.cumsum(x, axis=0, out=c[1:])
+    return c
+
+
 def _block_sums_each(x: np.ndarray, scales):
     """``block_sums(x, dt)`` for each ``dt`` in turn, from one prefix sum."""
     c = None
     for dt in scales:
         if c is None and dt > 1:
-            c = np.concatenate([np.zeros((1,) + x.shape[1:]), np.cumsum(x, axis=0)])
+            c = _prefix_sum(x)
         yield x if dt == 1 else c[dt:] - c[:-dt]
 
 

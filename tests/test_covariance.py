@@ -1,5 +1,7 @@
 """Per-scale covariance estimation and the blended working matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -187,14 +189,16 @@ def test_cov_single_phase_is_plain_gram_product(aggregation, dt):
 @pytest.mark.parametrize("method", [METHOD_PRODUCT, METHOD_L1])
 @pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
 def test_set_matches_cov_at_scale_bitwise(method, aggregation):
-    # each matrix of a many-scale set is the one-scale set's, bit for bit
+    # each matrix of a many-scale set is the one-scale set's, bit for bit,
+    # also when a larger scale comes before the smaller ones that share
+    # its block-sum buffer
     rng = np.random.default_rng(12)
     p = panel_from_returns(rng.standard_normal((500, 6)) * 0.01)
-    scales = (1, 2, 5, 10, 21)
-    cs = build_covariance_set(p, scales, method=method, aggregation=aggregation)
-    for dt, m in zip(scales, cs.matrices):
-        ref = _one_scale(p, dt, method=method, aggregation=aggregation)
-        assert np.array_equal(m, ref)
+    for scales in ((1, 2, 5, 10, 21), (21, 1, 5, 2)):
+        cs = build_covariance_set(p, scales, method=method, aggregation=aggregation)
+        for dt, m in zip(scales, cs.matrices):
+            ref = _one_scale(p, dt, method=method, aggregation=aggregation)
+            assert np.array_equal(m, ref)
 
 
 @pytest.mark.parametrize("aggregation", [MODE_NONOVERLAPPING, MODE_OVERLAPPING])
@@ -285,6 +289,23 @@ def test_scale_one_phase_cov_is_the_mean_centred_gram(t):
     s = np.random.default_rng(t).standard_normal((t, 7)) * 0.01
     xc = s - s.mean(axis=0)
     assert np.array_equal(covariance._phase_cov(s, 1), xc.T @ xc / (t - 1))
+
+
+def test_product_set_scratch_is_a_prefix_sum_a_block_buffer_and_a_gram():
+    # every scale's block sums come from one prefix sum into one reused
+    # buffer; a padded copy per scale would add a window's size
+    x = np.random.default_rng(16).standard_normal((500, 200)) * 0.01
+    p = panel_from_returns(x)
+    scales = (1, 2, 5, 10, 21)
+    build_covariance_set(p, scales)  # fills the per-shape phase weight cache
+    tracemalloc.start()
+    try:
+        cs = build_covariance_set(p, scales)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    retained = sum(m.nbytes for m in cs.matrices)
+    assert peak - retained <= 2.5 * x.nbytes
 
 
 def test_ridge_loads_the_diagonal_only():

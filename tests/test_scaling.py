@@ -348,6 +348,73 @@ def test_correlation_scaling_needs_distinct_assets():
 
 
 # ---------------------------------------------------------------------------
+# the one order-q power
+
+# magnitudes from 1e-70 to 1e70, and a dense run of ordinary ones
+_POWER_BASES = np.concatenate([np.logspace(-70, 70, 4001),
+                               np.random.default_rng(31).uniform(0.5, 2.0, 4000)])
+_PRODUCT_ORDERS = [q / 2.0 for q in range(-8, 9) if q]
+
+
+@pytest.mark.parametrize("q", _PRODUCT_ORDERS)
+def test_power_by_products_agrees_with_np_power(monkeypatch, q):
+    want = np.power(_POWER_BASES, q)
+    monkeypatch.setattr(np, "power", None)  # whole and half orders never call it
+    got = scaling._power(_POWER_BASES, q)
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
+    if q in (-1.0, 0.5, 1.0, 2.0):
+        assert got.tobytes() == want.tobytes()
+    monkeypatch.undo()
+    zero = np.zeros(3)
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(scaling._power(zero, q), np.power(zero, q))
+
+
+@pytest.mark.parametrize("q", [0.3, -0.7, 4.5, -5.0, 0.0])
+def test_power_leaves_other_orders_to_np_power(monkeypatch, q):
+    calls = []
+    power = np.power
+
+    def counted(a, order):
+        calls.append(order)
+        return power(a, order)
+    monkeypatch.setattr(np, "power", counted)
+    with np.errstate(over="ignore"):
+        got = scaling._power(_POWER_BASES, q)
+        want = power(_POWER_BASES, q)
+    assert calls == [q]
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("q", [*_PRODUCT_ORDERS, 0.3])
+def test_power_makes_one_new_array(q):
+    a = np.random.default_rng(32).uniform(0.5, 2.0, 1 << 16)
+    tracemalloc.start()
+    try:
+        out = scaling._power(a, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert out.shape == a.shape and not np.shares_memory(out, a)
+    assert peak < 1.1 * a.nbytes
+
+
+def test_mfdfa_projects_on_one_basis_per_size(monkeypatch):
+    # a pseudo-inverse is an SVD; the trend needs only an orthonormal basis
+    x = gen_fgn(1 << 12, hurst=0.7, seed=8)
+    calls = Counter()
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        calls["qr"] += 1
+        return qr(*args, **kwargs)
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    monkeypatch.setattr(np.linalg, "pinv", None)
+    spec = mfdfa(x)
+    assert calls == Counter(qr=len(spec.scales))
+
+
+# ---------------------------------------------------------------------------
 # one prefix sum per series
 
 
