@@ -14,8 +14,9 @@ the equality-constrained solution on the free assets, with every asset
 it does not hold long fixed at zero, repeated until all remaining
 weights are positive. That point is feasible and usually on the optimal
 support, so the iteration only certifies it or frees the last few
-bounds. A return floor is solved without it first, and again as a
-second equality row when that optimum misses it.
+bounds, every bound with a negative multiplier in the same step. A
+return floor is solved without it first, and again as a second equality
+row when that optimum misses it.
 """
 from __future__ import annotations
 
@@ -202,6 +203,17 @@ def _active_set_qp(m, rows, rhs, start, step=None):
     feasible point ``start``. ``step``, when given, is ``_eqp``'s solve on
     the free set of ``start`` and stands in for the first iteration's.
 
+    Each iteration solves on the free set and steps towards that solution
+    as far as the bounds allow; a weight the step drives to zero is fixed.
+    At the solution of its free set, the terminal test releases every
+    bound with a negative multiplier at once. The loop still ends: a
+    non-zero step lowers the strictly convex objective, so no free set
+    reaches the terminal test twice, and a zero-length step, taken when
+    a released weight would go negative, only fixes one released bound
+    again. The last released bound left is not fixed again: a bound with
+    a negative multiplier, released alone, gets a step that raises its
+    weight.
+
     Returns ``w`` and its KKT residual: the max-norm of the stationarity
     condition on the free coordinates, from the terminal test.
     """
@@ -235,19 +247,20 @@ def _active_set_qp(m, rows, rhs, start, step=None):
                 gap = rows[1, free].max() - rows[1]
                 lower = bound_active & (gap > 0.0)
                 resid += (-resid[lower] / gap[lower]).max(initial=0.0) * gap
-            bound_mult = np.where(bound_active, resid, np.inf)
-            worst_bound = int(np.argmin(bound_mult))
-            if bound_mult[worst_bound] >= -_BOUND_TOL:
+            release = bound_active & (resid < -_BOUND_TOL)
+            if not release.any():
                 return w, float(np.abs(resid[free]).max())
-            bound_active[worst_bound] = False
+            bound_active[release] = False
             continue
-        alpha = 1.0
-        blocking = None
-        for i in np.flatnonzero((p < -_BOUND_TOL) & free):
-            cand = w[i] / -p[i]
-            if cand < alpha:
-                alpha = cand
-                blocking = i
+        # ratio test: the first free weight that the least step length
+        # below 1 drives to zero blocks the step
+        alpha, blocking = 1.0, None
+        shrink = np.flatnonzero((p < -_BOUND_TOL) & free)
+        if shrink.size:
+            ratio = w[shrink] / -p[shrink]
+            k = int(np.argmin(ratio))
+            if ratio[k] < 1.0:
+                alpha, blocking = ratio[k], shrink[k]
         w = np.clip(w + alpha * p, 0.0, None)
         if blocking is not None:
             bound_active[blocking] = True

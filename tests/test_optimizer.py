@@ -504,6 +504,48 @@ def test_long_only_floor_at_and_just_below_the_best_mean_converges():
         _assert_floor_kkt(m, mu, w, binds=mu @ plain < target)
 
 
+def test_bulk_release_refixed_by_a_zero_step_reaches_the_optimum(monkeypatch):
+    # a seeded search's first problem whose terminal test releases two
+    # bounds at once, one of which the next solve would drive negative:
+    # a zero-length step fixes it again before the loop goes on
+    rng = np.random.default_rng(2592)
+    m = random_pd_matrix(rng, 4)
+    mu = rng.normal(0.02, 0.05, 4)
+    plain = min_variance_long_only(m).weights
+    target = float(mu @ plain + 0.5 * (mu.max() - mu @ plain))
+    solves = []
+    eqp = optimizer._eqp
+
+    def recording(m, rows, rhs, free):
+        solves.append(free.copy())
+        return eqp(m, rows, rhs, free)
+
+    monkeypatch.setattr(optimizer, "_eqp", recording)
+    w = min_variance_long_only(m, mu=mu, mu_target=target).weights
+    # free set b releases two or more bounds of a, and c fixes one of them again
+    assert any((b & ~a).sum() >= 2 and not (c & ~b).any() and (b & ~a & ~c).sum() == 1
+               for a, b, c in zip(solves, solves[1:], solves[2:]))
+    assert abs(mu @ w - target) <= 1e-12 * np.abs(mu).max()
+    _assert_floor_kkt(m, mu, w, binds=True)
+    oracle = _slsqp_min_quadratic(m, np.ones(4), floor=(mu, target))
+    assert w @ m @ w <= oracle @ m @ oracle * (1.0 + 1e-9)
+
+
+def test_active_set_from_every_vertex_returns_the_support_start_optimum():
+    # a warm start anywhere on the simplex reaches the same optimum as the
+    # clipped closed-form support, however many bounds it must release
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        n = int(rng.integers(8, 13))
+        m = random_pd_matrix(rng, n)
+        ones = np.ones(n)
+        want, _ = optimizer._active_set_qp(m, ones[None], optimizer._ONE,
+                                           *optimizer._support_start(m, ones))
+        for start in np.eye(n):
+            w, _ = optimizer._active_set_qp(m, ones[None], optimizer._ONE, start)
+            assert np.abs(w - want).max() <= 1e-12
+
+
 @pytest.mark.parametrize("name,m,mu", QP_CASES, ids=[c[0] for c in QP_CASES])
 def test_unconstrained_paths_at_size(name, m, mu):
     s = np.linalg.solve(m, np.ones(len(mu)))
