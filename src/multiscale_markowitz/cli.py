@@ -18,6 +18,7 @@ import argparse
 import collections
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -418,18 +419,15 @@ def cmd_estimate(merged) -> int:
         lines.append(f"{a}: H(2) = {est:.4f} +/- {err:.4f}  "
                      f"[{spect.method}, scales {spect.scales}]")
     if merged["pairs"]:
-        ids = list(panel.asset_ids)
-        for i in range(len(ids)):
-            for j in range(i + 1, len(ids)):
-                cs = scaling.estimate_correlation_scaling(panel, ids[i], ids[j],
-                                                          scales=merged["scales"])
-                key = f"{ids[i]}~{ids[j]}"
-                report["pairs"][key] = dataclasses.asdict(cs)
-                lines.append(
-                    f"{key}: H_rho = {cs.h_rho:.4f} +/- {cs.h_rho_stderr:.4f}  "
-                    f"identity residual {cs.identity_residual:+.4f} "
-                    f"(combined stderr {cs.combined_stderr:.4f})"
-                )
+        pairs = itertools.combinations(panel.asset_ids, 2)
+        for cs in scaling.correlation_scalings(panel, pairs, scales=merged["scales"]):
+            key = "~".join(cs.pair)
+            report["pairs"][key] = dataclasses.asdict(cs)
+            lines.append(
+                f"{key}: H_rho = {cs.h_rho:.4f} +/- {cs.h_rho_stderr:.4f}  "
+                f"identity residual {cs.identity_residual:+.4f} "
+                f"(combined stderr {cs.combined_stderr:.4f})"
+            )
     print("\n".join(lines))
     if merged["json_out"] is not None:
         _write_outputs(merged, "json_out", None, [("", _dump_json(report))])

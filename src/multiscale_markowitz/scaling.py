@@ -7,6 +7,12 @@ comes from one log-log fit, ``_loglog_fit``. Structure functions read
 moments of block sums directly; detrended fluctuation analysis works on
 the integrated profile and is robust to polynomial trends; the correlation
 estimator tracks how the dependence between two assets builds up with scale.
+
+Each series' work is done once. A q grid's powers come from one product
+chain, ``_powers``, in the operation order of each order taken alone. Every
+pair of a panel comes from one pass, ``correlation_scalings``, which takes
+each series' prefix sum, first absolute moments and per-phase centred block
+sums once and leaves each pair two dot products per phase.
 """
 from __future__ import annotations
 
@@ -17,7 +23,14 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DataError
-from .timeseries import ReturnPanel, _block_sums_each, _check_phase_rows, _check_scales, _integral
+from .timeseries import (
+    ReturnPanel,
+    _block_sums_each,
+    _check_phase_rows,
+    _check_scales,
+    _integral,
+    _prefix_sum,
+)
 
 DEFAULT_SCALES = (1, 2, 5, 10, 21)
 DEFAULT_Q_GRID = (-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0)
@@ -59,7 +72,8 @@ def _abs_moments(x, q_grid, scales):
         _check_phase_rows(len(x), dt)
     moments = np.empty((len(scales), len(q_grid)))
     for si, (dt, b) in enumerate(zip(scales, _block_sums_each(x, scales))):
-        moments[si] = _phase_moments(np.abs(b), dt, q_grid)
+        # a scale's block sums are a new array, but scale 1's are x itself
+        moments[si] = _phase_moments(np.abs(b, out=None if b is x else b), dt, q_grid)
     return scales, moments
 
 
@@ -70,46 +84,74 @@ def _dot(u, v):
     return np.einsum("i,i->", u, v)
 
 
-def _power(a, q):
-    """``a ** q`` for ``a >= 0``, in one new array.
+def _powers(a, q_grid):
+    """Yield ``(i, a ** q_grid[i])`` for each order of ``q_grid``, for ``a >= 0``.
 
-    A whole or half order with ``|q| <= 4`` is taken by products and at
-    most one ``np.sqrt``, a negative one by a last reciprocal: within 4 ulp
-    of ``np.power``, and equal to it at orders -1, 0.5, 1 and 2. libm
-    ``pow`` costs several products per element. Any other order, 0
-    included, goes to ``np.power``.
+    Whole and half orders with ``|q| <= 4`` come from two running products,
+    ``a^k = a^(k-1) * a`` from ``a`` and from ``np.sqrt(a)``, and a negative
+    order is the reciprocal of its power, written into one scratch array:
+    within 4 ulp of ``np.power``, and equal to it at orders -1, 0.5, 1 and
+    2. libm ``pow`` costs several products per element. Any other order, 0
+    included, goes to ``np.power``. Each order's array holds the same bits
+    whatever orders stand beside it in ``q_grid``.
+
+    Orders come in the chains' order, not the grid's. A yielded array may be
+    ``a`` itself and may be overwritten by the next step, so use it before
+    asking for the next; no more than two arrays are alive at once.
     """
-    n = 2.0 * abs(q)
-    if n == 0 or n > 8 or n % 1:
-        return np.power(a, q)
-    k, half = divmod(int(n), 2)
-    if half:
-        out = np.sqrt(a)
-    elif k >= 2:
-        out, k = a * a, k - 2
-    else:
-        out, k = a.copy(), 0
-    for _ in range(k):
-        out *= a
-    if q < 0:
-        np.divide(1.0, out, out=out)
-    return out
+    chains = ([], [])
+    for i, q in enumerate(q_grid):
+        n = 2.0 * abs(q)
+        if n == 0 or n > 8 or n % 1:
+            yield i, np.power(a, q)
+        else:
+            k, half = divmod(int(n), 2)
+            chains[half].append((k, q < 0, i))
+    for half, steps in enumerate(chains):
+        if not steps:
+            continue
+        # by power, the positive order before the negative one, so the last
+        # step may take its reciprocal in place
+        steps.sort()
+        scratch = None
+        power, k_now = (np.sqrt(a), 0) if half else (a, 1)
+        for step, (k, negative, i) in enumerate(steps):
+            for _ in range(k - k_now):
+                power = power * a if power is a else np.multiply(power, a, out=power)
+            k_now = k
+            if not negative:
+                yield i, power
+            elif step == len(steps) - 1 and power is not a:
+                yield i, np.divide(1.0, power, out=power)
+            else:
+                scratch = np.divide(1.0, power, out=scratch)
+                yield i, scratch
+        # free both before the next chain takes its first array
+        power = scratch = None
+
+
+def _phase_weights(n, dt):
+    """Each of ``n`` rows' weight in a phase average at scale ``dt``: row
+    ``k`` belongs to phase ``k % dt``, which holds ``n_p`` rows, and weighs
+    ``1 / (dt * n_p)``. At ``dt = 1`` this is a view with stride 0."""
+    m, r = divmod(n, dt)
+    w_p = 1.0 / (dt * np.array([m + 1] * r + [m] * (dt - r), dtype=float))
+    return np.broadcast_to(w_p, (m + (r > 0), dt)).reshape(-1)[:n]
 
 
 def _phase_moments(a, dt, q_grid):
     """Mean over the phases ``p`` of ``mean(a[p::dt] ** q)``, for each ``q``
-    of ``q_grid``: one ``_power`` and one weighted sum over all of ``a`` per
-    order.
+    of ``q_grid``: each power from ``_powers``' shared chain, reduced by one
+    weighted sum over all of ``a``.
 
     Each order is reduced on its own, so an order's moment does not depend
     on the orders beside it in the grid.
     """
-    # row k belongs to phase p = k % dt, which holds n_p rows and gives
-    # each of them the weight 1 / (dt * n_p)
-    m, r = divmod(len(a), dt)
-    w_p = 1.0 / (dt * np.array([m + 1] * r + [m] * (dt - r), dtype=float))
-    w = np.broadcast_to(w_p, (m + (r > 0), dt)).reshape(-1)[: len(a)]
-    return [float(_dot(_power(a, q), w)) for q in q_grid]
+    w = _phase_weights(len(a), dt)
+    out = [0.0] * len(q_grid)
+    for i, power in _powers(a, q_grid):
+        out[i] = float(_dot(power, w))
+    return out
 
 
 def _log(moments):
@@ -320,7 +362,8 @@ def mfdfa(series, asset=None, q_grid=DEFAULT_Q_GRID, scales=None,
             )
         # each order is averaged on its own, as _phase_moments does
         with np.errstate(divide="ignore"):
-            log_f[si] = [np.log(np.mean(_power(f2, q / 2.0))) for q in q_grid]
+            for i, power in _powers(f2, [q / 2.0 for q in q_grid]):
+                log_f[si, i] = np.log(np.mean(power))
     return _spectrum(name, q_grid, scales, log_f, "dfa")
 
 
@@ -361,49 +404,120 @@ def estimate_correlation_scaling(panel: ReturnPanel, asset_i: str, asset_j: str,
     For each scale the correlation and the raw cross moment are computed
     per non-overlapping phase and phase-averaged. Fits run on absolute
     values; a negative correlation sets ``negative_correlation`` rather
-    than raising, since noisy near-zero correlations are routine.
+    than raising, since noisy near-zero correlations are routine. This is
+    the one-pair case of ``correlation_scalings``.
+    """
+    [cs] = correlation_scalings(panel, [(asset_i, asset_j)], scales)
+    return cs
+
+
+def correlation_scalings(panel: ReturnPanel, pairs,
+                         scales=DEFAULT_SCALES) -> list[CorrelationScaling]:
+    """``estimate_correlation_scaling`` of each ``(asset_i, asset_j)`` of
+    ``pairs``, in that order, with each series' work done once.
+
+    The work runs scale by scale and phase by phase. Each series takes one
+    prefix sum, at each scale its first absolute moment, and at each phase
+    its centred block sums and their sum of squares; each pair then costs
+    two dot products per phase. Beside the prefix sums, one series' full
+    block sums or one phase of every series is held at a time, never every
+    series' block sums.
+
+    Argument errors come first: a panel of another type, a pair of one
+    asset, an unknown asset, bad scales. A ``DataError`` is the one a
+    pair-by-pair loop would raise: that of the first failing pair in
+    ``pairs``' order, at its first failing scale.
     """
     if not isinstance(panel, ReturnPanel):
-        raise TypeError("estimate_correlation_scaling needs a ReturnPanel")
-    if asset_i == asset_j:
+        raise TypeError("correlation scaling needs a ReturnPanel")
+    pairs = [tuple(pair) for pair in pairs]
+    if any(a == b for a, b in pairs):
         raise ValueError("need two distinct assets")
-    xi = panel.column(asset_i)
-    xj = panel.column(asset_j)
+    cols = {a: panel.column(a) for pair in pairs for a in pair}
     scales = _check_scales(scales)
-    # per scale: rho, the raw cross moment and each series' first absolute
-    # moment (its q = 1 structure function), one curve per column
-    curves = np.empty((len(scales), 4))
-    each_i = _block_sums_each(xi, scales)
-    each_j = _block_sums_each(xj, scales)
+    n = panel.n_periods
+    # every pair meets the first scale that leaves too few blocks per phase,
+    # unless it fails before it
+    rows_error, usable = None, len(scales)
     for si, dt in enumerate(scales):
-        _check_phase_rows(len(xi), dt)
-        bs_i = next(each_i)
-        bs_j = next(each_j)
-        rho_p = []
-        cross_p = []
+        try:
+            _check_phase_rows(n, dt)
+        except DataError as exc:
+            rows_error, usable = exc, si
+            break
+    # per pair and scale: rho, the raw cross moment and each series' first
+    # absolute moment (its q = 1 structure function), one curve per column
+    curves = np.empty((len(pairs), len(scales), 4))
+    failed = {}  # pair -> (scale index, DataError) of its first zero-variance phase
+    prefix = {}
+    # scale 1 goes first, before any prefix sum exists, so the full-length
+    # centred copies it makes never sit beside the prefix sums
+    for si in sorted(range(usable), key=lambda si: scales[si] != 1):
+        dt = scales[si]
+        live = [k for k in range(len(pairs)) if k not in failed or si < failed[k][0]]
+        names = list(dict.fromkeys(a for k in live for a in pairs[k]))
+        first = {}
+        for a in names:
+            if dt == 1:
+                b = np.abs(cols[a])
+            else:
+                if a not in prefix:
+                    prefix[a] = _prefix_sum(cols[a])
+                b = np.subtract(prefix[a][dt:], prefix[a][:-dt])
+                np.abs(b, out=b)
+            [first[a]] = _phase_moments(b, dt, (1.0,))
+            del b
+        rho_p = {k: [] for k in live}
+        cross_p = {k: [] for k in live}
         for p in range(dt):
-            bi = bs_i[p::dt]
-            bj = bs_j[p::dt]
-            ci = bi - bi.mean()
-            cj = bj - bj.mean()
-            ss_i = _dot(ci, ci)
-            ss_j = _dot(cj, cj)
-            if ss_i == 0.0 or ss_j == 0.0:
-                raise DataError(
-                    f"zero variance at scale {dt}, phase {p}; correlation undefined"
-                )
-            rho_p.append(_dot(ci, cj) / (math.sqrt(ss_i) * math.sqrt(ss_j)))
-            cross_p.append(_dot(bi, bj) / len(bi))
-        curves[si] = (np.mean(rho_p), np.mean(cross_p),
-                      *_phase_moments(np.abs(bs_i), dt, (1.0,)),
-                      *_phase_moments(np.abs(bs_j), dt, (1.0,)))
+            # the phase's block sums, from the prefix sum as contiguous arrays
+            blocks = {a: cols[a] if dt == 1 else prefix[a][p + dt::dt] - prefix[a][p:n - dt + 1:dt]
+                      for a in names}
+            for k in live:
+                i, j = pairs[k]
+                cross_p[k].append(_dot(blocks[i], blocks[j]) / len(blocks[i]))
+            centred = {}
+            for a, b in blocks.items():
+                mean = b.mean()
+                # centred in place, but never the panel's own column
+                centred[a] = b - mean if dt == 1 else np.subtract(b, mean, out=b)
+            del blocks
+            ss = {a: _dot(c, c) for a, c in centred.items()}
+            for k in live:
+                i, j = pairs[k]
+                if ss[i] == 0.0 or ss[j] == 0.0:
+                    if k not in failed or si < failed[k][0]:
+                        failed[k] = (si, DataError(
+                            f"asset {i if ss[i] == 0.0 else j!r} has zero variance at "
+                            f"scale {dt}, phase {p} in pair {i}~{j}; correlation undefined"))
+                    continue
+                rho_p[k].append(_dot(centred[i], centred[j])
+                                / (math.sqrt(ss[i]) * math.sqrt(ss[j])))
+            del centred
+        for k in live:
+            if k not in failed:
+                i, j = pairs[k]
+                curves[k, si] = (np.mean(rho_p[k]), np.mean(cross_p[k]), first[i], first[j])
 
+    out = []
+    for k, pair in enumerate(pairs):
+        if k in failed:
+            raise failed[k][1]
+        if rows_error is not None:
+            raise rows_error
+        out.append(_pair_fit(pair, scales, curves[k]))
+    return out
+
+
+def _pair_fit(pair, scales, curves) -> CorrelationScaling:
+    """The record of one pair from its curves: one row per scale of rho,
+    the raw cross moment and both first absolute moments."""
     rho = curves[:, 0].copy()
     h, err, _ = _loglog_fit(scales, _log(np.abs(curves)))
     h_rho, h_cross, h_i, h_j = h.tolist()
     e_rho, e_cross, e_i, e_j = err.tolist()
     return CorrelationScaling(
-        pair=(asset_i, asset_j),
+        pair=pair,
         scales=scales,
         rho_by_scale=rho,
         h_rho=h_rho,

@@ -23,8 +23,8 @@ from multiscale_markowitz.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAG
 from multiscale_markowitz.covariance import build_covariance_set, multiscale_cov
 from multiscale_markowitz.errors import DataError
 from multiscale_markowitz.optimizer import PortfolioWeights
-from multiscale_markowitz.timeseries import (load_prices, prices_to_csv, to_log_returns,
-                                             to_price_series)
+from multiscale_markowitz.timeseries import (PriceSeries, load_prices, prices_to_csv,
+                                             to_log_returns, to_price_series)
 
 
 def _run(capsys, argv):
@@ -432,6 +432,23 @@ def test_estimate_pairs_are_the_library_records(capsys, workdir):
         cs = scaling.estimate_correlation_scaling(panel, *key.split("~"), scales=(1, 2, 5, 10))
         assert entry == cli._jsonable(dataclasses.asdict(cs))
     assert {"pair", "scales", "h_i_1_stderr", "h_j_1_stderr"} <= set(rep["pairs"]["a1~a2"])
+
+
+def test_estimate_pairs_report_the_first_failing_pair(capsys, workdir):
+    # p5's 5-day and p2's 2-day log returns sum to exactly zero, so the
+    # first pair fails at scale 5 although a later one fails at scale 2
+    n = 60
+    noise = 100.0 * np.exp(np.cumsum(np.random.default_rng(3).normal(0.0, 0.01, n + 1)))
+    prices = np.column_stack([np.tile([1.0, 2.0, 1.0, 3.0, 1.0], 13)[:n + 1], noise,
+                              np.tile([1.0, 2.0], 31)[:n + 1]])
+    path = workdir / "zero.csv"
+    path.write_text(prices_to_csv(PriceSeries(
+        ("p5", "y", "p2"), np.datetime64("2020-01-01") + np.arange(n + 1), prices)))
+    code, _, err = _run(capsys, ["estimate", str(path), "--asset", "y", "--pairs", "true",
+                                 "--scales", "1,2,5"])
+    assert code == EXIT_DATA
+    assert err == ("msmark: data error: asset 'p5' has zero variance at scale 5, phase 0 "
+                   "in pair p5~y; correlation undefined\n")
 
 
 @pytest.mark.parametrize("method", ["structure", "dfa"])

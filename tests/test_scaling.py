@@ -1,5 +1,7 @@
 """Structure functions, log-log fits, fluctuation analysis."""
 
+import dataclasses
+import itertools
 import os
 import subprocess
 import sys
@@ -17,6 +19,7 @@ from multiscale_markowitz import scaling
 from multiscale_markowitz.errors import DataError
 from multiscale_markowitz.scaling import (
     DEFAULT_SCALES,
+    correlation_scalings,
     default_dfa_scales,
     estimate_correlation_scaling,
     estimate_hurst,
@@ -348,7 +351,106 @@ def test_correlation_scaling_needs_distinct_assets():
 
 
 # ---------------------------------------------------------------------------
+# every pair from one pass over each series
+
+
+def _fields(cs):
+    return {k: v.tobytes() if isinstance(v, np.ndarray) else v
+            for k, v in dataclasses.asdict(cs).items()}
+
+
+@pytest.mark.parametrize("scales", [DEFAULT_SCALES, (3, 1, 7, 12)])
+def test_correlation_scalings_equal_the_one_pair_estimates(scales):
+    # a series' shared statistics do not depend on the pairs it is in
+    p, _ = _ref_series()
+    pairs = list(itertools.permutations(p.asset_ids, 2))
+    shared = correlation_scalings(p, pairs, scales)
+    assert [cs.pair for cs in shared] == pairs
+    by_pair = {}
+    for cs in shared:
+        one = estimate_correlation_scaling(p, *cs.pair, scales=scales)
+        assert _fields(cs) == _fields(one)
+        by_pair[cs.pair] = cs
+    for (i, j), cs in by_pair.items():
+        swapped = by_pair[j, i]
+        assert cs.rho_by_scale.tobytes() == swapped.rho_by_scale.tobytes()
+        assert (cs.h_rho, cs.h_cross_2, cs.h_i_1, cs.h_j_1) == (
+            swapped.h_rho, swapped.h_cross_2, swapped.h_j_1, swapped.h_i_1)
+
+
+def test_correlation_scalings_take_one_prefix_sum_per_series_and_one_fit_per_pair(monkeypatch):
+    p, _ = _ref_series()
+    calls = Counter()
+    cumsum, fit = np.cumsum, scaling._loglog_fit
+
+    def counted_cumsum(*args, **kwargs):
+        calls["cumsum"] += 1
+        return cumsum(*args, **kwargs)
+
+    def counted_fit(*args, **kwargs):
+        calls["fit"] += 1
+        return fit(*args, **kwargs)
+    monkeypatch.setattr(np, "cumsum", counted_cumsum)
+    monkeypatch.setattr(scaling, "_loglog_fit", counted_fit)
+    correlation_scalings(p, list(itertools.permutations(p.asset_ids, 2)), (3, 1, 7, 12))
+    assert calls == Counter(cumsum=3, fit=6)
+
+
+@pytest.mark.parametrize("scales", [DEFAULT_SCALES, (3, 1, 7, 12)])
+def test_correlation_scalings_scratch_stays_under_the_pair_loop(scales):
+    # a pair-by-pair loop of the one-pair estimate, which took both prefix
+    # sums and both full block sums per pair, peaked at 2.01 (default
+    # scales) and 1.92 ((3, 1, 7, 12)) times the panel's bytes here
+    p = panel_from_returns(np.random.default_rng(5).standard_normal((1 << 16, 4)) * 0.01)
+    pairs = list(itertools.combinations(p.asset_ids, 2))
+    tracemalloc.start()
+    try:
+        correlation_scalings(p, pairs, scales)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.9 * p.returns.nbytes
+
+
+def _zero_variance_panel(ids):
+    """60 rows. The block sums of ``p5`` over 5 rows and of ``p2`` over 2
+    rows are exactly zero, ``c`` is constant, ``y`` and ``w`` are noise."""
+    rng = np.random.default_rng(3)
+    cols = {"p5": np.tile([1.0, -1.0, 2.0, -2.0, 0.0], 12), "p2": np.tile([1.0, -1.0], 30),
+            "c": np.full(60, 0.5), "y": rng.standard_normal(60), "w": rng.standard_normal(60)}
+    return panel_from_returns(np.column_stack([cols[a] for a in ids]), asset_ids=ids)
+
+
+@pytest.mark.parametrize("ids, scales, message", [
+    # the first pair fails at scale 5, a later one already at scale 2
+    (("p5", "y", "p2"), (1, 2, 5),
+     "asset 'p5' has zero variance at scale 5, phase 0 in pair p5~y; correlation undefined"),
+    # the first pair meets the too-short scale 21, a later one fails at scale 2
+    (("y", "w", "p2"), (1, 2, 21), "scale 21 leaves 1 blocks in the worst phase, need >= 4"),
+    # scale 1 is worked first, but a pair's first failing scale is the
+    # first in the order given
+    (("y", "c"), (2, 1, 5),
+     "asset 'c' has zero variance at scale 2, phase 0 in pair y~c; correlation undefined"),
+])
+def test_correlation_scalings_raise_what_the_pair_loop_raises(ids, scales, message):
+    p = _zero_variance_panel(ids)
+    pairs = list(itertools.combinations(ids, 2))
+    with pytest.raises(DataError) as loop:
+        for pair in pairs:
+            estimate_correlation_scaling(p, *pair, scales=scales)
+    with pytest.raises(DataError) as shared:
+        correlation_scalings(p, pairs, scales)
+    assert str(loop.value) == str(shared.value) == message
+
+
+# ---------------------------------------------------------------------------
 # the one order-q power
+
+
+def _power(a, q):
+    """``a ** q`` in one new array: the one-order case of the shared chain."""
+    [(_, out)] = scaling._powers(a, (q,))
+    return out.copy() if out is a else out
 
 # magnitudes from 1e-70 to 1e70, and a dense run of ordinary ones
 _POWER_BASES = np.concatenate([np.logspace(-70, 70, 4001),
@@ -360,14 +462,14 @@ _PRODUCT_ORDERS = [q / 2.0 for q in range(-8, 9) if q]
 def test_power_by_products_agrees_with_np_power(monkeypatch, q):
     want = np.power(_POWER_BASES, q)
     monkeypatch.setattr(np, "power", None)  # whole and half orders never call it
-    got = scaling._power(_POWER_BASES, q)
+    got = _power(_POWER_BASES, q)
     assert np.all(np.abs(got - want) <= 4 * np.spacing(want))
     if q in (-1.0, 0.5, 1.0, 2.0):
         assert got.tobytes() == want.tobytes()
     monkeypatch.undo()
     zero = np.zeros(3)
     with np.errstate(divide="ignore"):
-        assert np.array_equal(scaling._power(zero, q), np.power(zero, q))
+        assert np.array_equal(_power(zero, q), np.power(zero, q))
 
 
 @pytest.mark.parametrize("q", [0.3, -0.7, 4.5, -5.0, 0.0])
@@ -380,7 +482,7 @@ def test_power_leaves_other_orders_to_np_power(monkeypatch, q):
         return power(a, order)
     monkeypatch.setattr(np, "power", counted)
     with np.errstate(over="ignore"):
-        got = scaling._power(_POWER_BASES, q)
+        got = _power(_POWER_BASES, q)
         want = power(_POWER_BASES, q)
     assert calls == [q]
     assert got.tobytes() == want.tobytes()
@@ -391,12 +493,50 @@ def test_power_makes_one_new_array(q):
     a = np.random.default_rng(32).uniform(0.5, 2.0, 1 << 16)
     tracemalloc.start()
     try:
-        out = scaling._power(a, q)
+        out = _power(a, q)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert out.shape == a.shape and not np.shares_memory(out, a)
     assert peak < 1.1 * a.nbytes
+
+
+@pytest.mark.parametrize("q", _PRODUCT_ORDERS)
+def test_power_keeps_the_reference_product_order(q):
+    want = _ref_power(_POWER_BASES, q)
+    assert _power(_POWER_BASES, q).tobytes() == want.tobytes()
+
+
+# every whole and half order in [-4, 4], and one that goes to np.power
+_CHAIN_ORDERS = [k / 2.0 for k in range(-8, 9)] + [0.3]
+
+
+@pytest.mark.parametrize("name", ["lead", "z"])
+@pytest.mark.parametrize("dt", [1, 3, 7])
+def test_phase_moments_equal_one_power_per_order(name, dt):
+    # z's block sums hold exact zeros, so its negative orders are infinite
+    a = np.abs(block_sums(_ref_series()[1][name], dt))
+    w = scaling._phase_weights(len(a), dt)
+    for p in range(dt):
+        assert np.all(w[p::dt] == 1.0 / (dt * len(a[p::dt])))
+    with np.errstate(divide="ignore"):
+        grid = scaling._phase_moments(a, dt, _CHAIN_ORDERS)
+        for q, moment in zip(_CHAIN_ORDERS, grid, strict=True):
+            want = float(scaling._dot(_power(a, q), w))
+            assert np.float64(moment).tobytes() == np.float64(want).tobytes(), q
+            assert scaling._phase_moments(a, dt, (q,)) == [moment]
+
+
+def test_phase_moments_hold_the_weights_and_two_arrays():
+    a = np.random.default_rng(33).uniform(0.5, 2.0, 1 << 16)
+    tracemalloc.start()
+    try:
+        scaling._phase_moments(a, 5, _CHAIN_ORDERS)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the phase weights, the running product and one scratch array
+    assert peak < 3.1 * a.nbytes
 
 
 def test_mfdfa_projects_on_one_basis_per_size(monkeypatch):
@@ -508,6 +648,25 @@ def test_correlation_scaling_reports_errors_in_scale_order():
 # reference kernels: the plain per-phase and stacked-segment definitions that
 # the whole-array kernels replace. Only the order of the sums differs, so
 # the two agree to rounding.
+
+def _ref_power(a, q):
+    """``a ** q`` by the product rule alone, one order at a time: ``|q|``'s
+    whole part of products of ``a`` (on ``np.sqrt(a)`` for a half order),
+    then a reciprocal for a negative order."""
+    n = 2.0 * abs(q)
+    k, half = divmod(int(n), 2)
+    if half:
+        out = np.sqrt(a)
+    elif k >= 2:
+        out, k = a * a, k - 2
+    else:
+        out, k = a.copy(), 0
+    for _ in range(k):
+        out *= a
+    if q < 0:
+        np.divide(1.0, out, out=out)
+    return out
+
 
 def _ref_phase_moment(a, dt, q):
     return np.mean([np.mean(a[p::dt] ** q) for p in range(dt)])
