@@ -28,7 +28,7 @@ import numpy as np
 
 from .covariance import MultiscaleCovariance, ScaledCovarianceSet, _condition, check_symmetric
 from .errors import DataError, MaxIterationsError, NumericalError, ScaleOneWarning, SensitivitySignWarning
-from .timeseries import _check_scales
+from .timeseries import _check_scales, _integral
 
 MAX_CONDITION = 1e12
 
@@ -372,6 +372,14 @@ class SensitivityReport:
     lagrange_multiplier: float
 
 
+def _asset_index(k, n: int) -> int:
+    """``k`` as an int index into ``n`` assets, or ``ValueError``."""
+    index = _integral(k)
+    if index is None or not 0 <= index < n:
+        raise ValueError(f"asset index {k} outside [0, {n})")
+    return index
+
+
 def sensitivity_to_variance(sigma, k: int, asset_ids=None) -> SensitivityReport:
     """Differentiate the closed-form weights in one diagonal entry.
 
@@ -384,8 +392,7 @@ def sensitivity_to_variance(sigma, k: int, asset_ids=None) -> SensitivityReport:
     """
     m, ids, _ = _as_cov(sigma, asset_ids)
     n = m.shape[0]
-    if not 0 <= k < n:
-        raise ValueError(f"asset index {k} outside [0, {n})")
+    k = _asset_index(k, n)
     inv = np.linalg.inv(m)
     s = inv @ np.ones(n)
     s_total = float(s.sum())
@@ -426,8 +433,7 @@ def sensitivity_to_hurst(cov_set: ScaledCovarianceSet, k: int, dt: int) -> float
     """
     if not isinstance(cov_set, ScaledCovarianceSet):
         raise TypeError("sensitivity_to_hurst reads a ScaledCovarianceSet")
-    if not 0 <= k < cov_set.n_assets:
-        raise ValueError(f"asset index {k} outside [0, {cov_set.n_assets})")
+    k = _asset_index(k, cov_set.n_assets)
     m = cov_set.matrix_at(dt)
     if dt == 1:
         warnings.warn("scale 1 carries no exponent information (ln 1 = 0)",
@@ -446,7 +452,8 @@ def correlation_sensitivity_analytic(sigma, i: int, j: int) -> np.ndarray:
     """
     m, _, _ = _as_cov(sigma)
     n = m.shape[0]
-    if i == j or not (0 <= i < n and 0 <= j < n):
+    i, j = _asset_index(i, n), _asset_index(j, n)
+    if i == j:
         raise ValueError(f"need two distinct indices in [0, {n})")
     inv = np.linalg.inv(m)
     s = inv @ np.ones(n)

@@ -9,10 +9,12 @@ the integrated profile and is robust to polynomial trends; the correlation
 estimator tracks how the dependence between two assets builds up with scale.
 
 Each series' work is done once. A q grid's powers come from one product
-chain, ``_powers``, in the operation order of each order taken alone. Every
-pair of a panel comes from one pass, ``correlation_scalings``, which takes
-each series' prefix sum, first absolute moments and per-phase centred block
-sums once and leaves each pair two dot products per phase.
+chain, ``_powers``, in the operation order of each order taken alone. One
+kernel, ``_scale_moments``, reads a scale's ``|block sums|`` from the prefix
+sum and averages their moments over the phases, for spectra and pairs alike.
+Every pair of a panel comes from one pass, ``correlation_scalings``, which
+leaves each pair two dot products per phase; a pair raises at its earliest
+failing scale, a too-short one included.
 """
 from __future__ import annotations
 
@@ -25,7 +27,6 @@ import numpy as np
 from .errors import DataError
 from .timeseries import (
     ReturnPanel,
-    _block_sums_each,
     _check_phase_rows,
     _check_scales,
     _integral,
@@ -70,11 +71,19 @@ def _abs_moments(x, q_grid, scales):
     scales = _check_scales(scales)
     for dt in scales:
         _check_phase_rows(len(x), dt)
-    moments = np.empty((len(scales), len(q_grid)))
-    for si, (dt, b) in enumerate(zip(scales, _block_sums_each(x, scales))):
-        # a scale's block sums are a new array, but scale 1's are x itself
-        moments[si] = _phase_moments(np.abs(b, out=None if b is x else b), dt, q_grid)
-    return scales, moments
+    c = _prefix_sum(x)
+    return scales, np.array([_scale_moments(x, c, dt, q_grid) for dt in scales])
+
+
+def _scale_moments(x, c, dt, q_grid):
+    """``_phase_moments`` of ``|block_sums(x, dt)|``, read from ``x``'s prefix
+    sum ``c`` (None at scale 1) and made absolute in place above scale 1."""
+    if dt == 1:
+        a = np.abs(x)
+    else:
+        a = np.subtract(c[dt:], c[:-dt])
+        np.abs(a, out=a)
+    return _phase_moments(a, dt, q_grid)
 
 
 def _dot(u, v):
@@ -136,7 +145,8 @@ def _phase_weights(n, dt):
     ``1 / (dt * n_p)``. At ``dt = 1`` this is a view with stride 0."""
     m, r = divmod(n, dt)
     w_p = 1.0 / (dt * np.array([m + 1] * r + [m] * (dt - r), dtype=float))
-    return np.broadcast_to(w_p, (m + (r > 0), dt)).reshape(-1)[:n]
+    # np.tile copies whole rows; a reshaped broadcast is ten times slower at dt = 2
+    return np.broadcast_to(w_p, n) if dt == 1 else np.tile(w_p, m + (r > 0))[:n]
 
 
 def _phase_moments(a, dt, q_grid):
@@ -426,7 +436,8 @@ def correlation_scalings(panel: ReturnPanel, pairs,
     Argument errors come first: a panel of another type, a pair of one
     asset, an unknown asset, bad scales. A ``DataError`` is the one a
     pair-by-pair loop would raise: that of the first failing pair in
-    ``pairs``' order, at its first failing scale.
+    ``pairs``' order, at its first failing scale in ``scales``' order. A
+    scale that leaves too few blocks per phase fails every pair there.
     """
     if not isinstance(panel, ReturnPanel):
         raise TypeError("correlation scaling needs a ReturnPanel")
@@ -436,77 +447,54 @@ def correlation_scalings(panel: ReturnPanel, pairs,
     cols = {a: panel.column(a) for pair in pairs for a in pair}
     scales = _check_scales(scales)
     n = panel.n_periods
-    # every pair meets the first scale that leaves too few blocks per phase,
-    # unless it fails before it
-    rows_error, usable = None, len(scales)
-    for si, dt in enumerate(scales):
-        try:
-            _check_phase_rows(n, dt)
-        except DataError as exc:
-            rows_error, usable = exc, si
-            break
     # per pair and scale: rho, the raw cross moment and each series' first
     # absolute moment (its q = 1 structure function), one curve per column
     curves = np.empty((len(pairs), len(scales), 4))
-    failed = {}  # pair -> (scale index, DataError) of its first zero-variance phase
+    # (pair index, scale index) -> the DataError of that pair's first failing
+    # phase at that scale, or of a scale too short for every pair
+    failed = {}
     prefix = {}
     # scale 1 goes first, before any prefix sum exists, so the full-length
     # centred copies it makes never sit beside the prefix sums
-    for si in sorted(range(usable), key=lambda si: scales[si] != 1):
+    for si in sorted(range(len(scales)), key=lambda si: scales[si] != 1):
         dt = scales[si]
-        live = [k for k in range(len(pairs)) if k not in failed or si < failed[k][0]]
-        names = list(dict.fromkeys(a for k in live for a in pairs[k]))
+        try:
+            _check_phase_rows(n, dt)
+        except DataError as exc:
+            failed.update(((k, si), exc) for k in range(len(pairs)))
+            continue
         first = {}
-        for a in names:
-            if dt == 1:
-                b = np.abs(cols[a])
-            else:
-                if a not in prefix:
-                    prefix[a] = _prefix_sum(cols[a])
-                b = np.subtract(prefix[a][dt:], prefix[a][:-dt])
-                np.abs(b, out=b)
-            [first[a]] = _phase_moments(b, dt, (1.0,))
-            del b
-        rho_p = {k: [] for k in live}
-        cross_p = {k: [] for k in live}
+        for a, x in cols.items():
+            if dt > 1 and a not in prefix:
+                prefix[a] = _prefix_sum(x)
+            [first[a]] = _scale_moments(x, prefix.get(a), dt, (1.0,))
+        rho, cross = np.zeros((2, len(pairs), dt))
         for p in range(dt):
             # the phase's block sums, from the prefix sum as contiguous arrays
-            blocks = {a: cols[a] if dt == 1 else prefix[a][p + dt::dt] - prefix[a][p:n - dt + 1:dt]
-                      for a in names}
-            for k in live:
-                i, j = pairs[k]
-                cross_p[k].append(_dot(blocks[i], blocks[j]) / len(blocks[i]))
-            centred = {}
-            for a, b in blocks.items():
-                mean = b.mean()
-                # centred in place, but never the panel's own column
-                centred[a] = b - mean if dt == 1 else np.subtract(b, mean, out=b)
+            blocks = {a: x if dt == 1 else prefix[a][p + dt::dt] - prefix[a][p:n - dt + 1:dt]
+                      for a, x in cols.items()}
+            for k, (i, j) in enumerate(pairs):
+                cross[k, p] = _dot(blocks[i], blocks[j]) / len(blocks[i])
+            # centred in place, but never the panel's own column; built by a
+            # comprehension, so no block stays bound into the next scale
+            centred = {a: b - b.mean() if dt == 1 else np.subtract(b, b.mean(), out=b)
+                       for a, b in blocks.items()}
             del blocks
             ss = {a: _dot(c, c) for a, c in centred.items()}
-            for k in live:
-                i, j = pairs[k]
+            for k, (i, j) in enumerate(pairs):
                 if ss[i] == 0.0 or ss[j] == 0.0:
-                    if k not in failed or si < failed[k][0]:
-                        failed[k] = (si, DataError(
-                            f"asset {i if ss[i] == 0.0 else j!r} has zero variance at "
-                            f"scale {dt}, phase {p} in pair {i}~{j}; correlation undefined"))
-                    continue
-                rho_p[k].append(_dot(centred[i], centred[j])
-                                / (math.sqrt(ss[i]) * math.sqrt(ss[j])))
+                    failed.setdefault((k, si), DataError(
+                        f"asset {i if ss[i] == 0.0 else j!r} has zero variance at "
+                        f"scale {dt}, phase {p} in pair {i}~{j}; correlation undefined"))
+                else:
+                    rho[k, p] = (_dot(centred[i], centred[j])
+                                 / (math.sqrt(ss[i]) * math.sqrt(ss[j])))
             del centred
-        for k in live:
-            if k not in failed:
-                i, j = pairs[k]
-                curves[k, si] = (np.mean(rho_p[k]), np.mean(cross_p[k]), first[i], first[j])
-
-    out = []
-    for k, pair in enumerate(pairs):
-        if k in failed:
-            raise failed[k][1]
-        if rows_error is not None:
-            raise rows_error
-        out.append(_pair_fit(pair, scales, curves[k]))
-    return out
+        for k, (i, j) in enumerate(pairs):
+            curves[k, si] = (rho[k].mean(), cross[k].mean(), first[i], first[j])
+    if failed:
+        raise failed[min(failed)]
+    return [_pair_fit(pair, scales, curves[k]) for k, pair in enumerate(pairs)]
 
 
 def _pair_fit(pair, scales, curves) -> CorrelationScaling:

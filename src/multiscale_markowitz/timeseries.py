@@ -441,8 +441,16 @@ def block_sums(x: np.ndarray, dt: int) -> np.ndarray:
     Works along axis 0 of a 1-D or 2-D array and yields ``len(x) - dt + 1``
     rows, all start indices (overlapping blocks); rows ``phase::dt`` are the
     non-overlapping blocks at that phase. ``dt = 1`` returns ``x`` itself.
+    A ``dt`` that is not a positive integer, or that exceeds ``len(x)``, is
+    a ``ValueError``.
     """
-    return next(_block_sums_each(x, (dt,)))
+    [dt] = _check_scales((dt,))
+    if dt > len(x):
+        raise ValueError(f"scale {dt} is longer than the {len(x)} rows to sum")
+    if dt == 1:
+        return x
+    c = _prefix_sum(x)
+    return c[dt:] - c[:-dt]
 
 
 def _prefix_sum(x: np.ndarray) -> np.ndarray:
@@ -452,15 +460,6 @@ def _prefix_sum(x: np.ndarray) -> np.ndarray:
     c[0] = 0.0
     np.cumsum(x, axis=0, out=c[1:])
     return c
-
-
-def _block_sums_each(x: np.ndarray, scales):
-    """``block_sums(x, dt)`` for each ``dt`` in turn, from one prefix sum."""
-    c = None
-    for dt in scales:
-        if c is None and dt > 1:
-            c = _prefix_sum(x)
-        yield x if dt == 1 else c[dt:] - c[:-dt]
 
 
 def min_phase_rows(n_rows: int, dt: int, aggregation: str = MODE_NONOVERLAPPING) -> int:

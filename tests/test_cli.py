@@ -10,6 +10,7 @@ import os
 import re
 import shlex
 import stat
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -66,14 +67,24 @@ def test_help_exits_zero(capsys):
 
 def test_ci_workflow_msmark_commands_exit_zero(capsys, workdir):
     # the workflow's installed-command step, run here through main(argv)
-    # so a CLI change that breaks it fails in tier-1 first
-    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    # so a CLI change that breaks it fails in tier-1 first; its python -c
+    # checks run in order, after the msmark lines that write their files
+    root = Path(__file__).resolve().parents[1]
+    workflow = root / ".github" / "workflows" / "tests.yml"
     step = workflow.read_text().split("- name: Installed msmark command\n", 1)[1]
     step = step.split("- name:", 1)[0]
-    lines = [s.strip() for s in step.splitlines() if s.strip().startswith("msmark ")]
-    assert lines
+    lines = [s.strip() for s in step.splitlines()
+             if s.strip().startswith(("msmark ", "python -c "))]
+    assert [line for line in lines if line.startswith("python")]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     for line in lines:
-        code, _, err = _run(capsys, shlex.split(line)[1:])
+        argv = shlex.split(line)
+        if argv[0] == "python":
+            run = subprocess.run([sys.executable] + argv[1:], cwd=workdir, env=env,
+                                 capture_output=True, text=True)
+            assert run.returncode == 0, (line, run.stderr)
+            continue
+        code, _, err = _run(capsys, argv[1:])
         assert code == EXIT_OK, (line, err)
 
 

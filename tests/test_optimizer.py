@@ -684,6 +684,28 @@ def test_hurst_sensitivity_checks_asset_index_at_every_scale(k, dt):
         sensitivity_to_hurst(cs, k, dt)
 
 
+@pytest.mark.parametrize("k", [1.5, np.nan, "1", None])
+def test_sensitivities_refuse_a_non_integer_asset_index(k):
+    cs = _set_for((np.eye(3) * 1e-4, np.eye(3) * 2.1e-3), (1, 21), ("a", "b", "c"))
+    message = rf"asset index {k} outside \[0, 3\)"
+    for call in (lambda: sensitivity_to_variance(np.eye(3), k),
+                 lambda: sensitivity_to_hurst(cs, k, 21),
+                 lambda: correlation_sensitivity_analytic(np.eye(3), 0, k),
+                 lambda: correlation_sensitivity_analytic(np.eye(3), k, 0)):
+        with pytest.raises(ValueError, match=message):
+            call()
+
+
+def test_sensitivities_read_a_whole_index_as_an_int():
+    cs = _set_for((np.eye(3) * 1e-4, np.eye(3) * 2.1e-3), (1, 21), ("a", "b", "c"))
+    assert sensitivity_to_variance(np.eye(3), 1.0).k == 1
+    assert sensitivity_to_hurst(cs, True, 21) == sensitivity_to_hurst(cs, 1, 21)
+    assert np.array_equal(correlation_sensitivity_analytic(np.eye(3), 0, 1.0),
+                          correlation_sensitivity_analytic(np.eye(3), 0, 1))
+    with pytest.raises(ValueError, match="need two distinct indices"):
+        correlation_sensitivity_analytic(np.eye(3), 1, 1.0)
+
+
 def test_hurst_sensitivity_matches_finite_difference():
     rng = np.random.default_rng(14)
     m21 = random_pd_matrix(rng, 3, scale=0.01)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gen_stable_iid
+from conftest import gen_stable_iid, peak_traced_bytes
 from multiscale_markowitz import scaling
 from multiscale_markowitz.errors import DataError
 from multiscale_markowitz.scaling import (
@@ -525,6 +525,26 @@ def test_phase_moments_equal_one_power_per_order(name, dt):
             want = float(scaling._dot(_power(a, q), w))
             assert np.float64(moment).tobytes() == np.float64(want).tobytes(), q
             assert scaling._phase_moments(a, dt, (q,)) == [moment]
+
+
+@pytest.mark.parametrize("dt", [1, 2, 5, 21])
+def test_phase_weights_follow_their_definition(dt):
+    # row k weighs 1 / (dt * n_p), n_p the rows of its phase p = k % dt
+    n = 1003
+    w = scaling._phase_weights(n, dt)
+    want = [1.0 / (dt * len(range(k % dt, n, dt))) for k in range(n)]
+    assert w.shape == (n,)
+    assert w.tobytes() == np.array(want).tobytes()
+    if dt == 1:
+        assert w.strides == (0,)
+
+
+def test_structure_spectrum_holds_five_series_of_scratch():
+    # the prefix sum, one scale's |block sums|, the phase weights and the
+    # product chain's two arrays; a scale's block sums are dropped before
+    # the next scale's are made
+    x = gen_fgn(1 << 16, hurst=0.7, seed=7).returns[:, 0].copy()
+    assert peak_traced_bytes(structure_spectrum, x) < 5.5 * x.nbytes
 
 
 def test_phase_moments_hold_the_weights_and_two_arrays():

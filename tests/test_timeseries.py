@@ -579,6 +579,24 @@ def test_aggregate_dt_one_is_identity():
     assert block_sums(x, 1) is x
 
 
+@pytest.mark.parametrize("dt, message", [
+    (0, "scales must be positive integers, got 0"),
+    (-1, "scales must be positive integers, got -1"),
+    (2.5, "scales must be positive integers, got 2.5"),
+    (None, "scales must be positive integers, got None"),
+    (6, "scale 6 is longer than the 5 rows to sum"),
+])
+def test_block_sums_refuse_a_bad_scale(dt, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        block_sums(np.arange(5.0), dt)
+
+
+def test_block_sums_take_a_whole_float_scale():
+    x = np.arange(5.0)
+    assert np.array_equal(block_sums(x, 2.0), block_sums(x, 2))
+    assert np.array_equal(block_sums(x, 5), [10.0])
+
+
 def test_aggregate_sums_equal_total_when_blocks_tile():
     # log returns are additive, so tiling blocks preserve the total
     rng = np.random.default_rng(3)
