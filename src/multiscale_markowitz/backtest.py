@@ -17,6 +17,7 @@ from .covariance import METHOD_L1, METHOD_PRODUCT, _check_ridge, build_covarianc
 from .errors import DataError, MultiscaleError, NumericalError
 from .optimizer import PortfolioWeights, max_sharpe, min_variance_closed_form, min_variance_long_only
 from .timeseries import (
+    DEFAULT_SCALES,
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
     ReturnPanel,
@@ -58,7 +59,6 @@ _PAIRS = (
 
 DEFAULT_LOOKBACK = 125
 DEFAULT_REBALANCE = 21
-DEFAULT_SCALES = (1, 2, 5, 10, 21)
 
 
 @dataclass(frozen=True)

@@ -340,8 +340,6 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
-    if isinstance(obj, np.datetime64):
-        return str(obj)
     if isinstance(obj, (np.floating, np.integer)):
         obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):

@@ -26,6 +26,7 @@ import numpy as np
 
 from .errors import DataError
 from .timeseries import (
+    DEFAULT_SCALES,
     ReturnPanel,
     _check_phase_rows,
     _check_scales,
@@ -33,7 +34,6 @@ from .timeseries import (
     _prefix_sum,
 )
 
-DEFAULT_SCALES = (1, 2, 5, 10, 21)
 DEFAULT_Q_GRID = (-4.0, -3.0, -2.0, -1.0, 1.0, 2.0, 3.0, 4.0)
 
 

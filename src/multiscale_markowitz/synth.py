@@ -12,12 +12,10 @@ import numpy as np
 
 from .covariance import check_symmetric
 from .errors import CalibrationFailure, DataError, NumericalError
-from .timeseries import ReturnPanel, _integral, panel_from_returns
+from .scaling import _loglog_fit
+from .timeseries import DEFAULT_SCALES, ReturnPanel, _integral, panel_from_returns
 
 _MASK64 = (1 << 64) - 1
-
-# the scales over which an epps pair's correlation slope is calibrated
-EPPS_SCALES = (1, 2, 5, 10, 21)
 
 
 def split_seed(seed: int, index: int) -> int:
@@ -168,18 +166,17 @@ def _epps_curves(thetas: np.ndarray, noise_var: float, scales) -> np.ndarray:
 def calibrate_epps(rho_inf: float, h_rho: float) -> float:
     """Find the lag persistence whose correlation curve has slope ``h_rho``.
 
-    The slope is measured on log correlation vs log scale over
-    ``EPPS_SCALES``, matching how the estimator will read it back.
-    Deterministic grid search with one refinement pass; each grid of 400
-    persistences is evaluated and fitted in one array pass. Raises
+    The slope of log correlation against log scale over ``DEFAULT_SCALES``
+    comes from ``scaling._loglog_fit``, the fit the estimator reads it back
+    with. Deterministic grid search with one refinement pass; each grid of
+    400 persistences is evaluated and fitted in one array pass. Raises
     ``CalibrationFailure`` (reporting the nearest achievable pair) when no
     persistence gets within 0.02.
     """
     noise_var = 1.0 / rho_inf - 1.0
-    scales = np.asarray(EPPS_SCALES, dtype=float)
 
     def fit_slopes(thetas):
-        return np.polyfit(np.log(scales), np.log(_epps_curves(thetas, noise_var, scales)).T, 1)[0]
+        return _loglog_fit(DEFAULT_SCALES, np.log(_epps_curves(thetas, noise_var, DEFAULT_SCALES)).T)[0]
 
     grid = np.linspace(0.0, 0.995, 400)
     slopes = fit_slopes(grid)
@@ -203,7 +200,8 @@ def gen_epps(n: int, rho_inf: float = 0.6, h_rho: float = 0.3, seed: int = 0,
     """Two-asset panel whose correlation grows with the observation scale.
 
     ``rho_inf`` is the long-block correlation ceiling; ``h_rho`` the target
-    log-log slope of correlation against scale over ``EPPS_SCALES``. Both
+    log-log slope of correlation against scale, fitted by
+    ``scaling._loglog_fit`` over ``DEFAULT_SCALES``. Both
     assets are unit-variance white at scale one with shared dependence
     hidden in the lag structure, so their own scaling stays diffusive.
     """

@@ -410,8 +410,7 @@ def to_price_series(panel: ReturnPanel, initial: float = 100.0) -> PriceSeries:
     """
     if initial <= 0:
         raise ValueError("initial price must be positive")
-    log_path = np.vstack([np.zeros(panel.n_assets), np.cumsum(panel.returns, axis=0)])
-    prices = initial * np.exp(log_path)
+    prices = initial * np.exp(_prefix_sum(panel.returns))
     ts = np.concatenate([[panel.timestamps[0] - np.timedelta64(1, "D")], panel.timestamps])
     return PriceSeries(panel.asset_ids, ts, prices)
 
@@ -492,6 +491,10 @@ def _integral(value) -> int | None:
         return int(value) if int(value) == value else None
     except (TypeError, ValueError, OverflowError):
         return None
+
+
+# the scales, in periods, of scaling estimates, backtests and the lead-lag calibration
+DEFAULT_SCALES = (1, 2, 5, 10, 21)
 
 
 def _check_scales(scales) -> tuple[int, ...]:

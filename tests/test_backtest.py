@@ -161,6 +161,12 @@ def test_periods_per_year_must_be_a_whole_number(periods):
         metrics([1.0, 1.01, 0.99, 1.02], periods_per_year=periods)
 
 
+@pytest.mark.parametrize("periods", [0, -252])
+def test_config_refuses_periods_per_year_below_one(periods):
+    with pytest.raises(ValueError, match="^periods_per_year must be positive$"):
+        BacktestConfig(periods_per_year=periods)
+
+
 @pytest.mark.parametrize("risk_free", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_risk_free(risk_free):
     with pytest.raises(ValueError, match="risk_free must be finite"):

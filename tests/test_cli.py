@@ -895,6 +895,36 @@ def test_config_bad_line_is_usage_error(capsys, workdir):
     assert "line 1" in err
 
 
+def test_config_skips_comment_only_and_blank_lines(capsys, workdir):
+    cfg = workdir / "sim.cfg"
+    cfg.write_text("# a white-noise panel\nkind = gaussian_iid\n\n   \nn = 64\n  # seeded\nseed = 11\n")
+    code, out, _ = _run(capsys, ["simulate", "--config", str(cfg)])
+    assert code == EXIT_OK
+    assert (workdir / "gaussian_iid_64_11.csv").exists()
+
+
+@pytest.mark.parametrize("name", ["missing.cfg", "."])
+def test_unreadable_config_is_a_data_error(capsys, workdir, name):
+    code, _, err = _run(capsys, ["simulate", "--config", name])
+    assert code == EXIT_DATA
+    assert f"cannot read config {name}: " in err
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    ("simulate", "--sigma", "abc", "expected a number, got 'abc'"),
+    ("estimate", "--pairs", "maybe", "expected a boolean, got 'maybe'"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_value_its_cast_refuses_is_a_usage_error(capsys, parsed, workdir, command, flag, value,
+                                                   message, source):
+    cfg = workdir / "opts.cfg"
+    cfg.write_text(f"{flag[2:]} = {value}\n")
+    given = [f"{flag}={value}"] if source == "flag" else ["--config", str(cfg)]
+    code, _ = parsed([command, *_INPUT[command], *given])
+    assert code == EXIT_USAGE
+    assert f"msmark {command}: error: argument {flag}: {message}" in capsys.readouterr().err
+
+
 # A sample value for every option of every subcommand. A config line
 # ``key = value`` and the flag ``--key=value`` must parse to the same
 # value, through the one argparse path.

@@ -806,6 +806,48 @@ def test_target_curve_refuses_targets_that_are_not_positive_and_finite(targets, 
         check_target_curve(np.array([0.5, 0.5]), cs, **targets)
 
 
+@pytest.mark.parametrize("weights, targets, message", [
+    (np.array([0.5, 0.5]), {"sigma_target_daily": 0.01},
+     r"need sigma_target_daily and hurst_target, or a target_table"),
+    (np.array([0.5, 0.5]), {"hurst_target": 0.5},
+     r"need sigma_target_daily and hurst_target, or a target_table"),
+    (np.array([0.5, 0.5]), {"sigma_target_daily": 0.01, "hurst_target": 1.0},
+     r"hurst_target=1.0 outside \(0, 1\)"),
+    (np.array([0.5, 0.5]), {"sigma_target_daily": 0.01, "hurst_target": 0.0},
+     r"hurst_target=0.0 outside \(0, 1\)"),
+    (np.array([0.2, 0.3, 0.5]), {"sigma_target_daily": 0.01, "hurst_target": 0.5},
+     r"weights shape \(3,\) does not match 2 assets"),
+    (np.array([[0.5, 0.5]]), {"sigma_target_daily": 0.01, "hurst_target": 0.5},
+     r"weights shape \(1, 2\) does not match 2 assets"),
+])
+def test_target_curve_refuses_a_missing_target_a_bad_exponent_and_misshapen_weights(
+        weights, targets, message):
+    sig1 = np.eye(2) * 1e-4
+    cs = _set_for((sig1, 5.0 * sig1), (1, 5), ("x", "y"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_target_curve(weights, cs, **targets)
+
+
+@pytest.mark.parametrize("weights, long_only, message", [
+    ([0.5, 0.3, 0.2], False, r"weights shape \(3,\) does not match 2 assets"),
+    ([np.nan, 1.0], False, r"weights must be finite"),
+    ([0.5, np.inf], False, r"weights must be finite"),
+    # the reprs of numpy scalars: NumPy 2 wraps them as np.float64(...)
+    ([0.5, 0.5 + 2e-10], False, r"weights sum to (np\.float64\()?1\.0000000002\)?, not 1"),
+    ([1.5, -0.5], True, r"long-only weights contain (np\.float64\()?-0\.5\)?"),
+])
+def test_portfolio_weights_refuses_shape_non_finite_budget_and_short_weights(
+        weights, long_only, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        optimizer.PortfolioWeights(("x", "y"), weights, "test", long_only)
+
+
+def test_portfolio_weights_keeps_a_budget_within_tolerance_and_shorts_when_allowed():
+    w = optimizer.PortfolioWeights(("x", "y"), [1.5, -0.5 + 5e-11], "test", False)
+    assert w.as_dict() == {"x": 1.5, "y": -0.5 + 5e-11}
+    assert not w.weights.flags.writeable
+
+
 def test_target_curve_ratio_definition():
     sig1 = np.eye(2) * 1e-4
     cs = _set_for((sig1,), (1,), ("x", "y"))

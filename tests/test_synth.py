@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import gen_stable_iid
-from multiscale_markowitz import synth
+from multiscale_markowitz import scaling, synth
 from multiscale_markowitz.errors import CalibrationFailure, DataError, NumericalError
 from multiscale_markowitz.synth import (
     calibrate_epps,
@@ -20,7 +20,7 @@ from multiscale_markowitz.synth import (
     gen_regime_switch,
     split_seed,
 )
-from multiscale_markowitz.timeseries import block_sums
+from multiscale_markowitz.timeseries import DEFAULT_SCALES, block_sums
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +70,31 @@ def test_generators_refuse_a_sigma_whose_square_is_not_positive_and_finite(make,
     # 1e200 squared overflows, where float ** raises; 1e-200 squared is 0
     with pytest.raises(ValueError, match=re.escape(f"sigma_daily={sigma} has a square that")):
         make(sigma)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: constant_correlation_cov(0, 0.1), ValueError, r"n_assets must be >= 1"),
+    (lambda: gen_correlated(15, np.eye(2) * 1e-4), DataError, r"n=15 too short, need >= 16"),
+    (lambda: gen_epps(15), DataError, r"n=15 too short, need >= 16"),
+    (lambda: gen_regime_switch(15), DataError, r"n=15 too short, need >= 16"),
+    (lambda: gen_epps(64, rho_inf=0.0), ValueError, r"rho_inf=0.0 outside \(0, 1\]"),
+    (lambda: gen_epps(64, rho_inf=1.5), ValueError, r"rho_inf=1.5 outside \(0, 1\]"),
+    (lambda: gen_epps(64, h_rho=0.0), ValueError, r"h_rho=0.0 outside \(0, 1\)"),
+    (lambda: gen_epps(64, h_rho=1.0), ValueError, r"h_rho=1.0 outside \(0, 1\)"),
+    (lambda: gen_regime_switch(64, sigma_low=(0.01, 0.02), sigma_high=(0.03, 0.04, 0.05)),
+     ValueError, r"sigma_low/sigma_high lengths disagree with n_assets"),
+    (lambda: gen_multifractal(64, intermittency=0.0), ValueError,
+     r"intermittency=0.0 outside \(0, 0.5\]"),
+    (lambda: gen_multifractal(64, intermittency=0.6), ValueError,
+     r"intermittency=0.6 outside \(0, 0.5\]"),
+    (lambda: gen_multifractal(64, hurst_base=0.0), ValueError,
+     r"hurst_base=0.0 outside \(0, 1\)"),
+    (lambda: gen_multifractal(64, hurst_base=1.0), ValueError,
+     r"hurst_base=1.0 outside \(0, 1\)"),
+])
+def test_generators_refuse_a_short_sample_and_parameters_out_of_range(make, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        make()
 
 
 # ---------------------------------------------------------------------------
@@ -309,13 +334,13 @@ def _reference_epps_curve(theta, noise_var, scales):
 
 
 def _reference_slopes(thetas, noise_var, scales):
-    # one np.polyfit per theta, as the calibration fitted before the grid pass
-    return np.array([np.polyfit(np.log(scales), np.log(_reference_epps_curve(t, noise_var, scales)),
-                                1)[0] for t in thetas])
+    # one log-log fit per theta, as the calibration fitted before the grid pass
+    log_curves = [np.log(_reference_epps_curve(t, noise_var, scales)) for t in thetas]
+    return np.array([scaling._loglog_fit(scales, c[:, None])[0][0] for c in log_curves])
 
 
 @pytest.mark.parametrize("rho_inf", [0.05, 0.6, 1.0])
-@pytest.mark.parametrize("scales", [synth.EPPS_SCALES, (1, 3, 100, 1000)])
+@pytest.mark.parametrize("scales", [DEFAULT_SCALES, (1, 3, 100, 1000)])
 def test_epps_curve_matches_per_scale_reference(rho_inf, scales):
     noise_var = 1.0 / rho_inf - 1.0
     grid_scales = np.asarray(scales, dtype=float)
@@ -328,7 +353,7 @@ def test_epps_curve_matches_per_scale_reference(rho_inf, scales):
 def test_calibrate_epps_matches_per_theta_reference():
     # bit for bit, or the same failure; the reference's 800 scalar fits per
     # call cost about 0.1 s, so it runs on every tenth pair of the 20 x 25 grid
-    scales = np.asarray(synth.EPPS_SCALES, dtype=float)
+    scales = np.asarray(DEFAULT_SCALES, dtype=float)
     grid = np.linspace(0.0, 0.995, 400)
     outcomes = set()
     for a, rho_inf in enumerate(np.linspace(0.05, 1.0, 20)):
