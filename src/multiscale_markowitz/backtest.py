@@ -7,6 +7,7 @@ results are invariant to anything that happens after the last fit date.
 """
 from __future__ import annotations
 
+import contextvars
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -162,20 +163,43 @@ class BacktestReport:
     performance: PerformanceMetrics
 
 
+# the covariance sets a ``compare`` row shares with the other rows of its
+# group: the compared panel and the group's sets keyed by their build
+# arguments, or None outside ``compare`` and for a row that shares none
+_SHARED_SETS = contextvars.ContextVar("_SHARED_SETS", default=None)
+
+
+def _covariance_set(window, scales, method, aggregation, l1_joint):
+    """``build_covariance_set`` of ``window``, built once per shared group of a ``compare``."""
+    shared = _SHARED_SETS.get()
+    if shared is None or not np.may_share_memory(window.returns, shared[0].returns):
+        return build_covariance_set(window, scales, method=method, aggregation=aggregation,
+                                    l1_joint=l1_joint)
+    # a window of the compared panel is named by its first date and length
+    key = (window.timestamps[0], window.n_periods, tuple(scales), method, aggregation, l1_joint)
+    sets = shared[1]
+    if key not in sets:
+        sets[key] = build_covariance_set(window, scales, method=method, aggregation=aggregation,
+                                         l1_joint=l1_joint)
+    return sets[key]
+
+
 def fit(window, objective, scales, method, aggregation, ridge, risk_free,
         l1_joint=False, long_only=True, mu_target=None):
     """Weights for ``objective`` (``None``: equal weights) on ``window``, and their blend.
 
     The one place that builds the covariance set, blends it and picks a solver;
     ``mu_target`` floors the long-only minimum variance and nothing else.
+    Inside ``compare`` a set may come from another row's fit of the same
+    window; the blend and the solve are this call's own.
     """
     if objective is None:
         n = window.n_assets
         return PortfolioWeights(window.asset_ids, np.full(n, 1.0 / n), "equal", long_only=True), None
     if objective not in OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; choose from {OBJECTIVES}")
-    blended = multiscale_cov(build_covariance_set(
-        window, scales, method=method, aggregation=aggregation, l1_joint=l1_joint), ridge=ridge)
+    blended = multiscale_cov(_covariance_set(window, scales, method, aggregation, l1_joint),
+                             ridge=ridge)
     mu = None if objective == MIN_VARIANCE and mu_target is None else window.returns.mean(axis=0)
     if objective == MAX_SHARPE:
         return max_sharpe(blended, mu, risk_free=risk_free, long_only=long_only), blended
@@ -314,24 +338,56 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
+def _shared_signature(cfg: BacktestConfig):
+    """The arguments that decide every covariance set of a row, or None for equal weights."""
+    if _STRATEGY_TABLE[cfg.strategy].objective is None:
+        return None
+    return (cfg.lookback, cfg.rebalance_every, cfg.effective_scales,
+            cfg.covariance_method, cfg.aggregation)
+
+
 def compare(panel: ReturnPanel, configs) -> ComparisonTable:
     """Run several configurations and tabulate their metrics.
 
     Each row is named by ``display_name``. A strategy that fails outright
     contributes an error row rather than sinking the table.
+
+    Rows with the same lookback, rebalancing, effective scales, covariance
+    method and aggregation fit the same covariance set on each window, so
+    such a group builds each set once: in the standard lineup with Sharpe
+    rows, the daily minimum-variance and max-Sharpe rows share, and so do
+    the two multiscale rows of each aggregation. A daily row never shares
+    with a multiscale one. Each row still blends its set and solves its own
+    QP, and its report is the one ``run_backtest`` gives alone; a reused set
+    emits no second ``DegenerateAssetWarning``. A group holds
+    windows × scales × n² × 8 bytes of sets until its last row ends.
     """
+    configs = list(configs)
+    signatures = [_shared_signature(cfg) for cfg in configs]
+    shared = {sig: {} for sig in signatures if sig is not None and signatures.count(sig) > 1}
+    last = {sig: i for i, sig in enumerate(signatures) if sig in shared}
     rows = []
     reports = []
-    for cfg in configs:
-        name = display_name(cfg)
-        try:
-            rep = run_backtest(panel, cfg)
-        except MultiscaleError as exc:
-            rows.append(TableRow(name, None, None, None,
-                                 error=f"{type(exc).__name__}: {exc}"))
-            reports.append(None)
-            continue
-        perf = rep.performance
-        rows.append(TableRow(name, perf.sharpe, perf.sortino, perf.max_drawdown))
-        reports.append(rep)
+    try:
+        for i, (cfg, sig) in enumerate(zip(configs, signatures)):
+            name = display_name(cfg)
+            sets = shared.get(sig)
+            token = _SHARED_SETS.set(None if sets is None else (panel, sets))
+            try:
+                rep = run_backtest(panel, cfg)
+            except MultiscaleError as exc:
+                rows.append(TableRow(name, None, None, None,
+                                     error=f"{type(exc).__name__}: {exc}"))
+                reports.append(None)
+                continue
+            finally:
+                _SHARED_SETS.reset(token)
+                if last.get(sig) == i:
+                    sets.clear()
+            perf = rep.performance
+            rows.append(TableRow(name, perf.sharpe, perf.sortino, perf.max_drawdown))
+            reports.append(rep)
+    finally:
+        for group in shared.values():
+            group.clear()
     return ComparisonTable(tuple(rows), tuple(reports))

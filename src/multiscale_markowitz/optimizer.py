@@ -67,9 +67,9 @@ class PortfolioWeights:
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
         if abs(w.sum() - 1.0) > _BUDGET_TOL:
-            raise ValueError(f"weights sum to {w.sum()!r}, not 1")
+            raise ValueError(f"weights sum to {float(w.sum())}, not 1")
         if self.long_only and w.min() < -_BOUND_TOL:
-            raise ValueError(f"long-only weights contain {w.min()!r}")
+            raise ValueError(f"long-only weights contain {float(w.min())}")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "asset_ids", ids)

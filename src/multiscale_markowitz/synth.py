@@ -163,6 +163,14 @@ def _epps_curves(thetas: np.ndarray, noise_var: float, scales) -> np.ndarray:
     return out
 
 
+def _check_epps(rho_inf, h_rho):
+    """Refuse a correlation ceiling outside (0, 1] or a decay exponent outside (0, 1), NaN included."""
+    if not 0.0 < rho_inf <= 1.0:
+        raise ValueError(f"rho_inf={rho_inf} outside (0, 1]")
+    if not 0.0 < h_rho < 1.0:
+        raise ValueError(f"h_rho={h_rho} outside (0, 1)")
+
+
 def calibrate_epps(rho_inf: float, h_rho: float) -> float:
     """Find the lag persistence whose correlation curve has slope ``h_rho``.
 
@@ -171,8 +179,10 @@ def calibrate_epps(rho_inf: float, h_rho: float) -> float:
     with. Deterministic grid search with one refinement pass; each grid of
     400 persistences is evaluated and fitted in one array pass. Raises
     ``CalibrationFailure`` (reporting the nearest achievable pair) when no
-    persistence gets within 0.02.
+    persistence gets within 0.02. Arguments outside ``gen_epps``'s ranges
+    raise ``ValueError`` with its messages.
     """
+    _check_epps(rho_inf, h_rho)
     noise_var = 1.0 / rho_inf - 1.0
 
     def fit_slopes(thetas):
@@ -207,10 +217,7 @@ def gen_epps(n: int, rho_inf: float = 0.6, h_rho: float = 0.3, seed: int = 0,
     """
     if n < 16:
         raise DataError(f"n={n} too short, need >= 16")
-    if not 0.0 < rho_inf <= 1.0:
-        raise ValueError(f"rho_inf={rho_inf} outside (0, 1]")
-    if not 0.0 < h_rho < 1.0:
-        raise ValueError(f"h_rho={h_rho} outside (0, 1)")
+    _check_epps(rho_inf, h_rho)
     _check_sigma(sigma_daily)
     theta = calibrate_epps(rho_inf, h_rho)
     noise_var = 1.0 / rho_inf - 1.0

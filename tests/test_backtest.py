@@ -453,6 +453,122 @@ def test_csv_error_cell_quotes_a_double_quote_as_single():
 
 
 # ---------------------------------------------------------------------------
+# covariance sets shared by the rows of one compare
+
+
+def _lineup(lookback=125, rebalance_every=21):
+    return standard_comparison_configs(
+        BacktestConfig(lookback=lookback, rebalance_every=rebalance_every), max_sharpe_rows=True)
+
+
+def _assert_same_report(got, want):
+    assert [t for t, _ in got.weights_history] == [t for t, _ in want.weights_history]
+    assert all(np.array_equal(a, b) for (_, a), (_, b)
+               in zip(got.weights_history, want.weights_history))
+    assert np.array_equal(got.equity, want.equity)
+    assert np.array_equal(got.turnover, want.turnover)
+    assert got.fallbacks == want.fallbacks
+    assert np.array_equal(got.performance, want.performance, equal_nan=True)
+
+
+def _spy_shared_sets(monkeypatch):
+    """Every memo a set build ran under, as the list the spy fills."""
+    memos = []
+    build = backtest.build_covariance_set
+
+    def spy(*args, **kwargs):
+        shared = backtest._SHARED_SETS.get()
+        if shared is not None and all(m is not shared[1] for m in memos):
+            memos.append(shared[1])
+        return build(*args, **kwargs)
+    monkeypatch.setattr(backtest, "build_covariance_set", spy)
+    return memos
+
+
+def test_compare_rows_match_their_own_backtests_bit_for_bit(monkeypatch):
+    p = _panel(400, n_assets=4, seed=21, drift=0.001)
+    configs = _lineup()
+    memos = _spy_shared_sets(monkeypatch)
+    held = []  # sets each memo holds as each row starts
+    walk = backtest.run_backtest
+
+    def spy(panel, cfg):
+        held.append([len(m) for m in memos])
+        return walk(panel, cfg)
+    monkeypatch.setattr(backtest, "run_backtest", spy)
+    table = compare(p, configs)
+    # the daily rows share, and the multiscale rows of each aggregation;
+    # a group's sets go when its last row ends
+    windows = len(range(125, 400, 21))
+    assert held == [[], [], [windows], [windows, windows],
+                    [windows, windows, windows], [0, windows, windows], [0, 0, windows]]
+    assert all(m == {} for m in memos) and backtest._SHARED_SETS.get() is None
+    for rep, cfg in zip(table.reports, configs):
+        _assert_same_report(rep, run_backtest(p, cfg))
+
+
+@pytest.mark.parametrize("configs", [
+    [BacktestConfig(lookback=125)],
+    standard_comparison_configs(BacktestConfig(lookback=125)),
+    # no objective, no set: equal weights share with nobody
+    [BacktestConfig(strategy=STRATEGY_EQUAL), BacktestConfig(strategy=STRATEGY_MARKOWITZ_DAILY)],
+])
+def test_compare_opens_no_memo_where_no_two_rows_share_a_set(monkeypatch, configs):
+    memos = _spy_shared_sets(monkeypatch)
+    compare(_panel(300, seed=26, drift=0.001), configs)
+    assert memos == []
+
+
+def test_compare_drops_its_shared_sets_when_a_row_raises(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("solver broke")
+    memos = _spy_shared_sets(monkeypatch)
+    monkeypatch.setattr(backtest, "max_sharpe", broken)
+    # the first max-Sharpe row raises while the multiscale groups hold sets
+    with pytest.raises(RuntimeError, match="solver broke"):
+        compare(_panel(300, seed=22, drift=0.001), _lineup())
+    assert len(memos) == 3
+    assert all(m == {} for m in memos) and backtest._SHARED_SETS.get() is None
+
+
+def test_compare_on_a_changed_panel_with_the_same_dates_builds_fresh_sets():
+    p = _panel(300, n_assets=4, seed=23, drift=0.001)
+    changed = panel_from_returns(-0.5 * p.returns + 0.002, asset_ids=p.asset_ids)
+    assert np.array_equal(p.timestamps, changed.timestamps)
+    configs = _lineup()
+    compare(p, configs)
+    for rep, cfg in zip(compare(changed, configs).reports, configs):
+        _assert_same_report(rep, run_backtest(changed, cfg))
+
+
+def test_compare_keeps_the_error_row_of_a_shared_group_and_runs_the_rest():
+    # 60 rows hold no full phase of 21-day blocks: both non-overlapping
+    # multiscale rows fail, and the rows sharing with nobody or each other run
+    p = _panel(300, n_assets=4, seed=24, drift=0.001)
+    configs = _lineup(lookback=60, rebalance_every=10)
+    table = compare(p, configs)
+    error = "DataError: scale 21 leaves 1 blocks in the worst phase, need >= 4"
+    assert [row.error for row in table.rows] == [None, None, error, None, None, error, None]
+    for rep, cfg in zip(table.reports, configs):
+        if rep is not None:
+            _assert_same_report(rep, run_backtest(p, cfg))
+
+
+def test_compare_never_sees_the_future_through_a_shared_set():
+    p = _panel(300, n_assets=3, seed=25, drift=0.001)
+    configs = _lineup()
+    base = compare(p, configs).reports
+    for t_fit, _ in base[0].weights_history:
+        mutated = p.returns.copy()
+        mutated[t_fit:] = -3.0 * mutated[t_fit:] + 0.02
+        table = compare(panel_from_returns(mutated, asset_ids=p.asset_ids), configs)
+        for want, got in zip(base, table.reports):
+            fits = [(t, w) for t, w in want.weights_history if t <= t_fit]
+            assert all(np.array_equal(w, w_got) for (_, w), (_, w_got)
+                       in zip(fits, got.weights_history))
+
+
+# ---------------------------------------------------------------------------
 # checks made once per refit
 
 

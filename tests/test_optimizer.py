@@ -832,9 +832,9 @@ def test_target_curve_refuses_a_missing_target_a_bad_exponent_and_misshapen_weig
     ([0.5, 0.3, 0.2], False, r"weights shape \(3,\) does not match 2 assets"),
     ([np.nan, 1.0], False, r"weights must be finite"),
     ([0.5, np.inf], False, r"weights must be finite"),
-    # the reprs of numpy scalars: NumPy 2 wraps them as np.float64(...)
-    ([0.5, 0.5 + 2e-10], False, r"weights sum to (np\.float64\()?1\.0000000002\)?, not 1"),
-    ([1.5, -0.5], True, r"long-only weights contain (np\.float64\()?-0\.5\)?"),
+    # plain Python floats, spelled the same under every NumPy version
+    ([0.5, 0.5 + 2e-10], False, r"weights sum to 1\.0000000002, not 1"),
+    ([1.5, -0.5], True, r"long-only weights contain -0\.5"),
 ])
 def test_portfolio_weights_refuses_shape_non_finite_budget_and_short_weights(
         weights, long_only, message):

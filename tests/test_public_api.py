@@ -98,6 +98,43 @@ def test_bench_patched_names_exist():
     assert missing == []
 
 
+def test_compare_keeps_the_call_contract_the_bench_traces(monkeypatch):
+    # the bench ties each fit to the latest run_backtest(panel, cfg) and reads
+    # each fit's blend from its multiscale_cov; shared sets change neither
+    events = []
+
+    def spy(name):
+        original = getattr(backtest, name)
+
+        def wrapper(*args, **kwargs):
+            events.append((name, args, kwargs))
+            return original(*args, **kwargs)
+        monkeypatch.setattr(backtest, name, wrapper)
+
+    for name in ("run_backtest", "fit_weights", "multiscale_cov", "build_covariance_set"):
+        spy(name)
+    panel = synth.gen_correlated(300, synth.constant_correlation_cov(3, 0.3), seed=5)
+    panel = timeseries.panel_from_returns(panel.returns + 1e-3, panel.asset_ids)
+    configs = backtest.standard_comparison_configs(
+        backtest.BacktestConfig(lookback=125, rebalance_every=21), max_sharpe_rows=True)
+    backtest.compare(panel, configs)
+
+    windows = len(range(125, 300, 21))
+    starts = [i for i, (name, _, _) in enumerate(events) if name == "run_backtest"]
+    assert [events[i][1:] for i in starts] == [((panel, cfg), {}) for cfg in configs]
+    for i, stop, cfg in zip(starts, starts[1:] + [len(events)], configs):
+        row = [(name, args, kwargs) for name, args, kwargs in events[i + 1:stop]
+               if name != "build_covariance_set"]
+        fits = [args for name, args, kwargs in row if name == "fit_weights" and not kwargs]
+        assert len(fits) == windows
+        assert all(len(args) == 2 and args[1] is cfg
+                   and args[0].n_periods == cfg.lookback for args in fits)
+        per_fit = ["fit_weights"] + ["multiscale_cov"] * (cfg.strategy != backtest.STRATEGY_EQUAL)
+        assert [name for name, _, _ in row] == per_fit * windows
+    # one set per window for the daily rows and for each aggregation's multiscale rows
+    assert sum(name == "build_covariance_set" for name, _, _ in events) == 3 * windows
+
+
 @pytest.mark.parametrize("strategy", [backtest.STRATEGY_MARKOWITZ_MULTISCALE,
                                       backtest.STRATEGY_MAX_SHARPE_MULTISCALE])
 def test_fit_weights_calls_the_names_bound_in_backtest(monkeypatch, strategy):

@@ -316,6 +316,20 @@ def test_calibrate_epps_failure_reports_nearest():
     assert 0.0 <= rho_near <= 1.0
 
 
+@pytest.mark.parametrize("rho_inf, h_rho, message", [
+    # a division by zero, a negative noise variance calibrated as if valid,
+    # and a NaN target that every slope comparison misses
+    (0.0, 0.3, r"rho_inf=0.0 outside \(0, 1\]"),
+    (-0.5, 0.3, r"rho_inf=-0.5 outside \(0, 1\]"),
+    (0.6, math.nan, r"h_rho=nan outside \(0, 1\)"),
+])
+def test_calibrate_epps_refuses_arguments_out_of_range_as_gen_epps_does(rho_inf, h_rho, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        calibrate_epps(rho_inf, h_rho)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gen_epps(64, rho_inf=rho_inf, h_rho=h_rho)
+
+
 def _reference_epps_curve(theta, noise_var, scales):
     # the one-theta loop over scales that the grid pass replaced
     out = np.empty(len(scales))
