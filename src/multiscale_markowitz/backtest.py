@@ -163,21 +163,20 @@ class BacktestReport:
     performance: PerformanceMetrics
 
 
-# the covariance sets a ``compare`` row shares with the other rows of its
-# group: the compared panel and the group's sets keyed by their build
-# arguments, or None outside ``compare`` and for a row that shares none
+# the covariance sets the rows of one ``compare`` share: the compared panel
+# and the call's one memo of sets keyed by their build arguments, or None
+# outside ``compare`` and for a row that shares with no other
 _SHARED_SETS = contextvars.ContextVar("_SHARED_SETS", default=None)
 
 
 def _covariance_set(window, scales, method, aggregation, l1_joint):
-    """``build_covariance_set`` of ``window``, built once per shared group of a ``compare``."""
+    """``build_covariance_set`` of ``window``, built once per ``compare`` for its sharing rows."""
     shared = _SHARED_SETS.get()
-    if shared is None or not np.may_share_memory(window.returns, shared[0].returns):
-        return build_covariance_set(window, scales, method=method, aggregation=aggregation,
-                                    l1_joint=l1_joint)
-    # a window of the compared panel is named by its first date and length
-    key = (window.timestamps[0], window.n_periods, tuple(scales), method, aggregation, l1_joint)
-    sets = shared[1]
+    sets, key = {}, None
+    if shared is not None and np.may_share_memory(window.returns, shared[0].returns):
+        # a window of the compared panel is named by its first date and length
+        sets, key = shared[1], (window.timestamps[0], window.n_periods, tuple(scales), method,
+                                aggregation, l1_joint)
     if key not in sets:
         sets[key] = build_covariance_set(window, scales, method=method, aggregation=aggregation,
                                          l1_joint=l1_joint)
@@ -359,20 +358,19 @@ def compare(panel: ReturnPanel, configs) -> ComparisonTable:
     the two multiscale rows of each aggregation. A daily row never shares
     with a multiscale one. Each row still blends its set and solves its own
     QP, and its report is the one ``run_backtest`` gives alone; a reused set
-    emits no second ``DegenerateAssetWarning``. A group holds
-    windows × scales × n² × 8 bytes of sets until its last row ends.
+    emits no second ``DegenerateAssetWarning``. Each group holds
+    windows × scales × n² × 8 bytes of sets until ``compare`` returns.
     """
     configs = list(configs)
     signatures = [_shared_signature(cfg) for cfg in configs]
-    shared = {sig: {} for sig in signatures if sig is not None and signatures.count(sig) > 1}
-    last = {sig: i for i, sig in enumerate(signatures) if sig in shared}
+    sets = {}
     rows = []
     reports = []
     try:
-        for i, (cfg, sig) in enumerate(zip(configs, signatures)):
+        for cfg, sig in zip(configs, signatures):
             name = display_name(cfg)
-            sets = shared.get(sig)
-            token = _SHARED_SETS.set(None if sets is None else (panel, sets))
+            shares = sig is not None and signatures.count(sig) > 1
+            token = _SHARED_SETS.set((panel, sets) if shares else None)
             try:
                 rep = run_backtest(panel, cfg)
             except MultiscaleError as exc:
@@ -382,12 +380,9 @@ def compare(panel: ReturnPanel, configs) -> ComparisonTable:
                 continue
             finally:
                 _SHARED_SETS.reset(token)
-                if last.get(sig) == i:
-                    sets.clear()
             perf = rep.performance
             rows.append(TableRow(name, perf.sharpe, perf.sortino, perf.max_drawdown))
             reports.append(rep)
     finally:
-        for group in shared.values():
-            group.clear()
+        sets.clear()
     return ComparisonTable(tuple(rows), tuple(reports))

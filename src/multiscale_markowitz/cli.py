@@ -193,9 +193,11 @@ _FIT_OPTS = [
     Opt("--cov", _choice((cov.METHOD_PRODUCT, cov.METHOD_L1)), cov.METHOD_PRODUCT,
         "covariance estimator"),
     Opt("--aggregation", _choice((ts.MODE_NONOVERLAPPING, ts.MODE_OVERLAPPING)),
-        ts.MODE_NONOVERLAPPING, "aggregation mode of the multiscale covariance"),
+        ts.MODE_NONOVERLAPPING, "aggregation mode of the multiscale covariance; no effect "
+        "under backtest --strategy all, whose rows set their own"),
     Opt("--ridge", _cast_ridge, "auto", "diagonal loading: a number or 'auto'"),
-    Opt("--risk-free", _cast_float, 0.0, "risk-free rate of max_sharpe and the Sharpe ratios"),
+    Opt("--risk-free", _cast_float, 0.0, "per-period risk-free rate of max-Sharpe fits; reported "
+        "Sharpe and Sortino ratios are of raw log returns and take none"),
     Opt("--out-prefix", _cast_prefix, None, "output file prefix (default: <out dir>/<command>)"),
 ] + _COMMON
 
@@ -211,7 +213,7 @@ _BACKTEST_OPTS = [
     Opt("--strategy", _choice(("all",) + bt.STRATEGIES), "all",
         "one strategy, or 'all' for the standard comparison"),
     Opt("--max-sharpe-rows", _cast_bool, False,
-        "include Sharpe-objective rows in 'all'"),
+        "include Sharpe-objective rows in 'all'; no effect with a single --strategy"),
     Opt("--lookback", _cast_int, bt.DEFAULT_LOOKBACK, "estimation window length"),
     Opt("--rebalance", _cast_int, bt.DEFAULT_REBALANCE, "holding period length"),
 ] + _FIT_OPTS

@@ -160,9 +160,10 @@ def load_prices(path) -> PriceSeries:
     """Load a price panel from CSV.
 
     Expected layout: UTF-8 text, a header ``date,<id>,<id>,...``, then one
-    row per day with ISO-8601 dates and strictly positive prices. Rows may
-    arrive out of order and are sorted by date; a repeated date is an
-    error. Error messages name the offending line and column.
+    row per day with ISO-8601 dates and strictly positive prices. One
+    leading byte-order mark, which spreadsheet exports write, is dropped.
+    Rows may arrive out of order and are sorted by date; a repeated date is
+    an error. Error messages name the offending line and column.
 
     The file is mapped read-only where it can be, so no heap buffer of its
     size is taken; a source that cannot be mapped, such as a pipe, is read
@@ -186,6 +187,8 @@ def load_prices(path) -> PriceSeries:
     first, start = _read_header(path, data)
     if first is None:
         raise DataError(f"{path}: empty file")
+    if first:  # a spreadsheet's "CSV UTF-8" export starts with a byte-order mark
+        first[0] = first[0].removeprefix("\ufeff")
     header = [c.strip() for c in first]
     if len(header) < 2 or header[0].lower() != "date":
         raise DataError(f"{path}: header must be 'date,<asset>,...', got {first!r}")

@@ -485,24 +485,45 @@ def _spy_shared_sets(monkeypatch):
     return memos
 
 
-def test_compare_rows_match_their_own_backtests_bit_for_bit(monkeypatch):
-    p = _panel(400, n_assets=4, seed=21, drift=0.001)
-    configs = _lineup()
-    memos = _spy_shared_sets(monkeypatch)
-    held = []  # sets each memo holds as each row starts
+def _spy_held_sets(monkeypatch, memos):
+    """The sets each memo holds as each row starts, as the list the spy fills."""
+    held = []
     walk = backtest.run_backtest
 
     def spy(panel, cfg):
         held.append([len(m) for m in memos])
         return walk(panel, cfg)
     monkeypatch.setattr(backtest, "run_backtest", spy)
+    return held
+
+
+def test_compare_rows_match_their_own_backtests_bit_for_bit(monkeypatch):
+    p = _panel(400, n_assets=4, seed=21, drift=0.001)
+    configs = _lineup()
+    memos = _spy_shared_sets(monkeypatch)
+    held = _spy_held_sets(monkeypatch, memos)
     table = compare(p, configs)
     # the daily rows share, and the multiscale rows of each aggregation;
-    # a group's sets go when its last row ends
+    # one memo holds every shared set until compare returns
     windows = len(range(125, 400, 21))
-    assert held == [[], [], [windows], [windows, windows],
-                    [windows, windows, windows], [0, windows, windows], [0, 0, windows]]
-    assert all(m == {} for m in memos) and backtest._SHARED_SETS.get() is None
+    assert held == [[], [], [windows], [2 * windows],
+                    [3 * windows], [3 * windows], [3 * windows]]
+    assert len(memos) == 1 and memos[0] == {} and backtest._SHARED_SETS.get() is None
+    for rep, cfg in zip(table.reports, configs):
+        _assert_same_report(rep, run_backtest(p, cfg))
+
+
+def test_compare_rows_of_both_objectives_in_pairs_match_their_own_backtests(monkeypatch):
+    # each daily or multiscale row comes right after the row it shares with
+    p = _panel(400, n_assets=4, seed=27, drift=0.001)
+    lineup = _lineup()
+    configs = [lineup[1], lineup[4], lineup[2], lineup[5]]
+    memos = _spy_shared_sets(monkeypatch)
+    held = _spy_held_sets(monkeypatch, memos)
+    table = compare(p, configs)
+    windows = len(range(125, 400, 21))
+    assert held == [[], [windows], [windows], [2 * windows]]
+    assert len(memos) == 1 and memos[0] == {} and backtest._SHARED_SETS.get() is None
     for rep, cfg in zip(table.reports, configs):
         _assert_same_report(rep, run_backtest(p, cfg))
 
@@ -524,11 +545,10 @@ def test_compare_drops_its_shared_sets_when_a_row_raises(monkeypatch):
         raise RuntimeError("solver broke")
     memos = _spy_shared_sets(monkeypatch)
     monkeypatch.setattr(backtest, "max_sharpe", broken)
-    # the first max-Sharpe row raises while the multiscale groups hold sets
+    # the first max-Sharpe row raises while the memo holds every group's sets
     with pytest.raises(RuntimeError, match="solver broke"):
         compare(_panel(300, seed=22, drift=0.001), _lineup())
-    assert len(memos) == 3
-    assert all(m == {} for m in memos) and backtest._SHARED_SETS.get() is None
+    assert len(memos) == 1 and memos[0] == {} and backtest._SHARED_SETS.get() is None
 
 
 def test_compare_on_a_changed_panel_with_the_same_dates_builds_fresh_sets():

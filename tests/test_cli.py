@@ -806,6 +806,34 @@ def test_backtest_single_strategy(capsys, workdir):
     assert "Equally Weighted" in out
 
 
+def _backtest_report(capsys, workdir, path, prefix, args, suffixes=(".txt",)):
+    code, _, err = _run(capsys, ["backtest", str(path), "--out-prefix", prefix] + args)
+    assert code == EXIT_OK, err
+    return [(workdir / (prefix + suffix)).read_bytes() for suffix in suffixes]
+
+
+def test_backtest_metrics_take_no_risk_free_rate(capsys, workdir):
+    # the rate reaches max-Sharpe fits only; Sharpe and Sortino are of raw returns
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "320",
+                                       "--assets", "3", "--rho", "0.3", "--seed", "3"])
+    reports = [_backtest_report(capsys, workdir, path, f"rf{i}",
+                                ["--strategy", "markowitz_multiscale", "--risk-free", rate],
+                                suffixes=(".txt", ".csv"))
+               for i, rate in enumerate(["0", "0.01"])]
+    assert reports[0] == reports[1]
+
+
+def test_backtest_flags_that_do_nothing_in_a_mode(capsys, workdir):
+    # 'all' sets each row's aggregation; a single strategy has no Sharpe rows to add
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "320",
+                                       "--assets", "3", "--rho", "0.3", "--seed", "3"])
+    for i, (args, noop) in enumerate([
+            ([], ["--aggregation", "overlapping"]),
+            (["--strategy", "markowitz_daily"], ["--max-sharpe-rows", "true"])]):
+        want = _backtest_report(capsys, workdir, path, f"base{i}", args)
+        assert _backtest_report(capsys, workdir, path, f"noop{i}", args + noop) == want
+
+
 def _recording_compare(monkeypatch):
     tables = []
     compare = bt.compare

@@ -528,6 +528,48 @@ def test_load_prices_row_parses_piped_stdin_from_the_bytes_it_read(tmp_path):
         assert [s.timestamps.tobytes().hex(), s.prices.tobytes().hex()] == piped
 
 
+def _read_fifo(tmp_path, data: bytes):
+    fifo = tmp_path / "bom.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+    writer.start()
+    try:
+        return load_prices(fifo)
+    finally:
+        writer.join()
+        fifo.unlink()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_load_prices_drops_a_leading_byte_order_mark(tmp_path, monkeypatch):
+    # spreadsheet "CSV UTF-8" exports start with U+FEFF; a quoted date sends
+    # a file to the row parse, and a pipe is read as bytes
+    plain = _canonical_csv(tmp_path, np.random.default_rng(20), 64, ("a", "b"))
+    quoted = tmp_path / "q.csv"
+    quoted.write_text(re.sub(r"^(\d{4}-\d\d-\d\d),", r'"\1",', plain.read_text(), flags=re.M))
+    want = load_prices(plain)
+    row_parse = timeseries._parse_rows
+    calls = []
+
+    def spy(*args):
+        calls.append(args[0])
+        return row_parse(*args)
+    monkeypatch.setattr(timeseries, "_parse_rows", spy)
+    for src, parse_rows in ((plain, False), (quoted, True)):
+        bom = tmp_path / f"bom_{src.name}"
+        bom.write_bytes(b"\xef\xbb\xbf" + src.read_bytes())
+        for got in (load_prices(bom), _read_fifo(tmp_path, bom.read_bytes())):
+            assert got.asset_ids == want.asset_ids == ("a", "b")
+            assert got.timestamps.tobytes() == want.timestamps.tobytes()
+            assert got.prices.tobytes() == want.prices.tobytes()
+        assert len(calls) == 2 * parse_rows
+    # only one mark is dropped: a second is part of the date cell
+    twice = tmp_path / "twice.csv"
+    twice.write_bytes(b"\xef\xbb\xbf" * 2 + plain.read_bytes())
+    with pytest.raises(DataError, match="header must be"):
+        load_prices(twice)
+
+
 # ---------------------------------------------------------------------------
 # prices <-> returns
 
