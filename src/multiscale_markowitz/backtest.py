@@ -14,7 +14,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .covariance import METHOD_L1, METHOD_PRODUCT, _check_ridge, build_covariance_set, multiscale_cov
+from .covariance import (
+    METHOD_L1,
+    METHOD_PRODUCT,
+    ScaledCovarianceSet,
+    _check_ridge,
+    build_covariance_set,
+    multiscale_cov,
+)
 from .errors import DataError, MultiscaleError, NumericalError
 from .optimizer import PortfolioWeights, max_sharpe, min_variance_closed_form, min_variance_long_only
 from .timeseries import (
@@ -25,6 +32,7 @@ from .timeseries import (
     _check_phase_rows,
     _check_scales,
     _integral,
+    _trusted,
 )
 
 STRATEGY_EQUAL = "equal_weight"
@@ -163,24 +171,50 @@ class BacktestReport:
     performance: PerformanceMetrics
 
 
-# the covariance sets the rows of one ``compare`` share: the compared panel
-# and the call's one memo of sets keyed by their build arguments, or None
-# outside ``compare`` and for a row that shares with no other
+# what the rows of one ``compare`` share: the compared panel, the call's one
+# memo of window results (covariance sets, which keep their blends, and window
+# means) keyed by the window and their arguments, and for a daily row the
+# (scales, aggregation) of the multiscale set it takes scale 1 from, or None;
+# the whole is None outside ``compare`` and for a row that shares with no other
 _SHARED_SETS = contextvars.ContextVar("_SHARED_SETS", default=None)
 
 
-def _covariance_set(window, scales, method, aggregation, l1_joint):
-    """``build_covariance_set`` of ``window``, built once per ``compare`` for its sharing rows."""
+def _shared(window):
+    """The call's memo, the window's name in it and the row's donor set, or a throwaway memo.
+
+    Only a window of the compared panel, fitted by a sharing row of a
+    ``compare``, gets the call's memo; it is named by its first date and
+    length. Any other window gets an empty dict, no name and no donor.
+    """
     shared = _SHARED_SETS.get()
-    sets, key = {}, None
-    if shared is not None and np.may_share_memory(window.returns, shared[0].returns):
-        # a window of the compared panel is named by its first date and length
-        sets, key = shared[1], (window.timestamps[0], window.n_periods, tuple(scales), method,
-                                aggregation, l1_joint)
-    if key not in sets:
-        sets[key] = build_covariance_set(window, scales, method=method, aggregation=aggregation,
-                                         l1_joint=l1_joint)
-    return sets[key]
+    if shared is None or not np.may_share_memory(window.returns, shared[0].returns):
+        return {}, None, None
+    return shared[1], (window.timestamps[0], window.n_periods), shared[2]
+
+
+def _covariance_set(window, scales, method, aggregation, l1_joint, borrow=True):
+    """``build_covariance_set`` of ``window``, built once per ``compare`` for its sharing rows.
+
+    A daily row with a donor takes its one matrix, bit-identical to its own
+    build, from the scale-1 matrix of the donor's multiscale set of the same
+    window, which it builds if no row has yet; where that build raises
+    ``DataError`` the row builds its own set.
+    """
+    memo, head, donor = _shared(window)
+    key = (head, tuple(scales), method, aggregation, l1_joint)
+    if key not in memo:
+        whole = None
+        if borrow and donor is not None:
+            try:
+                whole = _covariance_set(window, donor[0], method, donor[1], l1_joint, borrow=False)
+            except DataError:
+                pass
+        memo[key] = (
+            build_covariance_set(window, scales, method=method, aggregation=aggregation,
+                                 l1_joint=l1_joint) if whole is None
+            else _trusted(ScaledCovarianceSet, asset_ids=whole.asset_ids, scales=(1,),
+                          matrices=(whole.matrix_at(1),), method=method, aggregation=aggregation))
+    return memo[key]
 
 
 def fit(window, objective, scales, method, aggregation, ridge, risk_free,
@@ -189,8 +223,9 @@ def fit(window, objective, scales, method, aggregation, ridge, risk_free,
 
     The one place that builds the covariance set, blends it and picks a solver;
     ``mu_target`` floors the long-only minimum variance and nothing else.
-    Inside ``compare`` a set may come from another row's fit of the same
-    window; the blend and the solve are this call's own.
+    Inside ``compare`` a set, and so its blend (``multiscale_cov`` keeps it on
+    the set), and the window's mean may come from another row's fit of the
+    same window; the solve is this call's own.
     """
     if objective is None:
         n = window.n_assets
@@ -199,7 +234,12 @@ def fit(window, objective, scales, method, aggregation, ridge, risk_free,
         raise ValueError(f"unknown objective {objective!r}; choose from {OBJECTIVES}")
     blended = multiscale_cov(_covariance_set(window, scales, method, aggregation, l1_joint),
                              ridge=ridge)
-    mu = None if objective == MIN_VARIANCE and mu_target is None else window.returns.mean(axis=0)
+    mu = None
+    if objective == MAX_SHARPE or mu_target is not None:
+        memo, head, _ = _shared(window)
+        if (head, "mean") not in memo:
+            memo[head, "mean"] = window.returns.mean(axis=0)
+        mu = memo[head, "mean"]
     if objective == MAX_SHARPE:
         return max_sharpe(blended, mu, risk_free=risk_free, long_only=long_only), blended
     if long_only:
@@ -345,6 +385,28 @@ def _shared_signature(cfg: BacktestConfig):
             cfg.covariance_method, cfg.aggregation)
 
 
+def _donor(sig, shared):
+    """The (scales, aggregation) of the shared multiscale set a daily row takes scale 1 from.
+
+    None unless ``sig`` is a daily row's and some signature in ``shared``
+    has its lookback, rebalancing and method, holds scale 1 among others and
+    leaves every phase of its largest scale enough rows, so that its rows
+    run and build that set on every window.
+    """
+    if sig is None or sig[2] != (1,):
+        return None
+    for lookback, rebalance, scales, method, aggregation in shared:
+        if (lookback, rebalance, method) != (sig[0], sig[1], sig[3]) or len(scales) == 1 \
+                or 1 not in scales:
+            continue
+        try:
+            _check_phase_rows(lookback, max(scales), aggregation)
+        except DataError:
+            continue
+        return scales, aggregation
+    return None
+
+
 def compare(panel: ReturnPanel, configs) -> ComparisonTable:
     """Run several configurations and tabulate their metrics.
 
@@ -353,24 +415,31 @@ def compare(panel: ReturnPanel, configs) -> ComparisonTable:
 
     Rows with the same lookback, rebalancing, effective scales, covariance
     method and aggregation fit the same covariance set on each window, so
-    such a group builds each set once: in the standard lineup with Sharpe
-    rows, the daily minimum-variance and max-Sharpe rows share, and so do
-    the two multiscale rows of each aggregation. A daily row never shares
-    with a multiscale one. Each row still blends its set and solves its own
-    QP, and its report is the one ``run_backtest`` gives alone; a reused set
-    emits no second ``DegenerateAssetWarning``. Each group holds
-    windows × scales × n² × 8 bytes of sets until ``compare`` returns.
+    such a group builds each set once, and blends it once, as
+    ``multiscale_cov`` keeps the blend on the set. A daily row whose
+    lookback, rebalancing and method a shared multiscale group has, with a
+    window that group's largest scale fits, takes its set from the scale-1
+    matrix of that group's set, which is bit for bit its own build. Rows
+    that share take the window's mean from the same memo. In the standard
+    lineup with Sharpe rows each window thus builds two sets, one per
+    aggregation, and three blends. Each row still solves its own QP, and
+    its report is the one ``run_backtest`` gives alone; a reused set emits
+    no second ``DegenerateAssetWarning``. The memo holds every window's
+    shared sets and their blends until ``compare`` returns; a row that
+    shares with no other opens none.
     """
     configs = list(configs)
     signatures = [_shared_signature(cfg) for cfg in configs]
-    sets = {}
+    shared = [sig for sig in signatures if sig is not None and signatures.count(sig) > 1]
+    memo = {}
     rows = []
     reports = []
     try:
         for cfg, sig in zip(configs, signatures):
             name = display_name(cfg)
-            shares = sig is not None and signatures.count(sig) > 1
-            token = _SHARED_SETS.set((panel, sets) if shares else None)
+            donor = _donor(sig, shared)
+            shares = sig in shared or donor is not None
+            token = _SHARED_SETS.set((panel, memo, donor) if shares else None)
             try:
                 rep = run_backtest(panel, cfg)
             except MultiscaleError as exc:
@@ -384,5 +453,5 @@ def compare(panel: ReturnPanel, configs) -> ComparisonTable:
             rows.append(TableRow(name, perf.sharpe, perf.sortino, perf.max_drawdown))
             reports.append(rep)
     finally:
-        sets.clear()
+        memo.clear()
     return ComparisonTable(tuple(rows), tuple(reports))

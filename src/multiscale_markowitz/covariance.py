@@ -163,6 +163,11 @@ class ScaledCovarianceSet:
     def n_assets(self) -> int:
         return len(self.asset_ids)
 
+    @functools.cached_property
+    def _blends(self) -> dict:
+        """Default-weight blends of this set by checked ``ridge``, kept by ``multiscale_cov``."""
+        return {}
+
     def matrix_at(self, dt: int) -> np.ndarray:
         try:
             return self.matrices[self.scales.index(_integral(dt))]
@@ -323,7 +328,25 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0,
     ``"auto"`` for ``1e-8 * trace / n``. The blend of the checked set is
     not re-checked; its ``eigvalsh`` decides PSD repair, which clips the
     blend without its ridge, so a repaired blend keeps its ridge.
+
+    A blend with the default weights is kept on the immutable ``cov_set``,
+    keyed by the checked ``ridge`` (``0`` and ``0.0`` are one key), and a
+    later call for that ridge returns the same object; it lives as long as
+    the set. Explicit ``scale_weights`` are never kept, and a refused
+    ``ridge`` keeps nothing.
     """
+    _check_ridge(ridge)
+    if scale_weights is not None:
+        return _blend(cov_set, ridge, scale_weights)
+    key = ridge if isinstance(ridge, str) else float(ridge)
+    blends = cov_set._blends
+    if key not in blends:
+        blends[key] = _blend(cov_set, ridge, scale_weights)
+    return blends[key]
+
+
+def _blend(cov_set: ScaledCovarianceSet, ridge, scale_weights) -> MultiscaleCovariance:
+    """The blend ``multiscale_cov`` describes, made afresh for a checked ``ridge``."""
     k = len(cov_set.scales)
     if scale_weights is None:
         wts = np.full(k, 1.0 / k)
@@ -343,7 +366,6 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0,
     for w, dt, m in zip(wts, cov_set.scales, cov_set.matrices):
         acc += w * (m / dt)
 
-    _check_ridge(ridge)
     ridge_val = 1e-8 * np.trace(acc) / n if isinstance(ridge, str) else float(ridge)
     if ridge_val > 0:
         acc.flat[:: n + 1] += ridge_val

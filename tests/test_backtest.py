@@ -4,13 +4,14 @@ import dataclasses
 import itertools
 import math
 import re
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from multiscale_markowitz import backtest, covariance, optimizer
-from multiscale_markowitz.errors import DataError, NumericalError
+from multiscale_markowitz.errors import DataError, DegenerateAssetWarning, NumericalError
 from multiscale_markowitz.backtest import (
     OBJECTIVES,
     BacktestConfig,
@@ -503,11 +504,13 @@ def test_compare_rows_match_their_own_backtests_bit_for_bit(monkeypatch):
     memos = _spy_shared_sets(monkeypatch)
     held = _spy_held_sets(monkeypatch, memos)
     table = compare(p, configs)
-    # the daily rows share, and the multiscale rows of each aggregation;
-    # one memo holds every shared set until compare returns
+    # the first daily row builds each window's non-overlapping multiscale set
+    # and keeps its scale-1 slice; the overlapping rows add their sets and the
+    # first max-Sharpe row the window means; one memo holds them all until
+    # compare returns
     windows = len(range(125, 400, 21))
-    assert held == [[], [], [windows], [2 * windows],
-                    [3 * windows], [3 * windows], [3 * windows]]
+    assert held == [[], [], [2 * windows], [2 * windows],
+                    [3 * windows], [4 * windows], [4 * windows]]
     assert len(memos) == 1 and memos[0] == {} and backtest._SHARED_SETS.get() is None
     for rep, cfg in zip(table.reports, configs):
         _assert_same_report(rep, run_backtest(p, cfg))
@@ -522,7 +525,7 @@ def test_compare_rows_of_both_objectives_in_pairs_match_their_own_backtests(monk
     held = _spy_held_sets(monkeypatch, memos)
     table = compare(p, configs)
     windows = len(range(125, 400, 21))
-    assert held == [[], [windows], [windows], [2 * windows]]
+    assert held == [[], [2 * windows], [3 * windows], [3 * windows]]
     assert len(memos) == 1 and memos[0] == {} and backtest._SHARED_SETS.get() is None
     for rep, cfg in zip(table.reports, configs):
         _assert_same_report(rep, run_backtest(p, cfg))
@@ -586,6 +589,105 @@ def test_compare_never_sees_the_future_through_a_shared_set():
             fits = [(t, w) for t, w in want.weights_history if t <= t_fit]
             assert all(np.array_equal(w, w_got) for (_, w), (_, w_got)
                        in zip(fits, got.weights_history))
+
+
+@pytest.mark.parametrize("method", [covariance.METHOD_PRODUCT, covariance.METHOD_L1])
+@pytest.mark.parametrize("constant", [False, True])
+def test_scale_one_is_the_same_in_the_daily_and_both_multiscale_sets(method, constant):
+    # what lets a daily row take its set from a multiscale one
+    returns = _panel(300, n_assets=4, seed=28, drift=0.001).returns.copy()
+    if constant:
+        returns[:, 2] = 0.0004
+    window = panel_from_returns(returns).window(40, 265)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DegenerateAssetWarning)
+        daily = covariance.build_covariance_set(window, (1,), method=method).matrices[0]
+        for scales, aggregation in itertools.product(
+                [(1, 2, 5, 10, 21), (21, 1, 5)], ["nonoverlapping", "overlapping"]):
+            whole = covariance.build_covariance_set(window, scales, method=method,
+                                                    aggregation=aggregation)
+            assert whole.matrix_at(1).tobytes() == daily.tobytes(), (scales, aggregation)
+    assert not constant or not daily[2].any()
+
+
+def _spy_calls(monkeypatch, name):
+    """The ``(args, kwargs, result)`` of every call to ``backtest.<name>``."""
+    calls = []
+    original = getattr(backtest, name)
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append((args, kwargs, out))
+        return out
+    monkeypatch.setattr(backtest, name, spy)
+    return calls
+
+
+def test_compare_shares_blends_and_means_across_the_rows_of_a_window(monkeypatch):
+    p = _panel(400, n_assets=4, seed=29, drift=0.001)
+    sets = _spy_calls(monkeypatch, "build_covariance_set")
+    blends = _spy_calls(monkeypatch, "multiscale_cov")
+    solves = _spy_calls(monkeypatch, "max_sharpe")
+    compare(p, _lineup())
+    windows = len(range(125, 400, 21))
+    # one set per aggregation, and one blend per set, per window
+    assert [args[1] for args, _, _ in sets] == [(1, 2, 5, 10, 21)] * (2 * windows)
+    assert len(blends) == 6 * windows
+    assert len({id(out) for _, _, out in blends}) == 3 * windows
+    # the three max-Sharpe rows take each window's mean from one array
+    assert len(solves) == 3 * windows
+    assert len({id(args[1]) for args, _, _ in solves}) == windows
+
+
+def test_compare_daily_rows_take_scale_one_from_the_overlapping_set_at_lookback_60(
+        monkeypatch):
+    # 60 rows hold no full phase of 21-day blocks, so the non-overlapping
+    # multiscale rows are error rows and build nothing
+    p = _panel(300, n_assets=4, seed=24, drift=0.001)
+    configs = _lineup(lookback=60, rebalance_every=10)
+    sets = _spy_calls(monkeypatch, "build_covariance_set")
+    table = compare(p, configs)
+    windows = len(range(60, 300, 10))
+    assert [(args[1], kwargs["aggregation"]) for args, kwargs, _ in sets] == \
+        [((1, 2, 5, 10, 21), "overlapping")] * windows
+    for rep, cfg in zip(table.reports, configs):
+        if rep is not None:
+            _assert_same_report(rep, run_backtest(p, cfg))
+
+
+def test_compare_daily_rows_build_their_own_sets_where_the_multiscale_set_fails(
+        monkeypatch):
+    build = backtest.build_covariance_set
+
+    def no_multiscale(window, scales, **kwargs):
+        if scales != (1,):
+            raise DataError("no multiscale set here")
+        return build(window, scales, **kwargs)
+    monkeypatch.setattr(backtest, "build_covariance_set", no_multiscale)
+    p = _panel(400, n_assets=4, seed=30, drift=0.001)
+    configs = _lineup()
+    table = compare(p, configs)
+    windows = len(range(125, 400, 21))
+    for rep, cfg in zip(table.reports, configs):
+        assert len(rep.fallbacks) == (windows if len(cfg.effective_scales) > 1 else 0)
+        _assert_same_report(rep, run_backtest(p, cfg))
+
+
+def test_compare_warns_of_a_constant_asset_as_its_rows_do_alone():
+    returns = _panel(300, n_assets=4, seed=31, drift=0.001).returns.copy()
+    returns[:, 1] = 0.0005
+    p = panel_from_returns(returns)
+    configs = _lineup()
+
+    def messages(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        return {str(w.message) for w in caught if w.category is DegenerateAssetWarning}
+
+    alone = messages(lambda: [run_backtest(p, cfg) for cfg in configs])
+    assert len(alone) == 5  # one per scale
+    assert messages(lambda: compare(p, configs)) == alone
 
 
 # ---------------------------------------------------------------------------

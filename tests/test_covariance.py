@@ -575,6 +575,49 @@ def test_multiscale_cov_refuses_non_finite_or_negative_ridge(bad):
         multiscale_cov(cs, ridge=bad)
 
 
+def test_multiscale_cov_keeps_the_default_weight_blend_on_its_set():
+    cs = build_covariance_set(gen_correlated(300, constant_correlation_cov(4, 0.3), seed=3),
+                              (1, 5, 21))
+    auto = multiscale_cov(cs, ridge="auto")
+    assert multiscale_cov(cs, ridge="auto") is auto
+    # a set built apart gives the same bits in a new object
+    again = multiscale_cov(build_covariance_set(
+        gen_correlated(300, constant_correlation_cov(4, 0.3), seed=3), (1, 5, 21)), ridge="auto")
+    assert again is not auto and again.matrix.tobytes() == auto.matrix.tobytes()
+    assert again.ridge == auto.ridge and again.condition == auto.condition
+
+
+def test_multiscale_cov_never_keeps_a_blend_of_explicit_weights():
+    cs = _manual_set((1, 2), (np.eye(2), 4.0 * np.eye(2)))
+    default = multiscale_cov(cs)
+    equal = multiscale_cov(cs, scale_weights=(0.5, 0.5))
+    assert equal is not default and equal is not multiscale_cov(cs, scale_weights=(0.5, 0.5))
+    assert equal.matrix.tobytes() == default.matrix.tobytes()
+    assert multiscale_cov(cs, scale_weights=(1.0, 0.0)).matrix.tobytes() != default.matrix.tobytes()
+    assert multiscale_cov(cs) is default
+
+
+def test_multiscale_cov_keeps_one_blend_per_checked_ridge():
+    cs = _manual_set((1, 2), (np.eye(2), 4.0 * np.eye(2)))
+    plain = multiscale_cov(cs, ridge=0)
+    assert multiscale_cov(cs, ridge=0.0) is plain and multiscale_cov(cs) is plain
+    loaded = multiscale_cov(cs, ridge=1e-3)
+    assert loaded is not plain and loaded.ridge == 1e-3
+    assert np.array_equal(loaded.matrix, plain.matrix + 1e-3 * np.eye(2))
+    auto = multiscale_cov(cs, ridge="auto")
+    assert auto is not plain and auto is not loaded and multiscale_cov(cs, ridge=1e-3) is loaded
+
+
+@pytest.mark.parametrize("bad", [np.nan, -1.0, "Auto"])
+def test_multiscale_cov_refuses_a_bad_ridge_on_every_call(bad):
+    cs = _manual_set((1,), (np.eye(2),))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="^ridge must be "):
+            multiscale_cov(cs, ridge=bad)
+    assert cs._blends == {}
+    assert multiscale_cov(cs, ridge="auto") is multiscale_cov(cs, ridge="auto")
+
+
 def test_multiscale_cov_auto_ridge():
     cs = _manual_set((1,), (np.eye(2) * 1.0e-4,))
     ms = multiscale_cov(cs, ridge="auto")

@@ -131,8 +131,9 @@ def test_compare_keeps_the_call_contract_the_bench_traces(monkeypatch):
                    and args[0].n_periods == cfg.lookback for args in fits)
         per_fit = ["fit_weights"] + ["multiscale_cov"] * (cfg.strategy != backtest.STRATEGY_EQUAL)
         assert [name for name, _, _ in row] == per_fit * windows
-    # one set per window for the daily rows and for each aggregation's multiscale rows
-    assert sum(name == "build_covariance_set" for name, _, _ in events) == 3 * windows
+    # one set per window for each aggregation's multiscale rows; the daily
+    # rows take scale 1 of the non-overlapping one
+    assert sum(name == "build_covariance_set" for name, _, _ in events) == 2 * windows
 
 
 @pytest.mark.parametrize("strategy", [backtest.STRATEGY_MARKOWITZ_MULTISCALE,
