@@ -14,8 +14,9 @@ deviation about the median, keeping the correlation structure.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -248,6 +249,51 @@ def _condition(vals: np.ndarray) -> float:
     return np.inf if vals[0] <= 0 else vals[-1] / vals[0]
 
 
+MAX_CONDITION = 1e12
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+_TINY = float(np.finfo(float).tiny)
+
+
+def _certify(a: np.ndarray) -> bool:
+    """True when one Cholesky proves ``a`` positive definite with cond(a) < ``MAX_CONDITION / 2``.
+
+    ``a`` is a finite, exactly symmetric matrix; LAPACK reads its lower
+    triangle. With ``C = MAX_CONDITION``, ``t`` the trace, ``u = 2^-53``
+    and ``g = (n+1)u / (1 - 2(n+1)u)``, the diagonal of a copy of ``a`` is
+    lowered by ``s = 2t/C + g t + u max(a_ii)`` and that copy ``H`` is
+    factored. If the factorization completes with ``R``, Higham,
+    *Accuracy and Stability of Numerical Algorithms*, Thm 10.3, gives
+    ``R'R = H + dH`` with ``|dH| <= gamma_{n+1} |R'||R|``, so
+    ``||dH||_2 <= g tr(H) <= g t``; ``R'R`` is positive definite, so
+    ``lambda_min(H) > -g t`` (Rump 2006, *Verification of positive
+    definiteness*, BIT 46). Each ``H_ii`` lies within ``u a_ii`` of
+    ``a_ii - s``, so::
+
+        lambda_min(a) > s - g t - u max(a_ii) = 2t/C >= 2 lambda_max(a) / C.
+
+    The rounding of ``t`` and ``s`` themselves moves this by a relative
+    ``(n+4)u + C ((n+4)u)^2``, far inside the factor 2 between ``C/2``
+    and ``C``. A trace that is not finite, or so small that ``2t/C`` is
+    not a normal float, is never certified: underflow would void the
+    bound. False means only that this test did not decide.
+    """
+    n = a.shape[0]
+    # Python floats overflow to inf without numpy's warning
+    diag = a.diagonal().tolist()
+    t = sum(diag)
+    if not _TINY <= 2.0 * t / MAX_CONDITION < math.inf:
+        return False
+    g = (n + 1) * _UNIT_ROUNDOFF / (1.0 - 2 * (n + 1) * _UNIT_ROUNDOFF)
+    h = a.copy()
+    h.flat[:: n + 1] -= 2.0 * t / MAX_CONDITION + g * t + _UNIT_ROUNDOFF * max(diag)
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def psd_repair(matrix: np.ndarray) -> np.ndarray:
     """Clip negative eigenvalues to zero; identity on PSD input.
 
@@ -270,9 +316,9 @@ class MultiscaleCovariance:
     ``scale_weights`` are the weights applied to each matrix after it was
     divided by its scale. ``ridge`` is the diagonal loading actually added
     and ``psd_repaired`` records whether negative eigenvalues had to be
-    clipped. The constructor checks the matrix and sets ``condition`` (inf
-    unless positive definite) from its ``eigvalsh``; ``multiscale_cov``
-    skips it and passes on the blend's.
+    clipped. The constructor checks the matrix (finite and symmetric) and
+    tries ``_certify`` on it; ``multiscale_cov`` skips the checks and
+    passes on the blend's own certificate.
     """
 
     matrix: np.ndarray
@@ -283,7 +329,6 @@ class MultiscaleCovariance:
     psd_repaired: bool
     method: str
     aggregation: str
-    condition: float = field(init=False, repr=False)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -292,12 +337,11 @@ class MultiscaleCovariance:
             raise DataError(
                 f"matrix shape {m.shape} does not match {n} assets"
             )
-        if not np.all(np.isfinite(m)):
-            raise ValueError("matrix has non-finite entries")
-        m = m.copy()
+        # a fresh array: the input is not held
+        m = check_symmetric(m, "matrix")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "condition", _condition(np.linalg.eigvalsh(m)))
+        object.__setattr__(self, "_certified", _certify(m))
         object.__setattr__(self, "asset_ids", tuple(str(a) for a in self.asset_ids))
         object.__setattr__(self, "scales", _check_scales(self.scales))
         object.__setattr__(self, "scale_weights", tuple(float(w) for w in self.scale_weights))
@@ -305,6 +349,14 @@ class MultiscaleCovariance:
     @property
     def n_assets(self) -> int:
         return len(self.asset_ids)
+
+    @functools.cached_property
+    def condition(self) -> float:
+        """Exact condition number from ``eigvalsh``, inf unless positive definite.
+
+        Computed on first read, unless the blend's exact path already has it.
+        """
+        return _condition(np.linalg.eigvalsh(self.matrix))
 
 
 def _check_ridge(ridge) -> None:
@@ -326,8 +378,9 @@ def multiscale_cov(cov_set: ScaledCovarianceSet, ridge=0.0,
     ``lam_j * (dt_j / t_j)`` divides each by a target ``t_j`` instead.
     ``ridge`` adds diagonal loading: a finite non-negative float, or
     ``"auto"`` for ``1e-8 * trace / n``. The blend of the checked set is
-    not re-checked; its ``eigvalsh`` decides PSD repair, which clips the
-    blend without its ridge, so a repaired blend keeps its ridge.
+    not re-checked. A blend that ``_certify`` passes needs no repair;
+    otherwise its ``eigvalsh`` decides PSD repair, which clips the blend
+    without its ridge, so a repaired blend keeps its ridge.
 
     A blend with the default weights is kept on the immutable ``cov_set``,
     keyed by the checked ``ridge`` (``0`` and ``0.0`` are one key), and a
@@ -370,14 +423,18 @@ def _blend(cov_set: ScaledCovarianceSet, ridge, scale_weights) -> MultiscaleCova
     if ridge_val > 0:
         acc.flat[:: n + 1] += ridge_val
 
-    vals = np.linalg.eigvalsh(acc)
-    # ascending, so the ends hold the smallest value and the largest magnitude
-    repaired = bool(vals[0] < -1e-12 * max(-vals[0], vals[-1], 1e-300))
-    if repaired:
-        acc.flat[:: n + 1] -= ridge_val
-        acc = psd_repair(acc)
-        acc.flat[:: n + 1] += ridge_val
+    certified, repaired, seeded = _certify(acc), False, {}
+    if not certified:
+        # the exact path, for what the certificate leaves undecided
         vals = np.linalg.eigvalsh(acc)
+        # ascending, so the ends hold the smallest value and the largest magnitude
+        repaired = bool(vals[0] < -1e-12 * max(-vals[0], vals[-1], 1e-300))
+        if repaired:
+            acc.flat[:: n + 1] -= ridge_val
+            acc = psd_repair(acc)
+            acc.flat[:: n + 1] += ridge_val
+            vals = np.linalg.eigvalsh(acc)
+        seeded = {"condition": _condition(vals)}
     acc.setflags(write=False)
     return _trusted(
         MultiscaleCovariance, matrix=acc,
@@ -388,5 +445,6 @@ def _blend(cov_set: ScaledCovarianceSet, ridge, scale_weights) -> MultiscaleCova
         psd_repaired=repaired,
         method=cov_set.method,
         aggregation=cov_set.aggregation,
-        condition=_condition(vals),
+        _certified=certified,
+        **seeded,
     )

@@ -26,11 +26,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .covariance import MultiscaleCovariance, ScaledCovarianceSet, _condition, check_symmetric
+from .covariance import (MAX_CONDITION, MultiscaleCovariance, ScaledCovarianceSet, _certify,
+                         _condition, check_symmetric)
 from .errors import DataError, MaxIterationsError, NumericalError, ScaleOneWarning, SensitivitySignWarning
 from .timeseries import _check_scales, _integral
-
-MAX_CONDITION = 1e12
 
 _BUDGET_TOL = 1e-10
 _BOUND_TOL = 1e-12
@@ -84,17 +83,20 @@ def _as_cov(sigma, asset_ids=None):
 
     Every solver and sensitivity enters here. A condition number above
     ``MAX_CONDITION`` is refused, so each later solve on ``sigma`` or a
-    principal submatrix of it is well posed.
+    principal submatrix of it is well posed. A matrix that ``_certify``
+    passes, here or when its blend was built, is below half that bound;
+    only the others take an exact ``eigvalsh``.
     """
     if isinstance(sigma, MultiscaleCovariance):
-        m, ids, cond = np.asarray(sigma.matrix, dtype=float), sigma.asset_ids, sigma.condition
+        m, ids = np.asarray(sigma.matrix, dtype=float), sigma.asset_ids
         record = {"scales": sigma.scales, "covariance": sigma.method,
                   "aggregation": sigma.aggregation, "ridge": sigma.ridge,
                   "psd_repaired": sigma.psd_repaired}
+        cond = 0.0 if sigma._certified else sigma.condition
     else:
         m = check_symmetric(sigma, "covariance")
         ids, record = tuple(f"a{j + 1}" for j in range(m.shape[0])), {}
-        cond = _condition(np.linalg.eigvalsh(m))
+        cond = 0.0 if _certify(m) else _condition(np.linalg.eigvalsh(m))
     if cond > MAX_CONDITION:
         raise NumericalError(
             f"covariance condition number {cond:.3e} exceeds {MAX_CONDITION:.0e}"
@@ -488,31 +490,15 @@ class TargetCurveReport:
         return all(r.within for r in self.rows)
 
 
-def check_target_curve(weights, cov_set: ScaledCovarianceSet,
-                       sigma_target_daily: float | None = None,
-                       hurst_target: float | None = None,
-                       target_table: dict | None = None) -> TargetCurveReport:
-    """Compare portfolio variance per scale with a risk target curve.
+def _target_curve(scales, sigma_target_daily=None, hurst_target=None,
+                  target_table=None) -> tuple[tuple[float, ...], str]:
+    """The target variance ``T`` at each of ``scales``, in their order, and its convention.
 
-    The default target is the power law ``sigma_target_daily^2 *
-    dt^(2 * hurst_target)``, i.e. ``sigma_target_daily`` is a one-period
-    standard deviation and the exponent steepens or flattens how risk may
-    grow with horizon. Alternatively ``target_table`` maps each scale to
-    an explicit variance target.
+    The one check of an investor's target curve: the power law
+    ``sigma_target_daily^2 * dt^(2 * hurst_target)``, or an explicit
+    ``target_table`` of positive finite variances by scale that covers
+    every one of ``scales``.
     """
-    if isinstance(weights, PortfolioWeights):
-        if weights.asset_ids != cov_set.asset_ids:
-            raise DataError(
-                f"weights universe {weights.asset_ids} does not match "
-                f"covariances {cov_set.asset_ids}"
-            )
-        w = weights.weights
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (cov_set.n_assets,):
-            raise ValueError(
-                f"weights shape {w.shape} does not match {cov_set.n_assets} assets"
-            )
     if target_table is not None:
         # a fractional scale is refused, not truncated onto an integer one
         targets = {s: float(v) for s, v in zip(_check_scales(target_table),
@@ -529,20 +515,49 @@ def check_target_curve(weights, cov_set: ScaledCovarianceSet,
             raise ValueError(f"hurst_target={hurst_target} outside (0, 1)")
         # float * float gives inf or 0 where float ** 2 would raise OverflowError
         sigma2 = float(sigma_target_daily) * float(sigma_target_daily)
-        targets = {s: sigma2 * s ** (2.0 * hurst_target) for s in cov_set.scales}
+        targets = {s: sigma2 * s ** (2.0 * hurst_target) for s in scales}
         convention = (
             "power law: variance(dt) <= sigma_target_daily^2 * dt^(2*hurst_target); "
             "sigma_target_daily is a one-period standard deviation"
         )
     if not all(0.0 < v < math.inf for v in targets.values()):
         raise ValueError(f"target variances must be positive and finite, got {targets}")
-    missing = [s for s in cov_set.scales if s not in targets]
+    missing = [s for s in scales if s not in targets]
     if missing:
         raise ValueError(f"target_table missing scales {missing}")
+    return tuple(targets[s] for s in scales), convention
+
+
+def check_target_curve(weights, cov_set: ScaledCovarianceSet,
+                       sigma_target_daily: float | None = None,
+                       hurst_target: float | None = None,
+                       target_table: dict | None = None) -> TargetCurveReport:
+    """Compare portfolio variance per scale with a risk target curve.
+
+    The default target is the power law ``sigma_target_daily^2 *
+    dt^(2 * hurst_target)``, i.e. ``sigma_target_daily`` is a one-period
+    standard deviation and the exponent steepens or flattens how risk may
+    grow with horizon. Alternatively ``target_table`` maps each scale to
+    an explicit variance target. ``_target_curve`` checks either.
+    """
+    if isinstance(weights, PortfolioWeights):
+        if weights.asset_ids != cov_set.asset_ids:
+            raise DataError(
+                f"weights universe {weights.asset_ids} does not match "
+                f"covariances {cov_set.asset_ids}"
+            )
+        w = weights.weights
+    else:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (cov_set.n_assets,):
+            raise ValueError(
+                f"weights shape {w.shape} does not match {cov_set.n_assets} assets"
+            )
+    targets, convention = _target_curve(cov_set.scales, sigma_target_daily,
+                                        hurst_target, target_table)
     rows = []
-    for s, m in zip(cov_set.scales, cov_set.matrices):
+    for s, m, tv in zip(cov_set.scales, cov_set.matrices, targets):
         pv = float(w @ m @ w)
-        tv = targets[s]
         rows.append(TargetCurveRow(
             scale=s,
             portfolio_variance=pv,

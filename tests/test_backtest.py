@@ -701,8 +701,9 @@ def test_compare_warns_of_a_constant_asset_as_its_rows_do_alone():
     (STRATEGY_MAX_SHARPE_MULTISCALE, "nonoverlapping", 1),
 ])
 def test_fit_weights_decomposes_once(monkeypatch, strategy, aggregation, cumsums):
-    # a refit on a package-built window takes one eigvalsh (the blend's),
-    # one prefix sum for all its scales and no symmetry re-check
+    # a refit on a package-built window takes one Cholesky (the blend's
+    # certificate) and no eigvalsh, one prefix sum for all its scales and
+    # no symmetry re-check
     window = _panel(n=400, n_assets=4, drift=0.001).window(100, 400)
     calls = Counter()
 
@@ -714,13 +715,14 @@ def test_fit_weights_decomposes_once(monkeypatch, strategy, aggregation, cumsums
             return fn(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
 
+    count(np.linalg, "cholesky")
     count(np.linalg, "eigvalsh")
     count(np, "cumsum")
     count(covariance, "check_symmetric")
     count(optimizer, "check_symmetric")
     cfg = BacktestConfig(strategy=strategy, aggregation=aggregation, lookback=300)
     fit_weights(window, cfg)
-    assert calls == Counter(eigvalsh=1, cumsum=cumsums)
+    assert calls == Counter(cholesky=1, eigvalsh=0, cumsum=cumsums)
 
 
 def test_fit_weights_calls_the_solvers_bound_in_backtest(monkeypatch):

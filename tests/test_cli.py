@@ -582,6 +582,24 @@ def test_optimize_infeasible_target_exit_numeric(capsys, workdir):
     assert code == EXIT_NUMERIC
 
 
+def test_optimize_duplicated_column_refused_without_ridge_solved_with_auto(capsys, workdir):
+    # the workflow's a1copy step: the copy makes the blend singular, so the
+    # certificate cannot pass it and the exact eigvalsh path refuses it; the
+    # auto ridge makes it solvable
+    path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "1500", "--assets", "4",
+                                       "--rho", "0.35", "--seed", "5"])
+    rows = [line.split(",") for line in path.read_text().splitlines()]
+    (workdir / "a1copy.csv").write_text("".join(
+        ",".join(r + [r[1] + "copy" if i == 0 else r[1]]) + "\n" for i, r in enumerate(rows)))
+    code, _, err = _run(capsys, ["optimize", "a1copy.csv", "--ridge", "0"])
+    assert code == EXIT_NUMERIC
+    assert re.search(r"covariance condition number \S+ exceeds 1e\+12$", err.strip())
+    code, _, _ = _run(capsys, ["optimize", "a1copy.csv", "--ridge", "auto"])
+    assert code == EXIT_OK
+    weights = json.loads((workdir / "optimize.json").read_text())["weights"]
+    assert weights["a1"] == pytest.approx(weights["a1copy"], abs=1e-6)
+
+
 def test_optimize_floor_at_best_mean_holds_the_best_asset(capsys, workdir):
     path = _simulate(capsys, workdir, ["--kind", "correlated", "--n", "400",
                                        "--assets", "3", "--seed", "1"])

@@ -460,6 +460,109 @@ def test_multiscale_covariance_constructor_checks_matrix():
     assert MultiscaleCovariance(np.diag([1.0, 0.0]), *args).condition == np.inf
 
 
+def test_multiscale_covariance_constructor_refuses_an_asymmetric_matrix():
+    # eigvalsh and the certificate's Cholesky both read one triangle, so an
+    # asymmetric matrix would pass for the symmetric one below its diagonal
+    args = (("a", "b"), (1,), (1.0,), 0.0, False, METHOD_PRODUCT, "nonoverlapping")
+    with pytest.raises(ValueError, match="^matrix is not symmetric$"):
+        MultiscaleCovariance([[1.0, 0.9], [-0.9, 1.0]], *args)
+    # within check_symmetric's tolerance it stores the symmetric part
+    near = np.array([[1.0, 0.5 + 1e-12], [0.5, 1.0]])
+    assert MultiscaleCovariance(near, *args).matrix.tobytes() == ((near + near.T) / 2).tobytes()
+
+
+def test_condition_is_computed_on_first_read(monkeypatch):
+    args = (("a", "b"), (1,), (1.0,), 0.0, False, METHOD_PRODUCT, "nonoverlapping")
+    ms = MultiscaleCovariance(np.diag([4.0, 1.0]), *args)
+    assert ms._certified and "condition" not in vars(ms)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    assert ms.condition == 4.0 and ms.condition == 4.0
+    assert len(calls) == 1
+
+
+def test_blend_fallback_seeds_the_condition_it_computed(monkeypatch):
+    # a blend the certificate cannot pass takes the eigvalsh path, whose
+    # condition number the blend then carries; a certified one carries none
+    singular = multiscale_cov(_manual_set((1,), (np.ones((2, 2)),)))
+    assert not singular._certified and vars(singular)["condition"] == np.inf
+    certified = multiscale_cov(_manual_set((1,), (np.diag([4.0, 1.0]),)))
+    assert certified._certified and "condition" not in vars(certified)
+    assert certified.condition == 4.0
+
+
+def _certificate_cases(rng, n, count):
+    """``count`` symmetric ``n x n`` matrices around the certificate's edges.
+
+    They cycle through five kinds: cond log-uniform in [1e9, 1e13],
+    indefinite, singular, a rank-deficient Gram matrix and a Gram matrix
+    of full rank. A fifth of them get zero rows and columns for dead
+    assets, half of those an auto ridge back on, and each is scaled by
+    1e-150, 1, 1e150 or a log-uniform factor between.
+    """
+    for i in range(count):
+        if i % 50 == 0:
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        kind = i % 5
+        cond = 10.0 ** rng.uniform(9, 13)
+        lam = np.sort(10.0 ** rng.uniform(-np.log10(cond), 0.0, n))
+        lam[0], lam[-1] = 1.0 / cond, 1.0
+        if kind == 1:
+            lam[0] = -lam[0]
+        elif kind == 2:
+            lam[0] = 0.0
+        if kind == 3:
+            x = rng.standard_normal((int(rng.integers(0, n)), n))
+            a = x.T @ x
+        elif kind == 4:
+            x = rng.standard_normal((int(rng.integers(n + 1, 3 * n + 3)), n))
+            x *= 10.0 ** rng.uniform(-4.0, 0.0, n)
+            a = x.T @ x
+        else:
+            a = (q * lam) @ q.T
+        if n > 1 and rng.random() < 0.2:
+            dead = rng.random(n) < 0.3
+            a[dead] = 0.0
+            a[:, dead] = 0.0
+            if rng.random() < 0.5:
+                a.flat[:: n + 1] += 1e-8 * np.trace(a) / n
+        scale = rng.choice([-150.0, 0.0, 150.0, rng.uniform(-150.0, 150.0)])
+        yield covariance._sym(a) * 10.0 ** scale
+
+
+def test_certificate_never_passes_what_the_eigvalsh_path_would_repair_or_refuse():
+    # 10^4 matrices: wherever _certify passes one, eigvalsh finds it
+    # positive definite (no PSD repair) with a condition number the
+    # solvers accept; the bound is tight enough to pass a good share
+    rng = np.random.default_rng(2026)
+    passed = total = 0
+    worst = 0.0
+    for n, count in [(1, 1000), (2, 2000), (3, 2000), (10, 2500), (50, 1800), (200, 700)]:
+        for a in _certificate_cases(rng, n, count):
+            total += 1
+            if not covariance._certify(a):
+                continue
+            passed += 1
+            vals = np.linalg.eigvalsh(a)
+            assert not vals[0] < -1e-12 * max(-vals[0], vals[-1], 1e-300)
+            assert covariance._condition(vals) <= covariance.MAX_CONDITION
+            worst = max(worst, covariance._condition(vals))
+    assert total == 10_000
+    assert passed > 3000 and worst > covariance.MAX_CONDITION / 10
+
+
+@pytest.mark.parametrize("a", [
+    np.zeros((3, 3)),
+    np.eye(3) * 1e-300,                    # 2t/C is not a normal float
+    np.eye(3) * 1e308,                     # the trace overflows
+    np.diag([1.0, 1.0, 1e-13]),            # cond above the bound
+    np.diag([1.0, -1.0, 1.0]),
+])
+def test_certificate_declines(a):
+    assert not covariance._certify(a)
+
+
 # ---------------------------------------------------------------------------
 # eigenvalue clipping
 

@@ -6,7 +6,7 @@ from scipy.optimize import minimize
 
 from conftest import brute_force_min_variance, correlation_sensitivity, random_pd_matrix
 
-from multiscale_markowitz import optimizer
+from multiscale_markowitz import covariance, optimizer
 from multiscale_markowitz.errors import (
     DataError, NumericalError, ScaleOneWarning, SensitivitySignWarning,
 )
@@ -138,6 +138,21 @@ def test_blend_asset_ids_length_checked_before_solving(monkeypatch):
     for sigma in (blend.matrix, blend):
         with pytest.raises(ValueError, match="^asset_ids length does not match the matrix$"):
             sensitivity_to_variance(sigma, 2, asset_ids=("x",))
+
+
+def test_certified_matrices_take_no_eigvalsh(monkeypatch):
+    # a matrix the certificate passes, plain or hand-built, is solved with
+    # no eigvalsh; the refusals above take the exact path
+    good = np.array([[2.0, 0.5], [0.5, 1.0]])
+    ms = MultiscaleCovariance(good, ("a", "b"), (1,), (1.0,), 0.0, False, "product",
+                              "nonoverlapping")
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: pytest.fail("eigvalsh"))
+    for sigma in (good, ms):
+        assert min_variance_long_only(sigma).kkt_residual < 1e-12
+
+
+def test_max_condition_is_one_name_in_both_modules():
+    assert optimizer.MAX_CONDITION is covariance.MAX_CONDITION == 1e12
 
 
 def test_hand_built_blend_is_refused_when_ill_conditioned():
@@ -772,6 +787,20 @@ def test_target_curve_table_form():
     assert [r.within for r in rep.rows] == [True, False]
     with pytest.raises(ValueError, match=r"^target_table missing scales \[5\]$"):
         check_target_curve(w, cs, target_table={1: 1e-4})
+
+
+def test_target_curve_helper_returns_targets_in_scale_order_and_the_convention():
+    # the one check of a target curve, which check_target_curve reads
+    power, convention = optimizer._target_curve((21, 1, 5), sigma_target_daily=0.01,
+                                                hurst_target=0.3)
+    assert power == tuple(1e-4 * dt ** 0.6 for dt in (21, 1, 5))
+    assert convention == (
+        "power law: variance(dt) <= sigma_target_daily^2 * dt^(2*hurst_target); "
+        "sigma_target_daily is a one-period standard deviation")
+    assert optimizer._target_curve((5, 1), target_table={1: 1e-4, 21: 1.0, 5: 2e-4}) == (
+        (2e-4, 1e-4), "explicit per-scale variance targets")
+    with pytest.raises(ValueError, match=r"^target_table missing scales \[21\]$"):
+        optimizer._target_curve((1, 21), target_table={1: 1e-4})
 
 
 @pytest.mark.parametrize("table", [{1: 1e-4, 5.9: 1e-3}, {1: 1e-4, 5: 1e-3, 5.9: 2e-3}])
