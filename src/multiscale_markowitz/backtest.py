@@ -26,6 +26,7 @@ from .errors import DataError, MultiscaleError, NumericalError
 from .optimizer import PortfolioWeights, max_sharpe, min_variance_closed_form, min_variance_long_only
 from .timeseries import (
     DEFAULT_SCALES,
+    MIN_PHASE_ROWS,
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
     ReturnPanel,
@@ -33,6 +34,7 @@ from .timeseries import (
     _check_scales,
     _integral,
     _trusted,
+    min_phase_rows,
 )
 
 STRATEGY_EQUAL = "equal_weight"
@@ -171,49 +173,44 @@ class BacktestReport:
     performance: PerformanceMetrics
 
 
-# what the rows of one ``compare`` share: the compared panel, the call's one
-# memo of window results (covariance sets, which keep their blends, and window
-# means) keyed by the window and their arguments, and for a daily row the
-# (scales, aggregation) of the multiscale set it takes scale 1 from, or None;
-# the whole is None outside ``compare`` and for a row that shares with no other
+# the one memo of window results (covariance sets, which keep their blends,
+# and window means) that a ``compare`` call hands its rows, keyed by the
+# window's first date and length and the set's arguments, and the row's plan:
+# the (scales, aggregation) of the set its fits build; None outside
+# ``compare`` and for a row that plans nothing
 _SHARED_SETS = contextvars.ContextVar("_SHARED_SETS", default=None)
 
 
-def _shared(window):
-    """The call's memo, the window's name in it and the row's donor set, or a throwaway memo.
+def _covariance_set(window, scales, method, aggregation, l1_joint):
+    """``build_covariance_set`` of ``window``, built once per ``compare`` for the rows that plan it.
 
-    Only a window of the compared panel, fitted by a sharing row of a
-    ``compare``, gets the call's memo; it is named by its first date and
-    length. Any other window gets an empty dict, no name and no donor.
+    A daily row planned on a multiscale set keeps that set's scale-1 matrix,
+    bit-identical to its own build, under its own key; where the planned
+    build raises ``DataError`` the row builds its own set.
     """
+    def build(scales, aggregation):
+        return build_covariance_set(window, scales, method=method, aggregation=aggregation,
+                                    l1_joint=l1_joint)
+
     shared = _SHARED_SETS.get()
-    if shared is None or not np.may_share_memory(window.returns, shared[0].returns):
-        return {}, None, None
-    return shared[1], (window.timestamps[0], window.n_periods), shared[2]
-
-
-def _covariance_set(window, scales, method, aggregation, l1_joint, borrow=True):
-    """``build_covariance_set`` of ``window``, built once per ``compare`` for its sharing rows.
-
-    A daily row with a donor takes its one matrix, bit-identical to its own
-    build, from the scale-1 matrix of the donor's multiscale set of the same
-    window, which it builds if no row has yet; where that build raises
-    ``DataError`` the row builds its own set.
-    """
-    memo, head, donor = _shared(window)
+    if shared is None:
+        return build(scales, aggregation)
+    memo, plan = shared
+    head = (window.timestamps[0], window.n_periods)
     key = (head, tuple(scales), method, aggregation, l1_joint)
+    planned = (head, plan[0], method, plan[1], l1_joint)
+    if key not in memo and planned not in memo:
+        try:
+            memo[planned] = build(*plan)
+        except DataError:
+            if planned == key:
+                raise
+            memo[key] = build(scales, aggregation)
     if key not in memo:
-        whole = None
-        if borrow and donor is not None:
-            try:
-                whole = _covariance_set(window, donor[0], method, donor[1], l1_joint, borrow=False)
-            except DataError:
-                pass
-        memo[key] = (
-            build_covariance_set(window, scales, method=method, aggregation=aggregation,
-                                 l1_joint=l1_joint) if whole is None
-            else _trusted(ScaledCovarianceSet, asset_ids=whole.asset_ids, scales=(1,),
-                          matrices=(whole.matrix_at(1),), method=method, aggregation=aggregation))
+        whole = memo[planned]
+        memo[key] = _trusted(ScaledCovarianceSet, asset_ids=whole.asset_ids, scales=(1,),
+                             matrices=(whole.matrix_at(1),), method=method,
+                             aggregation=aggregation)
     return memo[key]
 
 
@@ -236,10 +233,12 @@ def fit(window, objective, scales, method, aggregation, ridge, risk_free,
                              ridge=ridge)
     mu = None
     if objective == MAX_SHARPE or mu_target is not None:
-        memo, head, _ = _shared(window)
-        if (head, "mean") not in memo:
-            memo[head, "mean"] = window.returns.mean(axis=0)
-        mu = memo[head, "mean"]
+        shared = _SHARED_SETS.get()
+        memo = {} if shared is None else shared[0]
+        key = (window.timestamps[0], window.n_periods, "mean")
+        if key not in memo:
+            memo[key] = window.returns.mean(axis=0)
+        mu = memo[key]
     if objective == MAX_SHARPE:
         return max_sharpe(blended, mu, risk_free=risk_free, long_only=long_only), blended
     if long_only:
@@ -377,34 +376,29 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
-def _shared_signature(cfg: BacktestConfig):
-    """The arguments that decide every covariance set of a row, or None for equal weights."""
-    if _STRATEGY_TABLE[cfg.strategy].objective is None:
-        return None
-    return (cfg.lookback, cfg.rebalance_every, cfg.effective_scales,
-            cfg.covariance_method, cfg.aggregation)
+def _plans(configs):
+    """Each row's plan: the (scales, aggregation) of the covariance set its fits build, or None.
 
-
-def _donor(sig, shared):
-    """The (scales, aggregation) of the shared multiscale set a daily row takes scale 1 from.
-
-    None unless ``sig`` is a daily row's and some signature in ``shared``
-    has its lookback, rebalancing and method, holds scale 1 among others and
-    leaves every phase of its largest scale enough rows, so that its rows
-    run and build that set on every window.
+    A fitted row plans its own set when another row has the same lookback,
+    rebalancing, effective scales, method and aggregation. A daily row
+    instead plans the first such shared multiscale set that has its
+    lookback, rebalancing and method, holds scale 1 and leaves every phase
+    of its largest scale enough rows, so that its rows run and build that
+    set on every window. Every other row plans nothing.
     """
-    if sig is None or sig[2] != (1,):
-        return None
-    for lookback, rebalance, scales, method, aggregation in shared:
-        if (lookback, rebalance, method) != (sig[0], sig[1], sig[3]) or len(scales) == 1 \
-                or 1 not in scales:
-            continue
-        try:
-            _check_phase_rows(lookback, max(scales), aggregation)
-        except DataError:
-            continue
-        return scales, aggregation
-    return None
+    sigs = [None if _STRATEGY_TABLE[cfg.strategy].objective is None else
+            (cfg.lookback, cfg.rebalance_every, cfg.covariance_method,
+             cfg.effective_scales, cfg.aggregation) for cfg in configs]
+    shared = [sig for sig in sigs if sig is not None and sigs.count(sig) > 1]
+
+    def plan(sig):
+        if sig is not None and sig[3] == (1,):
+            for lookback, rebalance, method, scales, aggregation in shared:
+                if (lookback, rebalance, method) == sig[:3] and len(scales) > 1 and 1 in scales \
+                        and min_phase_rows(lookback, max(scales), aggregation) >= MIN_PHASE_ROWS:
+                    return scales, aggregation
+        return sig[3:] if sig in shared else None
+    return [plan(sig) for sig in sigs]
 
 
 def compare(panel: ReturnPanel, configs) -> ComparisonTable:
@@ -413,33 +407,26 @@ def compare(panel: ReturnPanel, configs) -> ComparisonTable:
     Each row is named by ``display_name``. A strategy that fails outright
     contributes an error row rather than sinking the table.
 
-    Rows with the same lookback, rebalancing, effective scales, covariance
-    method and aggregation fit the same covariance set on each window, so
-    such a group builds each set once, and blends it once, as
-    ``multiscale_cov`` keeps the blend on the set. A daily row whose
-    lookback, rebalancing and method a shared multiscale group has, with a
-    window that group's largest scale fits, takes its set from the scale-1
-    matrix of that group's set, which is bit for bit its own build. Rows
-    that share take the window's mean from the same memo. In the standard
-    lineup with Sharpe rows each window thus builds two sets, one per
-    aggregation, and three blends. Each row still solves its own QP, and
-    its report is the one ``run_backtest`` gives alone; a reused set emits
-    no second ``DegenerateAssetWarning``. The memo holds every window's
-    shared sets and their blends until ``compare`` returns; a row that
-    shares with no other opens none.
+    Each row fits the covariance set ``_plans`` gives it, and the rows that
+    plan a set build it once per window, and blend it once, as
+    ``multiscale_cov`` keeps the blend on the set. A daily row planned on a
+    multiscale set takes that set's scale-1 matrix, which is bit for bit its
+    own build. Rows that plan a set take the window's mean from the same
+    memo. In the standard lineup with Sharpe rows each window thus builds
+    two sets, one per aggregation, and three blends. Each row still solves
+    its own QP, and its report is the one ``run_backtest`` gives alone; a
+    reused set emits no second ``DegenerateAssetWarning``. The memo holds
+    every window's planned sets and their blends until ``compare`` returns;
+    a row that plans nothing opens none.
     """
     configs = list(configs)
-    signatures = [_shared_signature(cfg) for cfg in configs]
-    shared = [sig for sig in signatures if sig is not None and signatures.count(sig) > 1]
     memo = {}
     rows = []
     reports = []
     try:
-        for cfg, sig in zip(configs, signatures):
+        for cfg, plan in zip(configs, _plans(configs)):
             name = display_name(cfg)
-            donor = _donor(sig, shared)
-            shares = sig in shared or donor is not None
-            token = _SHARED_SETS.set((panel, memo, donor) if shares else None)
+            token = _SHARED_SETS.set(None if plan is None else (memo, plan))
             try:
                 rep = run_backtest(panel, cfg)
             except MultiscaleError as exc:

@@ -57,6 +57,29 @@ def _fgn_autocov(n: int, hurst: float, sigma2: float) -> np.ndarray:
     return 0.5 * sigma2 * ((k + 1) ** two_h - 2 * k ** two_h + np.abs(k - 1) ** two_h)
 
 
+def _fgn_autocov_log1p(n: int, hurst: float, sigma2: float) -> np.ndarray:
+    """``_fgn_autocov`` as ``k^2H [expm1(2H log1p(1/k)) + expm1(2H log1p(-1/k))] / 2``.
+
+    The second difference of ``k^2H`` cancels all but ``k^-2`` of itself
+    for large k; this form keeps the bits it loses.
+    """
+    k = np.arange(1, n, dtype=float)
+    two_h = 2.0 * hurst
+    with np.errstate(divide="ignore"):  # log1p(-1) at k = 1
+        tail = k ** two_h * (np.expm1(two_h * np.log1p(1.0 / k))
+                             + np.expm1(two_h * np.log1p(-1.0 / k)))
+    return np.concatenate([[sigma2], 0.5 * sigma2 * tail])
+
+
+def _fgn_rows(n, hurst, sigma2):
+    """The circulant rows ``_fgn_draw`` tries, in order, as (g, c)."""
+    gamma = _fgn_autocov(n + 1, hurst, sigma2)
+    yield gamma, 0.0
+    yield gamma, gamma[n]
+    gamma = _fgn_autocov_log1p(n + 1, hurst, sigma2)
+    yield gamma, gamma[n]
+
+
 def _fgn_draw(n, hurst, sigma_daily, rng):
     """fGn of length ``n`` by circulant embedding (Davies & Harte 1987).
 
@@ -64,10 +87,11 @@ def _fgn_draw(n, hurst, sigma_daily, rng):
     its top-left n x n block, so it is the covariance of a longer periodic
     series whenever its eigenvalues are non-negative. ``c = 0`` comes
     first; where it has a negative eigenvalue (large H at short n), the
-    minimal embedding ``c = g(n)`` takes its place.
+    minimal embedding ``c = g(n)`` takes its place, and where that fails
+    too (H near 1 at n >= 2^18, where ``_fgn_autocov`` loses bits to
+    cancellation) the minimal embedding of ``_fgn_autocov_log1p``.
     """
-    gamma = _fgn_autocov(n + 1, hurst, sigma_daily ** 2)
-    for middle in (0.0, gamma[n]):
+    for gamma, middle in _fgn_rows(n, hurst, sigma_daily ** 2):
         lam = np.fft.fft(np.concatenate([gamma[:n], [middle], gamma[n - 1:0:-1]])).real
         if lam.min() >= -1e-8 * np.abs(lam).max():
             break

@@ -479,8 +479,8 @@ def _spy_shared_sets(monkeypatch):
 
     def spy(*args, **kwargs):
         shared = backtest._SHARED_SETS.get()
-        if shared is not None and all(m is not shared[1] for m in memos):
-            memos.append(shared[1])
+        if shared is not None and all(m is not shared[0] for m in memos):
+            memos.append(shared[0])
         return build(*args, **kwargs)
     monkeypatch.setattr(backtest, "build_covariance_set", spy)
     return memos
@@ -670,6 +670,38 @@ def test_compare_daily_rows_build_their_own_sets_where_the_multiscale_set_fails(
     windows = len(range(125, 400, 21))
     for rep, cfg in zip(table.reports, configs):
         assert len(rep.fallbacks) == (windows if len(cfg.effective_scales) > 1 else 0)
+        _assert_same_report(rep, run_backtest(p, cfg))
+
+
+@pytest.mark.parametrize("differ", [
+    {}, {"lookback": 150}, {"rebalance_every": 10},
+    {"covariance_method": covariance.METHOD_L1},
+], ids=["same", "lookback", "rebalancing", "method"])
+def test_compare_daily_row_borrows_only_from_a_set_of_its_own_windows_and_method(
+        monkeypatch, differ):
+    # the two multiscale rows share a set; a daily row that differs from
+    # them in lookback, rebalancing or method builds its own one-scale sets
+    base = BacktestConfig(lookback=125, rebalance_every=21)
+    configs = [dataclasses.replace(base, strategy=STRATEGY_MARKOWITZ_MULTISCALE),
+               dataclasses.replace(base, strategy=STRATEGY_MAX_SHARPE_MULTISCALE),
+               dataclasses.replace(base, strategy=STRATEGY_MARKOWITZ_DAILY, **differ)]
+    p = _panel(400, n_assets=4, seed=32, drift=0.001)
+    sets = _spy_calls(monkeypatch, "build_covariance_set")
+    table = compare(p, configs)
+    daily = configs[2]
+    windows = len(range(daily.lookback, 400, daily.rebalance_every))
+    assert sum(args[1] == (1,) for args, _, _ in sets) == (windows if differ else 0)
+    for rep, cfg in zip(table.reports, configs):
+        _assert_same_report(rep, run_backtest(p, cfg))
+
+
+def test_compare_l1_lineup_rows_match_their_own_backtests_bit_for_bit():
+    p = _panel(400, n_assets=4, seed=33, drift=0.001)
+    configs = standard_comparison_configs(
+        BacktestConfig(covariance_method=covariance.METHOD_L1), max_sharpe_rows=True)
+    table = compare(p, configs)
+    assert len(configs) == 7 and all(row.error is None for row in table.rows)
+    for rep, cfg in zip(table.reports, configs):
         _assert_same_report(rep, run_backtest(p, cfg))
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import gen_stable_iid
 from multiscale_markowitz import scaling, synth
-from multiscale_markowitz.errors import CalibrationFailure, DataError, NumericalError
+from multiscale_markowitz.errors import CalibrationFailure, DataError
 from multiscale_markowitz.synth import (
     calibrate_epps,
     constant_correlation_cov,
@@ -235,11 +235,28 @@ def test_minimal_embedding_spectrum_reproduces_the_autocovariance(n, hurst):
     assert np.abs(np.fft.ifft(lam).real[:n] - gamma[:n]).max() < 1e-12
 
 
-def test_fgn_refuses_where_both_rows_fail():
-    # at n 2^19, H 0.999 the autocovariance's second difference loses enough
-    # bits to cancellation that the g(n) row, too, has a negative eigenvalue
-    with pytest.raises(NumericalError, match="has negative eigenvalues"):
-        gen_fgn(1 << 19, hurst=0.999)
+def test_fgn_draws_where_the_second_difference_cancels():
+    # at n 2^18, H 0.999 the autocovariance's second difference loses enough
+    # bits to cancellation that both of its rows have a negative eigenvalue;
+    # the log1p form's minimal embedding draws
+    n, hurst = 1 << 18, 0.999
+    gamma = synth._fgn_autocov(n + 1, hurst, 1.0)
+    lam = np.fft.fft(np.concatenate([gamma[:n], [gamma[n]], gamma[n - 1:0:-1]])).real
+    assert lam.min() < -1e-8 * np.abs(lam).max()
+    assert np.isfinite(gen_fgn(n, hurst=hurst).returns).all()
+    gamma = synth._fgn_autocov_log1p(n + 1, hurst, 1.0)
+    lam = np.fft.fft(np.concatenate([gamma[:n], [gamma[n]], gamma[n - 1:0:-1]])).real
+    assert lam.min() >= -1e-8 * np.abs(lam).max()
+    lam = np.clip(lam, 0.0, None)
+    assert np.abs(np.fft.ifft(lam).real[:n] - gamma[:n]).max() < 1e-12
+
+
+@pytest.mark.parametrize("hurst", [0.05, 0.5, 0.9, 0.99])
+def test_fgn_autocov_log1p_is_the_second_difference(hurst):
+    # equal up to the bits the second difference loses, at most 1e-11 here
+    got = synth._fgn_autocov_log1p(256, hurst, 1.0)
+    assert got[0] == 1.0
+    assert np.abs(got - synth._fgn_autocov(256, hurst, 1.0)).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
