@@ -275,9 +275,7 @@ def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:
     n = panel.n_assets
     daily = np.empty(t_total)  # portfolio returns from row cfg.lookback on
     weights_history = []
-    turnover = []
     fallbacks = []
-    prev = np.zeros(n)
     current = np.full(n, 1.0 / n)
     for t in range(cfg.lookback, t_total, cfg.rebalance_every):
         window = panel.window(t - cfg.lookback, t)
@@ -286,11 +284,13 @@ def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:
         except (MultiscaleError, np.linalg.LinAlgError) as exc:
             fallbacks.append((t, f"{type(exc).__name__}: {exc}"))
         weights_history.append((t, current))
-        turnover.append(float(np.abs(current - prev).sum()))
-        prev = current
         stop = min(t + cfg.rebalance_every, t_total)
         daily[t:stop] = (np.exp(panel.returns[t:stop]) - 1.0) @ current
 
+    # each refit's turnover against the one before (none before the first);
+    # a row sum of the contiguous 2-D array is that row's own 1-D sum, bit for bit
+    turnover = np.abs(np.diff([w for _, w in weights_history], axis=0,
+                              prepend=0.0)).sum(axis=1)
     # a 1-D cumprod multiplies in order, as a running product would
     equity = np.cumprod(np.concatenate([[1.0], 1.0 + daily[cfg.lookback:]]))
     return BacktestReport(
@@ -299,7 +299,7 @@ def run_backtest(panel: ReturnPanel, cfg: BacktestConfig) -> BacktestReport:
         equity=equity,
         dates=panel.timestamps[cfg.lookback:],
         weights_history=tuple(weights_history),
-        turnover=np.asarray(turnover),
+        turnover=turnover,
         fallbacks=tuple(fallbacks),
         performance=metrics(equity, cfg.periods_per_year),
     )

@@ -58,45 +58,48 @@ def check_symmetric(matrix, name: str = "matrix") -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=128)
-def _phase_weights(rows: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``n_p`` of each of ``k`` phases of ``rows`` block sums, and ``1/sqrt(k (n_p - 1))``.
+def _phase_weights(rows: int, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows ``n_p`` of each of ``k`` phases of ``rows`` block sums, ``1/sqrt(k (n_p - 1))``
+    and the row ``p + n_p k`` of the prefix sum that ends phase ``p``.
 
-    Both are ``(k, 1)`` columns that depend only on the window's shape;
-    they are read-only because every call with that shape shares them.
+    The first two are ``(k, 1)`` columns and the last a ``(k,)`` index; all
+    depend only on the window's shape and are read-only because every call
+    with that shape shares them.
     """
     counts = ((rows - 1 - np.arange(k)) // k + 1)[:, None]
     weights = 1.0 / np.sqrt(k * (counts - 1.0))
-    counts.setflags(write=False)
-    weights.setflags(write=False)
-    return counts, weights
+    ends = np.arange(k) + k * counts[:, 0]
+    for a in (counts, weights, ends):
+        a.setflags(write=False)
+    return counts, weights, ends
 
 
-def _phase_cov(s: np.ndarray, k: int, c: np.ndarray | None = None) -> np.ndarray:
+def _phase_cov(s: np.ndarray, k: int, c: np.ndarray | None = None,
+               buf: np.ndarray | None = None) -> np.ndarray:
     """Mean over the phases ``i mod k`` of the rows' sample covariances.
 
     One weighted Gram product, as the module docstring says; ``y.T @ y``
     runs as BLAS ``syrk``, so the result is exactly symmetric. For ``k > 1``
     the rows ``s`` are the block sums ``c[k:] - c[:-k]`` of the prefix sum
     ``c`` and become ``y`` in place: phase ``p``'s ``n_p`` sums telescope to
-    ``c[p + n_p k] - c[p]``, so no pass over ``s`` sums them.
+    ``c[p + n_p k] - c[p]``, so no pass over ``s`` sums them. ``s`` is then
+    the first rows of ``buf``, which holds them rounded up to whole rounds
+    of ``k`` rows; the spare rows are centred and weighted with the others
+    in one broadcast and never read, so they need only hold finite values.
     """
     rows, n = s.shape
     if k == 1:
         # the sum over the count is what ``mean`` computes, without its dispatch
         xc = s - s.sum(axis=0) / rows
         return xc.T @ xc / (rows - 1)
-    counts, weights = _phase_weights(rows, k)
-    means = c[np.arange(k) + k * counts[:, 0]]
+    counts, weights, ends = _phase_weights(rows, k)
+    means = c[ends]
     means -= c[:k]
     means /= counts
-    # the whole rounds of k rows as (m, k, n), then the r rows left over
-    m, r = divmod(rows, k)
-    body = s[: m * k].reshape(m, k, n)
-    body -= means
-    body *= weights
-    tail = s[m * k:]
-    tail -= means[:r]
-    tail *= weights[:r]
+    # every round of k rows as (rounds, k, n): row i sits at its phase i mod k
+    y = buf[: -(-rows // k) * k].reshape(-1, k, n)
+    y -= means
+    y *= weights
     return s.T @ s
 
 
@@ -211,10 +214,12 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
         else:
             if c is None:
                 c = _prefix_sum(panel.returns)
-                # the window's shape holds every scale's rows and, being
-                # the size of the window's other arrays, reuses their freed
-                # heap chunks: lower peak memory than a rows-sized buffer
-                buf = np.empty(panel.returns.shape)
+                # the window's shape holds every scale's rows, rounded up to
+                # whole rounds of the scale, and, being the size of the
+                # window's other arrays, reuses their freed heap chunks:
+                # lower peak memory than a rows-sized buffer. Zeros keep its
+                # spare rows finite
+                buf = np.zeros(panel.returns.shape)
             s = np.subtract(c[dt:], c[:-dt], out=buf[: len(c) - dt])
         for aid in dead_ids:
             warnings.warn(
@@ -225,7 +230,7 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
             )
         k = dt if aggregation == MODE_NONOVERLAPPING else 1
         if method == METHOD_PRODUCT:
-            m = _phase_cov(s, k, c)
+            m = _phase_cov(s, k, c, buf)
             if dead_ids:
                 m[dead, :] = 0.0
                 m[:, dead] = 0.0
@@ -235,8 +240,9 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
                 acc += _cov_l1(s[p::k], dead, l1_joint)
             m = acc / k
         # finite returns can still overflow a product; a finite diagonal
-        # bounds every entry
-        if not np.isfinite(m.diagonal()).all():
+        # bounds every entry. It is not negative, so its largest entry is
+        # below inf exactly when every entry is finite (NaN compares false)
+        if not m.diagonal().max() < math.inf:
             raise DataError(f"variance at scale {dt} overflows: returns too large")
         m.setflags(write=False)
         built.append(m)
@@ -286,7 +292,8 @@ def _certify(a: np.ndarray) -> bool:
         return False
     g = (n + 1) * _UNIT_ROUNDOFF / (1.0 - 2 * (n + 1) * _UNIT_ROUNDOFF)
     h = a.copy()
-    h.flat[:: n + 1] -= 2.0 * t / MAX_CONDITION + g * t + _UNIT_ROUNDOFF * max(diag)
+    # through a view of the diagonal: .flat would copy it out and back
+    h.reshape(-1)[:: n + 1] -= 2.0 * t / MAX_CONDITION + g * t + _UNIT_ROUNDOFF * max(diag)
     try:
         np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
@@ -402,7 +409,7 @@ def _blend(cov_set: ScaledCovarianceSet, ridge, scale_weights) -> MultiscaleCova
     """The blend ``multiscale_cov`` describes, made afresh for a checked ``ridge``."""
     k = len(cov_set.scales)
     if scale_weights is None:
-        wts = np.full(k, 1.0 / k)
+        weights = (1.0 / k,) * k
     else:
         wts = np.asarray(scale_weights, dtype=float)
         if wts.shape != (k,):
@@ -413,15 +420,18 @@ def _blend(cov_set: ScaledCovarianceSet, ridge, scale_weights) -> MultiscaleCova
             raise ValueError(f"scale weights must be finite, got {wts.tolist()}")
         if np.any(wts < 0) or wts.sum() <= 0:
             raise ValueError("scale weights must be non-negative with positive sum")
+        weights = tuple(wts.tolist())
 
     n = cov_set.n_assets
     acc = np.zeros((n, n))
-    for w, dt, m in zip(wts, cov_set.scales, cov_set.matrices):
+    # a Python float scales an array as the float64 it holds does
+    for w, dt, m in zip(weights, cov_set.scales, cov_set.matrices):
         acc += w * (m / dt)
 
-    ridge_val = 1e-8 * np.trace(acc) / n if isinstance(ridge, str) else float(ridge)
+    ridge_val = 1e-8 * acc.trace() / n if isinstance(ridge, str) else float(ridge)
     if ridge_val > 0:
-        acc.flat[:: n + 1] += ridge_val
+        # through a view of the diagonal: .flat would copy it out and back
+        acc.reshape(-1)[:: n + 1] += ridge_val
 
     certified, repaired, seeded = _certify(acc), False, {}
     if not certified:
@@ -440,7 +450,7 @@ def _blend(cov_set: ScaledCovarianceSet, ridge, scale_weights) -> MultiscaleCova
         MultiscaleCovariance, matrix=acc,
         asset_ids=cov_set.asset_ids,
         scales=cov_set.scales,
-        scale_weights=tuple(float(w) for w in wts),
+        scale_weights=weights,
         ridge=ridge_val,
         psd_repaired=repaired,
         method=cov_set.method,

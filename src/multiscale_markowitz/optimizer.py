@@ -59,17 +59,21 @@ class PortfolioWeights:
     provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        ids = tuple(str(a) for a in self.asset_ids)
-        w = np.asarray(self.weights, dtype=float)
+        ids = tuple(map(str, self.asset_ids))
+        # a fresh array: the input is not held
+        w = np.array(self.weights, dtype=float)
         if w.shape != (len(ids),):
             raise ValueError(f"weights shape {w.shape} does not match {len(ids)} assets")
-        if not np.all(np.isfinite(w)):
+        # the finite and long-only checks read one list; the smallest of its
+        # finite values is numpy's minimum
+        values = w.tolist()
+        if not all(map(math.isfinite, values)):
             raise ValueError("weights must be finite")
-        if abs(w.sum() - 1.0) > _BUDGET_TOL:
-            raise ValueError(f"weights sum to {float(w.sum())}, not 1")
-        if self.long_only and w.min() < -_BOUND_TOL:
-            raise ValueError(f"long-only weights contain {float(w.min())}")
-        w = w.copy()
+        total = w.sum()
+        if abs(total - 1.0) > _BUDGET_TOL:
+            raise ValueError(f"weights sum to {float(total)}, not 1")
+        if self.long_only and min(values) < -_BOUND_TOL:
+            raise ValueError(f"long-only weights contain {min(values)}")
         w.setflags(write=False)
         object.__setattr__(self, "asset_ids", ids)
         object.__setattr__(self, "weights", w)
@@ -113,7 +117,7 @@ def _means(mu, n: int) -> np.ndarray:
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (n,):
         raise ValueError(f"mu shape {mu.shape} does not match {n} assets")
-    if not np.isfinite(mu).all():
+    if not all(map(math.isfinite, mu.tolist())):
         k = int(np.flatnonzero(~np.isfinite(mu))[0])
         raise ValueError(f"mu must be finite, got {mu[k]} at asset {k}")
     return mu
@@ -130,11 +134,15 @@ def _eqp(m, rows, rhs, free):
     has fewer coordinates than there are rows or when ``R_F X`` is
     numerically singular.
     """
-    every = free.all()
-    r_f = rows if every else rows[:, free]
-    if r_f.shape[1] < len(rhs):
+    index = free.nonzero()[0]
+    if len(index) < len(rhs):
         return None
-    x = np.linalg.solve(m if every else m[np.ix_(free, free)], r_f.T)
+    if len(index) == len(free):
+        m_ff, r_f = m, rows
+    else:
+        # the same layouts as a mask's gathers, which the solves' rounding follows
+        m_ff, r_f = m.take(index, 0).take(index, 1), rows[:, index]
+    x = np.linalg.solve(m_ff, r_f.T)
     s = r_f @ x
     if len(rhs) == 1:
         # a 1x1 determinant is the entry itself, and it is at most
@@ -184,7 +192,8 @@ def _support_start(m, a):
     """
     n = m.shape[0]
     free = np.ones(n, dtype=bool)
-    while free.any():
+    while True:
+        # an empty free set has fewer coordinates than rows: _eqp gives None
         step = _eqp(m, a[None], _ONE, free)
         if step is None:
             break
@@ -203,7 +212,8 @@ def _support_start(m, a):
 def _active_set_qp(m, rows, rhs, start, step=None):
     """Minimize ``w' m w`` over ``rows @ w = rhs`` and ``w >= 0``, from the
     feasible point ``start``. ``step``, when given, is ``_eqp``'s solve on
-    the free set of ``start`` and stands in for the first iteration's.
+    the free set of ``start``, whose solution ``start`` is: it stands in for
+    the first iteration's, which then goes straight to the terminal test.
 
     Each iteration solves on the free set and steps towards that solution
     as far as the bounds allow; a weight the step drives to zero is fixed.
@@ -228,19 +238,23 @@ def _active_set_qp(m, rows, rhs, start, step=None):
         free = ~bound_active
         if step is None:
             step = _eqp(m, rows, rhs, free)
-        dependent = step is None and len(rhs) == 2
-        if dependent:
-            # the budget and floor rows are dependent over F, so mu is
-            # constant there and the feasible w meets the floor already:
-            # solve the budget alone
-            step = _eqp(m, rows[:1], rhs[:1], free)
-        if step is None:
-            raise NumericalError("singular working set in active-set iteration")
-        w_free, lam = step
+            dependent = step is None and len(rhs) == 2
+            if dependent:
+                # the budget and floor rows are dependent over F, so mu is
+                # constant there and the feasible w meets the floor already:
+                # solve the budget alone
+                step = _eqp(m, rows[:1], rhs[:1], free)
+            if step is None:
+                raise NumericalError("singular working set in active-set iteration")
+            p = -w
+            p[free] += step[0]
+            solved = np.abs(p).max() <= _BOUND_TOL
+        else:
+            # the given step's solution is w: the step to it is zero
+            dependent, solved = False, True
+        lam = step[1]
         step = None
-        p = -w
-        p[free] += w_free
-        if np.abs(p).max() <= _BOUND_TOL:
+        if solved:
             resid = 2.0 * m @ w - rows[:len(lam)].T @ lam
             if dependent:
                 # with mu_F the largest mean on F, a floor multiplier eta
@@ -250,7 +264,7 @@ def _active_set_qp(m, rows, rhs, start, step=None):
                 lower = bound_active & (gap > 0.0)
                 resid += (-resid[lower] / gap[lower]).max(initial=0.0) * gap
             release = bound_active & (resid < -_BOUND_TOL)
-            if not release.any():
+            if not np.count_nonzero(release):
                 return w, float(np.abs(resid[free]).max())
             bound_active[release] = False
             continue
@@ -263,7 +277,8 @@ def _active_set_qp(m, rows, rhs, start, step=None):
             k = int(np.argmin(ratio))
             if ratio[k] < 1.0:
                 alpha, blocking = ratio[k], shrink[k]
-        w = np.clip(w + alpha * p, 0.0, None)
+        # np.clip's lower bound alone, without its dispatch
+        w = np.maximum(w + alpha * p, 0.0)
         if blocking is not None:
             bound_active[blocking] = True
             w[blocking] = 0.0

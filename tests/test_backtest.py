@@ -359,6 +359,24 @@ def test_backtest_fallback_on_fit_failure():
     assert np.allclose(rep.weights_history[0][1], 0.5)
 
 
+@pytest.mark.parametrize("n_assets", [2, 11, 140])
+def test_turnover_after_the_walk_matches_each_refits_own_sum(n_assets):
+    # falling prices until day 300 leave max-Sharpe no optimum on the early
+    # windows, which keep the previous weights; the later fits move them
+    rng = np.random.default_rng(n_assets)
+    r = rng.standard_normal((520, n_assets)) * 0.01
+    r += np.where(np.arange(520) < 300, -0.004, 0.004)[:, None]
+    cfg = BacktestConfig(strategy=STRATEGY_MAX_SHARPE_DAILY, lookback=125, rebalance_every=9)
+    rep = run_backtest(panel_from_returns(r), cfg)
+    assert rep.fallbacks and len(rep.fallbacks) < len(rep.weights_history)
+    want, prev = [], np.zeros(n_assets)
+    for _, cur in rep.weights_history:
+        want.append(float(np.abs(cur - prev).sum()))
+        prev = cur
+    assert rep.turnover.tobytes() == np.asarray(want).tobytes()
+    assert abs(rep.turnover[0] - 1.0) <= 1e-12 and 0.0 in rep.turnover
+
+
 def test_backtest_future_data_does_not_affect_weights():
     p = _panel(400, seed=10)
     cfg = BacktestConfig(lookback=125, rebalance_every=21)

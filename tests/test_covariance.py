@@ -22,6 +22,7 @@ from multiscale_markowitz.synth import constant_correlation_cov, gen_correlated
 from multiscale_markowitz.timeseries import (
     MODE_NONOVERLAPPING,
     MODE_OVERLAPPING,
+    _prefix_sum,
     block_sums,
     min_phase_rows,
     panel_from_returns,
@@ -274,14 +275,54 @@ def test_constant_columns_are_those_of_zero_ptp(data):
 
 
 def test_cached_phase_weights_are_read_only():
-    counts, weights = covariance._phase_weights(500, 21)
-    assert covariance._phase_weights(500, 21)[1] is weights
-    for arr in (counts, weights):
+    counts, weights, ends = covariance._phase_weights(500, 21)
+    again = covariance._phase_weights(500, 21)
+    assert again[1] is weights and again[2] is ends
+    for arr in (counts, weights, ends):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     n_p = (500 - 1 - np.arange(21)) // 21 + 1
     assert np.array_equal(counts[:, 0], n_p)
     assert weights[:, 0].tobytes() == (1.0 / np.sqrt(21 * (n_p - 1.0))).tobytes()
+    # the prefix-sum row that ends each phase
+    assert np.array_equal(ends, np.arange(21) + 21 * n_p)
+
+
+def _phase_cov_body_and_tail(s, k, c):
+    """``_phase_cov`` for ``k > 1`` as it centred and weighted the whole rounds
+    of ``k`` rows and the rows left over in two separate steps."""
+    rows, n = s.shape
+    counts = ((rows - 1 - np.arange(k)) // k + 1)[:, None]
+    weights = 1.0 / np.sqrt(k * (counts - 1.0))
+    means = c[np.arange(k) + k * counts[:, 0]]
+    means -= c[:k]
+    means /= counts
+    m, r = divmod(rows, k)
+    body = s[: m * k].reshape(m, k, n)
+    body -= means
+    body *= weights
+    tail = s[m * k:]
+    tail -= means[:r]
+    tail *= weights[:r]
+    return s.T @ s
+
+
+@pytest.mark.parametrize("k", [2, 3, 5, 7, 21])
+def test_phase_cov_one_broadcast_matches_body_and_tail_at_every_remainder(k):
+    rng = np.random.default_rng(k)
+    seen = set()
+    for t in range(8 * k, 9 * k):  # the block sums' rows t + 1 - k take every remainder mod k
+        x = rng.standard_normal((t, 6)) * 0.01
+        c = _prefix_sum(x)
+        rows = t + 1 - k
+        seen.add(rows % k)
+        want = _phase_cov_body_and_tail(c[k:] - c[:-k], k, c)
+        # the spare rows hold whatever an earlier scale left there
+        buf = rng.standard_normal(x.shape)
+        s = np.subtract(c[k:], c[:-k], out=buf[:rows])
+        got = covariance._phase_cov(s, k, c, buf)
+        assert got.tobytes() == want.tobytes(), (t, k)
+    assert seen == set(range(k))
 
 
 @pytest.mark.parametrize("t", [5, 500, 503])

@@ -877,6 +877,96 @@ def test_portfolio_weights_keeps_a_budget_within_tolerance_and_shorts_when_allow
     assert not w.weights.flags.writeable
 
 
+def test_portfolio_weights_reads_non_finite_before_a_missed_budget():
+    # the sum of a NaN vector misses 1 too; the finite check speaks first
+    for weights in ([np.nan, 0.2], [np.nan, np.nan, 5.0], [np.inf, -np.inf]):
+        with pytest.raises(ValueError, match="^weights must be finite$"):
+            optimizer.PortfolioWeights(("x", "y", "z")[:len(weights)], weights, "test", True)
+
+
+@pytest.mark.parametrize("weights", [[-0.0, 1.0], [1.0 + 1e-13, -1e-13]])
+def test_portfolio_weights_long_only_passes_a_negative_zero_and_a_bound_within_tolerance(
+        weights):
+    w = optimizer.PortfolioWeights(("x", "y"), weights, "test", True)
+    assert w.weights.tobytes() == np.array(weights).tobytes()
+
+
+def test_portfolio_weights_ids_come_back_as_str_and_the_input_is_not_held():
+    ids = (np.str_("x"), 7)
+    given = np.array([0.25, 0.75])
+    w = optimizer.PortfolioWeights(ids, given, "test", True)
+    assert w.asset_ids == ("x", "7")
+    assert [type(a) for a in w.asset_ids] == [str, str]
+    given[0] = 0.5
+    assert w.weights.tolist() == [0.25, 0.75]
+    assert not w.weights.flags.writeable
+
+
+# ---------------------------------------------------------------------------
+# the lean forms of each solve's numpy calls, against the forms they replaced
+
+
+def _eqp_by_ix(m, rows, rhs, free):
+    """``_eqp`` as it gathered ``M_FF`` and ``R_F`` through ``np.ix_`` and the mask."""
+    every = free.all()
+    r_f = rows if every else rows[:, free]
+    if r_f.shape[1] < len(rhs):
+        return None
+    x = np.linalg.solve(m if every else m[np.ix_(free, free)], r_f.T)
+    s = r_f @ x
+    if len(rhs) == 1:
+        if s[0, 0] <= 0.0:
+            return None
+        nu = rhs / s[0, 0]
+    else:
+        if np.linalg.det(s) <= optimizer._DEPENDENT_ROWS * np.prod(np.diag(s)):
+            return None
+        nu = np.linalg.solve(s, rhs)
+    return x @ nu, 2.0 * nu
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 57, 200])
+def test_eqp_index_gather_matches_the_ix_gather_bit_for_bit(n):
+    rng = np.random.default_rng(4200 + n)
+    m = random_pd_matrix(rng, n)
+    mu = rng.normal(0.0, 1.0, n)
+    flat = np.full(n, 0.3)  # a floor row that is the budget row times 0.3
+    masks = [np.ones(n, dtype=bool), np.eye(n, dtype=bool)[n // 2],
+             np.zeros(n, dtype=bool)] + [rng.random(n) < p for p in (0.2, 0.5, 0.8) * 4]
+    systems = [(np.ones((1, n)), optimizer._ONE), (mu[None], optimizer._ONE),
+               (np.vstack([np.ones(n), mu]), np.array([1.0, float(np.median(mu))])),
+               (np.vstack([np.ones(n), flat]), np.array([1.0, 0.3]))]
+    solved = 0
+    for rows, rhs in systems:
+        for free in masks:
+            want = _eqp_by_ix(m, rows, rhs, free)
+            got = optimizer._eqp(m, rows, rhs, free)
+            if want is None:
+                assert got is None
+                continue
+            solved += 1
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+    assert solved >= (8 if n > 1 else 3)
+
+
+def test_active_set_given_the_support_step_matches_solving_it_again():
+    # the support start is its step's solution, so the first iteration may
+    # skip straight to the terminal test
+    rng = np.random.default_rng(42)
+    for _ in range(200):
+        n = int(rng.integers(1, 25))
+        m = random_pd_matrix(rng, n)
+        for a in (np.ones(n), rng.normal(0.5, 1.0, n)):
+            if a.max() <= 0.0:
+                continue
+            start, step = optimizer._support_start(m, a)
+            given = optimizer._active_set_qp(m, a[None], optimizer._ONE, start, step)
+            again = optimizer._active_set_qp(m, a[None], optimizer._ONE, start)
+            assert given[0].tobytes() == again[0].tobytes()
+            assert given[1] == again[1]
+
+
 def test_target_curve_ratio_definition():
     sig1 = np.eye(2) * 1e-4
     cs = _set_for((sig1,), (1,), ("x", "y"))
