@@ -21,6 +21,7 @@ from .covariance import (
     MultiscaleCovariance,
     ScaledCovarianceSet,
     build_covariance_set,
+    build_covariance_sets,
     multiscale_cov,
     psd_repair,
 )
@@ -88,6 +89,7 @@ __all__ = [
     "TargetCurveReport",
     "block_sums",
     "build_covariance_set",
+    "build_covariance_sets",
     "check_target_curve",
     "compare",
     "correlation_sensitivity_analytic",

@@ -20,6 +20,7 @@ from .covariance import (
     ScaledCovarianceSet,
     _check_ridge,
     build_covariance_set,
+    build_covariance_sets,
     multiscale_cov,
 )
 from .errors import DataError, MultiscaleError, NumericalError
@@ -176,17 +177,21 @@ class BacktestReport:
 # the one memo of window results (covariance sets, which keep their blends,
 # and window means) that a ``compare`` call hands its rows, keyed by the
 # window's first date and length and the set's arguments, and the row's plan:
-# the (scales, aggregation) of the set its fits build; None outside
-# ``compare`` and for a row that plans nothing
+# the (scales, aggregation) of the set its fits build and the aggregations
+# built with it; None outside ``compare`` and for a row that plans nothing
 _SHARED_SETS = contextvars.ContextVar("_SHARED_SETS", default=None)
 
 
 def _covariance_set(window, scales, method, aggregation, l1_joint):
     """``build_covariance_set`` of ``window``, built once per ``compare`` for the rows that plan it.
 
-    A daily row planned on a multiscale set keeps that set's scale-1 matrix,
-    bit-identical to its own build, under its own key; where the planned
-    build raises ``DataError`` the row builds its own set.
+    A row's first fit of a window builds its planned set and the plan's other
+    aggregations in one ``build_covariance_sets`` call; where that raises
+    ``DataError``, each row falls back to one-mode builds and so meets the set
+    or the error it meets alone. A daily row planned on a multiscale set
+    keeps that set's scale-1 matrix, bit-identical to its own build, under its
+    own key; where the planned build raises ``DataError`` the row builds its
+    own set.
     """
     def build(scales, aggregation):
         return build_covariance_set(window, scales, method=method, aggregation=aggregation,
@@ -195,17 +200,26 @@ def _covariance_set(window, scales, method, aggregation, l1_joint):
     shared = _SHARED_SETS.get()
     if shared is None:
         return build(scales, aggregation)
-    memo, plan = shared
+    memo, (plan_scales, plan_mode, modes) = shared
     head = (window.timestamps[0], window.n_periods)
     key = (head, tuple(scales), method, aggregation, l1_joint)
-    planned = (head, plan[0], method, plan[1], l1_joint)
+    planned = (head, plan_scales, method, plan_mode, l1_joint)
     if key not in memo and planned not in memo:
-        try:
-            memo[planned] = build(*plan)
-        except DataError:
-            if planned == key:
-                raise
-            memo[key] = build(scales, aggregation)
+        if len(modes) > 1:
+            try:
+                sets = build_covariance_sets(window, plan_scales, modes, method=method,
+                                             l1_joint=l1_joint)
+                memo.update(((head, plan_scales, method, mode, l1_joint), cset)
+                            for mode, cset in zip(modes, sets))
+            except DataError:
+                pass  # each row builds its own mode's set below, as alone
+        if planned not in memo:
+            try:
+                memo[planned] = build(plan_scales, plan_mode)
+            except DataError:
+                if planned == key:
+                    raise
+                memo[key] = build(scales, aggregation)
     if key not in memo:
         whole = memo[planned]
         memo[key] = _trusted(ScaledCovarianceSet, asset_ids=whole.asset_ids, scales=(1,),
@@ -377,28 +391,41 @@ class ComparisonTable:
 
 
 def _plans(configs):
-    """Each row's plan: the (scales, aggregation) of the covariance set its fits build, or None.
+    """Each row's plan, or None: the (scales, aggregation) of the covariance set its
+    fits build, and the aggregations built with it.
 
     A fitted row plans its own set when another row has the same lookback,
     rebalancing, effective scales, method and aggregation. A daily row
     instead plans the first such shared multiscale set that has its
     lookback, rebalancing and method, holds scale 1 and leaves every phase
     of its largest scale enough rows, so that its rows run and build that
-    set on every window. Every other row plans nothing.
+    set on every window. Every other row plans nothing. A plan's set is
+    built with every planned set of its lookback, rebalancing, method and
+    scales whose rows run, its own included.
     """
     sigs = [None if _STRATEGY_TABLE[cfg.strategy].objective is None else
             (cfg.lookback, cfg.rebalance_every, cfg.covariance_method,
              cfg.effective_scales, cfg.aggregation) for cfg in configs]
     shared = [sig for sig in sigs if sig is not None and sigs.count(sig) > 1]
 
-    def plan(sig):
+    def runs(sig):
+        lookback, _, _, scales, aggregation = sig
+        return min_phase_rows(lookback, max(scales), aggregation) >= MIN_PHASE_ROWS
+
+    def planned(sig):
         if sig is not None and sig[3] == (1,):
-            for lookback, rebalance, method, scales, aggregation in shared:
-                if (lookback, rebalance, method) == sig[:3] and len(scales) > 1 and 1 in scales \
-                        and min_phase_rows(lookback, max(scales), aggregation) >= MIN_PHASE_ROWS:
-                    return scales, aggregation
-        return sig[3:] if sig in shared else None
-    return [plan(sig) for sig in sigs]
+            for other in shared:
+                if other[:3] == sig[:3] and len(other[3]) > 1 and 1 in other[3] and runs(other):
+                    return other
+        return sig if sig in shared else None
+
+    def plan(sig):
+        if sig is None:
+            return None
+        modes = dict.fromkeys([sig[4]] + [other[4] for other in shared
+                                          if other[:4] == sig[:4] and runs(other)])
+        return sig[3], sig[4], tuple(modes)
+    return [plan(planned(sig)) for sig in sigs]
 
 
 def compare(panel: ReturnPanel, configs) -> ComparisonTable:
@@ -409,11 +436,13 @@ def compare(panel: ReturnPanel, configs) -> ComparisonTable:
 
     Each row fits the covariance set ``_plans`` gives it, and the rows that
     plan a set build it once per window, and blend it once, as
-    ``multiscale_cov`` keeps the blend on the set. A daily row planned on a
-    multiscale set takes that set's scale-1 matrix, which is bit for bit its
-    own build. Rows that plan a set take the window's mean from the same
-    memo. In the standard lineup with Sharpe rows each window thus builds
-    two sets, one per aggregation, and three blends. Each row still solves
+    ``multiscale_cov`` keeps the blend on the set. Planned sets that differ
+    only in aggregation are built in one ``build_covariance_sets`` call. A
+    daily row planned on a multiscale set takes that set's scale-1 matrix,
+    which is bit for bit its own build. Rows that plan a set take the
+    window's mean from the same memo. In the standard lineup with Sharpe
+    rows each window thus makes one joint build of two sets, one per
+    aggregation, and three blends. Each row still solves
     its own QP, and its report is the one ``run_backtest`` gives alone; a
     reused set emits no second ``DegenerateAssetWarning``. The memo holds
     every window's planned sets and their blends until ``compare`` returns;

@@ -194,41 +194,45 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
     and columns and a ``DegenerateAssetWarning`` per scale. The matrices are
     exactly symmetric by construction and not re-checked.
     """
+    return _build_sets(panel, scales, (aggregation,), method, l1_joint)[0]
+
+
+def build_covariance_sets(panel: ReturnPanel, scales, aggregations,
+                          method: str = METHOD_PRODUCT,
+                          l1_joint: bool = False) -> tuple[ScaledCovarianceSet, ...]:
+    """``build_covariance_set`` of ``panel`` under each of ``aggregations``, in one pass.
+
+    Returns one set per mode, in the order given, each bit for bit the set
+    its own build returns. The modes share the scale checks, the constant
+    column test, the prefix sum, each scale's block sums and the scale-1
+    matrix, which every set holds. The first mode that fails its scales'
+    ``MIN_PHASE_ROWS`` check raises its own build's ``DataError``, and a
+    constant asset gets a ``DegenerateAssetWarning`` per scale per mode.
+    """
+    return _build_sets(panel, scales, aggregations, method, l1_joint)
+
+
+def _build_sets(panel, scales, aggregations, method, l1_joint):
+    """The sets of both public builders; warnings name the caller of the public one."""
     scales = _check_scales(scales)
     if method not in (METHOD_PRODUCT, METHOD_L1):
         raise ValueError(f"unknown method {method!r}")
-    if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
-        raise ValueError(f"unknown aggregation {aggregation!r}")
-    for dt in scales:
-        _check_phase_rows(panel.n_periods, dt, aggregation)
+    modes = () if isinstance(aggregations, str) else tuple(aggregations)
+    for aggregation in modes:
+        if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
+            raise ValueError(f"unknown aggregation {aggregation!r}")
+    if not modes or len(set(modes)) != len(modes):
+        raise ValueError(f"need a sequence of distinct aggregations, got {aggregations!r}")
+    for aggregation in modes:
+        for dt in scales:
+            _check_phase_rows(panel.n_periods, dt, aggregation)
 
     # decided on the one-period returns: block sums of a constant column
     # carry cumsum rounding and would not test as exactly constant
     dead = _constant_columns(panel.returns)
     dead_ids = [panel.asset_ids[i] for i in np.flatnonzero(dead)]
-    built = []
-    c = buf = None
-    for dt in scales:
-        if dt == 1:
-            s = panel.returns
-        else:
-            if c is None:
-                c = _prefix_sum(panel.returns)
-                # the window's shape holds every scale's rows, rounded up to
-                # whole rounds of the scale, and, being the size of the
-                # window's other arrays, reuses their freed heap chunks:
-                # lower peak memory than a rows-sized buffer. Zeros keep its
-                # spare rows finite
-                buf = np.zeros(panel.returns.shape)
-            s = np.subtract(c[dt:], c[:-dt], out=buf[: len(c) - dt])
-        for aid in dead_ids:
-            warnings.warn(
-                f"asset {aid!r} has zero variance at scale {dt}; "
-                "its covariance entries are zero",
-                DegenerateAssetWarning,
-                stacklevel=2,
-            )
-        k = dt if aggregation == MODE_NONOVERLAPPING else 1
+
+    def estimate(s, dt, k):
         if method == METHOD_PRODUCT:
             m = _phase_cov(s, k, c, buf)
             if dead_ids:
@@ -245,9 +249,45 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
         if not m.diagonal().max() < math.inf:
             raise DataError(f"variance at scale {dt} overflows: returns too large")
         m.setflags(write=False)
-        built.append(m)
-    return _trusted(ScaledCovarianceSet, asset_ids=panel.asset_ids, scales=scales,
-                    matrices=tuple(built), method=method, aggregation=aggregation)
+        return m
+
+    # the non-overlapping product estimator centres the block sums in place,
+    # so the overlapping mode reads them first
+    order = sorted(modes, key=MODE_NONOVERLAPPING.__eq__)
+    built = {aggregation: [] for aggregation in modes}
+    c = buf = None
+    for dt in scales:
+        if dt == 1:
+            s = panel.returns
+        else:
+            if c is None:
+                c = _prefix_sum(panel.returns)
+                # the window's shape holds every scale's rows, rounded up to
+                # whole rounds of the scale, and, being the size of the
+                # window's other arrays, reuses their freed heap chunks:
+                # lower peak memory than a rows-sized buffer. Zeros keep its
+                # spare rows finite
+                buf = np.zeros(panel.returns.shape)
+            s = np.subtract(c[dt:], c[:-dt], out=buf[: len(c) - dt])
+        # one warning per scale per mode, as each mode's own build gives
+        for aid in dead_ids * len(modes):
+            warnings.warn(
+                f"asset {aid!r} has zero variance at scale {dt}; "
+                "its covariance entries are zero",
+                DegenerateAssetWarning,
+                stacklevel=3,
+            )
+        # by phase count: at scale 1 every mode has one phase and one matrix
+        mats = {}
+        for aggregation in order:
+            k = dt if aggregation == MODE_NONOVERLAPPING else 1
+            if k not in mats:
+                mats[k] = estimate(s, dt, k)
+            built[aggregation].append(mats[k])
+    return tuple(_trusted(ScaledCovarianceSet, asset_ids=panel.asset_ids, scales=scales,
+                          matrices=tuple(built[aggregation]), method=method,
+                          aggregation=aggregation)
+                 for aggregation in modes)
 
 
 def _condition(vals: np.ndarray) -> float:
@@ -430,7 +470,7 @@ def _blend(cov_set: ScaledCovarianceSet, ridge, scale_weights) -> MultiscaleCova
 
     ridge_val = 1e-8 * acc.trace() / n if isinstance(ridge, str) else float(ridge)
     if ridge_val > 0:
-        # through a view of the diagonal: .flat would copy it out and back
+        # through a view of the diagonal, here and below: .flat would copy it out and back
         acc.reshape(-1)[:: n + 1] += ridge_val
 
     certified, repaired, seeded = _certify(acc), False, {}
@@ -440,9 +480,9 @@ def _blend(cov_set: ScaledCovarianceSet, ridge, scale_weights) -> MultiscaleCova
         # ascending, so the ends hold the smallest value and the largest magnitude
         repaired = bool(vals[0] < -1e-12 * max(-vals[0], vals[-1], 1e-300))
         if repaired:
-            acc.flat[:: n + 1] -= ridge_val
+            acc.reshape(-1)[:: n + 1] -= ridge_val
             acc = psd_repair(acc)
-            acc.flat[:: n + 1] += ridge_val
+            acc.reshape(-1)[:: n + 1] += ridge_val
             vals = np.linalg.eigvalsh(acc)
         seeded = {"condition": _condition(vals)}
     acc.setflags(write=False)

@@ -491,16 +491,18 @@ def _assert_same_report(got, want):
 
 
 def _spy_shared_sets(monkeypatch):
-    """Every memo a set build ran under, as the list the spy fills."""
+    """Every memo a one-mode or joint set build ran under, as the list the spy fills."""
     memos = []
-    build = backtest.build_covariance_set
 
-    def spy(*args, **kwargs):
-        shared = backtest._SHARED_SETS.get()
-        if shared is not None and all(m is not shared[0] for m in memos):
-            memos.append(shared[0])
-        return build(*args, **kwargs)
-    monkeypatch.setattr(backtest, "build_covariance_set", spy)
+    def spy(build):
+        def wrapper(*args, **kwargs):
+            shared = backtest._SHARED_SETS.get()
+            if shared is not None and all(m is not shared[0] for m in memos):
+                memos.append(shared[0])
+            return build(*args, **kwargs)
+        return wrapper
+    for name in ("build_covariance_set", "build_covariance_sets"):
+        monkeypatch.setattr(backtest, name, spy(getattr(backtest, name)))
     return memos
 
 
@@ -522,12 +524,12 @@ def test_compare_rows_match_their_own_backtests_bit_for_bit(monkeypatch):
     memos = _spy_shared_sets(monkeypatch)
     held = _spy_held_sets(monkeypatch, memos)
     table = compare(p, configs)
-    # the first daily row builds each window's non-overlapping multiscale set
-    # and keeps its scale-1 slice; the overlapping rows add their sets and the
-    # first max-Sharpe row the window means; one memo holds them all until
+    # the first daily row builds each window's non-overlapping and overlapping
+    # multiscale sets in one call and keeps a scale-1 slice; the first
+    # max-Sharpe row adds the window means; one memo holds them all until
     # compare returns
     windows = len(range(125, 400, 21))
-    assert held == [[], [], [2 * windows], [2 * windows],
+    assert held == [[], [], [3 * windows], [3 * windows],
                     [3 * windows], [4 * windows], [4 * windows]]
     assert len(memos) == 1 and memos[0] == {} and backtest._SHARED_SETS.get() is None
     for rep, cfg in zip(table.reports, configs):
@@ -643,13 +645,14 @@ def _spy_calls(monkeypatch, name):
 
 def test_compare_shares_blends_and_means_across_the_rows_of_a_window(monkeypatch):
     p = _panel(400, n_assets=4, seed=29, drift=0.001)
-    sets = _spy_calls(monkeypatch, "build_covariance_set")
+    sets = _spy_calls(monkeypatch, "build_covariance_sets")
     blends = _spy_calls(monkeypatch, "multiscale_cov")
     solves = _spy_calls(monkeypatch, "max_sharpe")
     compare(p, _lineup())
     windows = len(range(125, 400, 21))
-    # one set per aggregation, and one blend per set, per window
-    assert [args[1] for args, _, _ in sets] == [(1, 2, 5, 10, 21)] * (2 * windows)
+    # one joint build of a set per aggregation, and one blend per set, per window
+    assert [args[1:] for args, _, _ in sets] == \
+        [((1, 2, 5, 10, 21), ("nonoverlapping", "overlapping"))] * windows
     assert len(blends) == 6 * windows
     assert len({id(out) for _, _, out in blends}) == 3 * windows
     # the three max-Sharpe rows take each window's mean from one array
@@ -660,14 +663,20 @@ def test_compare_shares_blends_and_means_across_the_rows_of_a_window(monkeypatch
 def test_compare_daily_rows_take_scale_one_from_the_overlapping_set_at_lookback_60(
         monkeypatch):
     # 60 rows hold no full phase of 21-day blocks, so the non-overlapping
-    # multiscale rows are error rows and build nothing
+    # multiscale rows are error rows and build nothing, and no joint build
+    # is tried
     p = _panel(300, n_assets=4, seed=24, drift=0.001)
     configs = _lineup(lookback=60, rebalance_every=10)
     sets = _spy_calls(monkeypatch, "build_covariance_set")
+    joint = []
+    build_sets = backtest.build_covariance_sets
+    monkeypatch.setattr(backtest, "build_covariance_sets",
+                        lambda *args, **kwargs: joint.append(args) or build_sets(*args, **kwargs))
     table = compare(p, configs)
     windows = len(range(60, 300, 10))
     assert [(args[1], kwargs["aggregation"]) for args, kwargs, _ in sets] == \
         [((1, 2, 5, 10, 21), "overlapping")] * windows
+    assert joint == []
     for rep, cfg in zip(table.reports, configs):
         if rep is not None:
             _assert_same_report(rep, run_backtest(p, cfg))
@@ -675,13 +684,14 @@ def test_compare_daily_rows_take_scale_one_from_the_overlapping_set_at_lookback_
 
 def test_compare_daily_rows_build_their_own_sets_where_the_multiscale_set_fails(
         monkeypatch):
-    build = backtest.build_covariance_set
-
-    def no_multiscale(window, scales, **kwargs):
-        if scales != (1,):
-            raise DataError("no multiscale set here")
-        return build(window, scales, **kwargs)
-    monkeypatch.setattr(backtest, "build_covariance_set", no_multiscale)
+    def no_multiscale(build):
+        def wrapper(window, scales, *args, **kwargs):
+            if scales != (1,):
+                raise DataError("no multiscale set here")
+            return build(window, scales, *args, **kwargs)
+        return wrapper
+    for name in ("build_covariance_set", "build_covariance_sets"):
+        monkeypatch.setattr(backtest, name, no_multiscale(getattr(backtest, name)))
     p = _panel(400, n_assets=4, seed=30, drift=0.001)
     configs = _lineup()
     table = compare(p, configs)
@@ -689,6 +699,54 @@ def test_compare_daily_rows_build_their_own_sets_where_the_multiscale_set_fails(
     for rep, cfg in zip(table.reports, configs):
         assert len(rep.fallbacks) == (windows if len(cfg.effective_scales) > 1 else 0)
         _assert_same_report(rep, run_backtest(p, cfg))
+
+
+@pytest.mark.parametrize("magnitude, failing, error, built", [
+    # the overlapping product overflows at scale 2; the non-overlapping one,
+    # which weights the block sums before their product, does not, and its
+    # one-mode build serves the daily rows too
+    (3e153, {3, 6}, "variance at scale 2 overflows", ["nonoverlapping"]),
+    (1e154, {1, 2, 3, 4, 5, 6}, "variance at scale 1 overflows", []),
+])
+def test_compare_falls_back_to_one_mode_builds_where_the_joint_build_fails(
+        monkeypatch, magnitude, failing, error, built):
+    # six huge rows lie in the first window alone, so only that window's
+    # joint build raises; each row then gets the set or the error that its
+    # own backtest gets
+    returns = _panel(300, n_assets=4, seed=34, drift=0.001).returns.copy()
+    returns[:6] = magnitude
+    p = panel_from_returns(returns)
+    configs = _lineup()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing products
+        alone = [run_backtest(p, cfg) for cfg in configs]
+    joint = []
+    build_sets = backtest.build_covariance_sets
+
+    def spy(window, *args, **kwargs):
+        try:
+            out = build_sets(window, *args, **kwargs)
+        except DataError:
+            joint.append((window.timestamps[0], False))
+            raise
+        joint.append((window.timestamps[0], True))
+        return out
+    monkeypatch.setattr(backtest, "build_covariance_sets", spy)
+    one_mode = _spy_calls(monkeypatch, "build_covariance_set")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        table = compare(p, configs)
+    first = p.timestamps[0]
+    windows = len(range(125, 300, 21))
+    assert sorted(ok for start, ok in joint if start != first) == [True] * (windows - 1)
+    assert {ok for start, ok in joint if start == first} == {False}
+    # the sets that one-mode builds return, all on the failing window
+    assert {args[0].timestamps[0] for args, _, _ in one_mode} <= {first}
+    assert [kwargs["aggregation"] for _, kwargs, _ in one_mode] == built
+    for i, (rep, want) in enumerate(zip(table.reports, alone)):
+        assert rep.fallbacks == ((
+            (125, f"DataError: {error}: returns too large"),) if i in failing else ())
+        _assert_same_report(rep, want)
 
 
 @pytest.mark.parametrize("differ", [

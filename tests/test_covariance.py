@@ -1,5 +1,7 @@
 """Per-scale covariance estimation and the blended working matrix."""
 
+import inspect
+import re
 import tracemalloc
 
 import numpy as np
@@ -240,6 +242,77 @@ def test_degenerate_asset_warning_names_the_caller(aggregation):
     with pytest.warns(DegenerateAssetWarning) as record:
         build_covariance_set(panel_from_returns(x), (1, 5), aggregation=aggregation)
     assert [w.filename for w in record] == [__file__] * 2
+
+
+# ---------------------------------------------------------------------------
+# one build for several aggregation modes
+
+_MODES = (MODE_NONOVERLAPPING, MODE_OVERLAPPING)
+
+
+@pytest.mark.parametrize("method, l1_joint", [(METHOD_PRODUCT, False), (METHOD_PRODUCT, True),
+                                              (METHOD_L1, False), (METHOD_L1, True)])
+@pytest.mark.parametrize("n", [1, 2, 10, 57])
+@pytest.mark.parametrize("scales", [(1, 2, 5, 10, 21), (3, 1, 7, 12), (4, 9)])
+def test_joint_sets_are_each_modes_own_build_bit_for_bit(method, l1_joint, n, scales):
+    # 21 window lengths leave every remainder, 0 included, of the rows mod
+    # each scale; each mode's set is its one-mode build in either mode order
+    x = np.random.default_rng(n).standard_t(4, (160, n)) * 0.01
+    for rows in range(110, 131):
+        p = panel_from_returns(x[:rows])
+        alone = [build_covariance_set(p, scales, method=method, aggregation=mode,
+                                      l1_joint=l1_joint) for mode in _MODES]
+        for order in (_MODES, _MODES[::-1]):
+            sets = covariance.build_covariance_sets(p, scales, order, method=method,
+                                                    l1_joint=l1_joint)
+            assert [s.aggregation for s in sets] == list(order)
+            for cs in sets:
+                want = alone[_MODES.index(cs.aggregation)]
+                assert (cs.asset_ids, cs.scales, cs.method) == (want.asset_ids, scales, method)
+                assert [m.tobytes() for m in cs.matrices] == [m.tobytes() for m in want.matrices]
+                assert not any(m.flags.writeable for m in cs.matrices)
+            if 1 in scales:
+                assert sets[0].matrix_at(1) is sets[1].matrix_at(1)
+
+
+@pytest.mark.parametrize("method", [METHOD_PRODUCT, METHOD_L1])
+def test_joint_sets_warn_per_scale_per_mode_at_the_callers_line(method):
+    x = np.random.default_rng(14).standard_normal((200, 3)) * 0.01
+    x[:, 1] = 0.0005
+    p = panel_from_returns(x, asset_ids=("a", "flat", "b"))
+    with pytest.warns(DegenerateAssetWarning) as alone:
+        for mode in _MODES:
+            build_covariance_set(p, (1, 5, 21), method=method, aggregation=mode)
+    with pytest.warns(DegenerateAssetWarning) as record:
+        line = inspect.currentframe().f_lineno + 1
+        covariance.build_covariance_sets(p, (1, 5, 21), _MODES, method=method)
+    assert len(record) == 6
+    assert sorted(str(w.message) for w in record) == sorted(str(w.message) for w in alone)
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)] * 6
+
+
+@pytest.mark.parametrize("order", [_MODES, _MODES[::-1]])
+def test_joint_sets_raise_the_error_of_the_mode_that_fails_its_rows(order):
+    # 60 rows hold no full phase of 21-day blocks, but 40 overlapping sums
+    p = panel_from_returns(np.random.default_rng(3).standard_normal((60, 3)) * 0.01)
+    scales = (1, 2, 5, 10, 21)
+    build_covariance_set(p, scales, aggregation=MODE_OVERLAPPING)
+    with pytest.raises(DataError) as alone:
+        build_covariance_set(p, scales, aggregation=MODE_NONOVERLAPPING)
+    with pytest.raises(DataError, match=f"^{alone.value}$"):
+        covariance.build_covariance_sets(p, scales, order)
+
+
+@pytest.mark.parametrize("aggregations, message", [
+    ((), "need a sequence of distinct aggregations, got ()"),
+    ((MODE_OVERLAPPING, MODE_OVERLAPPING), "need a sequence of distinct aggregations"),
+    (MODE_OVERLAPPING, "need a sequence of distinct aggregations, got 'overlapping'"),
+    ((MODE_OVERLAPPING, "daily"), "unknown aggregation 'daily'"),
+])
+def test_joint_sets_refuse_modes_that_are_not_distinct_and_known(aggregations, message):
+    p = panel_from_returns(np.random.default_rng(3).standard_normal((100, 2)))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        covariance.build_covariance_sets(p, (1, 5), aggregations)
 
 
 # every finite float, subnormals and both zeros included
@@ -776,3 +849,18 @@ def test_multiscale_cov_repairs_indefinite_input():
     assert ms.psd_repaired
     assert np.linalg.eigvalsh(ms.matrix).min() >= -1e-16
 
+
+
+def test_repaired_blend_at_a_positive_ridge_is_the_repair_without_it_plus_it():
+    # the ridge comes off the diagonal before the repair and goes back after
+    bad = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]]) * 1e-4
+    ms = multiscale_cov(_manual_set((1,), (bad,), ids=("a", "b", "c")), ridge=1e-5)
+    diag = np.diag_indices(3)
+    acc = np.zeros((3, 3))
+    acc += 1.0 * (bad / 1)
+    acc[diag] += 1e-5
+    acc[diag] -= 1e-5
+    want = psd_repair(acc)
+    want[diag] += 1e-5
+    assert ms.psd_repaired and ms.ridge == 1e-5
+    assert ms.matrix.tobytes() == want.tobytes()

@@ -113,6 +113,10 @@ def test_compare_keeps_the_call_contract_the_bench_traces(monkeypatch):
 
     for name in ("run_backtest", "fit_weights", "multiscale_cov", "build_covariance_set"):
         spy(name)
+    joint = []
+    build_sets = backtest.build_covariance_sets
+    monkeypatch.setattr(backtest, "build_covariance_sets",
+                        lambda *args, **kwargs: joint.append(args) or build_sets(*args, **kwargs))
     panel = synth.gen_correlated(300, synth.constant_correlation_cov(3, 0.3), seed=5)
     panel = timeseries.panel_from_returns(panel.returns + 1e-3, panel.asset_ids)
     configs = backtest.standard_comparison_configs(
@@ -131,9 +135,11 @@ def test_compare_keeps_the_call_contract_the_bench_traces(monkeypatch):
                    and args[0].n_periods == cfg.lookback for args in fits)
         per_fit = ["fit_weights"] + ["multiscale_cov"] * (cfg.strategy != backtest.STRATEGY_EQUAL)
         assert [name for name, _, _ in row] == per_fit * windows
-    # one set per window for each aggregation's multiscale rows; the daily
-    # rows take scale 1 of the non-overlapping one
-    assert sum(name == "build_covariance_set" for name, _, _ in events) == 2 * windows
+    # one joint build per window of both aggregations' multiscale sets, which
+    # the bench does not trace; the daily rows take scale 1 of the
+    # non-overlapping one
+    assert sum(name == "build_covariance_set" for name, _, _ in events) == 0
+    assert [args[2] for args in joint] == [("nonoverlapping", "overlapping")] * windows
 
 
 @pytest.mark.parametrize("strategy", [backtest.STRATEGY_MARKOWITZ_MULTISCALE,
