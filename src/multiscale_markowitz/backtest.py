@@ -17,10 +17,9 @@ import numpy as np
 from .covariance import (
     METHOD_L1,
     METHOD_PRODUCT,
-    ScaledCovarianceSet,
+    _build_sets,
     _check_ridge,
     build_covariance_set,
-    build_covariance_sets,
     multiscale_cov,
 )
 from .errors import DataError, MultiscaleError, NumericalError
@@ -34,7 +33,6 @@ from .timeseries import (
     _check_phase_rows,
     _check_scales,
     _integral,
-    _trusted,
     min_phase_rows,
 )
 
@@ -174,58 +172,35 @@ class BacktestReport:
     performance: PerformanceMetrics
 
 
-# the one memo of window results (covariance sets, which keep their blends,
-# and window means) that a ``compare`` call hands its rows, keyed by the
-# window's first date and length and the set's arguments, and the row's plan:
-# the (scales, aggregation) of the set its fits build and the aggregations
-# built with it; None outside ``compare`` and for a row that plans nothing
+# the one memo of window results (each group's covariance sets, which keep
+# their blends, and window means) that a ``compare`` call hands the rows of a
+# sharing group, with the row's group and the group's (scales, aggregation)
+# requests; None outside ``compare`` and for a row whose group shares nothing
 _SHARED_SETS = contextvars.ContextVar("_SHARED_SETS", default=None)
 
 
 def _covariance_set(window, scales, method, aggregation, l1_joint):
-    """``build_covariance_set`` of ``window``, built once per ``compare`` for the rows that plan it.
+    """``build_covariance_set`` of ``window``, looked up in its group's sets inside ``compare``.
 
-    A row's first fit of a window builds its planned set and the plan's other
-    aggregations in one ``build_covariance_sets`` call; where that raises
-    ``DataError``, each row falls back to one-mode builds and so meets the set
-    or the error it meets alone. A daily row planned on a multiscale set
-    keeps that set's scale-1 matrix, bit-identical to its own build, under its
-    own key; where the planned build raises ``DataError`` the row builds its
-    own set.
+    A window's first fit in a sharing group builds every set of the group in
+    one ``_build_sets`` call. Where that raises ``DataError`` the window
+    keeps no sets, and each of its rows builds its own set or meets its own
+    error, as alone.
     """
-    def build(scales, aggregation):
-        return build_covariance_set(window, scales, method=method, aggregation=aggregation,
-                                    l1_joint=l1_joint)
-
     shared = _SHARED_SETS.get()
-    if shared is None:
-        return build(scales, aggregation)
-    memo, (plan_scales, plan_mode, modes) = shared
-    head = (window.timestamps[0], window.n_periods)
-    key = (head, tuple(scales), method, aggregation, l1_joint)
-    planned = (head, plan_scales, method, plan_mode, l1_joint)
-    if key not in memo and planned not in memo:
-        if len(modes) > 1:
+    if shared is not None:
+        memo, group, requests = shared
+        key = (group, window.timestamps[0])
+        if key not in memo:
             try:
-                sets = build_covariance_sets(window, plan_scales, modes, method=method,
-                                             l1_joint=l1_joint)
-                memo.update(((head, plan_scales, method, mode, l1_joint), cset)
-                            for mode, cset in zip(modes, sets))
+                memo[key] = dict(zip(requests, _build_sets(window, requests, method, l1_joint)))
             except DataError:
-                pass  # each row builds its own mode's set below, as alone
-        if planned not in memo:
-            try:
-                memo[planned] = build(plan_scales, plan_mode)
-            except DataError:
-                if planned == key:
-                    raise
-                memo[key] = build(scales, aggregation)
-    if key not in memo:
-        whole = memo[planned]
-        memo[key] = _trusted(ScaledCovarianceSet, asset_ids=whole.asset_ids, scales=(1,),
-                             matrices=(whole.matrix_at(1),), method=method,
-                             aggregation=aggregation)
-    return memo[key]
+                memo[key] = {}
+        sets = memo[key]
+        if (scales, aggregation) in sets:
+            return sets[scales, aggregation]
+    return build_covariance_set(window, scales, method=method, aggregation=aggregation,
+                                l1_joint=l1_joint)
 
 
 def fit(window, objective, scales, method, aggregation, ridge, risk_free,
@@ -390,42 +365,24 @@ class ComparisonTable:
         return "\n".join(lines) + "\n"
 
 
-def _plans(configs):
-    """Each row's plan, or None: the (scales, aggregation) of the covariance set its
-    fits build, and the aggregations built with it.
+def _groups(configs):
+    """Each row's sharing group and its requests, or None.
 
-    A fitted row plans its own set when another row has the same lookback,
-    rebalancing, effective scales, method and aggregation. A daily row
-    instead plans the first such shared multiscale set that has its
-    lookback, rebalancing and method, holds scale 1 and leaves every phase
-    of its largest scale enough rows, so that its rows run and build that
-    set on every window. Every other row plans nothing. A plan's set is
-    built with every planned set of its lookback, rebalancing, method and
-    scales whose rows run, its own included.
+    A group is the fitted rows of one lookback, rebalancing and covariance
+    method that pass ``run_backtest``'s phase-row check; its requests are
+    their rows' distinct (effective scales, aggregation), in row order. A
+    group shares only when some set is read by two of its rows.
     """
-    sigs = [None if _STRATEGY_TABLE[cfg.strategy].objective is None else
-            (cfg.lookback, cfg.rebalance_every, cfg.covariance_method,
-             cfg.effective_scales, cfg.aggregation) for cfg in configs]
-    shared = [sig for sig in sigs if sig is not None and sigs.count(sig) > 1]
-
-    def runs(sig):
-        lookback, _, _, scales, aggregation = sig
-        return min_phase_rows(lookback, max(scales), aggregation) >= MIN_PHASE_ROWS
-
-    def planned(sig):
-        if sig is not None and sig[3] == (1,):
-            for other in shared:
-                if other[:3] == sig[:3] and len(other[3]) > 1 and 1 in other[3] and runs(other):
-                    return other
-        return sig if sig in shared else None
-
-    def plan(sig):
-        if sig is None:
-            return None
-        modes = dict.fromkeys([sig[4]] + [other[4] for other in shared
-                                          if other[:4] == sig[:4] and runs(other)])
-        return sig[3], sig[4], tuple(modes)
-    return [plan(planned(sig)) for sig in sigs]
+    keys = [(cfg.lookback, cfg.rebalance_every, cfg.covariance_method) for cfg in configs]
+    reads = {}
+    for key, cfg in zip(keys, configs):
+        if (_STRATEGY_TABLE[cfg.strategy].objective is not None and
+                min_phase_rows(cfg.lookback, max(cfg.effective_scales), cfg.aggregation)
+                >= MIN_PHASE_ROWS):
+            reads.setdefault(key, []).append((cfg.effective_scales, cfg.aggregation))
+    shared = {key: tuple(dict.fromkeys(rows)) for key, rows in reads.items()
+              if len(rows) > len(set(rows))}
+    return [(key, shared[key]) if key in shared else None for key in keys]
 
 
 def compare(panel: ReturnPanel, configs) -> ComparisonTable:
@@ -434,28 +391,22 @@ def compare(panel: ReturnPanel, configs) -> ComparisonTable:
     Each row is named by ``display_name``. A strategy that fails outright
     contributes an error row rather than sinking the table.
 
-    Each row fits the covariance set ``_plans`` gives it, and the rows that
-    plan a set build it once per window, and blend it once, as
-    ``multiscale_cov`` keeps the blend on the set. Planned sets that differ
-    only in aggregation are built in one ``build_covariance_sets`` call. A
-    daily row planned on a multiscale set takes that set's scale-1 matrix,
-    which is bit for bit its own build. Rows that plan a set take the
-    window's mean from the same memo. In the standard lineup with Sharpe
-    rows each window thus makes one joint build of two sets, one per
-    aggregation, and three blends. Each row still solves
-    its own QP, and its report is the one ``run_backtest`` gives alone; a
-    reused set emits no second ``DegenerateAssetWarning``. The memo holds
-    every window's planned sets and their blends until ``compare`` returns;
-    a row that plans nothing opens none.
+    The rows of a ``_groups`` group that shares build every set of the
+    group in one pass per window, and blend each set once, as
+    ``multiscale_cov`` keeps the blend on the set; they take the window's
+    mean from the same memo. Each row still solves its own QP, and its
+    report is the one ``run_backtest`` gives alone. The memo holds every
+    window's sets and their blends until ``compare`` returns; a group that
+    shares nothing opens none.
     """
     configs = list(configs)
     memo = {}
     rows = []
     reports = []
     try:
-        for cfg, plan in zip(configs, _plans(configs)):
+        for cfg, group in zip(configs, _groups(configs)):
             name = display_name(cfg)
-            token = _SHARED_SETS.set(None if plan is None else (memo, plan))
+            token = _SHARED_SETS.set(None if group is None else (memo, *group))
             try:
                 rep = run_backtest(panel, cfg)
             except MultiscaleError as exc:

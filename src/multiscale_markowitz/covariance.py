@@ -194,7 +194,7 @@ def build_covariance_set(panel: ReturnPanel, scales, method: str = METHOD_PRODUC
     and columns and a ``DegenerateAssetWarning`` per scale. The matrices are
     exactly symmetric by construction and not re-checked.
     """
-    return _build_sets(panel, scales, (aggregation,), method, l1_joint)[0]
+    return _build_sets(panel, [(scales, aggregation)], method, l1_joint)[0]
 
 
 def build_covariance_sets(panel: ReturnPanel, scales, aggregations,
@@ -203,27 +203,33 @@ def build_covariance_sets(panel: ReturnPanel, scales, aggregations,
     """``build_covariance_set`` of ``panel`` under each of ``aggregations``, in one pass.
 
     Returns one set per mode, in the order given, each bit for bit the set
-    its own build returns. The modes share the scale checks, the constant
-    column test, the prefix sum, each scale's block sums and the scale-1
-    matrix, which every set holds. The first mode that fails its scales'
-    ``MIN_PHASE_ROWS`` check raises its own build's ``DataError``, and a
-    constant asset gets a ``DegenerateAssetWarning`` per scale per mode.
+    its own build returns; all hold one scale-1 matrix. The first
+    mode that fails its scales' ``MIN_PHASE_ROWS`` check raises its own
+    build's ``DataError``, and a constant asset gets a
+    ``DegenerateAssetWarning`` per scale per mode.
     """
-    return _build_sets(panel, scales, aggregations, method, l1_joint)
-
-
-def _build_sets(panel, scales, aggregations, method, l1_joint):
-    """The sets of both public builders; warnings name the caller of the public one."""
-    scales = _check_scales(scales)
-    if method not in (METHOD_PRODUCT, METHOD_L1):
-        raise ValueError(f"unknown method {method!r}")
     modes = () if isinstance(aggregations, str) else tuple(aggregations)
-    for aggregation in modes:
-        if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
-            raise ValueError(f"unknown aggregation {aggregation!r}")
     if not modes or len(set(modes)) != len(modes):
         raise ValueError(f"need a sequence of distinct aggregations, got {aggregations!r}")
-    for aggregation in modes:
+    return _build_sets(panel, [(scales, mode) for mode in modes], method, l1_joint)
+
+
+def _build_sets(panel, requests, method, l1_joint):
+    """``build_covariance_set`` of ``panel`` for each ``(scales, aggregation)`` of ``requests``.
+
+    Every request's arguments are checked, then each one's geometry in
+    order, so the first failing request raises its own build's ``DataError``.
+    One pass takes the constant-column test, the prefix sum and each scale's
+    block sums once, and makes each (scale, phase count) matrix once, as one
+    array for every set that holds it. Warnings name the caller's caller.
+    """
+    requests = [(_check_scales(scales), aggregation) for scales, aggregation in requests]
+    if method not in (METHOD_PRODUCT, METHOD_L1):
+        raise ValueError(f"unknown method {method!r}")
+    for _, aggregation in requests:
+        if aggregation not in (MODE_NONOVERLAPPING, MODE_OVERLAPPING):
+            raise ValueError(f"unknown aggregation {aggregation!r}")
+    for scales, aggregation in requests:
         for dt in scales:
             _check_phase_rows(panel.n_periods, dt, aggregation)
 
@@ -251,12 +257,12 @@ def _build_sets(panel, scales, aggregations, method, l1_joint):
         m.setflags(write=False)
         return m
 
-    # the non-overlapping product estimator centres the block sums in place,
-    # so the overlapping mode reads them first
-    order = sorted(modes, key=MODE_NONOVERLAPPING.__eq__)
-    built = {aggregation: [] for aggregation in modes}
+    def phases(dt, aggregation):
+        return dt if aggregation == MODE_NONOVERLAPPING else 1
+
+    mats = {}  # by (scale, phase count): at scale 1 every mode has one phase
     c = buf = None
-    for dt in scales:
+    for dt in dict.fromkeys(dt for scales, _ in requests for dt in scales):
         if dt == 1:
             s = panel.returns
         else:
@@ -269,25 +275,23 @@ def _build_sets(panel, scales, aggregations, method, l1_joint):
                 # spare rows finite
                 buf = np.zeros(panel.returns.shape)
             s = np.subtract(c[dt:], c[:-dt], out=buf[: len(c) - dt])
-        # one warning per scale per mode, as each mode's own build gives
-        for aid in dead_ids * len(modes):
+        readers = [aggregation for scales, aggregation in requests if dt in scales]
+        # one warning per scale per request, as each request's own build gives
+        for aid in dead_ids * len(readers):
             warnings.warn(
                 f"asset {aid!r} has zero variance at scale {dt}; "
                 "its covariance entries are zero",
                 DegenerateAssetWarning,
                 stacklevel=3,
             )
-        # by phase count: at scale 1 every mode has one phase and one matrix
-        mats = {}
-        for aggregation in order:
-            k = dt if aggregation == MODE_NONOVERLAPPING else 1
-            if k not in mats:
-                mats[k] = estimate(s, dt, k)
-            built[aggregation].append(mats[k])
+        # the non-overlapping product estimator centres the block sums in
+        # place, so the one-phase matrix is taken first
+        for k in sorted({phases(dt, aggregation) for aggregation in readers}):
+            mats[dt, k] = estimate(s, dt, k)
     return tuple(_trusted(ScaledCovarianceSet, asset_ids=panel.asset_ids, scales=scales,
-                          matrices=tuple(built[aggregation]), method=method,
-                          aggregation=aggregation)
-                 for aggregation in modes)
+                          matrices=tuple(mats[dt, phases(dt, aggregation)] for dt in scales),
+                          method=method, aggregation=aggregation)
+                 for scales, aggregation in requests)
 
 
 def _condition(vals: np.ndarray) -> float:

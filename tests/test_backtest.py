@@ -491,7 +491,7 @@ def _assert_same_report(got, want):
 
 
 def _spy_shared_sets(monkeypatch):
-    """Every memo a one-mode or joint set build ran under, as the list the spy fills."""
+    """Every memo a one-row or group set build ran under, as the list the spy fills."""
     memos = []
 
     def spy(build):
@@ -501,7 +501,7 @@ def _spy_shared_sets(monkeypatch):
                 memos.append(shared[0])
             return build(*args, **kwargs)
         return wrapper
-    for name in ("build_covariance_set", "build_covariance_sets"):
+    for name in ("build_covariance_set", "_build_sets"):
         monkeypatch.setattr(backtest, name, spy(getattr(backtest, name)))
     return memos
 
@@ -524,13 +524,12 @@ def test_compare_rows_match_their_own_backtests_bit_for_bit(monkeypatch):
     memos = _spy_shared_sets(monkeypatch)
     held = _spy_held_sets(monkeypatch, memos)
     table = compare(p, configs)
-    # the first daily row builds each window's non-overlapping and overlapping
-    # multiscale sets in one call and keeps a scale-1 slice; the first
-    # max-Sharpe row adds the window means; one memo holds them all until
-    # compare returns
+    # the first daily row builds each window's daily and both multiscale
+    # sets in one call, held as one entry; the first max-Sharpe row adds the
+    # window means; one memo holds them all until compare returns
     windows = len(range(125, 400, 21))
-    assert held == [[], [], [3 * windows], [3 * windows],
-                    [3 * windows], [4 * windows], [4 * windows]]
+    assert held == [[], [], [windows], [windows],
+                    [windows], [2 * windows], [2 * windows]]
     assert len(memos) == 1 and memos[0] == {} and backtest._SHARED_SETS.get() is None
     for rep, cfg in zip(table.reports, configs):
         _assert_same_report(rep, run_backtest(p, cfg))
@@ -545,7 +544,7 @@ def test_compare_rows_of_both_objectives_in_pairs_match_their_own_backtests(monk
     held = _spy_held_sets(monkeypatch, memos)
     table = compare(p, configs)
     windows = len(range(125, 400, 21))
-    assert held == [[], [2 * windows], [3 * windows], [3 * windows]]
+    assert held == [[], [windows], [2 * windows], [2 * windows]]
     assert len(memos) == 1 and memos[0] == {} and backtest._SHARED_SETS.get() is None
     for rep, cfg in zip(table.reports, configs):
         _assert_same_report(rep, run_backtest(p, cfg))
@@ -645,14 +644,15 @@ def _spy_calls(monkeypatch, name):
 
 def test_compare_shares_blends_and_means_across_the_rows_of_a_window(monkeypatch):
     p = _panel(400, n_assets=4, seed=29, drift=0.001)
-    sets = _spy_calls(monkeypatch, "build_covariance_sets")
+    sets = _spy_calls(monkeypatch, "_build_sets")
     blends = _spy_calls(monkeypatch, "multiscale_cov")
     solves = _spy_calls(monkeypatch, "max_sharpe")
     compare(p, _lineup())
     windows = len(range(125, 400, 21))
-    # one joint build of a set per aggregation, and one blend per set, per window
-    assert [args[1:] for args, _, _ in sets] == \
-        [((1, 2, 5, 10, 21), ("nonoverlapping", "overlapping"))] * windows
+    # one build of the group's three sets, and one blend per set, per window
+    assert [args[1] for args, _, _ in sets] == [(
+        ((1,), "nonoverlapping"), ((1, 2, 5, 10, 21), "nonoverlapping"),
+        ((1, 2, 5, 10, 21), "overlapping"))] * windows
     assert len(blends) == 6 * windows
     assert len({id(out) for _, _, out in blends}) == 3 * windows
     # the three max-Sharpe rows take each window's mean from one array
@@ -663,20 +663,18 @@ def test_compare_shares_blends_and_means_across_the_rows_of_a_window(monkeypatch
 def test_compare_daily_rows_take_scale_one_from_the_overlapping_set_at_lookback_60(
         monkeypatch):
     # 60 rows hold no full phase of 21-day blocks, so the non-overlapping
-    # multiscale rows are error rows and build nothing, and no joint build
-    # is tried
+    # multiscale rows are error rows, build nothing and request no set; the
+    # daily set holds the overlapping set's scale-1 matrix
     p = _panel(300, n_assets=4, seed=24, drift=0.001)
     configs = _lineup(lookback=60, rebalance_every=10)
-    sets = _spy_calls(monkeypatch, "build_covariance_set")
-    joint = []
-    build_sets = backtest.build_covariance_sets
-    monkeypatch.setattr(backtest, "build_covariance_sets",
-                        lambda *args, **kwargs: joint.append(args) or build_sets(*args, **kwargs))
+    one_row = _spy_calls(monkeypatch, "build_covariance_set")
+    sets = _spy_calls(monkeypatch, "_build_sets")
     table = compare(p, configs)
     windows = len(range(60, 300, 10))
-    assert [(args[1], kwargs["aggregation"]) for args, kwargs, _ in sets] == \
-        [((1, 2, 5, 10, 21), "overlapping")] * windows
-    assert joint == []
+    assert one_row == []
+    assert [args[1] for args, _, _ in sets] == \
+        [(((1,), "nonoverlapping"), ((1, 2, 5, 10, 21), "overlapping"))] * windows
+    assert all(daily.matrices[0] is whole.matrix_at(1) for _, _, (daily, whole) in sets)
     for rep, cfg in zip(table.reports, configs):
         if rep is not None:
             _assert_same_report(rep, run_backtest(p, cfg))
@@ -690,7 +688,8 @@ def test_compare_daily_rows_build_their_own_sets_where_the_multiscale_set_fails(
                 raise DataError("no multiscale set here")
             return build(window, scales, *args, **kwargs)
         return wrapper
-    for name in ("build_covariance_set", "build_covariance_sets"):
+    # a group build, which takes a list of requests, raises too
+    for name in ("build_covariance_set", "_build_sets"):
         monkeypatch.setattr(backtest, name, no_multiscale(getattr(backtest, name)))
     p = _panel(400, n_assets=4, seed=30, drift=0.001)
     configs = _lineup()
@@ -701,18 +700,22 @@ def test_compare_daily_rows_build_their_own_sets_where_the_multiscale_set_fails(
         _assert_same_report(rep, run_backtest(p, cfg))
 
 
+_WHOLE = (1, 2, 5, 10, 21)
+
+
 @pytest.mark.parametrize("magnitude, failing, error, built", [
     # the overlapping product overflows at scale 2; the non-overlapping one,
-    # which weights the block sums before their product, does not, and its
-    # one-mode build serves the daily rows too
-    (3e153, {3, 6}, "variance at scale 2 overflows", ["nonoverlapping"]),
+    # which weights the block sums before their product, does not, and the
+    # daily and non-overlapping rows build their own sets
+    (3e153, {3, 6}, "variance at scale 2 overflows",
+     [((1,), "nonoverlapping"), (_WHOLE, "nonoverlapping")] * 2),
     (1e154, {1, 2, 3, 4, 5, 6}, "variance at scale 1 overflows", []),
 ])
 def test_compare_falls_back_to_one_mode_builds_where_the_joint_build_fails(
         monkeypatch, magnitude, failing, error, built):
     # six huge rows lie in the first window alone, so only that window's
-    # joint build raises; each row then gets the set or the error that its
-    # own backtest gets
+    # group build raises, once; each row then gets the set or the error that
+    # its own backtest gets
     returns = _panel(300, n_assets=4, seed=34, drift=0.001).returns.copy()
     returns[:6] = magnitude
     p = panel_from_returns(returns)
@@ -721,7 +724,7 @@ def test_compare_falls_back_to_one_mode_builds_where_the_joint_build_fails(
         warnings.simplefilter("ignore", RuntimeWarning)  # the overflowing products
         alone = [run_backtest(p, cfg) for cfg in configs]
     joint = []
-    build_sets = backtest.build_covariance_sets
+    build_sets = backtest._build_sets
 
     def spy(window, *args, **kwargs):
         try:
@@ -731,22 +734,67 @@ def test_compare_falls_back_to_one_mode_builds_where_the_joint_build_fails(
             raise
         joint.append((window.timestamps[0], True))
         return out
-    monkeypatch.setattr(backtest, "build_covariance_sets", spy)
+    monkeypatch.setattr(backtest, "_build_sets", spy)
     one_mode = _spy_calls(monkeypatch, "build_covariance_set")
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         table = compare(p, configs)
     first = p.timestamps[0]
-    windows = len(range(125, 300, 21))
-    assert sorted(ok for start, ok in joint if start != first) == [True] * (windows - 1)
-    assert {ok for start, ok in joint if start == first} == {False}
-    # the sets that one-mode builds return, all on the failing window
+    assert joint == [(p.timestamps[t - 125], t != 125) for t in range(125, 300, 21)]
+    # the sets that one-row builds return, all on the failing window
     assert {args[0].timestamps[0] for args, _, _ in one_mode} <= {first}
-    assert [kwargs["aggregation"] for _, kwargs, _ in one_mode] == built
+    assert [(args[1], kwargs["aggregation"]) for args, kwargs, _ in one_mode] == built
     for i, (rep, want) in enumerate(zip(table.reports, alone)):
         assert rep.fallbacks == ((
             (125, f"DataError: {error}: returns too large"),) if i in failing else ())
         _assert_same_report(rep, want)
+
+
+def test_compare_tries_a_failing_group_build_once_per_window(monkeypatch):
+    # the group build of every other window raises: each such window is
+    # tried once, and its rows build their own sets, as alone
+    p = _panel(400, n_assets=4, seed=35, drift=0.001)
+    configs = _lineup()
+    tried = []
+    build_sets = backtest._build_sets
+
+    def flaky(window, *args, **kwargs):
+        tried.append(window.timestamps[0])
+        if len(tried) % 2:
+            raise DataError("no group sets here")
+        return build_sets(window, *args, **kwargs)
+    monkeypatch.setattr(backtest, "_build_sets", flaky)
+    one_row = _spy_calls(monkeypatch, "build_covariance_set")
+    table = compare(p, configs)
+    starts = [p.timestamps[t - 125] for t in range(125, 400, 21)]
+    assert tried == starts
+    # each of the six fitted rows builds its own sets on the failing windows
+    assert [args[0].timestamps[0] for args, _, _ in one_row] == starts[::2] * 6
+    for rep, cfg in zip(table.reports, configs):
+        assert rep.fallbacks == ()
+        _assert_same_report(rep, run_backtest(p, cfg))
+
+
+def test_compare_builds_a_single_reader_set_with_the_group(monkeypatch):
+    # the non-overlapping multiscale set has two readers, so the group shares,
+    # and its one build per window also makes the sets of one reader each
+    base = BacktestConfig(lookback=125, rebalance_every=21)
+    configs = [dataclasses.replace(base, strategy=STRATEGY_MARKOWITZ_DAILY),
+               dataclasses.replace(base, strategy=STRATEGY_MARKOWITZ_MULTISCALE),
+               dataclasses.replace(base, strategy=STRATEGY_MAX_SHARPE_MULTISCALE),
+               dataclasses.replace(base, strategy=STRATEGY_MARKOWITZ_MULTISCALE,
+                                   aggregation="overlapping")]
+    p = _panel(400, n_assets=4, seed=36, drift=0.001)
+    one_row = _spy_calls(monkeypatch, "build_covariance_set")
+    sets = _spy_calls(monkeypatch, "_build_sets")
+    table = compare(p, configs)
+    windows = len(range(125, 400, 21))
+    assert one_row == []
+    assert [args[1] for args, _, _ in sets] == [(
+        ((1,), "nonoverlapping"), (_WHOLE, "nonoverlapping"),
+        (_WHOLE, "overlapping"))] * windows
+    for rep, cfg in zip(table.reports, configs):
+        _assert_same_report(rep, run_backtest(p, cfg))
 
 
 @pytest.mark.parametrize("differ", [

@@ -315,6 +315,87 @@ def test_joint_sets_refuse_modes_that_are_not_distinct_and_known(aggregations, m
         covariance.build_covariance_sets(p, (1, 5), aggregations)
 
 
+# ---------------------------------------------------------------------------
+# one build for several (scales, aggregation) requests
+
+_NON, _OVL = MODE_NONOVERLAPPING, MODE_OVERLAPPING
+_WHOLE = (1, 2, 5, 10, 21)
+
+
+def _phase_key(dt, aggregation):
+    return dt, dt if aggregation == MODE_NONOVERLAPPING else 1
+
+
+@pytest.mark.parametrize("method, l1_joint", [(METHOD_PRODUCT, False), (METHOD_PRODUCT, True),
+                                              (METHOD_L1, False), (METHOD_L1, True)])
+@pytest.mark.parametrize("n", [1, 2, 10, 57])
+@pytest.mark.parametrize("requests", [
+    [((1,), _NON), (_WHOLE, _NON), (_WHOLE, _OVL)],
+    [((21, 1, 5), _NON), ((3,), _NON)],
+    [((21, 1, 5), _OVL), ((3,), _NON)],
+    [((2, 5, 10), _NON), ((1,), _OVL)],
+    [((2, 5, 10), _OVL), ((1,), _NON), ((2, 5, 10), _NON)],
+], ids=["lineup", "21-1-5,3", "21-1-5-ovl,3", "2-5-10,1", "2-5-10-both,1"])
+def test_request_sets_are_each_requests_own_build_bit_for_bit(method, l1_joint, n, requests):
+    # 21 window lengths leave every remainder, 0 included, of the rows mod
+    # each scale; each (scale, phase count) matrix is one array for every
+    # set that holds it
+    x = np.random.default_rng(n).standard_t(4, (160, n)) * 0.01
+    for rows in range(110, 131):
+        p = panel_from_returns(x[:rows])
+        sets = covariance._build_sets(p, requests, method, l1_joint)
+        assert len(sets) == len(requests)
+        arrays = {}
+        for cs, (scales, aggregation) in zip(sets, requests):
+            want = build_covariance_set(p, scales, method=method, aggregation=aggregation,
+                                        l1_joint=l1_joint)
+            assert (cs.asset_ids, cs.scales, cs.method, cs.aggregation) == \
+                (want.asset_ids, scales, method, aggregation)
+            assert [m.tobytes() for m in cs.matrices] == [m.tobytes() for m in want.matrices]
+            assert not any(m.flags.writeable for m in cs.matrices)
+            for dt, m in zip(scales, cs.matrices):
+                assert arrays.setdefault(_phase_key(dt, aggregation), m) is m
+        assert len({id(m) for m in arrays.values()}) == len(arrays)
+
+
+@pytest.mark.parametrize("requests, failing", [
+    # 60 rows hold 1 block of 21 days in the worst phase, and 3 overlapping
+    # sums of 58 days; the first failing request raises, whatever follows
+    ([((1, 5), _NON), ((58,), _OVL), ((1, 21), _NON)], 1),
+    ([((1, 5), _NON), ((1, 21), _NON), ((58,), _OVL)], 1),
+    ([((21, 1), _OVL), ((5, 21), _NON)], 1),
+    ([((1, 21), _NON), ((1, 5), _OVL)], 0),
+])
+def test_request_sets_raise_the_error_of_the_first_failing_request(requests, failing):
+    p = panel_from_returns(np.random.default_rng(3).standard_normal((60, 3)) * 0.01)
+    scales, aggregation = requests[failing]
+    with pytest.raises(DataError) as alone:
+        build_covariance_set(p, scales, aggregation=aggregation)
+    with pytest.raises(DataError, match=f"^{re.escape(str(alone.value))}$"):
+        covariance._build_sets(p, requests, METHOD_PRODUCT, False)
+
+
+@pytest.mark.parametrize("method", [METHOD_PRODUCT, METHOD_L1])
+def test_request_sets_warn_per_scale_per_request_at_the_callers_caller(method):
+    x = np.random.default_rng(14).standard_normal((200, 3)) * 0.01
+    x[:, 1] = 0.0005
+    p = panel_from_returns(x, asset_ids=("a", "flat", "b"))
+    requests = [((1,), _NON), ((1, 5, 21), _NON), ((5, 21), _OVL)]
+    with pytest.warns(DegenerateAssetWarning) as alone:
+        for scales, aggregation in requests:
+            build_covariance_set(p, scales, method=method, aggregation=aggregation)
+
+    def caller():
+        return covariance._build_sets(p, requests, method, False)
+    with pytest.warns(DegenerateAssetWarning) as record:
+        line = inspect.currentframe().f_lineno + 1
+        caller()
+    assert len(record) == 6
+    assert sorted(str(w.message) for w in record) == sorted(str(w.message) for w in alone)
+    assert sum("at scale 1;" in str(w.message) for w in record) == 2
+    assert [(w.filename, w.lineno) for w in record] == [(__file__, line)] * 6
+
+
 # every finite float, subnormals and both zeros included
 _finite = st.floats(allow_nan=False, allow_infinity=False)
 

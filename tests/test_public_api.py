@@ -114,8 +114,8 @@ def test_compare_keeps_the_call_contract_the_bench_traces(monkeypatch):
     for name in ("run_backtest", "fit_weights", "multiscale_cov", "build_covariance_set"):
         spy(name)
     joint = []
-    build_sets = backtest.build_covariance_sets
-    monkeypatch.setattr(backtest, "build_covariance_sets",
+    build_sets = backtest._build_sets
+    monkeypatch.setattr(backtest, "_build_sets",
                         lambda *args, **kwargs: joint.append(args) or build_sets(*args, **kwargs))
     panel = synth.gen_correlated(300, synth.constant_correlation_cov(3, 0.3), seed=5)
     panel = timeseries.panel_from_returns(panel.returns + 1e-3, panel.asset_ids)
@@ -135,11 +135,12 @@ def test_compare_keeps_the_call_contract_the_bench_traces(monkeypatch):
                    and args[0].n_periods == cfg.lookback for args in fits)
         per_fit = ["fit_weights"] + ["multiscale_cov"] * (cfg.strategy != backtest.STRATEGY_EQUAL)
         assert [name for name, _, _ in row] == per_fit * windows
-    # one joint build per window of both aggregations' multiscale sets, which
-    # the bench does not trace; the daily rows take scale 1 of the
-    # non-overlapping one
+    # one build per window of the group's daily and both multiscale sets,
+    # which the bench does not trace
     assert sum(name == "build_covariance_set" for name, _, _ in events) == 0
-    assert [args[2] for args in joint] == [("nonoverlapping", "overlapping")] * windows
+    assert [args[1] for args in joint] == [(
+        ((1,), "nonoverlapping"), ((1, 2, 5, 10, 21), "nonoverlapping"),
+        ((1, 2, 5, 10, 21), "overlapping"))] * windows
 
 
 @pytest.mark.parametrize("strategy", [backtest.STRATEGY_MARKOWITZ_MULTISCALE,
